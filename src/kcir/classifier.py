@@ -8,25 +8,19 @@ embeds the order of time itself and the circuit is *time-preserving*; if
 antisymmetry fails there is a concrete four-signal witness proving no
 order-preserving arrangement of read sets can exist.
 
-The classifier is exhaustive up to a finite horizon and fully deterministic:
-witnesses are the lexicographic minimum under the signal order of
-:meth:`kcir.signals.CausalSignal.sort_key`, independent of worker count.
+The classifier is exhaustive up to a finite horizon and fully deterministic.
+It walks the prefix tree of control histories once, level by level, calling
+the read map once per history; witnesses are the lexicographic minimum under
+the signal order of :meth:`kcir.signals.CausalSignal.sort_key`.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .signals import (
-    CausalSignal,
-    Tick,
-    build_prefix_relation,
-    enumerate_causal_signals,
-    prefix_leq,
-)
+from .signals import CausalSignal, Tick, enumerate_causal_signals, prefix_leq
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitElement
@@ -50,7 +44,10 @@ class ReadSet:
     refs: tuple[RefPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "refs", tuple(sorted(set(self.refs))))
+        refs = tuple(self.refs)
+        if len(refs) > 1:  # a single ref is already sorted and unique
+            refs = tuple(sorted(set(refs)))
+        object.__setattr__(self, "refs", refs)
 
     @classmethod
     def of(cls, *refs: tuple[ChannelId, Tick]) -> "ReadSet":
@@ -68,32 +65,6 @@ class ReadSet:
 #: when the circuit's output is undefined for that history.
 ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
 
-Relation = Sequence[tuple[CausalSignal, CausalSignal]]
-
-
-def evaluate_reads(
-    read_map: ReadMap,
-    signals: Iterable[CausalSignal],
-    *,
-    jobs: int = 1,
-) -> dict[CausalSignal, Optional[ReadSet]]:
-    """Apply ``read_map`` to every signal, optionally split over worker threads.
-
-    Results are merged in input order, so the mapping is identical for any
-    ``jobs`` value.
-    """
-    signals = list(signals)
-    if jobs <= 1 or len(signals) < 2:
-        return {s: read_map(s) for s in signals}
-    size = -(-len(signals) // jobs)
-    chunks = [signals[i : i + size] for i in range(0, len(signals), size)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunk_reads = list(pool.map(lambda chunk: [read_map(s) for s in chunk], chunks))
-    out: dict[CausalSignal, Optional[ReadSet]] = {}
-    for chunk, reads in zip(chunks, chunk_reads):
-        out.update(zip(chunk, reads))
-    return out
-
 
 @dataclass(frozen=True)
 class DerivedRelation:
@@ -108,39 +79,6 @@ class DerivedRelation:
     nodes: frozenset[ReadSet]
     pairs: frozenset[tuple[ReadSet, ReadSet]]
     excluded_undefined: int
-
-
-def derive_relation(
-    read_map: ReadMap,
-    relation: Relation,
-    *,
-    reads: Mapping[CausalSignal, Optional[ReadSet]] | None = None,
-    jobs: int = 1,
-) -> DerivedRelation:
-    """Map every pair of ``relation`` through ``read_map``.
-
-    ``reads`` may carry precomputed read sets covering all relation endpoints.
-    """
-    if reads is None:
-        endpoints: dict[CausalSignal, None] = {}
-        for a, b in relation:
-            endpoints.setdefault(a)
-            endpoints.setdefault(b)
-        reads = evaluate_reads(read_map, endpoints, jobs=jobs)
-    nodes = set()
-    pairs = set()
-    excluded = 0
-    for a, b in relation:
-        image_a, image_b = reads[a], reads[b]
-        if image_a is None or image_b is None:
-            excluded += 1
-            continue
-        pairs.add((image_a, image_b))
-    for a, b in relation:
-        for image in (reads[a], reads[b]):
-            if image is not None:
-                nodes.add(image)
-    return DerivedRelation(frozenset(nodes), frozenset(pairs), excluded)
 
 
 @dataclass(frozen=True)
@@ -233,70 +171,6 @@ class AntisymmetryWitness:
         )
 
 
-def find_antisymmetry_witness(
-    read_map: ReadMap,
-    relation: Relation,
-    *,
-    reads: Mapping[CausalSignal, Optional[ReadSet]] | None = None,
-    jobs: int = 1,
-) -> Optional[AntisymmetryWitness]:
-    """Search ``relation`` for the smallest antisymmetry witness, if any.
-
-    The result is the minimum of (a0, a1, b0, b1) under the lexicographic
-    signal order, which is independent of how the scan is partitioned across
-    workers.
-    """
-    relation = list(relation)
-    if reads is None:
-        endpoints: dict[CausalSignal, None] = {}
-        for a, b in relation:
-            endpoints.setdefault(a)
-            endpoints.setdefault(b)
-        reads = evaluate_reads(read_map, endpoints, jobs=jobs)
-    keys = {s: s.sort_key() for s in reads}
-
-    defined = [
-        (a, b) for a, b in relation if reads[a] is not None and reads[b] is not None
-    ]
-
-    # Smallest source pair per ordered image pair; read-only during the scan.
-    best_source: dict[tuple[ReadSet, ReadSet], tuple] = {}
-    for a, b in defined:
-        image_pair = (reads[a], reads[b])
-        cand = (keys[a], keys[b], a, b)
-        cur = best_source.get(image_pair)
-        if cur is None or cand[:2] < cur[:2]:
-            best_source[image_pair] = cand
-
-    def scan(chunk):
-        best = None
-        for a, b in chunk:
-            image_a, image_b = reads[a], reads[b]
-            if image_a == image_b:
-                continue
-            rev = best_source.get((image_b, image_a))
-            if rev is None:
-                continue
-            cand = (keys[a], keys[b], a, b, rev[2], rev[3])
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        return best
-
-    if jobs <= 1 or len(defined) < 2:
-        results = [scan(defined)]
-    else:
-        size = -(-len(defined) // jobs)
-        chunks = [defined[i : i + size] for i in range(0, len(defined), size)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, chunks))
-
-    found = [r for r in results if r is not None]
-    if not found:
-        return None
-    _, _, a0, a1, b0, b1 = min(found, key=lambda r: r[:2])
-    return AntisymmetryWitness(a0, a1, b0, b1, reads[a0], reads[a1])
-
-
 class Verdict(enum.Enum):
     TIME_PRESERVING = "time-preserving"
     NOT_TIME_PRESERVING = "not-time-preserving"
@@ -323,41 +197,95 @@ class Classification:
     stats: ClassifyStats
 
 
-def classify(circuit: "CircuitElement", horizon: int, *, jobs: int = 1) -> Classification:
+def _walk_prefix_tree(
+    read_map: ReadMap, signals: list[CausalSignal], width: int, horizon: int
+) -> tuple[list[ReadSet], dict[tuple[int, int], tuple[int, int]], int]:
+    """Push the prefix order through ``read_map`` in one pass over the tree.
+
+    ``signals`` must be :func:`enumerate_causal_signals` output over an
+    alphabet of ``width`` symbols, so a signal is named by its index, index
+    order is ``sort_key`` order, and the parent of in-level index ``j`` is
+    in-level index ``j // width`` one level up.  Read sets are interned to ids
+    in order of first sight.
+
+    Returns the interned read sets, the smallest source pair ``(a, b)`` of
+    signal indices for every ordered image pair ``(x, y)`` of read-set ids,
+    and the number of prefix pairs with an undefined endpoint.
+    """
+    ids: dict[ReadSet, int] = {}
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    excluded = 0
+    # Per node: (ancestor-or-self image id -> smallest source index, image ids
+    # already emitted under that map, undefined ancestors-or-self).  A map is
+    # never changed once built, so a node whose image is in its parent's map
+    # shares it; a later node under the same map with an already emitted
+    # image offers only larger sources for the same pairs and emits nothing.
+    parents: list[tuple[dict[int, int], set[int], int]] = [({}, set(), 0)]
+    b = 0
+    for t in range(horizon + 1):
+        level = []
+        for j in range(width ** (t + 1)):
+            sources, done, undefined = parents[j // width]
+            image = read_map(signals[b])
+            if image is None:
+                excluded += t + 1
+                undefined += 1
+            else:
+                excluded += undefined
+                y = ids.setdefault(image, len(ids))
+                if y not in sources:
+                    sources = {**sources, y: b}
+                    done = set()
+                if y not in done:
+                    done.add(y)
+                    for x, a in sources.items():
+                        current = best.get((x, y))
+                        if current is None or a < current[0]:
+                            best[x, y] = (a, b)
+            level.append((sources, done, undefined))
+            b += 1
+        parents = level
+    return list(ids), best, excluded
+
+
+def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     """Exhaustively classify ``circuit`` over control histories up to ``horizon``.
 
     A circuit without a read map cannot be split into a controlling and a
     restricted input part, so it is reported as not-fundamental-form without
     enumeration.  Otherwise all control signals up to the horizon are
-    enumerated, the prefix relation is pushed through the read map, and the
-    partial-order axioms decide the verdict.  An antisymmetry failure always
-    comes with a re-checkable witness; a failure of any other axiom is
-    reported through the axiom report alone.
+    enumerated, the prefix relation is pushed through the read map in one
+    walk over the prefix tree, and the partial-order axioms decide the
+    verdict.  An antisymmetry failure always comes with a re-checkable
+    witness; a failure of any other axiom is reported through the axiom
+    report alone.
 
     A horizon below 1 admits no clock edges; the verdict is still computed
     but flagged degenerate in the stats.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     degenerate = horizon < 1
 
     if circuit.reads is None:
         stats = ClassifyStats(horizon, 0, 0, 0, 0, degenerate)
         return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
 
+    width = len(circuit.control_alphabet)
     signals = enumerate_causal_signals(circuit.control_alphabet, horizon)
-    relation = build_prefix_relation(signals)
-    reads = evaluate_reads(circuit.reads, signals, jobs=jobs)
-    derived = derive_relation(circuit.reads, relation, reads=reads)
+    images, best, excluded = _walk_prefix_tree(circuit.reads, signals, width, horizon)
+    derived = DerivedRelation(
+        frozenset(images),
+        frozenset((images[x], images[y]) for x, y in best),
+        excluded,
+    )
     report = check_partial_order(derived)
     stats = ClassifyStats(
         horizon=horizon,
         signals=len(signals),
-        relation_pairs=len(relation),
-        distinct_read_sets=len(derived.nodes),
-        excluded_undefined=derived.excluded_undefined,
+        relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
+        distinct_read_sets=len(images),
+        excluded_undefined=excluded,
         degenerate_horizon=degenerate,
     )
 
@@ -366,8 +294,14 @@ def classify(circuit: "CircuitElement", horizon: int, *, jobs: int = 1) -> Class
 
     witness = None
     if not report.antisymmetric:
-        witness = find_antisymmetry_witness(
-            circuit.reads, relation, reads=reads, jobs=jobs
+        # The smallest (a0, a1) over image pairs whose reverse is present,
+        # with (b0, b1) the smallest source of the reverse: the lexicographic
+        # minimum of (a0, a1, b0, b1) over all swapped source pairs.
+        sources, x, y = min(
+            (best[x, y] + best[y, x], x, y)
+            for x, y in best
+            if x != y and (y, x) in best
         )
-        assert witness is not None, "antisymmetry failure must yield a witness"
+        a0, a1, b0, b1 = (signals[i] for i in sources)
+        witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

@@ -6,8 +6,8 @@ simulation hit an undefined output without ``--allow-undef``.
 
 JSON reports carry the top-level keys circuit, command, verdict, axioms,
 witness, stats, and timing, serialized with sorted keys so identical inputs
-produce byte-identical output regardless of ``--jobs``.  The timing key is
-null in JSON for that reason; wall time is shown in text mode.
+produce byte-identical output on every rerun.  The timing key is null in JSON
+for that reason; wall time is shown in text mode.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _reads_text(image: Optional[ReadSet]) -> str:
 def _load_element(path: str) -> CircuitElement:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return load_circuit(text)
@@ -111,7 +111,7 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[Trace, dict[str,
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise UsageError("stimulus file is empty")
@@ -171,10 +171,8 @@ def _cmd_classify(args) -> int:
     element = _load_element(args.circuit)
     if args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     started = time.perf_counter()
-    result = classify(element, args.horizon, jobs=args.jobs)
+    result = classify(element, args.horizon)
     elapsed = time.perf_counter() - started
 
     stats = {
@@ -248,7 +246,10 @@ def _cmd_simulate(args) -> int:
     lines += [f"{t},{UNDEF if value is None else value}" for t, value in enumerate(outputs)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -361,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True, help="path to a .kcir file")
     p.add_argument("--horizon", type=int, default=4, help="highest tick enumerated")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the search")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("simulate", help="run a circuit over a stimulus CSV")

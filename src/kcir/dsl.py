@@ -378,6 +378,7 @@ def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
     width = int(state.names[0].text)
     bits = state.names[1].text
 
+    registers = {f"q{i}" for i in range(width)}
     inputs: list[str] = []
     for clause in clauses:
         if clause.category != "in":
@@ -385,9 +386,10 @@ def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
         name = clause.names[0]
         if name.text in inputs:
             _fail("duplicate input name", name)
+        if name.text in registers:
+            _fail(f"input name {name.text} collides with a state register", name)
         inputs.append(name.text)
 
-    registers = {f"q{i}" for i in range(width)}
     declared = registers | set(inputs)
 
     nexts: list[tuple[str, BoolExpr]] = []
@@ -547,7 +549,11 @@ def _block_spec(width, init_bits, inputs, next_exprs, outputs, where) -> SyncSpe
             f"{where}: init vector width {len(init_bits)} does not match "
             f"state width {width}"
         )
-    declared = {f"q{i}" for i in range(width)} | set(inputs)
+    registers = {f"q{i}" for i in range(width)}
+    for name in inputs:
+        if name in registers:
+            raise ElaborationError(f"{where}: input {name!r} collides with a state register")
+    declared = registers | set(inputs)
     for _, expr in (*next_exprs, *outputs):
         for var in _expr_vars(expr):
             if var.name not in declared:

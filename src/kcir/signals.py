@@ -77,8 +77,9 @@ class Trace:
     samples: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        ranks = self.alphabet._ranks
         for sample in self.samples:
-            if sample not in self.alphabet:
+            if sample not in ranks:
                 raise ValueError(
                     f"sample {sample!r} not in alphabet {self.alphabet.values!r}"
                 )

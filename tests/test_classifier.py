@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -17,11 +18,9 @@ from kcir import (
     check_partial_order,
     classify,
     counter_element,
-    derive_relation,
     dff_element,
     dff_reads,
     enumerate_causal_signals,
-    find_antisymmetry_witness,
     mux_element,
     sr_latch_element,
     toggler_pair_element,
@@ -29,6 +28,7 @@ from kcir import (
 from kcir.classifier import DerivedRelation
 
 from .conftest import bits
+from .oracle import derive_relation, find_antisymmetry_witness
 
 
 # --- independent oracles ----------------------------------------------------
@@ -221,14 +221,6 @@ class TestFindAntisymmetryWitness:
         assert witness.y_reads == ReadSet.of(("D", 1))
         assert witness.holds(element.reads)
 
-    def test_jobs_do_not_change_the_witness(self):
-        element = abmem_element()
-        signals = enumerate_causal_signals(element.control_alphabet, 2)
-        relation = build_prefix_relation(signals)
-        serial = find_antisymmetry_witness(element.reads, relation, jobs=1)
-        split = find_antisymmetry_witness(element.reads, relation, jobs=5)
-        assert serial == split
-
 
 # --- classify ---------------------------------------------------------------
 
@@ -294,11 +286,20 @@ class TestClassify:
         assert result.stats.distinct_read_sets == 2
         assert result.stats.excluded_undefined == 27
 
-    def test_deterministic_across_jobs(self):
+    def test_read_map_runs_once_per_signal(self):
+        element = abmem_element()
+        seen = []
+
+        def counting(signal):
+            seen.append(signal)
+            return element.reads(signal)
+
+        result = classify(dataclasses.replace(element, reads=counting), 2)
+        assert len(seen) == len(set(seen)) == result.stats.signals
+
+    def test_deterministic_across_reruns(self):
         for element in (abmem_element(), dff_element(), mux_element()):
-            serial = classify(element, 2, jobs=1)
-            threaded = classify(element, 2, jobs=4)
-            assert serial == threaded
+            assert classify(element, 2) == classify(element, 2)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):

@@ -55,14 +55,14 @@ class TestClassifyCommand:
         assert "verdict: time-preserving" in out
         assert "timing:" in out
 
-    def test_reports_are_identical_across_jobs(self, capsys):
+    def test_reports_are_identical_across_reruns(self, capsys):
         argv = [
             "classify", "--circuit", circuit("counter.kcir"),
             "--horizon", "3", "--format", "json",
         ]
-        _, serial, _ = run(capsys, *argv, "--jobs", "1")
-        _, threaded, _ = run(capsys, *argv, "--jobs", "8")
-        assert serial == threaded
+        _, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
+        assert first == second
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.kcir"
@@ -74,6 +74,14 @@ class TestClassifyCommand:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--circuit", "no_such.kcir")
         assert code == 2
+
+    def test_non_utf8_circuit_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.kcir"
+        bad.write_bytes(b"circuit x { kind dff; }\xff\n")
+        code, out, err = run(capsys, "classify", "--circuit", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "classify")[0] == 2
@@ -114,6 +122,29 @@ class TestSimulateCommand:
         assert code == 0
         assert out == ""
         assert target.read_text() == "tick,output\n0,UNDEF\n1,b\n2,b\n3,e\n"
+
+    def test_out_file_in_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "trace.csv"
+        code, out, err = run(
+            capsys,
+            "simulate", "--circuit", circuit("dff.kcir"),
+            "--stimulus", circuit("dff_edge.csv"),
+            "--allow-undef", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_non_utf8_stimulus_exits_2(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_bytes(b"tick,C,D\n0,0,\xff\n")
+        code, out, err = run(
+            capsys,
+            "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     def test_counter_simulation(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"

@@ -160,6 +160,26 @@ class TestParseBasics:
         assert info.value.message == "missing kind clause"
         assert info.value.token_text == "nameless"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "circuit x { kind sync; clock ck; state 1 init 0;"
+            " in q0; next q0 = q0; out y = q0; }",
+            "circuit x { kind multiclock;"
+            " domain a { clock ca; state 2 init 00; in d; in q1;"
+            " next q0 = d; next q1 = q0; out y = q1; }"
+            " domain b { clock cb; state 1 init 0; in e; next q0 = e; out z = q0; } }",
+        ],
+        ids=["sync", "multiclock-domain"],
+    )
+    def test_input_named_like_a_register_is_rejected(self, text):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "collides with a state register" in info.value.message
+        name = info.value.token_text
+        assert name in ("q0", "q1")
+        assert text[info.value.span.column - 1 - 3 :].startswith(f"in {name};")
+
     def test_missing_register_next_is_reported(self):
         with pytest.raises(ParseError) as info:
             parse(
@@ -314,6 +334,20 @@ class TestElaborate:
             init_bits="0",
             inputs=(),
             next_exprs=(("q0", Var("ghost")),),
+            outputs=(("y", Var("q0")),),
+        )
+        with pytest.raises(ElaborationError):
+            elaborate(ast)
+
+    def test_hand_built_ast_with_input_named_like_a_register_is_rejected(self):
+        ast = CircuitAst(
+            name="bad",
+            kind="sync",
+            clocks=("ck",),
+            state_width=1,
+            init_bits="0",
+            inputs=("q0",),
+            next_exprs=(("q0", Var("q0")),),
             outputs=(("y", Var("q0")),),
         )
         with pytest.raises(ElaborationError):
