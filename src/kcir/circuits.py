@@ -1,9 +1,14 @@
-"""Built-in sequential circuit elements: evaluation semantics and read maps.
+"""Built-in sequential circuit elements: step functions and read maps.
 
-Each element bundles a control alphabet, named data-input channels, an
-evaluator from aligned causal signals to an output value (or ``None`` when
-the output is undefined), and, where the circuit admits one, a read map
-describing exactly which input samples the evaluator consumes.
+Each element is a causal function written as one step per tick: ``step``
+maps (state, control symbol, current input samples) to (next state, output),
+starting from ``init``.  Simulating a stimulus is one left fold over its
+columns, so ``output_stream`` costs O(T) steps for T ticks.  The prefix
+evaluator ``evaluate`` (output at the current tick of aligned causal
+signals, or ``None`` when undefined) is derived from ``init``/``step`` as a
+fold over the prefix.  Where the circuit admits one, a read map describes
+exactly which input samples the output depends on; it is computed from the
+control history on its own route, independent of ``step``.
 
 Conventions shared by all built-ins:
 
@@ -17,9 +22,10 @@ Conventions shared by all built-ins:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, RefPoint
 from .signals import (
@@ -38,6 +44,7 @@ class SimulationError(ValueError):
 
 
 EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
+StepFn = Callable[[Any, str, tuple[str, ...]], tuple[Any, Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,15 @@ class CircuitElement:
     """An immutable circuit description usable by simulator and classifier.
 
     ``control_channels`` names the columns that assemble into one control
-    symbol per tick (joined with '/' when there are several).  ``reads`` is
-    the element's read map, or ``None`` for circuits whose inputs do not
-    restrict one another.
+    symbol per tick (joined with '/' when there are several).  ``step`` is
+    the circuit's transition: given the state, the control symbol at a tick
+    and the input samples at that tick (in ``input_channels`` order), it
+    returns the next state and the output at that tick (``None`` when
+    undefined).  ``init`` is the state before tick 0; states are never
+    mutated in place, so one ``init`` serves every run.  ``evaluate``, the
+    output at the current tick of aligned causal signals, defaults to the
+    fold of ``step`` over the prefix.  ``reads`` is the element's read map,
+    or ``None`` for circuits whose inputs do not restrict one another.
     """
 
     name: str
@@ -55,8 +68,16 @@ class CircuitElement:
     control_alphabet: Alphabet
     input_channels: tuple[tuple[str, Alphabet], ...]
     output_alphabet: Alphabet
-    evaluate: EvalFn
+    init: Any
+    step: StepFn
+    evaluate: Optional[EvalFn] = None
     reads: Optional[ReadMap] = None
+
+    def __post_init__(self) -> None:
+        if self.evaluate is None:
+            object.__setattr__(
+                self, "evaluate", _prefix_evaluator(self.init, self.step, self.input_names)
+            )
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -68,6 +89,31 @@ def _require_aligned(control: CausalSignal, inputs: Sequence[CausalSignal]) -> N
         raise SimulationError("control and input signals must share the current tick")
 
 
+def _rows(columns: Sequence[Sequence[str]]) -> Iterable[tuple[str, ...]]:
+    """Per-tick sample tuples of aligned columns; empty tuples when there are none."""
+    return zip(*columns) if columns else itertools.repeat(())
+
+
+def _fold_signals(
+    init: Any, step: StepFn, control: CausalSignal, inputs: Sequence[CausalSignal]
+) -> Any:
+    """The output at the current tick: ``step`` folded over ticks 0..t from ``init``."""
+    _require_aligned(control, inputs)
+    state, output = init, None
+    for symbol, samples in zip(control.samples, _rows([sig.samples for sig in inputs])):
+        state, output = step(state, symbol, samples)
+    return output
+
+
+def _prefix_evaluator(init: Any, step: StepFn, input_names: Sequence[str]) -> EvalFn:
+    """The prefix evaluator of a step function: fold it over ticks 0..t."""
+
+    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
+        return _fold_signals(init, step, control, [inputs[name] for name in input_names])
+
+    return evaluate
+
+
 def _edge_ticks(samples: Sequence[str]) -> frozenset[Tick]:
     return frozenset(
         u
@@ -76,11 +122,15 @@ def _edge_ticks(samples: Sequence[str]) -> frozenset[Tick]:
     )
 
 
+def _require_bit_clock(sample: str) -> None:
+    if sample != "0" and sample != "1":
+        raise SimulationError(f"clock sample {sample!r} is not a bit")
+
+
 def posedges(clock: CausalSignal) -> frozenset[Tick]:
     """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
     for sample in clock.samples:
-        if sample not in ("0", "1"):
-            raise SimulationError(f"clock sample {sample!r} is not a bit")
+        _require_bit_clock(sample)
     return _edge_ticks(clock.samples)
 
 
@@ -105,13 +155,21 @@ def dff_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
     return ReadSet.of((channel, max(edges)))
 
 
+_DFF_INIT = (None, None)
+
+
+def _dff_step(state, clock: str, samples: tuple[str, ...]):
+    """State: (previous clock sample, data latched at the latest edge or ``None``)."""
+    _require_bit_clock(clock)
+    previous, held = state
+    if previous == "0" and clock == "1":
+        held = samples[0]
+    return (clock, held), held
+
+
 def dff_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
     """Data value at the latest positive clock edge, or ``None`` before any edge."""
-    _require_aligned(control, (data,))
-    image = dff_reads(control)
-    if image is None:
-        return None
-    return data.samples[image.refs[0].tick]
+    return _fold_signals(_DFF_INIT, _dff_step, control, (data,))
 
 
 def dff_element(name: str = "dff") -> CircuitElement:
@@ -121,13 +179,30 @@ def dff_element(name: str = "dff") -> CircuitElement:
         control_alphabet=BINARY,
         input_channels=(("D", BINARY),),
         output_alphabet=BINARY,
-        evaluate=lambda control, inputs: dff_output(control, inputs["D"]),
+        init=_DFF_INIT,
+        step=_dff_step,
         reads=dff_reads,
     )
 
 
 # ---------------------------------------------------------------------------
 # SR latch
+
+def _latch(q: Optional[str], s: str, r: str) -> Optional[str]:
+    if (s, r) == ("1", "0"):
+        return "1"
+    if (s, r) in (("0", "1"), ("1", "1")):
+        return "0"
+    if (s, r) != ("0", "0"):
+        raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
+    return q
+
+
+def _sr_step(q: Optional[str], symbol: str, _samples: tuple[str, ...]):
+    parts = split_symbol(symbol)
+    q = _latch(q, parts[0], parts[1])
+    return q, q
+
 
 def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[str]:
     """Level-sensitive set/reset latch; (0,0) holds the previous output.
@@ -139,27 +214,20 @@ def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[
         raise SimulationError("set and reset signals must share the current tick")
     q: Optional[str] = None
     for s, r in zip(set_signal.samples, reset_signal.samples):
-        if (s, r) == ("1", "0"):
-            q = "1"
-        elif (s, r) in (("0", "1"), ("1", "1")):
-            q = "0"
-        elif (s, r) != ("0", "0"):
-            raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
+        q = _latch(q, s, r)
     return q
 
 
 def sr_latch_element(name: str = "srlatch") -> CircuitElement:
     # Neither input restricts the other, so the latch exposes no read map.
-    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
-        return sr_output(component_signal(control, 0), component_signal(control, 1))
-
     return CircuitElement(
         name=name,
         control_channels=("S", "R"),
         control_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
         input_channels=(),
         output_alphabet=BINARY,
-        evaluate=evaluate,
+        init=None,
+        step=_sr_step,
         reads=None,
     )
 
@@ -182,21 +250,19 @@ def mux_reads(control: CausalSignal) -> ReadSet:
     return ReadSet.of((channel, control.t))
 
 
-def mux_element(name: str = "mux") -> CircuitElement:
-    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
-        t = control.t
-        _require_aligned(control, (inputs["A"], inputs["B"]))
-        return mux_output(
-            control.samples[t], inputs["A"].samples[t], inputs["B"].samples[t]
-        )
+def _mux_step(state, select: str, samples: tuple[str, ...]):
+    return state, mux_output(select, samples[0], samples[1])
 
+
+def mux_element(name: str = "mux") -> CircuitElement:
     return CircuitElement(
         name=name,
         control_channels=("S",),
         control_alphabet=Alphabet(("a", "b")),
         input_channels=(("A", BINARY), ("B", BINARY)),
         output_alphabet=BINARY,
-        evaluate=evaluate,
+        init=None,
+        step=_mux_step,
         reads=mux_reads,
     )
 
@@ -241,15 +307,26 @@ def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadS
     return ReadSet(tuple(refs))
 
 
+def _sync_machine(spec: SyncSpec) -> tuple[Any, StepFn]:
+    """(init, step) of a register block; the state is (previous clock, registers)."""
+    next_state, output_fn = spec.next_state, spec.output_fn
+
+    def step(state, clock: str, samples: tuple[str, ...]):
+        _require_bit_clock(clock)
+        previous, registers = state
+        if previous == "0" and clock == "1":
+            registers = next_state(registers, samples)
+        return (clock, registers), output_fn(registers, samples)
+
+    return (None, spec.initial_state), step
+
+
 def sync_output(
     spec: SyncSpec, control: CausalSignal, inputs: Sequence[CausalSignal]
 ) -> str:
     """Run the register block over all edges of ``control`` and emit the output."""
-    _require_aligned(control, inputs)
-    state = spec.initial_state
-    for u in sorted(posedges(control)):
-        state = spec.next_state(state, tuple(sig.samples[u] for sig in inputs))
-    return spec.output_fn(state, tuple(sig.samples[control.t] for sig in inputs))
+    init, step = _sync_machine(spec)
+    return _fold_signals(init, step, control, inputs)
 
 
 def sync_element(
@@ -264,17 +341,15 @@ def sync_element(
     data_channels = tuple(data_channels)
     if data_alphabets is None:
         data_alphabets = tuple(BINARY for _ in data_channels)
-
-    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
-        return sync_output(spec, control, tuple(inputs[c] for c in data_channels))
-
+    init, step = _sync_machine(spec)
     return CircuitElement(
         name=name,
         control_channels=(clock_channel,),
         control_alphabet=BINARY,
         input_channels=tuple(zip(data_channels, data_alphabets)),
         output_alphabet=output_alphabet,
-        evaluate=evaluate,
+        init=init,
+        step=step,
         reads=lambda control: sync_reads(control, data_channels),
     )
 
@@ -338,6 +413,39 @@ def multiclock_reads(
     return ReadSet(tuple(refs))
 
 
+def _multiclock_machine(
+    spec_a: SyncSpec,
+    spec_b: SyncSpec,
+    width_a: int,
+    cross_a: CrossFn | None,
+    cross_b: CrossFn | None,
+) -> tuple[Any, StepFn]:
+    """(init, step) of two register blocks on the two clocks of a paired symbol.
+
+    The state is (previous clock a, previous clock b, registers a, registers
+    b); the step's input samples list domain a's channels first, ``width_a``
+    of them, and its output is the pair of domain outputs.
+    """
+    next_a = cross_a or (lambda pre, samples, _other: spec_a.next_state(pre, samples))
+    next_b = cross_b or (lambda pre, samples, _other: spec_b.next_state(pre, samples))
+    out_a, out_b = spec_a.output_fn, spec_b.output_fn
+
+    def step(state, symbol: str, samples: tuple[str, ...]):
+        previous_a, previous_b, state_a, state_b = state
+        parts = split_symbol(symbol)
+        clock_a, clock_b = parts[0], parts[1]
+        samples_a, samples_b = samples[:width_a], samples[width_a:]
+        pre_a, pre_b = state_a, state_b
+        if previous_a == "0" and clock_a == "1":
+            state_a = next_a(pre_a, samples_a, pre_b)
+        if previous_b == "0" and clock_b == "1":
+            state_b = next_b(pre_b, samples_b, pre_a)
+        outputs = (out_a(state_a, samples_a), out_b(state_b, samples_b))
+        return (clock_a, clock_b, state_a, state_b), outputs
+
+    return (None, None, spec_a.initial_state, spec_b.initial_state), step
+
+
 def multiclock_output(
     spec_a: SyncSpec,
     spec_b: SyncSpec,
@@ -356,32 +464,8 @@ def multiclock_output(
     ``next_state`` with one that also receives the other domain's pre-edge
     state.
     """
-    _require_aligned(control, (*inputs_a, *inputs_b))
-    clock_a = [split_symbol(s)[0] for s in control.samples]
-    clock_b = [split_symbol(s)[1] for s in control.samples]
-    state_a, state_b = spec_a.initial_state, spec_b.initial_state
-    for u in range(1, control.t + 1):
-        rise_a = clock_a[u - 1] == "0" and clock_a[u] == "1"
-        rise_b = clock_b[u - 1] == "0" and clock_b[u] == "1"
-        pre_a, pre_b = state_a, state_b
-        if rise_a:
-            samples = tuple(sig.samples[u] for sig in inputs_a)
-            state_a = (
-                cross_a(pre_a, samples, pre_b)
-                if cross_a is not None
-                else spec_a.next_state(pre_a, samples)
-            )
-        if rise_b:
-            samples = tuple(sig.samples[u] for sig in inputs_b)
-            state_b = (
-                cross_b(pre_b, samples, pre_a)
-                if cross_b is not None
-                else spec_b.next_state(pre_b, samples)
-            )
-    t = control.t
-    out_a = spec_a.output_fn(state_a, tuple(sig.samples[t] for sig in inputs_a))
-    out_b = spec_b.output_fn(state_b, tuple(sig.samples[t] for sig in inputs_b))
-    return out_a, out_b
+    init, step = _multiclock_machine(spec_a, spec_b, len(inputs_a), cross_a, cross_b)
+    return _fold_signals(init, step, control, (*inputs_a, *inputs_b))
 
 
 def multiclock_element(
@@ -394,21 +478,18 @@ def multiclock_element(
     data_channels_b: Sequence[str] = ("D2",),
     cross_a: CrossFn | None = None,
     cross_b: CrossFn | None = None,
+    output_alphabet: Alphabet = Alphabet.product(("0", "1"), ("0", "1")),
 ) -> CircuitElement:
+    """Two register blocks on separate clocks; the output is joined as ``a/b``."""
     data_channels_a = tuple(data_channels_a)
     data_channels_b = tuple(data_channels_b)
+    init, paired = _multiclock_machine(
+        spec_a, spec_b, len(data_channels_a), cross_a, cross_b
+    )
 
-    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
-        out_a, out_b = multiclock_output(
-            spec_a,
-            spec_b,
-            control,
-            tuple(inputs[c] for c in data_channels_a),
-            tuple(inputs[c] for c in data_channels_b),
-            cross_a=cross_a,
-            cross_b=cross_b,
-        )
-        return f"{out_a}/{out_b}"
+    def step(state, symbol: str, samples: tuple[str, ...]):
+        state, (out_a, out_b) = paired(state, symbol, samples)
+        return state, f"{out_a}/{out_b}"
 
     channels = tuple((c, BINARY) for c in (*data_channels_a, *data_channels_b))
     return CircuitElement(
@@ -416,8 +497,9 @@ def multiclock_element(
         control_channels=clock_channels,
         control_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
         input_channels=channels,
-        output_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
-        evaluate=evaluate,
+        output_alphabet=output_alphabet,
+        init=init,
+        step=step,
         reads=lambda control: multiclock_reads(control, data_channels_a, data_channels_b),
     )
 
@@ -432,17 +514,8 @@ def toggler_pair_element(name: str = "twoclock") -> CircuitElement:
 
 _ADDRESSES = ("A", "B")
 _IDLE = "-"
-
-
-@dataclass
-class MemCell:
-    """One memory cell; empty until its address is first written."""
-
-    address: str
-    content: Optional[tuple[str, Tick]] = None  # (value, last write tick)
-
-    def write(self, value: str, tick: Tick) -> None:
-        self.content = (value, tick)
+_CELL_INDEX = {addr: i for i, addr in enumerate(_ADDRESSES)}
+_EMPTY_CELLS: tuple[Optional[str], ...] = (None,) * len(_ADDRESSES)
 
 
 def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
@@ -470,27 +543,26 @@ def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
     return ReadSet.of((channel, hits[-1]))
 
 
+def _abmem_step(cells: tuple[Optional[str], ...], symbol: str, samples: tuple[str, ...]):
+    """State: the value last written to each address, ``None`` while unwritten."""
+    parts = split_symbol(symbol)
+    if len(parts) != 2:
+        raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
+    write_addr, read_addr = parts
+    i = _CELL_INDEX.get(write_addr)
+    if i is not None:
+        cells = (*cells[:i], samples[0], *cells[i + 1:])
+    j = _CELL_INDEX.get(read_addr)
+    return cells, None if j is None else cells[j]
+
+
 def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
     """Value stored at the read address, or ``None`` if the read is undefined.
 
     Simulated over actual cell state rather than through the read map, so the
     randomized soundness check compares two independent routes.
     """
-    _require_aligned(control, (data,))
-    cells = {addr: MemCell(addr) for addr in _ADDRESSES}
-    read_addr = None
-    for u, symbol in enumerate(control.samples):
-        parts = split_symbol(symbol)
-        if len(parts) != 2:
-            raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
-        write_addr = parts[0]
-        if write_addr in cells:
-            cells[write_addr].write(data.samples[u], u)
-        if u == control.t:
-            read_addr = parts[1]
-    if read_addr not in cells or cells[read_addr].content is None:
-        return None
-    return cells[read_addr].content[0]
+    return _fold_signals(_EMPTY_CELLS, _abmem_step, control, (data,))
 
 
 def abmem_element(name: str = "abmem") -> CircuitElement:
@@ -501,7 +573,8 @@ def abmem_element(name: str = "abmem") -> CircuitElement:
         control_alphabet=Alphabet.product(addresses, addresses),
         input_channels=(("D", BINARY),),
         output_alphabet=BINARY,
-        evaluate=lambda control, inputs: abmem_output(control, inputs["D"]),
+        init=_EMPTY_CELLS,
+        step=_abmem_step,
         reads=abmem_reads,
     )
 
@@ -514,7 +587,11 @@ def output_stream(
     control: Trace,
     inputs: Mapping[str, Trace],
 ) -> list[Optional[str]]:
-    """Per-tick outputs over whole traces; entry ``t`` comes from the prefixes at ``t``."""
+    """Per-tick outputs over whole traces: one left fold of ``step`` over the columns.
+
+    Entry ``t`` is the output at tick ``t``, which by causality equals
+    ``element.evaluate`` on the prefixes at ``t``; the cost is one step per tick.
+    """
     names = element.input_names
     if set(inputs) != set(names):
         raise SimulationError(
@@ -525,13 +602,13 @@ def output_stream(
         raise SimulationError("control and input traces must have equal length")
     if len(control) == 0:
         raise SimulationError("traces must cover at least tick 0")
+    step = element.step
+    state = element.init
     outputs = []
-    for t in range(len(control)):
-        control_sig = CausalSignal(t, restrict_trace(control, t))
-        input_sigs = {
-            name: CausalSignal(t, restrict_trace(inputs[name], t)) for name in names
-        }
-        outputs.append(element.evaluate(control_sig, input_sigs))
+    rows = _rows([inputs[name].samples for name in names])
+    for symbol, samples in zip(control.samples, rows):
+        state, output = step(state, symbol, samples)
+        outputs.append(output)
     return outputs
 
 

@@ -525,14 +525,15 @@ def pretty_print(ast: CircuitAst) -> str:
 # ---------------------------------------------------------------------------
 # Elaboration
 
-def _compile_expr(expr: BoolExpr):
+def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
+    """A function of the environment tuple; ``slots`` maps each name to its index."""
     if isinstance(expr, Lit):
         value = expr.value
         return lambda env: value
     if isinstance(expr, Var):
-        name = expr.name
-        return lambda env: env[name]
-    compiled = [_compile_expr(arg) for arg in expr.args]
+        slot = slots[expr.name]
+        return lambda env: env[slot]
+    compiled = [_compile_expr(arg, slots) for arg in expr.args]
     if expr.op == "not":
         inner = compiled[0]
         return lambda env: "1" if inner(env) == "0" else "0"
@@ -558,17 +559,18 @@ def _block_spec(width, init_bits, inputs, next_exprs, outputs, where) -> SyncSpe
         for var in _expr_vars(expr):
             if var.name not in declared:
                 raise ElaborationError(f"{where}: undeclared variable {var.name!r}")
-    next_fns = [_compile_expr(expr) for _, expr in next_exprs]
-    out_fns = [_compile_expr(expr) for _, expr in outputs]
+    # The environment is the state vector followed by the input samples.
+    slots = {f"q{i}": i for i in range(width)}
+    slots.update((name, width + k) for k, name in enumerate(inputs))
+    next_fns = [_compile_expr(expr, slots) for _, expr in next_exprs]
+    out_fns = [_compile_expr(expr, slots) for _, expr in outputs]
     input_names = tuple(inputs)
 
-    def env_of(state: tuple[str, ...], samples: tuple[str, ...]) -> dict[str, str]:
-        env = {f"q{i}": state[i] for i in range(width)}
+    def env_of(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
         for name, value in zip(input_names, samples):
-            if value not in ("0", "1"):
+            if value != "0" and value != "1":
                 raise SimulationError(f"input {name!r} sample {value!r} is not a bit")
-            env[name] = value
-        return env
+        return state + samples
 
     def step(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
         env = env_of(state, samples)
@@ -626,22 +628,14 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
     )
     out_a = _bitstring_alphabet(len(dom_a.outputs))
     out_b = _bitstring_alphabet(len(dom_b.outputs))
-    element = circuits.multiclock_element(
+    return circuits.multiclock_element(
         ast.name,
         spec_a,
         spec_b,
         clock_channels=(dom_a.clock, dom_b.clock),
         data_channels_a=dom_a.inputs,
         data_channels_b=dom_b.inputs,
-    )
-    return CircuitElement(
-        name=element.name,
-        control_channels=element.control_channels,
-        control_alphabet=element.control_alphabet,
-        input_channels=element.input_channels,
         output_alphabet=Alphabet.product(out_a.values, out_b.values),
-        evaluate=element.evaluate,
-        reads=element.reads,
     )
 
 

@@ -1,14 +1,20 @@
-"""Brute-force reference engine for :func:`kcir.classifier.classify`.
+"""Brute-force reference engines for classification and simulation.
 
-It materialises the whole prefix relation as a list of signal pairs, maps
-every pair through the read map, checks the axioms on the image, and then
-scans the relation once more for the smallest antisymmetry witness.  It is
-slow but direct, so the tests compare the one-pass tree walk against it.
+The classifier oracle materialises the whole prefix relation as a list of
+signal pairs, maps every pair through the read map, checks the axioms on the
+image, and then scans the relation once more for the smallest antisymmetry
+witness.  The simulation oracle evaluates every tick from scratch: each
+circuit's output is computed from the whole prefix (edges found by scanning
+the clock history, latch and memory state replayed from tick 0), and
+:func:`output_stream` re-folds the prefix at every tick.  Both are slow but
+direct, so the tests compare the one-pass tree walk and the step functions
+against them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from kcir.classifier import (
     AntisymmetryWitness,
@@ -20,7 +26,26 @@ from kcir.classifier import (
     Verdict,
     check_partial_order,
 )
-from kcir.signals import CausalSignal, build_prefix_relation, enumerate_causal_signals
+from kcir.circuits import (
+    CircuitElement,
+    CrossFn,
+    SimulationError,
+    SyncSpec,
+    component_signal,
+    dff_reads,
+    mux_output,
+    posedges,
+)
+from kcir.dsl import CircuitAst, _block_spec
+from kcir.signals import (
+    CausalSignal,
+    Tick,
+    Trace,
+    build_prefix_relation,
+    enumerate_causal_signals,
+    restrict_trace,
+    split_symbol,
+)
 
 Relation = list[tuple[CausalSignal, CausalSignal]]
 
@@ -147,3 +172,215 @@ def classify(circuit, horizon: int) -> Classification:
         witness = find_antisymmetry_witness(circuit.reads, relation, reads=reads)
         assert witness is not None, "antisymmetry failure must yield a witness"
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
+
+
+# --- simulation ---------------------------------------------------------------
+
+EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
+
+
+def output_stream(
+    element: CircuitElement,
+    control: Trace,
+    inputs: Mapping[str, Trace],
+) -> list[Optional[str]]:
+    """Per-tick outputs over whole traces; entry ``t`` comes from the prefixes at ``t``."""
+    names = element.input_names
+    if set(inputs) != set(names):
+        raise SimulationError(
+            f"input channels {sorted(inputs)} do not match {sorted(names)}"
+        )
+    lengths = {len(control), *(len(trace) for trace in inputs.values())}
+    if len(lengths) != 1:
+        raise SimulationError("control and input traces must have equal length")
+    if len(control) == 0:
+        raise SimulationError("traces must cover at least tick 0")
+    outputs = []
+    for t in range(len(control)):
+        control_sig = CausalSignal(t, restrict_trace(control, t))
+        input_sigs = {
+            name: CausalSignal(t, restrict_trace(inputs[name], t)) for name in names
+        }
+        outputs.append(element.evaluate(control_sig, input_sigs))
+    return outputs
+
+
+def _require_aligned(control: CausalSignal, inputs: Sequence[CausalSignal]) -> None:
+    if any(sig.t != control.t for sig in inputs):
+        raise SimulationError("control and input signals must share the current tick")
+
+
+def dff_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
+    """Data value at the latest positive clock edge, or ``None`` before any edge."""
+    _require_aligned(control, (data,))
+    image = dff_reads(control)
+    if image is None:
+        return None
+    return data.samples[image.refs[0].tick]
+
+
+def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[str]:
+    """Level-sensitive set/reset latch; (0,0) holds the previous output."""
+    if set_signal.t != reset_signal.t:
+        raise SimulationError("set and reset signals must share the current tick")
+    q: Optional[str] = None
+    for s, r in zip(set_signal.samples, reset_signal.samples):
+        if (s, r) == ("1", "0"):
+            q = "1"
+        elif (s, r) in (("0", "1"), ("1", "1")):
+            q = "0"
+        elif (s, r) != ("0", "0"):
+            raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
+    return q
+
+
+def sync_output(
+    spec: SyncSpec, control: CausalSignal, inputs: Sequence[CausalSignal]
+) -> str:
+    """Run the register block over all edges of ``control`` and emit the output."""
+    _require_aligned(control, inputs)
+    state = spec.initial_state
+    for u in sorted(posedges(control)):
+        state = spec.next_state(state, tuple(sig.samples[u] for sig in inputs))
+    return spec.output_fn(state, tuple(sig.samples[control.t] for sig in inputs))
+
+
+def multiclock_output(
+    spec_a: SyncSpec,
+    spec_b: SyncSpec,
+    control: CausalSignal,
+    inputs_a: Sequence[CausalSignal],
+    inputs_b: Sequence[CausalSignal],
+    *,
+    cross_a: CrossFn | None = None,
+    cross_b: CrossFn | None = None,
+) -> tuple[str, str]:
+    """Run two register blocks against the two clocks of a paired control signal."""
+    _require_aligned(control, (*inputs_a, *inputs_b))
+    clock_a = [split_symbol(s)[0] for s in control.samples]
+    clock_b = [split_symbol(s)[1] for s in control.samples]
+    state_a, state_b = spec_a.initial_state, spec_b.initial_state
+    for u in range(1, control.t + 1):
+        rise_a = clock_a[u - 1] == "0" and clock_a[u] == "1"
+        rise_b = clock_b[u - 1] == "0" and clock_b[u] == "1"
+        pre_a, pre_b = state_a, state_b
+        if rise_a:
+            samples = tuple(sig.samples[u] for sig in inputs_a)
+            state_a = (
+                cross_a(pre_a, samples, pre_b)
+                if cross_a is not None
+                else spec_a.next_state(pre_a, samples)
+            )
+        if rise_b:
+            samples = tuple(sig.samples[u] for sig in inputs_b)
+            state_b = (
+                cross_b(pre_b, samples, pre_a)
+                if cross_b is not None
+                else spec_b.next_state(pre_b, samples)
+            )
+    t = control.t
+    out_a = spec_a.output_fn(state_a, tuple(sig.samples[t] for sig in inputs_a))
+    out_b = spec_b.output_fn(state_b, tuple(sig.samples[t] for sig in inputs_b))
+    return out_a, out_b
+
+
+_ADDRESSES = ("A", "B")
+
+
+@dataclass
+class MemCell:
+    """One memory cell; empty until its address is first written."""
+
+    address: str
+    content: Optional[tuple[str, Tick]] = None  # (value, last write tick)
+
+    def write(self, value: str, tick: Tick) -> None:
+        self.content = (value, tick)
+
+
+def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
+    """Value stored at the read address, or ``None`` if the read is undefined."""
+    _require_aligned(control, (data,))
+    cells = {addr: MemCell(addr) for addr in _ADDRESSES}
+    read_addr = None
+    for u, symbol in enumerate(control.samples):
+        parts = split_symbol(symbol)
+        if len(parts) != 2:
+            raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
+        write_addr = parts[0]
+        if write_addr in cells:
+            cells[write_addr].write(data.samples[u], u)
+        if u == control.t:
+            read_addr = parts[1]
+    if read_addr not in cells or cells[read_addr].content is None:
+        return None
+    return cells[read_addr].content[0]
+
+
+def dff_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
+    return dff_output(control, inputs["D"])
+
+
+def sr_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
+    return sr_output(component_signal(control, 0), component_signal(control, 1))
+
+
+def mux_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
+    t = control.t
+    _require_aligned(control, (inputs["A"], inputs["B"]))
+    return mux_output(control.samples[t], inputs["A"].samples[t], inputs["B"].samples[t])
+
+
+def abmem_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
+    return abmem_output(control, inputs["D"])
+
+
+def sync_evaluator(spec: SyncSpec, data_channels: Sequence[str] = ("D",)) -> EvalFn:
+    def evaluate(control, inputs):
+        return sync_output(spec, control, tuple(inputs[c] for c in data_channels))
+
+    return evaluate
+
+
+def multiclock_evaluator(
+    spec_a: SyncSpec,
+    spec_b: SyncSpec,
+    data_channels_a: Sequence[str] = ("D1",),
+    data_channels_b: Sequence[str] = ("D2",),
+) -> EvalFn:
+    def evaluate(control, inputs):
+        out_a, out_b = multiclock_output(
+            spec_a,
+            spec_b,
+            control,
+            tuple(inputs[c] for c in data_channels_a),
+            tuple(inputs[c] for c in data_channels_b),
+        )
+        return f"{out_a}/{out_b}"
+
+    return evaluate
+
+
+_FIXED_KINDS = {
+    "dff": dff_evaluate,
+    "srlatch": sr_evaluate,
+    "mux": mux_evaluate,
+    "abmem": abmem_evaluate,
+}
+
+
+def ast_evaluator(ast: CircuitAst) -> EvalFn:
+    """The prefix evaluator a circuit description denotes, built the old way."""
+    if ast.kind in _FIXED_KINDS:
+        return _FIXED_KINDS[ast.kind]
+    if ast.kind == "sync":
+        spec = _block_spec(ast.state_width, ast.init_bits, ast.inputs,
+                           ast.next_exprs, ast.outputs, ast.name)
+        return sync_evaluator(spec, ast.inputs)
+    dom_a, dom_b = ast.domains
+    spec_a, spec_b = (
+        _block_spec(d.state_width, d.init_bits, d.inputs, d.next_exprs, d.outputs,
+                    f"{ast.name}.{d.name}")
+        for d in (dom_a, dom_b)
+    )
+    return multiclock_evaluator(spec_a, spec_b, dom_a.inputs, dom_b.inputs)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -42,6 +43,10 @@ from kcir import (
 )
 
 from .conftest import bits, sig
+
+
+def _random_trace(rng: random.Random, alphabet: Alphabet, length: int) -> Trace:
+    return Trace(alphabet, tuple(rng.choice(alphabet.values) for _ in range(length)))
 
 PAIRS = Alphabet.product(("A", "B", "-"), ("A", "B", "-"))
 
@@ -315,6 +320,56 @@ class TestOutputStream:
         element = dff_element()
         with pytest.raises(SimulationError):
             output_stream(element, Trace(BINARY, ("0",)), {"X": Trace(BINARY, ("0",))})
+
+    def test_empty_traces_are_an_error(self):
+        with pytest.raises(SimulationError, match="at least tick 0"):
+            output_stream(dff_element(), Trace(BINARY, ()), {"D": Trace(BINARY, ())})
+
+    def test_initial_state_is_shared_by_independent_runs(self):
+        element = abmem_element()
+        control = Trace(element.control_alphabet, ("A/A", "-/A"))
+        first = output_stream(element, control, {"D": Trace(BINARY, ("1", "0"))})
+        second = output_stream(element, control, {"D": Trace(BINARY, ("0", "1"))})
+        assert (first, second) == (["1", "1"], ["0", "0"])
+
+
+def _counting(element):
+    """The element with a step that counts its calls in the returned list."""
+    calls = [0]
+
+    def step(state, symbol, samples):
+        calls[0] += 1
+        return element.step(state, symbol, samples)
+
+    return dataclasses.replace(element, step=step), calls
+
+
+class TestLinearTime:
+    """Simulation costs one step per tick: no prefix is ever re-folded."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        (dff_element, mux_element, counter_element, toggler_pair_element,
+         abmem_element, sr_latch_element),
+    )
+    def test_output_stream_steps_once_per_tick(self, factory):
+        element, calls = _counting(factory())
+        rng = random.Random(7)
+        ticks = 2000
+        control = _random_trace(rng, element.control_alphabet, ticks)
+        inputs = {
+            name: _random_trace(rng, alphabet, ticks)
+            for name, alphabet in element.input_channels
+        }
+        assert len(output_stream(element, control, inputs)) == ticks
+        assert calls[0] == ticks
+
+    @pytest.mark.parametrize("horizon", (1, 4, 16))
+    def test_causality_trial_steps_twice_per_tick(self, horizon):
+        element, calls = _counting(counter_element())
+        report = causality_check(element, horizon=horizon, trials=1, seed=3)
+        assert report.mutations == 1
+        assert calls[0] == 2 * (horizon + 1)
 
 
 ELEMENTS_WITH_READS = (

@@ -264,7 +264,8 @@ class TestClassify:
             control_alphabet=BINARY,
             input_channels=(("D", BINARY),),
             output_alphabet=BINARY,
-            evaluate=lambda control, inputs: "0",
+            init=None,
+            step=lambda state, symbol, samples: (state, "0"),
             reads=transitivity_breaker,
         )
         result = classify(element, 1)

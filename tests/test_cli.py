@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
 
+from kcir import cli
 from kcir.cli import main
+from kcir.dsl import load_circuit, parse
 
+from . import oracle
 from .conftest import CIRCUITS_DIR
 
 
@@ -201,6 +206,69 @@ class TestSimulateCommand:
             "simulate", "--circuit", circuit("counter.kcir"), "--stimulus", str(stim),
         )
         assert code == 2
+
+
+ADDRESSES = ("A", "B", "-")
+TOKENS = ("a", "b", "c", "d", "e")
+
+#: Stimulus columns and the values each draws from, per circuit file.
+SEEDED_COLUMNS = {
+    "counter.kcir": (("clk", ("0", "1")), ("en", ("0", "1"))),
+    "twoclock.kcir": (("cf", ("0", "1")), ("cs", ("0", "1")),
+                      ("df", ("0", "1")), ("ds", ("0", "1"))),
+    "abmem.kcir": (("W", ADDRESSES), ("R", ADDRESSES), ("D", TOKENS)),
+}
+
+
+def seeded_stimulus(path, circuit_file: str, ticks: int = 120, seed: int = 5) -> str:
+    rng = random.Random(f"{circuit_file}:{seed}")
+    columns = SEEDED_COLUMNS[circuit_file]
+    lines = ["tick," + ",".join(name for name, _ in columns)]
+    for t in range(ticks):
+        lines.append(f"{t}," + ",".join(rng.choice(values) for _, values in columns))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def oracle_load_circuit(text: str):
+    """The circuit with its evaluator rebuilt the brute-force way."""
+    return dataclasses.replace(load_circuit(text), evaluate=oracle.ast_evaluator(parse(text)))
+
+
+class TestSimulateMatchesOracle:
+    """``simulate`` is byte-identical to the prefix re-evaluating engine."""
+
+    def both(self, monkeypatch, capsys, *argv):
+        fast = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "load_circuit", oracle_load_circuit)
+            patch.setattr(cli, "output_stream", oracle.output_stream)
+            slow = run(capsys, *argv)
+        return fast, slow
+
+    @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])
+    def test_dff_edge(self, monkeypatch, capsys, allow_undef):
+        argv = ["simulate", "--circuit", circuit("dff.kcir"),
+                "--stimulus", circuit("dff_edge.csv")]
+        if allow_undef:
+            argv.append("--allow-undef")
+        fast, slow = self.both(monkeypatch, capsys, *argv)
+        assert fast == slow
+        assert fast[0] == (0 if allow_undef else 3)
+
+    @pytest.mark.parametrize("circuit_file", sorted(SEEDED_COLUMNS))
+    @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])
+    def test_seeded_stimulus(self, monkeypatch, capsys, tmp_path, circuit_file, allow_undef):
+        stimulus = seeded_stimulus(tmp_path / "stim.csv", circuit_file)
+        argv = ["simulate", "--circuit", circuit(circuit_file), "--stimulus", stimulus]
+        if allow_undef:
+            argv.append("--allow-undef")
+        fast, slow = self.both(monkeypatch, capsys, *argv)
+        assert fast == slow
+        # abmem reads unwritten cells and idle addresses; the others never do.
+        undefined = circuit_file == "abmem.kcir" and not allow_undef
+        assert fast[0] == (3 if undefined else 0)
+        assert ("output undefined" in fast[2]) == undefined
 
 
 class TestChiDumpCommand:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcir import (
@@ -246,6 +246,64 @@ class TestRoundTripProperty:
             outputs=(("y", out),),
         )
         assert parse(pretty_print(ast)) == ast
+
+
+def _interpret(expr, env: dict[str, str]) -> str:
+    """Direct evaluation of an expression tree, independent of the compiler."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    values = [_interpret(arg, env) == "1" for arg in expr.args]
+    if expr.op == "not":
+        result = not values[0]
+    elif expr.op == "and":
+        result = all(values)
+    elif expr.op == "or":
+        result = any(values)
+    else:
+        result = sum(values) % 2 == 1
+    return "1" if result else "0"
+
+
+class TestCompiledLogic:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _exprs, _exprs, _exprs,
+        st.sampled_from(("and", "or", "xor")),
+        st.sampled_from(("00", "01", "10", "11")),
+        st.data(),
+    )
+    def test_sync_blocks_match_an_ast_interpreter(self, e0, e1, hi, op, init, data):
+        # A three-argument call exercises the n-ary operators too.
+        lo = Call(op, (e0, e1, hi))
+        ast = CircuitAst(
+            name="gen",
+            kind="sync",
+            clocks=("ck",),
+            state_width=2,
+            init_bits=init,
+            inputs=("d", "e"),
+            next_exprs=(("q0", e0), ("q1", e1)),
+            outputs=(("hi", hi), ("lo", lo)),
+        )
+        ticks = data.draw(st.integers(1, 12))
+        columns = [
+            tuple(data.draw(st.lists(st.sampled_from("01"), min_size=ticks, max_size=ticks)))
+            for _ in range(3)
+        ]
+        clock, d, e = columns
+        registers = {"q0": init[0], "q1": init[1]}
+        expected = []
+        for t in range(ticks):
+            env = {**registers, "d": d[t], "e": e[t]}
+            if t >= 1 and clock[t - 1 : t + 1] == ("0", "1"):
+                registers = {"q0": _interpret(e0, env), "q1": _interpret(e1, env)}
+                env = {**registers, "d": d[t], "e": e[t]}
+            expected.append(_interpret(hi, env) + _interpret(lo, env))
+        element = elaborate(ast)
+        inputs = {"d": Trace(BINARY, d), "e": Trace(BINARY, e)}
+        assert output_stream(element, Trace(BINARY, clock), inputs) == expected
 
 
 class TestElaborate:

@@ -1,28 +1,48 @@
-"""The one-pass classifier must agree exactly with the brute-force oracle.
+"""The fast engines must agree exactly with the brute-force oracles.
 
-Agreement is on whole :class:`Classification` objects: verdict, stats, the
-axiom report with its witnesses, and the antisymmetry witness.
+The one-pass classifier agrees on whole :class:`Classification` objects:
+verdict, stats, the axiom report with its witnesses, and the antisymmetry
+witness.  The step-function simulator agrees on whole output streams, on the
+prefix evaluator's value at every tick, and on the error a malformed input
+raises and the tick at which it raises.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from kcir import (
+    BINARY,
     Alphabet,
+    CausalSignal,
     CircuitElement,
     ReadSet,
+    SimulationError,
+    SyncSpec,
+    Trace,
     abmem_element,
+    abmem_output,
     classify,
     counter_element,
+    counter_spec,
     dff_element,
+    dff_output,
     enumerate_causal_signals,
     load_circuit,
+    multiclock_output,
     mux_element,
+    output_stream,
+    parse,
+    restrict_trace,
     sr_latch_element,
+    sr_output,
+    sync_output,
     toggler_pair_element,
+    toggler_spec,
 )
 
 from . import oracle
@@ -81,7 +101,8 @@ def table_circuits(draw):
         control_alphabet=alphabet,
         input_channels=(("D", alphabet),),
         output_alphabet=alphabet,
-        evaluate=lambda control, inputs: None,
+        init=None,
+        step=lambda state, symbol, samples: (state, None),
         reads=lambda signal: table[signal.samples],
     )
     return element, horizon
@@ -110,3 +131,154 @@ def test_table_strategy_reaches_single_axiom_failures(wanted):
         settings=settings(max_examples=5000, deadline=None, database=None),
     )
     assert classify(*case) == oracle.classify(*case)
+
+
+# --- simulation: step functions against prefix re-evaluation -------------------
+
+BITS = ("0", "1")
+# Routed data gets distinct tokens, so reading the sample of a wrong tick shows.
+TOKENS = ("a", "b", "c", "d")
+ROUTING_KINDS = ("dff", "mux", "abmem")
+
+
+def _built_in_cases():
+    yield "dff", dff_element(), oracle.dff_evaluate, TOKENS
+    yield "srlatch", sr_latch_element(), oracle.sr_evaluate, BITS
+    yield "mux", mux_element(), oracle.mux_evaluate, TOKENS
+    yield "counter", counter_element(), oracle.sync_evaluator(counter_spec(2)), BITS
+    yield (
+        "twoclock",
+        toggler_pair_element(),
+        oracle.multiclock_evaluator(toggler_spec(), toggler_spec()),
+        BITS,
+    )
+    yield "abmem", abmem_element(), oracle.abmem_evaluate, TOKENS
+
+
+def _file_cases():
+    for path in sorted(CIRCUITS_DIR.glob("*.kcir")):
+        text = path.read_text(encoding="utf-8")
+        ast = parse(text)
+        values = TOKENS if ast.kind in ROUTING_KINDS else BITS
+        yield path.name, load_circuit(text), oracle.ast_evaluator(ast), values
+
+
+STREAM_CASES = [*_built_in_cases(), *_file_cases()]
+
+
+@st.composite
+def stimuli(draw, element: CircuitElement, values, max_ticks: int = 40):
+    """Control and input traces of one drawn length from 1 to ``max_ticks``."""
+    ticks = draw(st.integers(1, max_ticks))
+    control = draw(st.lists(st.sampled_from(element.control_alphabet.values),
+                            min_size=ticks, max_size=ticks))
+    alphabet = Alphabet(values)
+    inputs = {
+        name: Trace(alphabet, tuple(draw(st.lists(st.sampled_from(values),
+                                                  min_size=ticks, max_size=ticks))))
+        for name in element.input_names
+    }
+    return Trace(element.control_alphabet, tuple(control)), inputs
+
+
+def _prefixes(control: Trace, inputs, t: int):
+    return (
+        CausalSignal(t, restrict_trace(control, t)),
+        {name: CausalSignal(t, restrict_trace(trace, t)) for name, trace in inputs.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "name,element,evaluate,values", STREAM_CASES, ids=[c[0] for c in STREAM_CASES]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_streams_and_prefix_values_match_the_oracle(name, element, evaluate, values, data):
+    control, inputs = data.draw(stimuli(element, values))
+    reference = dataclasses.replace(element, evaluate=evaluate)
+    stream = output_stream(element, control, inputs)
+    assert stream == oracle.output_stream(reference, control, inputs)
+    for t in range(len(control)):
+        control_sig, input_sigs = _prefixes(control, inputs, t)
+        assert element.evaluate(control_sig, input_sigs) == stream[t]
+        assert evaluate(control_sig, input_sigs) == stream[t]
+
+
+def _outcome(stream, element, control, inputs):
+    try:
+        return stream(element, control, inputs)
+    except SimulationError as exc:
+        return f"SimulationError: {exc}"
+
+
+DSL_BLOCK_CASES = [c for c in STREAM_CASES if c[0] in ("counter.kcir", "twoclock.kcir")]
+
+
+@pytest.mark.parametrize(
+    "name,element,evaluate,values", DSL_BLOCK_CASES, ids=[c[0] for c in DSL_BLOCK_CASES]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_non_bit_inputs_fail_alike_at_the_same_tick(name, element, evaluate, values, data):
+    control, inputs = data.draw(stimuli(element, BITS, max_ticks=20))
+    # Plant one to three non-bit samples; every tick up to the first one
+    # must simulate, and every longer prefix must fail with the same message.
+    bad = Alphabet((*BITS, "x"))
+    columns = {name: list(trace.samples) for name, trace in inputs.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        channel = data.draw(st.sampled_from(sorted(columns)))
+        columns[channel][data.draw(st.integers(0, len(control) - 1))] = "x"
+    inputs = {name: Trace(bad, tuple(samples)) for name, samples in columns.items()}
+    reference = dataclasses.replace(element, evaluate=evaluate)
+    first_bad = min(
+        t for t in range(len(control)) if any(col[t] == "x" for col in columns.values())
+    )
+    for length in range(1, len(control) + 1):
+        cut_control = restrict_trace(control, length - 1)
+        cut_inputs = {n: restrict_trace(trace, length - 1) for n, trace in inputs.items()}
+        got = _outcome(output_stream, element, cut_control, cut_inputs)
+        want = _outcome(oracle.output_stream, reference, cut_control, cut_inputs)
+        assert got == want
+        assert isinstance(got, str) == (length > first_bad)
+
+
+PAIRED = Alphabet.product(BITS, BITS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    clock=st.lists(st.sampled_from(BITS), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_public_folds_match_the_oracle_bodies(clock, data):
+    ticks = len(clock)
+    tokens = Alphabet(TOKENS)
+
+    def column(values):
+        return tuple(data.draw(st.lists(st.sampled_from(values), min_size=ticks,
+                                        max_size=ticks)))
+
+    clock_sig = CausalSignal.from_samples(BINARY, clock)
+    routed = CausalSignal.from_samples(tokens, column(TOKENS))
+    assert dff_output(clock_sig, routed) == oracle.dff_output(clock_sig, routed)
+
+    other = CausalSignal.from_samples(BINARY, column(BITS))
+    assert sr_output(clock_sig, other) == oracle.sr_output(clock_sig, other)
+
+    spec = counter_spec(3)
+    assert sync_output(spec, clock_sig, (other,)) == oracle.sync_output(spec, clock_sig, (other,))
+
+    pairs = CausalSignal.from_samples(
+        PAIRED, tuple(f"{a}/{b}" for a, b in zip(clock, column(BITS)))
+    )
+    copier = SyncSpec(1, ("0",), lambda s, i: s, lambda s, i: s[0])
+    for kwargs in ({}, {"cross_a": lambda state, inputs, other: other}):
+        assert multiclock_output(
+            copier, toggler_spec(), pairs, (other,), (other,), **kwargs
+        ) == oracle.multiclock_output(
+            copier, toggler_spec(), pairs, (other,), (other,), **kwargs
+        )
+
+    addresses = abmem_element().control_alphabet
+    memory = CausalSignal.from_samples(addresses, column(addresses.values))
+    assert abmem_output(memory, routed) == oracle.abmem_output(memory, routed)
