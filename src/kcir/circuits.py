@@ -1,4 +1,4 @@
-"""Built-in sequential circuit elements: step functions and read maps.
+"""Built-in sequential circuit elements: step functions and read steps.
 
 Each element is a causal function written as one step per tick: ``step``
 maps (state, control symbol, current input samples) to (next state, output),
@@ -6,9 +6,16 @@ starting from ``init``.  Simulating a stimulus is one left fold over its
 columns, so ``output_stream`` costs O(T) steps for T ticks.  The prefix
 evaluator ``evaluate`` (output at the current tick of aligned causal
 signals, or ``None`` when undefined) is derived from ``init``/``step`` as a
-fold over the prefix.  Where the circuit admits one, a read map describes
-exactly which input samples the output depends on; it is computed from the
-control history on its own route, independent of ``step``.
+fold over the prefix.
+
+Where the circuit admits one, a read step describes exactly which input
+samples the output depends on: ``read_step`` maps (read state, control
+symbol, tick) to (next read state, refs), starting from ``read_init``, where
+refs are the sorted ``(channel, tick)`` pairs read at that tick.  It sees the
+control history only and tracks edge and write ticks, never sample values,
+so it is a route independent of ``step``.  The read map ``reads`` is derived
+from it as a fold over the prefix, and the classifier steps it once per node
+of the prefix tree.
 
 Conventions shared by all built-ins:
 
@@ -27,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .classifier import ReadMap, ReadSet, RefPoint
+from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
 from .signals import (
     BINARY,
     Alphabet,
@@ -47,6 +54,46 @@ EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
 StepFn = Callable[[Any, str, tuple[str, ...]], tuple[Any, Optional[str]]]
 
 
+def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) -> Optional[Refs]:
+    """The refs at the last of ``symbols``: ``read_step`` folded over them from tick 0."""
+    state, refs = read_init, None
+    for tick, symbol in enumerate(symbols):
+        state, refs = read_step(state, symbol, tick)
+    return refs
+
+
+def _read_set(refs: Optional[Refs]) -> Optional[ReadSet]:
+    return None if refs is None else ReadSet.of(*refs)
+
+
+def _fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
+    """The read map of a read step, tagged with the (read_init, read_step) it folds."""
+
+    def reads(control: CausalSignal) -> Optional[ReadSet]:
+        return _read_set(_fold_refs(read_init, read_step, control.samples))
+
+    reads.folds = (read_init, read_step)
+    return reads
+
+
+def _history_read_step(reads: ReadMap, alphabet: Alphabet) -> ReadStepFn:
+    """The read step of a bare read map: the state is the history so far.
+
+    Each step applies the read map to the whole history, so it costs what
+    the map costs; it lets the classifier walk elements given only ``reads``.
+    """
+
+    def read_step(history: tuple[str, ...], symbol: str, tick: Tick):
+        history = (*history, symbol)
+        image = reads(CausalSignal(tick, Trace(alphabet, history)))
+        if image is None:
+            return history, None
+        return history, tuple((ref.channel, ref.tick) for ref in image.refs)
+
+    read_step.reads = reads
+    return read_step
+
+
 @dataclass(frozen=True)
 class CircuitElement:
     """An immutable circuit description usable by simulator and classifier.
@@ -59,8 +106,23 @@ class CircuitElement:
     undefined).  ``init`` is the state before tick 0; states are never
     mutated in place, so one ``init`` serves every run.  ``evaluate``, the
     output at the current tick of aligned causal signals, defaults to the
-    fold of ``step`` over the prefix.  ``reads`` is the element's read map,
-    or ``None`` for circuits whose inputs do not restrict one another.
+    fold of ``step`` over the prefix.
+
+    ``read_step`` is the control-only read transition: given the read state,
+    the control symbol at a tick and the tick, it returns the next read state
+    and the refs read at that tick, sorted and duplicate-free, or ``None``
+    when the output is undefined there; ``read_init`` is the read state before
+    tick 0.  ``reads``, the read map from a control history to its read set,
+    defaults to the fold of ``read_step`` over the history.  An element given
+    only ``reads`` gets a ``read_step`` that carries the history and applies
+    ``reads`` to it, so the classifier walks every element the same way.
+    Both are ``None`` for circuits whose inputs do not restrict one another.
+    The two never disagree, also under ``dataclasses.replace``: a ``reads``
+    that is not the derived fold is the source, and ``read_step`` is rebuilt
+    from it; a derived fold of another ``read_init``/``read_step`` is rebuilt
+    from the current ones.  So ``replace(element, reads=r)`` walks ``r``, and
+    an element built from ``reads`` takes a new read step only with
+    ``reads=None``.
     """
 
     name: str
@@ -72,12 +134,25 @@ class CircuitElement:
     step: StepFn
     evaluate: Optional[EvalFn] = None
     reads: Optional[ReadMap] = None
+    read_init: Any = None
+    read_step: Optional[ReadStepFn] = None
 
     def __post_init__(self) -> None:
         if self.evaluate is None:
             object.__setattr__(
                 self, "evaluate", _prefix_evaluator(self.init, self.step, self.input_names)
             )
+        reads = self.reads
+        if reads is not None and not hasattr(reads, "folds"):
+            if getattr(self.read_step, "reads", None) is not reads:
+                object.__setattr__(self, "read_init", ())
+                object.__setattr__(
+                    self, "read_step", _history_read_step(reads, self.control_alphabet)
+                )
+        elif self.read_step is None:
+            object.__setattr__(self, "reads", None)
+        elif reads is None or reads.folds != (self.read_init, self.read_step):
+            object.__setattr__(self, "reads", _fold_reads(self.read_init, self.read_step))
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -114,14 +189,6 @@ def _prefix_evaluator(init: Any, step: StepFn, input_names: Sequence[str]) -> Ev
     return evaluate
 
 
-def _edge_ticks(samples: Sequence[str]) -> frozenset[Tick]:
-    return frozenset(
-        u
-        for u in range(1, len(samples))
-        if samples[u - 1] == "0" and samples[u] == "1"
-    )
-
-
 def _require_bit_clock(sample: str) -> None:
     if sample != "0" and sample != "1":
         raise SimulationError(f"clock sample {sample!r} is not a bit")
@@ -129,9 +196,13 @@ def _require_bit_clock(sample: str) -> None:
 
 def posedges(clock: CausalSignal) -> frozenset[Tick]:
     """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
-    for sample in clock.samples:
+    edges, previous = [], None
+    for tick, sample in enumerate(clock.samples):
         _require_bit_clock(sample)
-    return _edge_ticks(clock.samples)
+        if previous == "0" and sample == "1":
+            edges.append(tick)
+        previous = sample
+    return frozenset(edges)
 
 
 def component_signal(signal: CausalSignal, index: int, alphabet: Alphabet = BINARY) -> CausalSignal:
@@ -143,16 +214,35 @@ def component_signal(signal: CausalSignal, index: int, alphabet: Alphabet = BINA
 # ---------------------------------------------------------------------------
 # D flip-flop
 
+def _dff_reader(channel: str) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of a flip-flop on data ``channel``.
+
+    The read state is (previous clock sample, refs of the latest edge or
+    ``None``); the refs are kept whole so a step without an edge builds none.
+    """
+
+    def read_step(state, clock: str, tick: Tick):
+        previous, refs = state
+        if clock == "1":
+            if previous == "0":
+                refs = ((channel, tick),)
+        elif clock != "0":
+            _require_bit_clock(clock)
+        return (clock, refs), refs
+
+    return (None, None), read_step
+
+
+_DFF_READ_INIT, _dff_read_step = _dff_reader("D")
+
+
 def dff_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
     """The single data sample a flip-flop reads: its latest positive edge.
 
     Undefined (``None``) while the clock has not risen yet, because the
     flip-flop has latched nothing.
     """
-    edges = posedges(control)
-    if not edges:
-        return None
-    return ReadSet.of((channel, max(edges)))
+    return _read_set(_fold_refs(*_dff_reader(channel), control.samples))
 
 
 _DFF_INIT = (None, None)
@@ -181,7 +271,8 @@ def dff_element(name: str = "dff") -> CircuitElement:
         output_alphabet=BINARY,
         init=_DFF_INIT,
         step=_dff_step,
-        reads=dff_reads,
+        read_init=_DFF_READ_INIT,
+        read_step=_dff_read_step,
     )
 
 
@@ -244,10 +335,13 @@ def mux_output(select: str, a_value: str, b_value: str) -> str:
     raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
 
 
+def _mux_read_step(state, select: str, tick: Tick):
+    return state, (("A", tick),) if select == "a" else (("B", tick),)
+
+
 def mux_reads(control: CausalSignal) -> ReadSet:
     """The selected channel at the current tick; the other channel is never read."""
-    channel = "A" if control.samples[control.t] == "a" else "B"
-    return ReadSet.of((channel, control.t))
+    return _read_set(_fold_refs(None, _mux_read_step, control.samples))
 
 
 def _mux_step(state, select: str, samples: tuple[str, ...]):
@@ -263,7 +357,7 @@ def mux_element(name: str = "mux") -> CircuitElement:
         output_alphabet=BINARY,
         init=None,
         step=_mux_step,
-        reads=mux_reads,
+        read_step=_mux_read_step,
     )
 
 
@@ -294,6 +388,38 @@ class SyncSpec:
             )
 
 
+def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) -> Refs:
+    """Each channel's edge refs and then its current tick, channel by channel.
+
+    ``channels`` is sorted and no edge lies after ``tick``, so the result is
+    sorted; a channel whose latest edge is at ``tick`` already holds it.
+    """
+    refs: Refs = ()
+    for channel, own in zip(channels, edges):
+        refs += own if own and own[-1][1] == tick else own + ((channel, tick),)
+    return refs
+
+
+def _sync_reader(channels: Sequence[str]) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of a register block reading ``channels``.
+
+    The read state is (previous clock sample, per-channel edge refs), with
+    the channels sorted; an edge appends one ref to each channel's tuple.
+    """
+    channels = tuple(sorted(set(channels)))
+
+    def read_step(state, clock: str, tick: Tick):
+        previous, edges = state
+        if clock == "1":
+            if previous == "0":
+                edges = tuple(own + ((c, tick),) for c, own in zip(channels, edges))
+        elif clock != "0":
+            _require_bit_clock(clock)
+        return (clock, edges), _with_current(channels, edges, tick)
+
+    return (None, ((),) * len(channels)), read_step
+
+
 def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadSet:
     """Samples a register block reads: every past edge plus the current tick.
 
@@ -301,10 +427,7 @@ def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadS
     current input, so the read set is the edge ticks together with ``t`` on
     every data channel.  With no edges it degenerates to the current tick.
     """
-    edges = posedges(control)
-    refs = [RefPoint(c, u) for c in channels for u in edges]
-    refs += [RefPoint(c, control.t) for c in channels]
-    return ReadSet(tuple(refs))
+    return _read_set(_fold_refs(*_sync_reader(channels), control.samples))
 
 
 def _sync_machine(spec: SyncSpec) -> tuple[Any, StepFn]:
@@ -342,6 +465,7 @@ def sync_element(
     if data_alphabets is None:
         data_alphabets = tuple(BINARY for _ in data_channels)
     init, step = _sync_machine(spec)
+    read_init, read_step = _sync_reader(data_channels)
     return CircuitElement(
         name=name,
         control_channels=(clock_channel,),
@@ -350,7 +474,8 @@ def sync_element(
         output_alphabet=output_alphabet,
         init=init,
         step=step,
-        reads=lambda control: sync_reads(control, data_channels),
+        read_init=read_init,
+        read_step=read_step,
     )
 
 
@@ -399,18 +524,41 @@ def toggler_spec() -> SyncSpec:
 CrossFn = Callable[[tuple[str, ...], tuple[str, ...], tuple[str, ...]], tuple[str, ...]]
 
 
+def _multiclock_reader(
+    channels_a: Sequence[str], channels_b: Sequence[str]
+) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of two register blocks on the clocks of a paired symbol.
+
+    The read state is (previous clock a, previous clock b, per-channel edge
+    refs), with the channels of both domains sorted together; an edge of a
+    domain appends one ref to each of that domain's channels.
+    """
+    channels = tuple(sorted({*channels_a, *channels_b}))
+    domains = tuple((c in channels_a, c in channels_b) for c in channels)
+
+    def read_step(state, symbol: str, tick: Tick):
+        previous_a, previous_b, edges = state
+        parts = symbol.split("/")
+        clock_a, clock_b = parts[0], parts[1]
+        rise_a = previous_a == "0" and clock_a == "1"
+        rise_b = previous_b == "0" and clock_b == "1"
+        if rise_a or rise_b:
+            edges = tuple(
+                own + ((c, tick),) if rise_a and in_a or rise_b and in_b else own
+                for c, own, (in_a, in_b) in zip(channels, edges, domains)
+            )
+        return (clock_a, clock_b, edges), _with_current(channels, edges, tick)
+
+    return (None, None, ((),) * len(channels)), read_step
+
+
 def multiclock_reads(
     control: CausalSignal,
     channels_a: Sequence[str] = ("D1",),
     channels_b: Sequence[str] = ("D2",),
 ) -> ReadSet:
     """Per-domain edge ticks plus the current tick on every data channel."""
-    edges_a = _edge_ticks([split_symbol(s)[0] for s in control.samples])
-    edges_b = _edge_ticks([split_symbol(s)[1] for s in control.samples])
-    refs = [RefPoint(c, u) for c in channels_a for u in edges_a]
-    refs += [RefPoint(c, u) for c in channels_b for u in edges_b]
-    refs += [RefPoint(c, control.t) for c in (*channels_a, *channels_b)]
-    return ReadSet(tuple(refs))
+    return _read_set(_fold_refs(*_multiclock_reader(channels_a, channels_b), control.samples))
 
 
 def _multiclock_machine(
@@ -491,6 +639,7 @@ def multiclock_element(
         state, (out_a, out_b) = paired(state, symbol, samples)
         return state, f"{out_a}/{out_b}"
 
+    read_init, read_step = _multiclock_reader(data_channels_a, data_channels_b)
     channels = tuple((c, BINARY) for c in (*data_channels_a, *data_channels_b))
     return CircuitElement(
         name=name,
@@ -500,7 +649,8 @@ def multiclock_element(
         output_alphabet=output_alphabet,
         init=init,
         step=step,
-        reads=lambda control: multiclock_reads(control, data_channels_a, data_channels_b),
+        read_init=read_init,
+        read_step=read_step,
     )
 
 
@@ -518,6 +668,30 @@ _CELL_INDEX = {addr: i for i, addr in enumerate(_ADDRESSES)}
 _EMPTY_CELLS: tuple[Optional[str], ...] = (None,) * len(_ADDRESSES)
 
 
+def _cell_indices(symbol: str) -> tuple[Optional[int], Optional[int]]:
+    """(written cell, read cell) of a memory control symbol; ``None`` for no cell."""
+    parts = split_symbol(symbol)
+    if len(parts) != 2:
+        raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
+    return _CELL_INDEX.get(parts[0]), _CELL_INDEX.get(parts[1])
+
+
+def _abmem_reader(channel: str) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of the memory: the read state is, per address,
+    the refs of its latest write (``None`` while unwritten), never a value."""
+
+    def read_step(written, symbol: str, tick: Tick):
+        i, j = _cell_indices(symbol)
+        if i is not None:
+            written = (*written[:i], ((channel, tick),), *written[i + 1:])
+        return written, None if j is None else written[j]
+
+    return _EMPTY_CELLS, read_step
+
+
+_ABMEM_READ_INIT, _abmem_read_step = _abmem_reader("D")
+
+
 def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
     """The data sample last written to the address read at the current tick.
 
@@ -526,41 +700,22 @@ def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
     read.  Undefined when nothing is read or the read address was never
     written.
     """
-    writes = []
-    read_addr = None
-    for u, symbol in enumerate(control.samples):
-        parts = split_symbol(symbol)
-        if len(parts) != 2:
-            raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
-        writes.append(parts[0])
-        if u == control.t:
-            read_addr = parts[1]
-    if read_addr == _IDLE or read_addr not in _ADDRESSES:
-        return None
-    hits = [u for u, addr in enumerate(writes) if addr == read_addr]
-    if not hits:
-        return None
-    return ReadSet.of((channel, hits[-1]))
+    return _read_set(_fold_refs(*_abmem_reader(channel), control.samples))
 
 
 def _abmem_step(cells: tuple[Optional[str], ...], symbol: str, samples: tuple[str, ...]):
     """State: the value last written to each address, ``None`` while unwritten."""
-    parts = split_symbol(symbol)
-    if len(parts) != 2:
-        raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
-    write_addr, read_addr = parts
-    i = _CELL_INDEX.get(write_addr)
+    i, j = _cell_indices(symbol)
     if i is not None:
         cells = (*cells[:i], samples[0], *cells[i + 1:])
-    j = _CELL_INDEX.get(read_addr)
     return cells, None if j is None else cells[j]
 
 
 def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
     """Value stored at the read address, or ``None`` if the read is undefined.
 
-    Simulated over actual cell state rather than through the read map, so the
-    randomized soundness check compares two independent routes.
+    Simulated over actual cell values, while the read step tracks only write
+    ticks, so the randomized soundness check compares two independent routes.
     """
     return _fold_signals(_EMPTY_CELLS, _abmem_step, control, (data,))
 
@@ -575,7 +730,8 @@ def abmem_element(name: str = "abmem") -> CircuitElement:
         output_alphabet=BINARY,
         init=_EMPTY_CELLS,
         step=_abmem_step,
-        reads=abmem_reads,
+        read_init=_ABMEM_READ_INIT,
+        read_step=_abmem_read_step,
     )
 
 
@@ -631,11 +787,11 @@ def read_soundness_check(
     """Mutate input samples outside the read set; the output must not move.
 
     Each trial draws random control and input traces, picks a tick, and flips
-    one input sample at a position the read map does not claim.  Trials whose
-    read set is undefined, or where every position up to ``t`` is claimed,
-    are counted but not mutated.
+    one input sample at a position the read step does not claim at ``t``.
+    Trials whose read set is undefined, or where every position up to ``t``
+    is claimed, are counted but not mutated.
     """
-    if element.reads is None:
+    if element.read_step is None:
         raise ValueError(f"circuit {element.name!r} has no read map")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -648,12 +804,11 @@ def read_soundness_check(
             for name, alphabet in element.input_channels
         }
         t = rng.randint(0, horizon)
-        control_sig = CausalSignal(t, restrict_trace(control, t))
-        image = element.reads(control_sig)
-        if image is None:
+        refs = _fold_refs(element.read_init, element.read_step, control.samples[: t + 1])
+        if refs is None:
             undefined += 1
             continue
-        claimed = {(ref.channel, ref.tick) for ref in image.refs}
+        claimed = set(refs)
         free = [
             (name, u, alphabet)
             for name, alphabet in element.input_channels
@@ -663,6 +818,7 @@ def read_soundness_check(
         if not free:
             unmutable += 1
             continue
+        control_sig = CausalSignal(t, restrict_trace(control, t))
         input_sigs = {
             name: CausalSignal(t, restrict_trace(trace, t))
             for name, trace in input_traces.items()

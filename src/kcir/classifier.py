@@ -9,24 +9,36 @@ antisymmetry fails there is a concrete four-signal witness proving no
 order-preserving arrangement of read sets can exist.
 
 The classifier is exhaustive up to a finite horizon and fully deterministic.
-It walks the prefix tree of control histories once, level by level, calling
-the read map once per history; witnesses are the lexicographic minimum under
-the signal order of :meth:`kcir.signals.CausalSignal.sort_key`.
+It walks the prefix tree of control histories once, level by level, stepping
+each history's read state from its parent's with the circuit's ``read_step``
+(one step per tree node; no history is rebuilt or rescanned).  Read sets are
+interned to ints, the axioms are checked on those ints, and witnesses are the
+lexicographic minimum under the signal order of
+:meth:`kcir.signals.CausalSignal.sort_key`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence
 
-from .signals import CausalSignal, Tick, enumerate_causal_signals, prefix_leq
+from .signals import CausalSignal, Tick, history_count, prefix_leq, signal_at
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitElement
 
 
 ChannelId = str
+
+#: Plain ``(channel, tick)`` pairs, sorted and duplicate-free: the form a read
+#: step reports a read set in.  Plain tuples order like :class:`ReadSet` refs.
+Refs = tuple[tuple[ChannelId, Tick], ...]
+
+
+def refs_text(refs: Iterable[tuple[ChannelId, Tick]]) -> str:
+    """``{(D,0), (D,3)}``: the text form of a read set."""
+    return "{" + ", ".join(f"({channel},{tick})" for channel, tick in refs) + "}"
 
 
 @dataclass(frozen=True, order=True)
@@ -57,13 +69,18 @@ class ReadSet:
         return max((r.tick for r in self.refs), default=None)
 
     def __str__(self) -> str:
-        inner = ", ".join(f"({r.channel},{r.tick})" for r in self.refs)
-        return "{" + inner + "}"
+        return refs_text((r.channel, r.tick) for r in self.refs)
 
 
 #: A read map sends a control history to the read set it induces, or ``None``
 #: when the circuit's output is undefined for that history.
 ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
+
+#: A read step advances a read state by one control symbol at a tick and
+#: returns the new state with the refs read at that tick (``None`` when the
+#: output is undefined there).  Folding it over a history from the element's
+#: ``read_init`` gives the read set of that history.
+ReadStepFn = Callable[[Any, str, Tick], tuple[Any, Optional[Refs]]]
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,41 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
+def _axiom_report(
+    images: Sequence[ReadSet], nodes: Iterable[int], pairs: Collection[tuple[int, int]]
+) -> AxiomReport:
+    """The three axioms on read sets named by their index in sorted ``images``.
+
+    Index order is read-set order, so scanning ``nodes`` (ascending) and
+    ``pairs`` in int order meets the same smallest counterexamples as scanning
+    the read sets themselves, at the cost of int hashing and comparison.
+    """
+    ordered = sorted(pairs)
+    refl = next((x for x in nodes if (x, x) not in pairs), None)
+    anti = next(((x, y) for x, y in ordered if x != y and (y, x) in pairs), None)
+
+    successors: dict[int, list[int]] = {}
+    for x, y in ordered:
+        successors.setdefault(x, []).append(y)
+    trans = None
+    for x, y in ordered:
+        for z in successors.get(y, ()):
+            if (x, z) not in pairs:
+                trans = (x, y, z)
+                break
+        if trans is not None:
+            break
+
+    return AxiomReport(
+        reflexive=refl is None,
+        antisymmetric=anti is None,
+        transitive=trans is None,
+        reflexivity_witness=None if refl is None else images[refl],
+        antisymmetry_witness=None if anti is None else (images[anti[0]], images[anti[1]]),
+        transitivity_witness=None if trans is None else tuple(images[i] for i in trans),
+    )
+
+
 def check_partial_order(relation: DerivedRelation) -> AxiomReport:
     """Check reflexivity, antisymmetry, and transitivity of a derived relation.
 
@@ -108,35 +160,10 @@ def check_partial_order(relation: DerivedRelation) -> AxiomReport:
     construction.  Failing witnesses are chosen by scanning nodes and pairs in
     sorted order, so reruns always report the same counterexample.
     """
-    nodes = sorted(relation.nodes)
-    pairs = sorted(relation.pairs)
-    present = relation.pairs
-
-    refl_witness = next((x for x in nodes if (x, x) not in present), None)
-    anti_witness = next(
-        ((x, y) for x, y in pairs if x != y and (y, x) in present), None
-    )
-
-    successors: dict[ReadSet, list[ReadSet]] = {}
-    for x, y in pairs:
-        successors.setdefault(x, []).append(y)
-    trans_witness = None
-    for x, y in pairs:
-        for z in successors.get(y, ()):
-            if (x, z) not in present:
-                trans_witness = (x, y, z)
-                break
-        if trans_witness is not None:
-            break
-
-    return AxiomReport(
-        reflexive=refl_witness is None,
-        antisymmetric=anti_witness is None,
-        transitive=trans_witness is None,
-        reflexivity_witness=refl_witness,
-        antisymmetry_witness=anti_witness,
-        transitivity_witness=trans_witness,
-    )
+    images = sorted(relation.nodes.union(*relation.pairs))
+    rank = {image: i for i, image in enumerate(images)}
+    pairs = {(rank[x], rank[y]) for x, y in relation.pairs}
+    return _axiom_report(images, sorted(rank[x] for x in relation.nodes), pairs)
 
 
 @dataclass(frozen=True)
@@ -198,52 +225,61 @@ class Classification:
 
 
 def _walk_prefix_tree(
-    read_map: ReadMap, signals: list[CausalSignal], width: int, horizon: int
-) -> tuple[list[ReadSet], dict[tuple[int, int], tuple[int, int]], int]:
-    """Push the prefix order through ``read_map`` in one pass over the tree.
+    read_init: Any, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
+) -> tuple[list[Refs], list[dict[int, tuple[int, int]]], int]:
+    """Push the prefix order through a read step in one pass over the tree.
 
-    ``signals`` must be :func:`enumerate_causal_signals` output over an
-    alphabet of ``width`` symbols, so a signal is named by its index, index
-    order is ``sort_key`` order, and the parent of in-level index ``j`` is
-    in-level index ``j // width`` one level up.  Read sets are interned to ids
-    in order of first sight.
+    Signals are named by their index in :func:`kcir.signals.enumerate_causal_signals`
+    order over ``symbols``, which is ``sort_key`` order; a node's children
+    are its history extended by each symbol in turn, and each child's read
+    state is one ``read_step`` from its parent's.  Refs are interned to ids in
+    order of first sight.
 
-    Returns the interned read sets, the smallest source pair ``(a, b)`` of
-    signal indices for every ordered image pair ``(x, y)`` of read-set ids,
-    and the number of prefix pairs with an undefined endpoint.
+    Returns the interned refs; for every refs id ``y``, a row mapping each
+    ``x`` of an ordered image pair ``(x, y)`` to its smallest source pair
+    ``(a, b)`` of signal indices; and the number of prefix pairs with an
+    undefined endpoint.
     """
-    ids: dict[ReadSet, int] = {}
-    best: dict[tuple[int, int], tuple[int, int]] = {}
+    ids: dict[Refs, int] = {}
+    best: list[dict[int, tuple[int, int]]] = []
     excluded = 0
-    # Per node: (ancestor-or-self image id -> smallest source index, image ids
-    # already emitted under that map, undefined ancestors-or-self).  A map is
-    # never changed once built, so a node whose image is in its parent's map
-    # shares it; a later node under the same map with an already emitted
-    # image offers only larger sources for the same pairs and emits nothing.
-    parents: list[tuple[dict[int, int], set[int], int]] = [({}, set(), 0)]
+    # Per node: (read state, ancestor-or-self image id -> smallest source
+    # index, image ids already emitted under that map, undefined
+    # ancestors-or-self).  A map is never changed once built, so a node whose
+    # image is in its parent's map shares it; a later node under the same map
+    # with an already emitted image offers only larger sources for the same
+    # pairs and emits nothing.
+    parents: list[tuple[Any, dict[int, int], set[int], int]] = [(read_init, {}, set(), 0)]
     b = 0
     for t in range(horizon + 1):
         level = []
-        for j in range(width ** (t + 1)):
-            sources, done, undefined = parents[j // width]
-            image = read_map(signals[b])
-            if image is None:
-                excluded += t + 1
-                undefined += 1
-            else:
-                excluded += undefined
-                y = ids.setdefault(image, len(ids))
-                if y not in sources:
-                    sources = {**sources, y: b}
-                    done = set()
-                if y not in done:
-                    done.add(y)
-                    for x, a in sources.items():
-                        current = best.get((x, y))
-                        if current is None or a < current[0]:
-                            best[x, y] = (a, b)
-            level.append((sources, done, undefined))
-            b += 1
+        keep = t < horizon  # the deepest level has no children to serve
+        for parent_state, parent_sources, parent_done, parent_undefined in parents:
+            for symbol in symbols:
+                state, refs = read_step(parent_state, symbol, t)
+                sources, done, undefined = parent_sources, parent_done, parent_undefined
+                if refs is None:
+                    excluded += t + 1
+                    undefined += 1
+                else:
+                    excluded += undefined
+                    y = ids.get(refs)
+                    if y is None:
+                        y = ids[refs] = len(best)
+                        best.append({})
+                    if y not in sources:
+                        sources = {**sources, y: b}
+                        done = set()
+                    if y not in done:
+                        done.add(y)
+                        row = best[y]
+                        for x, a in sources.items():
+                            current = row.get(x)
+                            if current is None or a < current[0]:
+                                row[x] = (a, b)
+                if keep:
+                    level.append((state, sources, done, undefined))
+                b += 1
         parents = level
     return list(ids), best, excluded
 
@@ -253,12 +289,12 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     A circuit without a read map cannot be split into a controlling and a
     restricted input part, so it is reported as not-fundamental-form without
-    enumeration.  Otherwise all control signals up to the horizon are
-    enumerated, the prefix relation is pushed through the read map in one
-    walk over the prefix tree, and the partial-order axioms decide the
-    verdict.  An antisymmetry failure always comes with a re-checkable
-    witness; a failure of any other axiom is reported through the axiom
-    report alone.
+    enumeration.  Otherwise every control history up to the horizon is
+    visited once, in one walk over the prefix tree that steps the circuit's
+    read state from parent to child and pushes the prefix relation through
+    it, and the partial-order axioms decide the verdict.  An antisymmetry
+    failure always comes with a re-checkable witness; a failure of any other
+    axiom is reported through the axiom report alone.
 
     A horizon below 1 admits no clock edges; the verdict is still computed
     but flagged degenerate in the stats.
@@ -267,22 +303,28 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         raise ValueError("horizon must be >= 0")
     degenerate = horizon < 1
 
-    if circuit.reads is None:
+    if circuit.read_step is None:
         stats = ClassifyStats(horizon, 0, 0, 0, 0, degenerate)
         return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
 
-    width = len(circuit.control_alphabet)
-    signals = enumerate_causal_signals(circuit.control_alphabet, horizon)
-    images, best, excluded = _walk_prefix_tree(circuit.reads, signals, width, horizon)
-    derived = DerivedRelation(
-        frozenset(images),
-        frozenset((images[x], images[y]) for x, y in best),
-        excluded,
+    alphabet = circuit.control_alphabet
+    refs, rows, excluded = _walk_prefix_tree(
+        circuit.read_init, circuit.read_step, alphabet.values, horizon
     )
-    report = check_partial_order(derived)
+    # Rank the images once; from here on an image is its rank.
+    order = sorted(range(len(refs)), key=refs.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    images = [ReadSet.of(*refs[i]) for i in order]
+    best = {
+        (rank[x], rank[y]): sources for y, row in enumerate(rows) for x, sources in row.items()
+    }
+    report = _axiom_report(images, range(len(images)), best)
+    width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,
-        signals=len(signals),
+        signals=history_count(width, horizon),
         relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
         distinct_read_sets=len(images),
         excluded_undefined=excluded,
@@ -302,6 +344,6 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
             for x, y in best
             if x != y and (y, x) in best
         )
-        a0, a1, b0, b1 = (signals[i] for i in sources)
+        a0, a1, b0, b1 = (signal_at(alphabet, i) for i in sources)
         witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

@@ -8,6 +8,10 @@ JSON reports carry the top-level keys circuit, command, verdict, axioms,
 witness, stats, and timing, serialized with sorted keys so identical inputs
 produce byte-identical output on every rerun.  The timing key is null in JSON
 for that reason; wall time is shown in text mode.
+
+``classify`` states how many control histories a run would walk before it
+starts, and refuses (exit 2) when that is above ``--max-signals``.
+``chi-dump`` folds the circuit's read step once over the control trace.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
@@ -27,11 +32,16 @@ from .circuits import (
     output_stream,
     read_soundness_check,
 )
-from .classifier import AntisymmetryWitness, AxiomReport, ReadSet, classify
+from .classifier import AntisymmetryWitness, AxiomReport, ReadSet, Refs, classify, refs_text
 from .dsl import ElaborationError, ParseError, load_circuit
-from .signals import Alphabet, CausalSignal, Trace
+from .signals import Alphabet, CausalSignal, Trace, history_count
 
 UNDEF = "UNDEF"
+
+#: Default ``classify --max-signals``.  A walk peaks at up to about 450 bytes
+#: per history (counter at horizon 17: 235 MB for 524,286 histories), so a
+#: million stays under about 0.5 GB.
+MAX_SIGNALS = 1_000_000
 
 
 class UsageError(Exception):
@@ -45,10 +55,16 @@ def _signal_json(signal: CausalSignal) -> dict:
     return {"t": signal.t, "samples": list(signal.samples)}
 
 
+def _refs_json(refs: Optional[Iterable[tuple[str, int]]]) -> Optional[list]:
+    if refs is None:
+        return None
+    return [{"channel": channel, "tick": tick} for channel, tick in refs]
+
+
 def _reads_json(image: Optional[ReadSet]) -> Optional[list]:
     if image is None:
         return None
-    return [{"channel": ref.channel, "tick": ref.tick} for ref in image.refs]
+    return _refs_json((ref.channel, ref.tick) for ref in image.refs)
 
 
 def _axioms_json(report: Optional[AxiomReport]) -> Optional[dict]:
@@ -87,8 +103,8 @@ def _signal_text(signal: CausalSignal) -> str:
     return f"t={signal.t} samples={','.join(signal.samples)}"
 
 
-def _reads_text(image: Optional[ReadSet]) -> str:
-    return "undefined" if image is None else str(image)
+def _refs_text(refs: Optional[Refs]) -> str:
+    return "undefined" if refs is None else refs_text(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +187,20 @@ def _cmd_classify(args) -> int:
     element = _load_element(args.circuit)
     if args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
+    if args.max_signals < 1:
+        raise UsageError("--max-signals must be >= 1")
+    if element.read_step is not None:
+        width = len(element.control_alphabet)
+        # Past a thousand digits the count is not worth computing exactly.
+        huge = (args.horizon + 2) * math.log10(width) > 1000
+        count = None if huge else history_count(width, args.horizon)
+        if count is None or count > args.max_signals:
+            estimate = "over 10^1000" if count is None else f"{count:,}"
+            raise UsageError(
+                f"--horizon {args.horizon} would walk {estimate} control histories "
+                f"({width} symbols, ticks 0..{args.horizon}), above --max-signals "
+                f"{args.max_signals:,}"
+            )
     started = time.perf_counter()
     result = classify(element, args.horizon)
     elapsed = time.perf_counter() - started
@@ -257,7 +287,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_chi_dump(args) -> int:
     element = _load_element(args.circuit)
-    if element.reads is None:
+    if element.read_step is None:
         raise UsageError(f"circuit {element.name!r} has no restriction map to dump")
     tokens = [token.strip() for token in args.control.split(",")]
     if not tokens or any(not token for token in tokens):
@@ -268,11 +298,10 @@ def _cmd_chi_dump(args) -> int:
                 f"control value {token!r} is not in the circuit's control alphabet "
                 f"{element.control_alphabet.values!r}"
             )
-    trace = Trace(element.control_alphabet, tuple(tokens))
-    images = [
-        element.reads(CausalSignal.from_samples(element.control_alphabet, tokens[: t + 1]))
-        for t in range(len(tokens))
-    ]
+    state, images = element.read_init, []
+    for tick, token in enumerate(tokens):
+        state, refs = element.read_step(state, token, tick)
+        images.append(refs)
     if args.format == "json":
         report = {
             "circuit": element.name,
@@ -280,14 +309,14 @@ def _cmd_chi_dump(args) -> int:
             "verdict": None,
             "axioms": None,
             "witness": None,
-            "stats": {"ticks": len(trace)},
+            "stats": {"ticks": len(tokens)},
             "timing": None,
-            "images": [_reads_json(image) for image in images],
+            "images": [_refs_json(refs) for refs in images],
         }
         sys.stdout.write(_dump_json(report))
         return 0
-    for t, image in enumerate(images):
-        print(f"{t}: {_reads_text(image)}")
+    for tick, refs in enumerate(images):
+        print(f"{tick}: {_refs_text(refs)}")
     return 0
 
 
@@ -298,7 +327,7 @@ def _cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     causality = causality_check(element, args.horizon, args.trials, args.seed)
-    if element.reads is not None:
+    if element.read_step is not None:
         soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
         soundness_stats = {
             "trials": soundness.trials,
@@ -361,6 +390,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a circuit as time-preserving or not")
     p.add_argument("--circuit", required=True, help="path to a .kcir file")
     p.add_argument("--horizon", type=int, default=4, help="highest tick enumerated")
+    p.add_argument(
+        "--max-signals",
+        type=int,
+        default=MAX_SIGNALS,
+        help="refuse a run that would walk more control histories than this "
+        f"(default {MAX_SIGNALS:,})",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_classify)
 

@@ -149,7 +149,8 @@ def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSi
     """Every causal signal over ``alphabet`` with current tick 0..horizon.
 
     The result is duplicate-free and ascends in ``sort_key`` order; its length
-    is the sum of ``len(alphabet) ** (t + 1)`` for t in 0..horizon.
+    is ``history_count(len(alphabet), horizon)`` and its entry at ``index`` is
+    ``signal_at(alphabet, index)``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -158,6 +159,29 @@ def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSi
         for combo in itertools.product(alphabet.values, repeat=t + 1):
             signals.append(CausalSignal(t, Trace(alphabet, combo)))
     return signals
+
+
+def history_count(width: int, horizon: Tick) -> int:
+    """Σ width^(t+1) over ticks 0..horizon: the signals over ``width`` symbols."""
+    if width == 1:
+        return horizon + 1
+    return (width ** (horizon + 2) - width) // (width - 1)
+
+
+def signal_at(alphabet: Alphabet, index: int) -> CausalSignal:
+    """The signal at ``index`` of :func:`enumerate_causal_signals` order."""
+    values = alphabet.values
+    width = len(values)
+    t, size = 0, width
+    while index >= size:
+        index -= size
+        t += 1
+        size *= width
+    samples = []
+    for _ in range(t + 1):
+        index, digit = divmod(index, width)
+        samples.append(values[digit])
+    return CausalSignal.from_samples(alphabet, reversed(samples))
 
 
 def build_prefix_relation(

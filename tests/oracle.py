@@ -1,14 +1,15 @@
-"""Brute-force reference engines for classification and simulation.
+"""Brute-force reference engines for classification, read maps and simulation.
 
 The classifier oracle materialises the whole prefix relation as a list of
 signal pairs, maps every pair through the read map, checks the axioms on the
-image, and then scans the relation once more for the smallest antisymmetry
-witness.  The simulation oracle evaluates every tick from scratch: each
-circuit's output is computed from the whole prefix (edges found by scanning
-the clock history, latch and memory state replayed from tick 0), and
-:func:`output_stream` re-folds the prefix at every tick.  Both are slow but
-direct, so the tests compare the one-pass tree walk and the step functions
-against them.
+image of read sets themselves, and then scans the relation once more for the
+smallest antisymmetry witness.  The read-map oracles rescan the whole control
+history for every signal (edge ticks, last writes).  The simulation oracle
+evaluates every tick from scratch: each circuit's output is computed from the
+whole prefix (edges found by scanning the clock history, latch and memory
+state replayed from tick 0), and :func:`output_stream` re-folds the prefix at
+every tick.  All are slow but direct, so the tests compare the one-pass tree
+walk, the read steps and the step functions against them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from kcir.classifier import (
     AntisymmetryWitness,
+    AxiomReport,
     Classification,
     ClassifyStats,
     DerivedRelation,
     ReadMap,
     ReadSet,
+    RefPoint,
     Verdict,
-    check_partial_order,
 )
 from kcir.circuits import (
     CircuitElement,
@@ -32,9 +34,7 @@ from kcir.circuits import (
     SimulationError,
     SyncSpec,
     component_signal,
-    dff_reads,
     mux_output,
-    posedges,
 )
 from kcir.dsl import CircuitAst, _block_spec
 from kcir.signals import (
@@ -48,6 +48,128 @@ from kcir.signals import (
 )
 
 Relation = list[tuple[CausalSignal, CausalSignal]]
+
+_ADDRESSES = ("A", "B")
+
+
+# --- read maps: rescan the whole control history --------------------------------
+
+def _edge_ticks(samples: Sequence[str]) -> frozenset[Tick]:
+    return frozenset(
+        u
+        for u in range(1, len(samples))
+        if samples[u - 1] == "0" and samples[u] == "1"
+    )
+
+
+def posedges(clock: CausalSignal) -> frozenset[Tick]:
+    """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
+    for sample in clock.samples:
+        if sample != "0" and sample != "1":
+            raise SimulationError(f"clock sample {sample!r} is not a bit")
+    return _edge_ticks(clock.samples)
+
+
+def dff_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
+    """The data sample at the latest positive edge; undefined before any edge."""
+    edges = posedges(control)
+    if not edges:
+        return None
+    return ReadSet.of((channel, max(edges)))
+
+
+def mux_reads(control: CausalSignal) -> ReadSet:
+    """The selected channel at the current tick."""
+    channel = "A" if control.samples[control.t] == "a" else "B"
+    return ReadSet.of((channel, control.t))
+
+
+def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadSet:
+    """Every past edge plus the current tick, on every data channel."""
+    edges = posedges(control)
+    refs = [RefPoint(c, u) for c in channels for u in edges]
+    refs += [RefPoint(c, control.t) for c in channels]
+    return ReadSet(tuple(refs))
+
+
+def multiclock_reads(
+    control: CausalSignal,
+    channels_a: Sequence[str] = ("D1",),
+    channels_b: Sequence[str] = ("D2",),
+) -> ReadSet:
+    """Per-domain edge ticks plus the current tick on every data channel."""
+    edges_a = _edge_ticks([split_symbol(s)[0] for s in control.samples])
+    edges_b = _edge_ticks([split_symbol(s)[1] for s in control.samples])
+    refs = [RefPoint(c, u) for c in channels_a for u in edges_a]
+    refs += [RefPoint(c, u) for c in channels_b for u in edges_b]
+    refs += [RefPoint(c, control.t) for c in (*channels_a, *channels_b)]
+    return ReadSet(tuple(refs))
+
+
+def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
+    """The data sample last written to the address read at the current tick."""
+    writes = []
+    read_addr = None
+    for u, symbol in enumerate(control.samples):
+        parts = split_symbol(symbol)
+        if len(parts) != 2:
+            raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
+        writes.append(parts[0])
+        if u == control.t:
+            read_addr = parts[1]
+    if read_addr not in _ADDRESSES:
+        return None
+    hits = [u for u, addr in enumerate(writes) if addr == read_addr]
+    if not hits:
+        return None
+    return ReadSet.of((channel, hits[-1]))
+
+
+def ast_reads(ast: CircuitAst) -> Optional[ReadMap]:
+    """The rescanning read map a circuit description denotes, or ``None``."""
+    if ast.kind == "srlatch":
+        return None
+    if ast.kind in _FIXED_READS:
+        return _FIXED_READS[ast.kind]
+    if ast.kind == "sync":
+        return lambda control: sync_reads(control, ast.inputs)
+    dom_a, dom_b = ast.domains
+    return lambda control: multiclock_reads(control, dom_a.inputs, dom_b.inputs)
+
+
+# --- classification ---------------------------------------------------------------
+
+def check_partial_order(relation: DerivedRelation) -> AxiomReport:
+    """The three axioms, scanned over read sets in sorted order."""
+    nodes = sorted(relation.nodes)
+    pairs = sorted(relation.pairs)
+    present = relation.pairs
+
+    refl_witness = next((x for x in nodes if (x, x) not in present), None)
+    anti_witness = next(
+        ((x, y) for x, y in pairs if x != y and (y, x) in present), None
+    )
+
+    successors: dict[ReadSet, list[ReadSet]] = {}
+    for x, y in pairs:
+        successors.setdefault(x, []).append(y)
+    trans_witness = None
+    for x, y in pairs:
+        for z in successors.get(y, ()):
+            if (x, z) not in present:
+                trans_witness = (x, y, z)
+                break
+        if trans_witness is not None:
+            break
+
+    return AxiomReport(
+        reflexive=refl_witness is None,
+        antisymmetric=anti_witness is None,
+        transitive=trans_witness is None,
+        reflexivity_witness=refl_witness,
+        antisymmetry_witness=anti_witness,
+        transitivity_witness=trans_witness,
+    )
 
 
 def evaluate_reads(
@@ -140,20 +262,25 @@ def find_antisymmetry_witness(
     return AntisymmetryWitness(a0, a1, b0, b1, reads[a0], reads[a1])
 
 
-def classify(circuit, horizon: int) -> Classification:
-    """The classification built from the materialised prefix relation."""
+def classify(circuit, horizon: int, read_map: Optional[ReadMap] = None) -> Classification:
+    """The classification built from the materialised prefix relation.
+
+    ``read_map`` replaces the circuit's own ``reads`` when given.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     degenerate = horizon < 1
 
-    if circuit.reads is None:
+    if read_map is None:
+        read_map = circuit.reads
+    if read_map is None:
         stats = ClassifyStats(horizon, 0, 0, 0, 0, degenerate)
         return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
 
     signals = enumerate_causal_signals(circuit.control_alphabet, horizon)
     relation = build_prefix_relation(signals)
-    reads = evaluate_reads(circuit.reads, signals)
-    derived = derive_relation(circuit.reads, relation, reads=reads)
+    reads = evaluate_reads(read_map, signals)
+    derived = derive_relation(read_map, relation, reads=reads)
     report = check_partial_order(derived)
     stats = ClassifyStats(
         horizon=horizon,
@@ -169,7 +296,7 @@ def classify(circuit, horizon: int) -> Classification:
 
     witness = None
     if not report.antisymmetric:
-        witness = find_antisymmetry_witness(circuit.reads, relation, reads=reads)
+        witness = find_antisymmetry_witness(read_map, relation, reads=reads)
         assert witness is not None, "antisymmetry failure must yield a witness"
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
 
@@ -284,9 +411,6 @@ def multiclock_output(
     return out_a, out_b
 
 
-_ADDRESSES = ("A", "B")
-
-
 @dataclass
 class MemCell:
     """One memory cell; empty until its address is first written."""
@@ -360,6 +484,12 @@ def multiclock_evaluator(
 
     return evaluate
 
+
+_FIXED_READS = {
+    "dff": dff_reads,
+    "mux": mux_reads,
+    "abmem": abmem_reads,
+}
 
 _FIXED_KINDS = {
     "dff": dff_evaluate,

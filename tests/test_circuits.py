@@ -16,10 +16,12 @@ from kcir import (
     SimulationError,
     SyncSpec,
     Trace,
+    Verdict,
     abmem_element,
     abmem_output,
     abmem_reads,
     causality_check,
+    classify,
     counter_element,
     counter_spec,
     dff_element,
@@ -134,7 +136,9 @@ class TestSrLatch:
             assert sr_output(bits("".join(s)), bits("".join(r))) == expected
 
     def test_element_has_no_read_map(self):
-        assert sr_latch_element().reads is None
+        element = sr_latch_element()
+        assert element.reads is None
+        assert element.read_step is None
 
 
 class TestMux:
@@ -379,6 +383,86 @@ ELEMENTS_WITH_READS = (
     toggler_pair_element,
     abmem_element,
 )
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+class TestReadStep:
+    """``reads`` and ``read_step`` are two views of one read map."""
+
+    @pytest.mark.parametrize("factory", ELEMENTS_WITH_READS)
+    def test_read_soundness_folds_the_read_step(self, factory):
+        element = factory()
+        calls = []
+
+        def counting(state, symbol, tick):
+            calls.append(tick)
+            return element.read_step(state, symbol, tick)
+
+        report = read_soundness_check(
+            dataclasses.replace(element, reads=None, read_step=counting),
+            horizon=8, trials=40, seed=5,
+        )
+        assert report == read_soundness_check(element, horizon=8, trials=40, seed=5)
+        # One fold per trial, each from tick 0 up to that trial's tick, and
+        # no call through the derived ``reads``.
+        assert calls.count(0) == report.trials
+
+    def test_other_replacements_keep_both_views(self):
+        element = dff_element()
+        renamed = dataclasses.replace(element, name="other")
+        assert renamed.read_step is element.read_step
+        assert renamed.reads is element.reads
+
+    def test_replacing_the_read_map_walks_the_new_one(self):
+        element = dff_element()
+        calls = []
+
+        def custom(control):
+            calls.append(control)
+            return ReadSet.of(("D", control.t))
+
+        replaced = dataclasses.replace(element, reads=custom)
+        assert replaced.reads is custom
+        result = classify(replaced, 3)
+        assert result.verdict is Verdict.TIME_PRESERVING
+        assert len(calls) == result.stats.signals
+        report = read_soundness_check(replaced, horizon=4, trials=30, seed=2)
+        assert report.violations > 0  # the dff reads its latest edge, not tick t
+
+    @pytest.mark.parametrize("factory", ELEMENTS_WITH_READS)
+    def test_replacing_the_read_step_rebuilds_the_read_map(self, factory):
+        element = factory()
+        calls = []
+
+        def counting(state, symbol, tick):
+            calls.append(tick)
+            return element.read_step(state, symbol, tick)
+
+        replaced = dataclasses.replace(element, read_step=counting)
+        assert replaced.read_step is counting
+        for signal in enumerate_causal_signals(element.control_alphabet, 2):
+            assert replaced.reads(signal) == element.reads(signal)
+        assert calls
+        with pytest.raises(AssertionError):
+            dataclasses.replace(element, read_step=_forbidden).reads(bits("0"))
+
+    def test_dropping_the_read_step_drops_the_read_map(self):
+        element = dataclasses.replace(dff_element(), read_step=None)
+        assert element.reads is None
+        assert classify(element, 2).verdict is Verdict.NOT_FUNDAMENTAL_FORM
+
+    def test_a_bare_read_map_gets_a_history_read_step(self):
+        base = dff_element()
+        bare = dataclasses.replace(base, reads=dff_reads, read_init=None, read_step=None)
+        control = bits("0110")
+        state, refs = bare.read_init, None
+        for tick, symbol in enumerate(control.samples):
+            state, refs = bare.read_step(state, symbol, tick)
+        assert state == control.samples
+        assert refs == (("D", 1),)
 
 ALL_ELEMENTS = ELEMENTS_WITH_READS + (sr_latch_element,)
 

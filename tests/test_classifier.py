@@ -5,6 +5,9 @@ import itertools
 
 import pytest
 
+import kcir.circuits
+import kcir.classifier
+import kcir.signals
 from kcir import (
     BINARY,
     Alphabet,
@@ -287,16 +290,43 @@ class TestClassify:
         assert result.stats.distinct_read_sets == 2
         assert result.stats.excluded_undefined == 27
 
-    def test_read_map_runs_once_per_signal(self):
-        element = abmem_element()
-        seen = []
+    @pytest.mark.parametrize(
+        "factory,horizon", [(abmem_element, 2), (dff_element, 6), (toggler_pair_element, 3)]
+    )
+    def test_read_step_runs_once_per_signal(self, factory, horizon):
+        element = factory()
+        calls = []
 
-        def counting(signal):
-            seen.append(signal)
-            return element.reads(signal)
+        def counting(state, symbol, tick):
+            calls.append((symbol, tick))
+            return element.read_step(state, symbol, tick)
 
-        result = classify(dataclasses.replace(element, reads=counting), 2)
-        assert len(seen) == len(set(seen)) == result.stats.signals
+        result = classify(dataclasses.replace(element, read_step=counting), horizon)
+        assert len(calls) == result.stats.signals
+        assert result == classify(element, horizon)
+
+    @pytest.mark.parametrize(
+        "factory,horizon",
+        [(abmem_element, 3), (dff_element, 5), (counter_element, 4), (toggler_pair_element, 3)],
+    )
+    def test_native_read_step_needs_no_read_map_or_enumeration(
+        self, factory, horizon, monkeypatch
+    ):
+        element = factory()
+        expected = classify(element, horizon)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify must not call this")
+
+        for module in (kcir.signals, kcir.classifier, kcir.circuits):
+            monkeypatch.setattr(module, "enumerate_causal_signals", forbidden, raising=False)
+            monkeypatch.setattr(module, "build_prefix_relation", forbidden, raising=False)
+        for name in ("posedges", "dff_reads", "mux_reads", "sync_reads",
+                     "multiclock_reads", "abmem_reads"):
+            monkeypatch.setattr(kcir.circuits, name, forbidden)
+        # Set past ``__post_init__``, which would walk a given read map instead.
+        object.__setattr__(element, "reads", forbidden)
+        assert classify(element, horizon) == expected
 
     def test_deterministic_across_reruns(self):
         for element in (abmem_element(), dff_element(), mux_element()):

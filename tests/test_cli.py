@@ -8,6 +8,7 @@ import pytest
 
 from kcir import cli
 from kcir.cli import main
+from kcir import CausalSignal
 from kcir.dsl import load_circuit, parse
 
 from . import oracle
@@ -22,6 +23,10 @@ def run(capsys, *argv: str):
 
 def circuit(name: str) -> str:
     return str(CIRCUITS_DIR / name)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("classify must not start")
 
 
 class TestClassifyCommand:
@@ -68,6 +73,49 @@ class TestClassifyCommand:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_size_guard_refuses_before_walking(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "classify", _never_called)
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit("abmem.kcir"), "--horizon", "8",
+        )
+        assert code == 2
+        assert out == ""
+        # Σ 9^(t+1) for t = 0..8, stated before anything is walked.
+        assert err.count("\n") == 1
+        assert "435,848,049 control histories" in err
+        assert "--max-signals 1,000,000" in err
+
+    def test_size_guard_bound_is_inclusive(self, capsys):
+        # dff at horizon 3 walks 2 + 4 + 8 + 16 = 30 histories.
+        argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
+        assert run(capsys, *argv, "--max-signals", "30")[0] == 0
+        code, _, err = run(capsys, *argv, "--max-signals", "29")
+        assert code == 2
+        assert "30 control histories" in err
+
+    def test_size_guard_states_astronomic_estimates(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "classify", _never_called)
+        code, _, err = run(
+            capsys, "classify", "--circuit", circuit("dff.kcir"), "--horizon", "10000000",
+        )
+        assert code == 2
+        assert "over 10^1000 control histories" in err
+
+    def test_size_guard_skips_circuits_without_a_read_map(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--circuit", circuit("srlatch.kcir"),
+            "--horizon", "40", "--max-signals", "1",
+        )
+        assert code == 0
+        assert "verdict: not-fundamental-form" in out
+
+    def test_max_signals_must_be_positive(self, capsys):
+        code, _, err = run(
+            capsys, "classify", "--circuit", circuit("dff.kcir"), "--max-signals", "0",
+        )
+        assert code == 2
+        assert "--max-signals must be >= 1" in err
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.kcir"
@@ -323,6 +371,79 @@ class TestChiDumpCommand:
             "chi-dump", "--circuit", circuit("dff.kcir"), "--control", "0,q",
         )
         assert code == 2
+
+
+def _oracle_chi_dump(name: str, images, fmt: str) -> str:
+    """chi-dump output built from the read set of every prefix."""
+    if fmt == "text":
+        return "".join(
+            f"{t}: {'undefined' if image is None else image}\n"
+            for t, image in enumerate(images)
+        )
+    report = {
+        "circuit": name,
+        "command": "chi-dump",
+        "verdict": None,
+        "axioms": None,
+        "witness": None,
+        "stats": {"ticks": len(images)},
+        "timing": None,
+        "images": [
+            None if image is None
+            else [{"channel": ref.channel, "tick": ref.tick} for ref in image.refs]
+            for image in images
+        ],
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _held_clock(rng: random.Random, ticks: int, flip: float) -> list[str]:
+    """A clock that flips with probability ``flip`` per tick."""
+    level, samples = rng.choice("01"), []
+    for _ in range(ticks):
+        if rng.random() < flip:
+            level = "1" if level == "0" else "0"
+        samples.append(level)
+    return samples
+
+
+class TestChiDumpMatchesOracle:
+    """``chi-dump`` is one fold of the read step, byte-identical to rescanning every prefix."""
+
+    TICKS = 2000
+
+    def check(self, capsys, circuit_file, read_map, tokens):
+        element = load_circuit((CIRCUITS_DIR / circuit_file).read_text(encoding="utf-8"))
+        # The rescanning read map on every prefix: O(T^2) on purpose.
+        images = [
+            read_map(CausalSignal.from_samples(element.control_alphabet, tokens[: t + 1]))
+            for t in range(len(tokens))
+        ]
+        for fmt in ("json", "text"):
+            code, out, _ = run(
+                capsys, "chi-dump", "--circuit", circuit(circuit_file),
+                "--control", ",".join(tokens), "--format", fmt,
+            )
+            assert code == 0
+            assert out == _oracle_chi_dump(element.name, images, fmt)
+
+    def test_dff(self, capsys):
+        rng = random.Random(11)
+        tokens = [rng.choice("01") for _ in range(self.TICKS)]
+        self.check(capsys, "dff.kcir", oracle.dff_reads, tokens)
+
+    def test_twoclock(self, capsys):
+        # Clocks held for a while between flips, so read sets stay a few
+        # dozen refs long instead of hundreds.
+        rng = random.Random(12)
+        fast = _held_clock(rng, self.TICKS, 0.08)
+        slow = _held_clock(rng, self.TICKS, 0.03)
+        tokens = [f"{a}/{b}" for a, b in zip(fast, slow)]
+        self.check(
+            capsys, "twoclock.kcir",
+            lambda control: oracle.multiclock_reads(control, ("df",), ("ds",)),
+            tokens,
+        )
 
 
 class TestCheckCommand:

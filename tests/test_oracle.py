@@ -2,9 +2,11 @@
 
 The one-pass classifier agrees on whole :class:`Classification` objects:
 verdict, stats, the axiom report with its witnesses, and the antisymmetry
-witness.  The step-function simulator agrees on whole output streams, on the
-prefix evaluator's value at every tick, and on the error a malformed input
-raises and the tick at which it raises.
+witness, against the oracle engine run on the rescanning read maps.  The read
+steps agree with those read maps at every node of the prefix tree, and report
+canonical refs.  The step-function simulator agrees on whole output streams,
+on the prefix evaluator's value at every tick, and on the error a malformed
+input raises and the tick at which it raises.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from kcir import (
     Alphabet,
     CausalSignal,
     CircuitElement,
+    DerivedRelation,
     ReadSet,
     SimulationError,
     SyncSpec,
     Trace,
     abmem_element,
     abmem_output,
+    check_partial_order,
     classify,
     counter_element,
     counter_spec,
@@ -48,30 +52,140 @@ from kcir import (
 from . import oracle
 from .conftest import CIRCUITS_DIR
 
+TWO_INPUT_SYNC = """
+circuit pair {
+  kind sync;
+  clock c;
+  state 1 init 0;
+  in x;
+  in b;
+  next q0 = xor(q0, x, b);
+  out y = q0;
+}
+"""
+
+TWO_BY_TWO_MULTICLOCK = """
+circuit quad {
+  kind multiclock;
+  domain one {
+    clock ca;
+    state 1 init 0;
+    in y;
+    in a;
+    next q0 = xor(a, y);
+    out o = q0;
+  }
+  domain two {
+    clock cb;
+    state 1 init 1;
+    in d;
+    in b;
+    next q0 = and(b, d);
+    out p = q0;
+  }
+}
+"""
+
+# (element factory, rescanning read map, highest horizon)
 BUILT_INS = [
-    (dff_element, 6),
-    (mux_element, 6),
-    (counter_element, 6),
-    (toggler_pair_element, 4),
-    (abmem_element, 3),
-    (sr_latch_element, 3),
+    (dff_element, oracle.dff_reads, 6),
+    (mux_element, oracle.mux_reads, 6),
+    (counter_element, oracle.sync_reads, 6),
+    (toggler_pair_element, oracle.multiclock_reads, 4),
+    (abmem_element, oracle.abmem_reads, 3),
+    (sr_latch_element, None, 3),
 ]
+
+CIRCUIT_FILES = sorted(CIRCUITS_DIR.glob("*.kcir"))
+
+# Blocks whose refs interleave several channels: (text, highest horizon).
+MULTI_CHANNEL_BLOCKS = {
+    "sync-two-inputs": (TWO_INPUT_SYNC, 5),
+    "multiclock-two-by-two": (TWO_BY_TWO_MULTICLOCK, 3),
+}
 
 
 @pytest.mark.parametrize(
-    "factory,horizon",
-    [(factory, h) for factory, top in BUILT_INS for h in range(top + 1)],
+    "factory,read_map,horizon",
+    [(factory, read_map, h) for factory, read_map, top in BUILT_INS for h in range(top + 1)],
+    ids=[f"{factory.__name__}-{h}" for factory, _, top in BUILT_INS for h in range(top + 1)],
 )
-def test_built_ins_match_the_oracle(factory, horizon):
+def test_built_ins_match_the_oracle(factory, read_map, horizon):
     element = factory()
-    assert classify(element, horizon) == oracle.classify(element, horizon)
+    assert classify(element, horizon) == oracle.classify(element, horizon, read_map)
 
 
-@pytest.mark.parametrize("path", sorted(CIRCUITS_DIR.glob("*.kcir")), ids=lambda p: p.name)
+def _text_case(text: str):
+    """The element a description denotes and its rescanning read map."""
+    return load_circuit(text), oracle.ast_reads(parse(text))
+
+
+@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.name)
 def test_circuit_files_match_the_oracle(path):
-    element = load_circuit(path.read_text(encoding="utf-8"))
+    element, read_map = _text_case(path.read_text(encoding="utf-8"))
     for horizon in range(4):
-        assert classify(element, horizon) == oracle.classify(element, horizon)
+        assert classify(element, horizon) == oracle.classify(element, horizon, read_map)
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHANNEL_BLOCKS))
+def test_multi_channel_blocks_match_the_oracle(name):
+    text, top = MULTI_CHANNEL_BLOCKS[name]
+    element, read_map = _text_case(text)
+    for horizon in range(top + 1):
+        assert classify(element, horizon) == oracle.classify(element, horizon, read_map)
+
+
+def _read_step_cases():
+    """(name, element, rescanning read map, highest horizon) of every element with a read map."""
+    for factory, read_map, top in BUILT_INS:
+        if read_map is not None:
+            yield factory.__name__, factory(), read_map, top
+    texts = [(path.name, path.read_text(encoding="utf-8"), 3) for path in CIRCUIT_FILES]
+    texts += [(name, text, top) for name, (text, top) in MULTI_CHANNEL_BLOCKS.items()]
+    for name, text, top in texts:
+        element, read_map = _text_case(text)
+        if read_map is not None:
+            yield name, element, read_map, top
+
+
+READ_STEP_CASES = list(_read_step_cases())
+
+
+def _tree(element, horizon):
+    """(signal, refs) at every node of the prefix tree, each stepped from its parent."""
+    alphabet = element.control_alphabet
+    stack = [((), element.read_init)]
+    while stack:
+        samples, state = stack.pop()
+        t = len(samples)
+        if t > horizon:
+            continue
+        for symbol in alphabet.values:
+            child_state, refs = element.read_step(state, symbol, t)
+            child = (*samples, symbol)
+            yield CausalSignal.from_samples(alphabet, child), refs
+            stack.append((child, child_state))
+
+
+@pytest.mark.parametrize(
+    "name,element,read_map,top", READ_STEP_CASES, ids=[c[0] for c in READ_STEP_CASES]
+)
+def test_read_steps_match_the_rescanning_read_maps(name, element, read_map, top):
+    seen = 0
+    for signal, refs in _tree(element, top):
+        expected = read_map(signal)
+        assert (None if refs is None else ReadSet.of(*refs)) == expected, signal
+        assert element.reads(signal) == expected, signal
+        seen += 1
+    assert seen == len(enumerate_causal_signals(element.control_alphabet, top))
+
+
+@pytest.mark.parametrize(
+    "name,element,read_map,top", READ_STEP_CASES, ids=[c[0] for c in READ_STEP_CASES]
+)
+def test_read_steps_report_canonical_refs(name, element, read_map, top):
+    for _, refs in _tree(element, top):
+        assert refs is None or refs == tuple(sorted(set(refs)))
 
 
 # --- arbitrary read maps -----------------------------------------------------
@@ -113,6 +227,17 @@ def table_circuits(draw):
 def test_table_read_maps_match_the_oracle(case):
     element, horizon = case
     assert classify(element, horizon) == oracle.classify(element, horizon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.sets(st.tuples(st.sampled_from(PALETTE[1:]), st.sampled_from(PALETTE[1:]))),
+    extra=st.sets(st.sampled_from(PALETTE[1:])),
+)
+def test_axioms_on_ranks_match_the_read_set_scan(pairs, extra):
+    nodes = frozenset(extra.union(*pairs))
+    relation = DerivedRelation(nodes, frozenset(pairs), 0)
+    assert check_partial_order(relation) == oracle.check_partial_order(relation)
 
 
 def _failures(case) -> tuple[bool, bool]:

@@ -13,8 +13,10 @@ from kcir import (
     Trace,
     build_prefix_relation,
     enumerate_causal_signals,
+    history_count,
     prefix_leq,
     restrict_trace,
+    signal_at,
 )
 
 from .conftest import bits
@@ -107,6 +109,13 @@ class TestEnumeration:
             signals = enumerate_causal_signals(alpha, horizon)
             assert len(signals) == expected
             assert len(set(signals)) == expected
+            assert history_count(size, horizon) == expected
+
+    def test_signal_at_rebuilds_each_entry(self):
+        for size, horizon in itertools.product((1, 2, 3), (0, 1, 2, 3)):
+            alpha = Alphabet(tuple(f"v{i}" for i in range(size)))
+            signals = enumerate_causal_signals(alpha, horizon)
+            assert [signal_at(alpha, i) for i in range(len(signals))] == signals
 
     def test_enumeration_is_sorted(self):
         signals = enumerate_causal_signals(BINARY, 3)
