@@ -10,39 +10,29 @@ read map, written as a read step from (read state, control symbol, tick) to
 histories through that map, one read step per history, and brute-force
 checking the partial-order axioms classifies the circuit as time-preserving
 or not, with concrete witnesses when it is not.
+
+A circuit is defined once, by ``init``/``step`` and, where it has a read
+map, ``read_init``/``read_step``; ``output_stream``, the read map ``reads``
+and the randomized checks are folds of those steps.
 """
 
 from .circuits import (
     CausalityReport,
     CircuitElement,
-    CrossFn,
     ReadSoundnessReport,
     SimulationError,
     SyncSpec,
     abmem_element,
-    abmem_output,
-    abmem_reads,
     causality_check,
-    component_signal,
     counter_element,
     counter_spec,
     dff_element,
-    dff_output,
-    dff_reads,
     multiclock_element,
-    multiclock_output,
-    multiclock_reads,
     mux_element,
-    mux_output,
-    mux_reads,
     output_stream,
-    posedges,
     read_soundness_check,
     sr_latch_element,
-    sr_output,
     sync_element,
-    sync_output,
-    sync_reads,
     toggler_pair_element,
     toggler_spec,
 )
@@ -104,7 +94,6 @@ __all__ = [
     "CircuitElement",
     "Classification",
     "ClassifyStats",
-    "CrossFn",
     "DerivedRelation",
     "DomainAst",
     "ElaborationError",
@@ -122,31 +111,21 @@ __all__ = [
     "Var",
     "Verdict",
     "abmem_element",
-    "abmem_output",
-    "abmem_reads",
     "build_prefix_relation",
     "causality_check",
     "check_partial_order",
     "classify",
-    "component_signal",
     "counter_element",
     "counter_spec",
     "dff_element",
-    "dff_output",
-    "dff_reads",
     "elaborate",
     "enumerate_causal_signals",
     "history_count",
     "load_circuit",
     "multiclock_element",
-    "multiclock_output",
-    "multiclock_reads",
     "mux_element",
-    "mux_output",
-    "mux_reads",
     "output_stream",
     "parse",
-    "posedges",
     "prefix_leq",
     "pretty_print",
     "read_soundness_check",
@@ -154,10 +133,7 @@ __all__ = [
     "signal_at",
     "split_symbol",
     "sr_latch_element",
-    "sr_output",
     "sync_element",
-    "sync_output",
-    "sync_reads",
     "toggler_pair_element",
     "toggler_spec",
 ]

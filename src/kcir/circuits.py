@@ -3,10 +3,8 @@
 Each element is a causal function written as one step per tick: ``step``
 maps (state, control symbol, current input samples) to (next state, output),
 starting from ``init``.  Simulating a stimulus is one left fold over its
-columns, so ``output_stream`` costs O(T) steps for T ticks.  The prefix
-evaluator ``evaluate`` (output at the current tick of aligned causal
-signals, or ``None`` when undefined) is derived from ``init``/``step`` as a
-fold over the prefix.
+columns, so ``output_stream`` costs O(T) steps for T ticks, and the output at
+a tick of any history is the same fold cut off at that tick.
 
 Where the circuit admits one, a read step describes exactly which input
 samples the output depends on: ``read_step`` maps (read state, control
@@ -15,7 +13,8 @@ refs are the sorted ``(channel, tick)`` pairs read at that tick.  It sees the
 control history only and tracks edge and write ticks, never sample values,
 so it is a route independent of ``step``.  The read map ``reads`` is derived
 from it as a fold over the prefix, and the classifier steps it once per node
-of the prefix tree.
+of the prefix tree.  These two pairs are the only definitions of a circuit:
+there are no per-circuit evaluators or read maps beside them.
 
 Conventions shared by all built-ins:
 
@@ -35,22 +34,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
-from .signals import (
-    BINARY,
-    Alphabet,
-    CausalSignal,
-    Tick,
-    Trace,
-    restrict_trace,
-    split_symbol,
-)
+from .signals import BINARY, Alphabet, CausalSignal, Tick, Trace, split_symbol
 
 
 class SimulationError(ValueError):
-    """Raised when signals fed to an evaluator are malformed for it."""
+    """Raised when traces or samples fed to a circuit are malformed for it."""
 
 
-EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
 StepFn = Callable[[Any, str, tuple[str, ...]], tuple[Any, Optional[str]]]
 
 
@@ -104,9 +94,7 @@ class CircuitElement:
     and the input samples at that tick (in ``input_channels`` order), it
     returns the next state and the output at that tick (``None`` when
     undefined).  ``init`` is the state before tick 0; states are never
-    mutated in place, so one ``init`` serves every run.  ``evaluate``, the
-    output at the current tick of aligned causal signals, defaults to the
-    fold of ``step`` over the prefix.
+    mutated in place, so one ``init`` serves every run.
 
     ``read_step`` is the control-only read transition: given the read state,
     the control symbol at a tick and the tick, it returns the next read state
@@ -129,19 +117,13 @@ class CircuitElement:
     control_channels: tuple[str, ...]
     control_alphabet: Alphabet
     input_channels: tuple[tuple[str, Alphabet], ...]
-    output_alphabet: Alphabet
     init: Any
     step: StepFn
-    evaluate: Optional[EvalFn] = None
     reads: Optional[ReadMap] = None
     read_init: Any = None
     read_step: Optional[ReadStepFn] = None
 
     def __post_init__(self) -> None:
-        if self.evaluate is None:
-            object.__setattr__(
-                self, "evaluate", _prefix_evaluator(self.init, self.step, self.input_names)
-            )
         reads = self.reads
         if reads is not None and not hasattr(reads, "folds"):
             if getattr(self.read_step, "reads", None) is not reads:
@@ -159,34 +141,9 @@ class CircuitElement:
         return tuple(name for name, _ in self.input_channels)
 
 
-def _require_aligned(control: CausalSignal, inputs: Sequence[CausalSignal]) -> None:
-    if any(sig.t != control.t for sig in inputs):
-        raise SimulationError("control and input signals must share the current tick")
-
-
 def _rows(columns: Sequence[Sequence[str]]) -> Iterable[tuple[str, ...]]:
     """Per-tick sample tuples of aligned columns; empty tuples when there are none."""
     return zip(*columns) if columns else itertools.repeat(())
-
-
-def _fold_signals(
-    init: Any, step: StepFn, control: CausalSignal, inputs: Sequence[CausalSignal]
-) -> Any:
-    """The output at the current tick: ``step`` folded over ticks 0..t from ``init``."""
-    _require_aligned(control, inputs)
-    state, output = init, None
-    for symbol, samples in zip(control.samples, _rows([sig.samples for sig in inputs])):
-        state, output = step(state, symbol, samples)
-    return output
-
-
-def _prefix_evaluator(init: Any, step: StepFn, input_names: Sequence[str]) -> EvalFn:
-    """The prefix evaluator of a step function: fold it over ticks 0..t."""
-
-    def evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
-        return _fold_signals(init, step, control, [inputs[name] for name in input_names])
-
-    return evaluate
 
 
 def _require_bit_clock(sample: str) -> None:
@@ -194,58 +151,24 @@ def _require_bit_clock(sample: str) -> None:
         raise SimulationError(f"clock sample {sample!r} is not a bit")
 
 
-def posedges(clock: CausalSignal) -> frozenset[Tick]:
-    """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
-    edges, previous = [], None
-    for tick, sample in enumerate(clock.samples):
-        _require_bit_clock(sample)
-        if previous == "0" and sample == "1":
-            edges.append(tick)
-        previous = sample
-    return frozenset(edges)
-
-
-def component_signal(signal: CausalSignal, index: int, alphabet: Alphabet = BINARY) -> CausalSignal:
-    """One component of a signal over a '/'-joined product alphabet."""
-    parts = tuple(split_symbol(s)[index] for s in signal.samples)
-    return CausalSignal(signal.t, Trace(alphabet, parts))
-
-
 # ---------------------------------------------------------------------------
 # D flip-flop
 
-def _dff_reader(channel: str) -> tuple[Any, ReadStepFn]:
-    """(read_init, read_step) of a flip-flop on data ``channel``.
+def _dff_read_step(state, clock: str, tick: Tick):
+    """The single data sample a flip-flop reads: its latest positive edge.
 
     The read state is (previous clock sample, refs of the latest edge or
     ``None``); the refs are kept whole so a step without an edge builds none.
+    Undefined while the clock has not risen yet, because the flip-flop has
+    latched nothing.
     """
-
-    def read_step(state, clock: str, tick: Tick):
-        previous, refs = state
-        if clock == "1":
-            if previous == "0":
-                refs = ((channel, tick),)
-        elif clock != "0":
-            _require_bit_clock(clock)
-        return (clock, refs), refs
-
-    return (None, None), read_step
-
-
-_DFF_READ_INIT, _dff_read_step = _dff_reader("D")
-
-
-def dff_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
-    """The single data sample a flip-flop reads: its latest positive edge.
-
-    Undefined (``None``) while the clock has not risen yet, because the
-    flip-flop has latched nothing.
-    """
-    return _read_set(_fold_refs(*_dff_reader(channel), control.samples))
-
-
-_DFF_INIT = (None, None)
+    previous, refs = state
+    if clock == "1":
+        if previous == "0":
+            refs = (("D", tick),)
+    elif clock != "0":
+        _require_bit_clock(clock)
+    return (clock, refs), refs
 
 
 def _dff_step(state, clock: str, samples: tuple[str, ...]):
@@ -257,21 +180,15 @@ def _dff_step(state, clock: str, samples: tuple[str, ...]):
     return (clock, held), held
 
 
-def dff_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
-    """Data value at the latest positive clock edge, or ``None`` before any edge."""
-    return _fold_signals(_DFF_INIT, _dff_step, control, (data,))
-
-
 def dff_element(name: str = "dff") -> CircuitElement:
     return CircuitElement(
         name=name,
         control_channels=("C",),
         control_alphabet=BINARY,
         input_channels=(("D", BINARY),),
-        output_alphabet=BINARY,
-        init=_DFF_INIT,
+        init=(None, None),
         step=_dff_step,
-        read_init=_DFF_READ_INIT,
+        read_init=(None, None),
         read_step=_dff_read_step,
     )
 
@@ -279,34 +196,21 @@ def dff_element(name: str = "dff") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # SR latch
 
-def _latch(q: Optional[str], s: str, r: str) -> Optional[str]:
-    if (s, r) == ("1", "0"):
-        return "1"
-    if (s, r) in (("0", "1"), ("1", "1")):
-        return "0"
-    if (s, r) != ("0", "0"):
-        raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
-    return q
-
-
 def _sr_step(q: Optional[str], symbol: str, _samples: tuple[str, ...]):
-    parts = split_symbol(symbol)
-    q = _latch(q, parts[0], parts[1])
-    return q, q
-
-
-def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[str]:
     """Level-sensitive set/reset latch; (0,0) holds the previous output.
 
     Undefined until the first tick whose inputs are not (0,0), since no
     previous output exists to hold.
     """
-    if set_signal.t != reset_signal.t:
-        raise SimulationError("set and reset signals must share the current tick")
-    q: Optional[str] = None
-    for s, r in zip(set_signal.samples, reset_signal.samples):
-        q = _latch(q, s, r)
-    return q
+    parts = split_symbol(symbol)
+    s, r = parts[0], parts[1]
+    if (s, r) == ("1", "0"):
+        q = "1"
+    elif (s, r) in (("0", "1"), ("1", "1")):
+        q = "0"
+    elif (s, r) != ("0", "0"):
+        raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
+    return q, q
 
 
 def sr_latch_element(name: str = "srlatch") -> CircuitElement:
@@ -316,7 +220,6 @@ def sr_latch_element(name: str = "srlatch") -> CircuitElement:
         control_channels=("S", "R"),
         control_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
         input_channels=(),
-        output_alphabet=BINARY,
         init=None,
         step=_sr_step,
         reads=None,
@@ -326,26 +229,18 @@ def sr_latch_element(name: str = "srlatch") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Multiplexer
 
-def mux_output(select: str, a_value: str, b_value: str) -> str:
-    """Route one of two current inputs according to the select value."""
-    if select == "a":
-        return a_value
-    if select == "b":
-        return b_value
-    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
-
-
 def _mux_read_step(state, select: str, tick: Tick):
+    """The selected channel at the current tick; the other channel is never read."""
     return state, (("A", tick),) if select == "a" else (("B", tick),)
 
 
-def mux_reads(control: CausalSignal) -> ReadSet:
-    """The selected channel at the current tick; the other channel is never read."""
-    return _read_set(_fold_refs(None, _mux_read_step, control.samples))
-
-
 def _mux_step(state, select: str, samples: tuple[str, ...]):
-    return state, mux_output(select, samples[0], samples[1])
+    """Route one of two current inputs according to the select value."""
+    if select == "a":
+        return state, samples[0]
+    if select == "b":
+        return state, samples[1]
+    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
 
 
 def mux_element(name: str = "mux") -> CircuitElement:
@@ -354,7 +249,6 @@ def mux_element(name: str = "mux") -> CircuitElement:
         control_channels=("S",),
         control_alphabet=Alphabet(("a", "b")),
         input_channels=(("A", BINARY), ("B", BINARY)),
-        output_alphabet=BINARY,
         init=None,
         step=_mux_step,
         read_step=_mux_read_step,
@@ -403,8 +297,11 @@ def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) ->
 def _sync_reader(channels: Sequence[str]) -> tuple[Any, ReadStepFn]:
     """(read_init, read_step) of a register block reading ``channels``.
 
-    The read state is (previous clock sample, per-channel edge refs), with
-    the channels sorted; an edge appends one ref to each channel's tuple.
+    Registers latch inputs at each positive edge and the output logic sees the
+    current input, so the refs are the edge ticks together with the current
+    tick on every data channel; with no edges they are the current tick.  The
+    read state is (previous clock sample, per-channel edge refs), with the
+    channels sorted; an edge appends one ref to each channel's tuple.
     """
     channels = tuple(sorted(set(channels)))
 
@@ -418,16 +315,6 @@ def _sync_reader(channels: Sequence[str]) -> tuple[Any, ReadStepFn]:
         return (clock, edges), _with_current(channels, edges, tick)
 
     return (None, ((),) * len(channels)), read_step
-
-
-def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadSet:
-    """Samples a register block reads: every past edge plus the current tick.
-
-    Registers latch inputs at each positive edge and the output logic sees the
-    current input, so the read set is the edge ticks together with ``t`` on
-    every data channel.  With no edges it degenerates to the current tick.
-    """
-    return _read_set(_fold_refs(*_sync_reader(channels), control.samples))
 
 
 def _sync_machine(spec: SyncSpec) -> tuple[Any, StepFn]:
@@ -444,14 +331,6 @@ def _sync_machine(spec: SyncSpec) -> tuple[Any, StepFn]:
     return (None, spec.initial_state), step
 
 
-def sync_output(
-    spec: SyncSpec, control: CausalSignal, inputs: Sequence[CausalSignal]
-) -> str:
-    """Run the register block over all edges of ``control`` and emit the output."""
-    init, step = _sync_machine(spec)
-    return _fold_signals(init, step, control, inputs)
-
-
 def sync_element(
     name: str,
     spec: SyncSpec,
@@ -459,7 +338,6 @@ def sync_element(
     clock_channel: str = "C",
     data_channels: Sequence[str] = ("D",),
     data_alphabets: Sequence[Alphabet] | None = None,
-    output_alphabet: Alphabet = BINARY,
 ) -> CircuitElement:
     data_channels = tuple(data_channels)
     if data_alphabets is None:
@@ -471,7 +349,6 @@ def sync_element(
         control_channels=(clock_channel,),
         control_alphabet=BINARY,
         input_channels=tuple(zip(data_channels, data_alphabets)),
-        output_alphabet=output_alphabet,
         init=init,
         step=step,
         read_init=read_init,
@@ -501,11 +378,7 @@ def counter_spec(bits: int = 2) -> SyncSpec:
 
 
 def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
-    return sync_element(
-        name,
-        counter_spec(bits),
-        output_alphabet=Alphabet(tuple(str(i) for i in range(1 << bits))),
-    )
+    return sync_element(name, counter_spec(bits))
 
 
 def toggler_spec() -> SyncSpec:
@@ -521,17 +394,16 @@ def toggler_spec() -> SyncSpec:
 # ---------------------------------------------------------------------------
 # Two clock domains
 
-CrossFn = Callable[[tuple[str, ...], tuple[str, ...], tuple[str, ...]], tuple[str, ...]]
-
-
 def _multiclock_reader(
     channels_a: Sequence[str], channels_b: Sequence[str]
 ) -> tuple[Any, ReadStepFn]:
     """(read_init, read_step) of two register blocks on the clocks of a paired symbol.
 
-    The read state is (previous clock a, previous clock b, per-channel edge
-    refs), with the channels of both domains sorted together; an edge of a
-    domain appends one ref to each of that domain's channels.
+    The refs are each domain's edge ticks on that domain's channels plus the
+    current tick on every data channel.  The read state is (previous clock a,
+    previous clock b, per-channel edge refs), with the channels of both
+    domains sorted together; an edge of a domain appends one ref to each of
+    that domain's channels.
     """
     channels = tuple(sorted({*channels_a, *channels_b}))
     domains = tuple((c in channels_a, c in channels_b) for c in channels)
@@ -552,30 +424,14 @@ def _multiclock_reader(
     return (None, None, ((),) * len(channels)), read_step
 
 
-def multiclock_reads(
-    control: CausalSignal,
-    channels_a: Sequence[str] = ("D1",),
-    channels_b: Sequence[str] = ("D2",),
-) -> ReadSet:
-    """Per-domain edge ticks plus the current tick on every data channel."""
-    return _read_set(_fold_refs(*_multiclock_reader(channels_a, channels_b), control.samples))
-
-
-def _multiclock_machine(
-    spec_a: SyncSpec,
-    spec_b: SyncSpec,
-    width_a: int,
-    cross_a: CrossFn | None,
-    cross_b: CrossFn | None,
-) -> tuple[Any, StepFn]:
+def _multiclock_machine(spec_a: SyncSpec, spec_b: SyncSpec, width_a: int) -> tuple[Any, StepFn]:
     """(init, step) of two register blocks on the two clocks of a paired symbol.
 
     The state is (previous clock a, previous clock b, registers a, registers
     b); the step's input samples list domain a's channels first, ``width_a``
-    of them, and its output is the pair of domain outputs.
+    of them, and its output is the domain outputs joined as ``a/b``.
     """
-    next_a = cross_a or (lambda pre, samples, _other: spec_a.next_state(pre, samples))
-    next_b = cross_b or (lambda pre, samples, _other: spec_b.next_state(pre, samples))
+    next_a, next_b = spec_a.next_state, spec_b.next_state
     out_a, out_b = spec_a.output_fn, spec_b.output_fn
 
     def step(state, symbol: str, samples: tuple[str, ...]):
@@ -583,37 +439,14 @@ def _multiclock_machine(
         parts = split_symbol(symbol)
         clock_a, clock_b = parts[0], parts[1]
         samples_a, samples_b = samples[:width_a], samples[width_a:]
-        pre_a, pre_b = state_a, state_b
         if previous_a == "0" and clock_a == "1":
-            state_a = next_a(pre_a, samples_a, pre_b)
+            state_a = next_a(state_a, samples_a)
         if previous_b == "0" and clock_b == "1":
-            state_b = next_b(pre_b, samples_b, pre_a)
-        outputs = (out_a(state_a, samples_a), out_b(state_b, samples_b))
-        return (clock_a, clock_b, state_a, state_b), outputs
+            state_b = next_b(state_b, samples_b)
+        output = f"{out_a(state_a, samples_a)}/{out_b(state_b, samples_b)}"
+        return (clock_a, clock_b, state_a, state_b), output
 
     return (None, None, spec_a.initial_state, spec_b.initial_state), step
-
-
-def multiclock_output(
-    spec_a: SyncSpec,
-    spec_b: SyncSpec,
-    control: CausalSignal,
-    inputs_a: Sequence[CausalSignal],
-    inputs_b: Sequence[CausalSignal],
-    *,
-    cross_a: CrossFn | None = None,
-    cross_b: CrossFn | None = None,
-) -> tuple[str, str]:
-    """Run two register blocks against the two clocks of a paired control signal.
-
-    Updates are two-phase: when both clocks rise on the same tick, each
-    domain's next state is computed from the other domain's state as it stood
-    before the edge.  ``cross_a``/``cross_b`` replace a domain's plain
-    ``next_state`` with one that also receives the other domain's pre-edge
-    state.
-    """
-    init, step = _multiclock_machine(spec_a, spec_b, len(inputs_a), cross_a, cross_b)
-    return _fold_signals(init, step, control, (*inputs_a, *inputs_b))
 
 
 def multiclock_element(
@@ -624,21 +457,11 @@ def multiclock_element(
     clock_channels: tuple[str, str] = ("C1", "C2"),
     data_channels_a: Sequence[str] = ("D1",),
     data_channels_b: Sequence[str] = ("D2",),
-    cross_a: CrossFn | None = None,
-    cross_b: CrossFn | None = None,
-    output_alphabet: Alphabet = Alphabet.product(("0", "1"), ("0", "1")),
 ) -> CircuitElement:
     """Two register blocks on separate clocks; the output is joined as ``a/b``."""
     data_channels_a = tuple(data_channels_a)
     data_channels_b = tuple(data_channels_b)
-    init, paired = _multiclock_machine(
-        spec_a, spec_b, len(data_channels_a), cross_a, cross_b
-    )
-
-    def step(state, symbol: str, samples: tuple[str, ...]):
-        state, (out_a, out_b) = paired(state, symbol, samples)
-        return state, f"{out_a}/{out_b}"
-
+    init, step = _multiclock_machine(spec_a, spec_b, len(data_channels_a))
     read_init, read_step = _multiclock_reader(data_channels_a, data_channels_b)
     channels = tuple((c, BINARY) for c in (*data_channels_a, *data_channels_b))
     return CircuitElement(
@@ -646,7 +469,6 @@ def multiclock_element(
         control_channels=clock_channels,
         control_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
         input_channels=channels,
-        output_alphabet=output_alphabet,
         init=init,
         step=step,
         read_init=read_init,
@@ -676,48 +498,31 @@ def _cell_indices(symbol: str) -> tuple[Optional[int], Optional[int]]:
     return _CELL_INDEX.get(parts[0]), _CELL_INDEX.get(parts[1])
 
 
-def _abmem_reader(channel: str) -> tuple[Any, ReadStepFn]:
-    """(read_init, read_step) of the memory: the read state is, per address,
-    the refs of its latest write (``None`` while unwritten), never a value."""
-
-    def read_step(written, symbol: str, tick: Tick):
-        i, j = _cell_indices(symbol)
-        if i is not None:
-            written = (*written[:i], ((channel, tick),), *written[i + 1:])
-        return written, None if j is None else written[j]
-
-    return _EMPTY_CELLS, read_step
-
-
-_ABMEM_READ_INIT, _abmem_read_step = _abmem_reader("D")
-
-
-def abmem_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
+def _abmem_read_step(written, symbol: str, tick: Tick):
     """The data sample last written to the address read at the current tick.
 
     Control symbols pair a write address and a read address per tick, either
     of which may be idle ('-').  A same-tick write is visible to a same-tick
     read.  Undefined when nothing is read or the read address was never
-    written.
+    written.  The read state is, per address, the refs of its latest write
+    (``None`` while unwritten), never a value.
     """
-    return _read_set(_fold_refs(*_abmem_reader(channel), control.samples))
+    i, j = _cell_indices(symbol)
+    if i is not None:
+        written = (*written[:i], (("D", tick),), *written[i + 1:])
+    return written, None if j is None else written[j]
 
 
 def _abmem_step(cells: tuple[Optional[str], ...], symbol: str, samples: tuple[str, ...]):
-    """State: the value last written to each address, ``None`` while unwritten."""
-    i, j = _cell_indices(symbol)
-    if i is not None:
-        cells = (*cells[:i], samples[0], *cells[i + 1:])
-    return cells, None if j is None else cells[j]
-
-
-def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
-    """Value stored at the read address, or ``None`` if the read is undefined.
+    """State: the value last written to each address, ``None`` while unwritten.
 
     Simulated over actual cell values, while the read step tracks only write
     ticks, so the randomized soundness check compares two independent routes.
     """
-    return _fold_signals(_EMPTY_CELLS, _abmem_step, control, (data,))
+    i, j = _cell_indices(symbol)
+    if i is not None:
+        cells = (*cells[:i], samples[0], *cells[i + 1:])
+    return cells, None if j is None else cells[j]
 
 
 def abmem_element(name: str = "abmem") -> CircuitElement:
@@ -727,10 +532,9 @@ def abmem_element(name: str = "abmem") -> CircuitElement:
         control_channels=("W", "R"),
         control_alphabet=Alphabet.product(addresses, addresses),
         input_channels=(("D", BINARY),),
-        output_alphabet=BINARY,
         init=_EMPTY_CELLS,
         step=_abmem_step,
-        read_init=_ABMEM_READ_INIT,
+        read_init=_EMPTY_CELLS,
         read_step=_abmem_read_step,
     )
 
@@ -745,8 +549,8 @@ def output_stream(
 ) -> list[Optional[str]]:
     """Per-tick outputs over whole traces: one left fold of ``step`` over the columns.
 
-    Entry ``t`` is the output at tick ``t``, which by causality equals
-    ``element.evaluate`` on the prefixes at ``t``; the cost is one step per tick.
+    Entry ``t`` is the output at tick ``t``, which by causality depends on the
+    prefixes at ``t`` alone; the cost is one step per tick.
     """
     names = element.input_names
     if set(inputs) != set(names):
@@ -758,11 +562,17 @@ def output_stream(
         raise SimulationError("control and input traces must have equal length")
     if len(control) == 0:
         raise SimulationError("traces must cover at least tick 0")
+    return _fold_outputs(element, control.samples, [inputs[name].samples for name in names])
+
+
+def _fold_outputs(
+    element: CircuitElement, symbols: Sequence[str], columns: Sequence[Sequence[str]]
+) -> list[Optional[str]]:
+    """The output at every tick: ``step`` folded over aligned columns from ``init``."""
     step = element.step
     state = element.init
     outputs = []
-    rows = _rows([inputs[name].samples for name in names])
-    for symbol, samples in zip(control.samples, rows):
+    for symbol, samples in zip(symbols, _rows(columns)):
         state, output = step(state, symbol, samples)
         outputs.append(output)
     return outputs
@@ -787,7 +597,8 @@ def read_soundness_check(
     """Mutate input samples outside the read set; the output must not move.
 
     Each trial draws random control and input traces, picks a tick, and flips
-    one input sample at a position the read step does not claim at ``t``.
+    one input sample at a position the read step does not claim at ``t``; the
+    outputs at ``t`` before and after are ``step`` folded over ticks 0..t.
     Trials whose read set is undefined, or where every position up to ``t``
     is claimed, are counted but not mutated.
     """
@@ -810,29 +621,23 @@ def read_soundness_check(
             continue
         claimed = set(refs)
         free = [
-            (name, u, alphabet)
-            for name, alphabet in element.input_channels
+            (k, u, alphabet)
+            for k, (name, alphabet) in enumerate(element.input_channels)
             for u in range(t + 1)
             if (name, u) not in claimed and len(alphabet) > 1
         ]
         if not free:
             unmutable += 1
             continue
-        control_sig = CausalSignal(t, restrict_trace(control, t))
-        input_sigs = {
-            name: CausalSignal(t, restrict_trace(trace, t))
-            for name, trace in input_traces.items()
-        }
-        baseline = element.evaluate(control_sig, input_sigs)
-        name, u, alphabet = free[rng.randrange(len(free))]
-        old = input_sigs[name].samples[u]
+        symbols = control.samples[: t + 1]
+        columns = [trace.samples[: t + 1] for trace in input_traces.values()]
+        baseline = _fold_outputs(element, symbols, columns)[-1]
+        k, u, alphabet = free[rng.randrange(len(free))]
+        old = columns[k][u]
         new = rng.choice([v for v in alphabet.values if v != old])
-        mutated_samples = list(input_sigs[name].samples)
-        mutated_samples[u] = new
-        mutated = dict(input_sigs)
-        mutated[name] = CausalSignal.from_samples(alphabet, mutated_samples)
+        columns[k] = (*columns[k][:u], new, *columns[k][u + 1:])
         mutations += 1
-        if element.evaluate(control_sig, mutated) != baseline:
+        if _fold_outputs(element, symbols, columns)[-1] != baseline:
             violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 

@@ -15,7 +15,8 @@ LF and CRLF both work)::
 
 KIND is one of dff, srlatch, mux, sync, multiclock, abmem.  Identifiers match
 ``[a-z][a-z0-9_]*``.  Registers are named q0..q(k-1) for ``state k``; the init
-bit string lists q0 first.  ``sync`` circuits take exactly one clock and any
+bit string lists q0 first and has exactly k bits.  Operators nest at most
+``MAX_EXPR_DEPTH`` deep.  ``sync`` circuits take exactly one clock and any
 number of inputs and outputs; ``multiclock`` circuits consist of exactly two
 ``domain`` blocks, each shaped like a sync body.  Clause order inside a block
 is free.
@@ -31,7 +32,6 @@ from typing import Optional, Union
 
 from . import circuits
 from .circuits import CircuitElement, SimulationError, SyncSpec
-from .signals import Alphabet
 
 KINDS = ("dff", "srlatch", "mux", "sync", "multiclock", "abmem")
 
@@ -46,6 +46,10 @@ _LEGAL_CLAUSES = {
     "multiclock": {"kind", "domain"},
 }
 _DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
+#: Deepest operator nesting an expression may have.  Parsing, compiling and
+#: evaluating recurse at every level, so the bound keeps them well inside
+#: Python's recursion limit.
+MAX_EXPR_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -278,12 +282,20 @@ class _Parser:
             if width.kind != "number":
                 self.fail("expected state width", width)
             self.advance()
-            if int(width.text) < 1:
+            if not width.text.strip("0"):
                 self.fail("state width must be positive", width)
             self.expect_keyword("init")
             bits = self.peek()
             if bits.kind != "number" or any(c not in "01" for c in bits.text):
                 self.fail("init vector must contain only bits", bits)
+            # Compared as text, so a huge width is refused before anything is
+            # built for it (and never reaches int()).
+            if width.text.lstrip("0") != str(len(bits.text)):
+                self.fail(
+                    f"init vector width {len(bits.text)} does not match "
+                    f"state width {width.text}",
+                    bits,
+                )
             self.advance()
             self.expect_punct(";")
             return _Clause("state", keyword, [width, bits])
@@ -306,7 +318,7 @@ class _Parser:
         self.expect_punct("}")
         return _Clause("domain", keyword, [name], (body,))
 
-    def parse_expr(self) -> BoolExpr:
+    def parse_expr(self, depth: int = 0) -> BoolExpr:
         token = self.peek()
         if token.kind == "number":
             if token.text not in ("0", "1"):
@@ -321,11 +333,13 @@ class _Parser:
             return Var(token.text, token.span)
         if token.text not in _OPERATORS:
             self.fail("unknown operator", token)
+        if depth == MAX_EXPR_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", token)
         self.advance()
-        args = [self.parse_expr()]
+        args = [self.parse_expr(depth + 1)]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.advance()
-            args.append(self.parse_expr())
+            args.append(self.parse_expr(depth + 1))
         self.expect_punct(")")
         low, high = _OPERATORS[token.text]
         if len(args) < low or (high is not None and len(args) > high):
@@ -379,7 +393,7 @@ def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
     bits = state.names[1].text
 
     registers = {f"q{i}" for i in range(width)}
-    inputs: list[str] = []
+    inputs: dict[str, None] = {}
     for clause in clauses:
         if clause.category != "in":
             continue
@@ -388,42 +402,42 @@ def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
             _fail("duplicate input name", name)
         if name.text in registers:
             _fail(f"input name {name.text} collides with a state register", name)
-        inputs.append(name.text)
+        inputs[name.text] = None
 
-    declared = registers | set(inputs)
+    declared = registers | inputs.keys()
 
-    nexts: list[tuple[str, BoolExpr]] = []
+    nexts: dict[str, BoolExpr] = {}
     for clause in clauses:
         if clause.category != "next":
             continue
         target = clause.names[0]
         if target.text not in registers:
             _fail("undeclared variable", target)
-        if any(target.text == seen for seen, _ in nexts):
+        if target.text in nexts:
             _fail("duplicate next clause for register", target)
-        nexts.append((target.text, clause.extra[0]))
-    for i in range(width):
-        if f"q{i}" not in {t for t, _ in nexts}:
-            _fail(f"missing next expression for register q{i}", state.names[0])
+        nexts[target.text] = clause.extra[0]
+    if len(nexts) < width:
+        missing = min(i for i in range(width) if f"q{i}" not in nexts)
+        _fail(f"missing next expression for register q{missing}", state.names[0])
 
-    outputs: list[tuple[str, BoolExpr]] = []
+    outputs: dict[str, BoolExpr] = {}
     for clause in clauses:
         if clause.category != "out":
             continue
         name = clause.names[0]
-        if any(name.text == seen for seen, _ in outputs):
+        if name.text in outputs:
             _fail("duplicate out clause", name)
-        outputs.append((name.text, clause.extra[0]))
+        outputs[name.text] = clause.extra[0]
     if not outputs:
         _fail(f"{what} requires at least one out clause", anchor)
 
-    for _, expr in (*nexts, *outputs):
+    for expr in (*nexts.values(), *outputs.values()):
         for var in _expr_vars(expr):
             if var.name not in declared:
                 _fail("undeclared variable", var)
 
-    nexts.sort(key=lambda item: int(item[0][1:]))
-    return clock.names[0].text, width, bits, tuple(inputs), tuple(nexts), tuple(outputs)
+    ordered = tuple((f"q{i}", nexts[f"q{i}"]) for i in range(width))
+    return clock.names[0].text, width, bits, tuple(inputs), ordered, tuple(outputs.items())
 
 
 def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
@@ -583,13 +597,6 @@ def _block_spec(width, init_bits, inputs, next_exprs, outputs, where) -> SyncSpe
     return SyncSpec(width, tuple(init_bits), step, out)
 
 
-def _bitstring_alphabet(count: int) -> Alphabet:
-    values = [""]
-    for _ in range(count):
-        values = [v + bit for v in values for bit in ("0", "1")]
-    return Alphabet(tuple(values))
-
-
 def elaborate(ast: CircuitAst) -> CircuitElement:
     """Instantiate the circuit element a description denotes."""
     if ast.kind == "dff":
@@ -614,7 +621,6 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
             spec,
             clock_channel=ast.clocks[0],
             data_channels=ast.inputs,
-            output_alphabet=_bitstring_alphabet(len(ast.outputs)),
         )
     # multiclock
     dom_a, dom_b = ast.domains
@@ -626,8 +632,6 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
         dom_b.state_width, dom_b.init_bits, dom_b.inputs,
         dom_b.next_exprs, dom_b.outputs, f"{ast.name}.{dom_b.name}",
     )
-    out_a = _bitstring_alphabet(len(dom_a.outputs))
-    out_b = _bitstring_alphabet(len(dom_b.outputs))
     return circuits.multiclock_element(
         ast.name,
         spec_a,
@@ -635,7 +639,6 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
         clock_channels=(dom_a.clock, dom_b.clock),
         data_channels_a=dom_a.inputs,
         data_channels_b=dom_b.inputs,
-        output_alphabet=Alphabet.product(out_a.values, out_b.values),
     )
 
 

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from kcir import BINARY, Alphabet, CausalSignal
+from kcir import (
+    BINARY,
+    Alphabet,
+    CausalSignal,
+    CircuitElement,
+    output_stream,
+    sr_latch_element,
+)
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "circuits"
 
@@ -16,6 +24,20 @@ def bits(text: str) -> CausalSignal:
 
 def sig(alphabet: Alphabet, *samples: str) -> CausalSignal:
     return CausalSignal.from_samples(alphabet, samples)
+
+
+def latch_control(set_bits: str, reset_bits: str) -> CausalSignal:
+    """The SR latch's paired control signal from set and reset bit strings."""
+    return CausalSignal.from_samples(
+        sr_latch_element().control_alphabet,
+        tuple(f"{s}/{r}" for s, r in zip(set_bits, reset_bits)),
+    )
+
+
+def last_output(element: CircuitElement, control: CausalSignal, **inputs: CausalSignal) -> Optional[str]:
+    """The output at the current tick of the given signals: their ``output_stream``'s last entry."""
+    traces = {name: signal.trace for name, signal in inputs.items()}
+    return output_stream(element, control.trace, traces)[-1]
 
 
 @pytest.fixture

@@ -7,9 +7,10 @@ smallest antisymmetry witness.  The read-map oracles rescan the whole control
 history for every signal (edge ticks, last writes).  The simulation oracle
 evaluates every tick from scratch: each circuit's output is computed from the
 whole prefix (edges found by scanning the clock history, latch and memory
-state replayed from tick 0), and :func:`output_stream` re-folds the prefix at
-every tick.  All are slow but direct, so the tests compare the one-pass tree
-walk, the read steps and the step functions against them.
+state replayed from tick 0), and :func:`output_stream` applies such a prefix
+evaluator at every tick.  All are slow but direct, and none calls a step or
+read step of the engine, so the tests compare the one-pass tree walk, the
+read steps and the step functions against them.
 """
 
 from __future__ import annotations
@@ -28,16 +29,10 @@ from kcir.classifier import (
     RefPoint,
     Verdict,
 )
-from kcir.circuits import (
-    CircuitElement,
-    CrossFn,
-    SimulationError,
-    SyncSpec,
-    component_signal,
-    mux_output,
-)
+from kcir.circuits import CircuitElement, SimulationError, SyncSpec
 from kcir.dsl import CircuitAst, _block_spec
 from kcir.signals import (
+    BINARY,
     CausalSignal,
     Tick,
     Trace,
@@ -308,10 +303,14 @@ EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
 
 def output_stream(
     element: CircuitElement,
+    evaluate: EvalFn,
     control: Trace,
     inputs: Mapping[str, Trace],
 ) -> list[Optional[str]]:
-    """Per-tick outputs over whole traces; entry ``t`` comes from the prefixes at ``t``."""
+    """Per-tick outputs over whole traces; entry ``t`` is ``evaluate`` on the prefixes at ``t``.
+
+    ``element`` supplies only the input channel names.
+    """
     names = element.input_names
     if set(inputs) != set(names):
         raise SimulationError(
@@ -328,7 +327,7 @@ def output_stream(
         input_sigs = {
             name: CausalSignal(t, restrict_trace(inputs[name], t)) for name in names
         }
-        outputs.append(element.evaluate(control_sig, input_sigs))
+        outputs.append(evaluate(control_sig, input_sigs))
     return outputs
 
 
@@ -378,9 +377,6 @@ def multiclock_output(
     control: CausalSignal,
     inputs_a: Sequence[CausalSignal],
     inputs_b: Sequence[CausalSignal],
-    *,
-    cross_a: CrossFn | None = None,
-    cross_b: CrossFn | None = None,
 ) -> tuple[str, str]:
     """Run two register blocks against the two clocks of a paired control signal."""
     _require_aligned(control, (*inputs_a, *inputs_b))
@@ -388,23 +384,10 @@ def multiclock_output(
     clock_b = [split_symbol(s)[1] for s in control.samples]
     state_a, state_b = spec_a.initial_state, spec_b.initial_state
     for u in range(1, control.t + 1):
-        rise_a = clock_a[u - 1] == "0" and clock_a[u] == "1"
-        rise_b = clock_b[u - 1] == "0" and clock_b[u] == "1"
-        pre_a, pre_b = state_a, state_b
-        if rise_a:
-            samples = tuple(sig.samples[u] for sig in inputs_a)
-            state_a = (
-                cross_a(pre_a, samples, pre_b)
-                if cross_a is not None
-                else spec_a.next_state(pre_a, samples)
-            )
-        if rise_b:
-            samples = tuple(sig.samples[u] for sig in inputs_b)
-            state_b = (
-                cross_b(pre_b, samples, pre_a)
-                if cross_b is not None
-                else spec_b.next_state(pre_b, samples)
-            )
+        if clock_a[u - 1] == "0" and clock_a[u] == "1":
+            state_a = spec_a.next_state(state_a, tuple(sig.samples[u] for sig in inputs_a))
+        if clock_b[u - 1] == "0" and clock_b[u] == "1":
+            state_b = spec_b.next_state(state_b, tuple(sig.samples[u] for sig in inputs_b))
     t = control.t
     out_a = spec_a.output_fn(state_a, tuple(sig.samples[t] for sig in inputs_a))
     out_b = spec_b.output_fn(state_b, tuple(sig.samples[t] for sig in inputs_b))
@@ -441,18 +424,33 @@ def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
     return cells[read_addr].content[0]
 
 
+def _component_signal(signal: CausalSignal, index: int) -> CausalSignal:
+    """One binary component of a signal over a '/'-joined product alphabet."""
+    parts = tuple(split_symbol(s)[index] for s in signal.samples)
+    return CausalSignal(signal.t, Trace(BINARY, parts))
+
+
+def _mux_output(select: str, a_value: str, b_value: str) -> str:
+    """Route one of two current inputs according to the select value."""
+    if select == "a":
+        return a_value
+    if select == "b":
+        return b_value
+    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
+
+
 def dff_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
     return dff_output(control, inputs["D"])
 
 
 def sr_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:
-    return sr_output(component_signal(control, 0), component_signal(control, 1))
+    return sr_output(_component_signal(control, 0), _component_signal(control, 1))
 
 
 def mux_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
     t = control.t
     _require_aligned(control, (inputs["A"], inputs["B"]))
-    return mux_output(control.samples[t], inputs["A"].samples[t], inputs["B"].samples[t])
+    return _mux_output(control.samples[t], inputs["A"].samples[t], inputs["B"].samples[t])
 
 
 def abmem_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> Optional[str]:

@@ -23,7 +23,6 @@ from kcir import (
     classify,
     counter_element,
     dff_element,
-    dff_output,
     enumerate_causal_signals,
     mux_element,
     output_stream,
@@ -31,14 +30,13 @@ from kcir import (
     pretty_print,
     read_soundness_check,
     sr_latch_element,
-    sr_output,
     toggler_pair_element,
     Trace,
 )
 from kcir.cli import main
 from kcir.dsl import ParseError
 
-from .conftest import CIRCUITS_DIR, bits
+from .conftest import CIRCUITS_DIR, bits, last_output, latch_control
 from .test_dsl import INVALID_CORPUS, VALID_CORPUS, find_occurrences
 
 KCIR_FILES = (
@@ -105,6 +103,7 @@ def test_criterion_1_verdict_reproduction(abmem_results):
 def test_criterion_2_truth_table_conformance():
     # DFF: every binary clock/data pair up to horizon 6 against an
     # independent reverse scan for the last 0->1 transition.
+    dff, latch = dff_element(), sr_latch_element()
     mismatches = 0
     for t in range(7):
         for clock in itertools.product("01", repeat=t + 1):
@@ -114,17 +113,17 @@ def test_criterion_2_truth_table_conformance():
                     expected_tick = u
                     break
             for data in itertools.product("01", repeat=t + 1):
-                got = dff_output(bits("".join(clock)), bits("".join(data)))
+                got = last_output(dff, bits("".join(clock)), D=bits("".join(data)))
                 expected = None if expected_tick is None else data[expected_tick]
                 if got != expected:
                     mismatches += 1
     assert mismatches == 0
 
     # SR latch: all four single-tick combinations ...
-    assert sr_output(bits("0"), bits("0")) is None
-    assert sr_output(bits("0"), bits("1")) == "0"
-    assert sr_output(bits("1"), bits("0")) == "1"
-    assert sr_output(bits("1"), bits("1")) == "0"
+    assert last_output(latch, latch_control("0", "0")) is None
+    assert last_output(latch, latch_control("0", "1")) == "0"
+    assert last_output(latch, latch_control("1", "0")) == "1"
+    assert last_output(latch, latch_control("1", "1")) == "0"
 
     # ... and 100 randomized persistence sequences against a direct fold.
     rng = random.Random(23)
@@ -138,7 +137,7 @@ def test_criterion_2_truth_table_conformance():
                 expected = "1"
             elif (s[u], r[u]) in (("0", "1"), ("1", "1")):
                 expected = "0"
-        assert sr_output(bits("".join(s)), bits("".join(r))) == expected
+        assert last_output(latch, latch_control("".join(s), "".join(r))) == expected
     report(2, "truth-table conformance")
 
 

@@ -1,0 +1,86 @@
+"""The public surface of ``kcir``: the exported names and the circuit record."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import kcir
+
+PUBLIC_NAMES = [
+    "Alphabet",
+    "AntisymmetryWitness",
+    "AxiomReport",
+    "BINARY",
+    "BoolExpr",
+    "Call",
+    "CausalSignal",
+    "CausalityReport",
+    "CircuitAst",
+    "CircuitElement",
+    "Classification",
+    "ClassifyStats",
+    "DerivedRelation",
+    "DomainAst",
+    "ElaborationError",
+    "Lit",
+    "ParseError",
+    "ReadMap",
+    "ReadSet",
+    "ReadSoundnessReport",
+    "RefPoint",
+    "SimulationError",
+    "SourceSpan",
+    "SyncSpec",
+    "Tick",
+    "Trace",
+    "Var",
+    "Verdict",
+    "abmem_element",
+    "build_prefix_relation",
+    "causality_check",
+    "check_partial_order",
+    "classify",
+    "counter_element",
+    "counter_spec",
+    "dff_element",
+    "elaborate",
+    "enumerate_causal_signals",
+    "history_count",
+    "load_circuit",
+    "multiclock_element",
+    "mux_element",
+    "output_stream",
+    "parse",
+    "prefix_leq",
+    "pretty_print",
+    "read_soundness_check",
+    "restrict_trace",
+    "signal_at",
+    "split_symbol",
+    "sr_latch_element",
+    "sync_element",
+    "toggler_pair_element",
+    "toggler_spec",
+]
+
+
+def test_exported_names_are_exactly_the_public_surface():
+    assert len(PUBLIC_NAMES) == 54
+    assert sorted(kcir.__all__) == PUBLIC_NAMES
+    for name in kcir.__all__:
+        assert getattr(kcir, name) is not None, name
+
+
+def test_a_circuit_is_its_steps_and_read_steps():
+    fields = [field.name for field in dataclasses.fields(kcir.CircuitElement)]
+    assert fields == [
+        "name",
+        "control_channels",
+        "control_alphabet",
+        "input_channels",
+        "init",
+        "step",
+        "reads",
+        "read_init",
+        "read_step",
+    ]

@@ -14,37 +14,25 @@ from kcir import (
     CausalSignal,
     ReadSet,
     SimulationError,
-    SyncSpec,
     Trace,
     Verdict,
     abmem_element,
-    abmem_output,
-    abmem_reads,
     causality_check,
     classify,
     counter_element,
     counter_spec,
     dff_element,
-    dff_output,
-    dff_reads,
     enumerate_causal_signals,
-    multiclock_output,
-    multiclock_reads,
     mux_element,
-    mux_output,
-    mux_reads,
     output_stream,
-    posedges,
     read_soundness_check,
     sr_latch_element,
-    sr_output,
-    sync_output,
-    sync_reads,
+    sync_element,
     toggler_pair_element,
-    toggler_spec,
 )
 
-from .conftest import bits, sig
+from . import oracle
+from .conftest import bits, last_output, latch_control, sig
 
 
 def _random_trace(rng: random.Random, alphabet: Alphabet, length: int) -> Trace:
@@ -57,45 +45,67 @@ def naive_edges(samples):
     return {u for u in range(1, len(samples)) if samples[u - 1 : u + 1] == ("0", "1")}
 
 
-class TestPosedges:
-    def test_examples(self):
-        assert posedges(bits("01101")) == {1, 4}
-        assert posedges(bits("000")) == frozenset()
-        assert posedges(bits("11")) == frozenset()
+def step_edges(clock: CausalSignal) -> set[int]:
+    """Edge ticks as ``step`` sees them: where a 4-bit edge counter moves."""
+    counter = sync_element("counter4", counter_spec(4))
+    zeros = Trace(BINARY, ("0",) * len(clock.samples))
+    counts = output_stream(counter, clock.trace, {"D": zeros})
+    return {t for t in range(1, len(counts)) if counts[t] != counts[t - 1]}
 
-    def test_tick_zero_is_never_an_edge(self):
-        assert 0 not in posedges(bits("1"))
-        assert 0 not in posedges(bits("10101"))
+
+def read_edges(clock: CausalSignal) -> set[int]:
+    """Edge ticks as ``read_step`` sees them: the flip-flop's latest edge at every tick."""
+    reads = dff_element().reads
+    images = (reads(clock.prefix(t)) for t in range(clock.t + 1))
+    return {image.refs[0].tick for image in images if image is not None}
+
+
+class TestClockEdges:
+    """Steps and read steps agree on where a binary clock rises."""
+
+    @pytest.mark.parametrize("edges", (step_edges, read_edges))
+    def test_examples(self, edges):
+        assert edges(bits("01101")) == {1, 4}
+        assert edges(bits("000")) == set()
+        assert edges(bits("11")) == set()
+
+    @pytest.mark.parametrize("edges", (step_edges, read_edges))
+    def test_tick_zero_is_never_an_edge(self, edges):
+        assert 0 not in edges(bits("1"))
+        assert 0 not in edges(bits("10101"))
 
     @given(st.text(alphabet="01", min_size=1, max_size=10))
     def test_matches_naive_scan(self, text):
-        assert posedges(bits(text)) == naive_edges(tuple(text))
+        assert step_edges(bits(text)) == read_edges(bits(text)) == naive_edges(tuple(text))
 
-    def test_non_bit_samples_rejected(self):
+    @pytest.mark.parametrize("edges", (step_edges, read_edges))
+    def test_non_bit_samples_rejected(self, edges):
         with pytest.raises(SimulationError):
-            posedges(sig(Alphabet(("0", "1", "z")), "0", "z"))
+            edges(sig(Alphabet(("0", "1", "z")), "0", "z"))
 
 
 class TestDff:
     def test_reads_examples(self):
-        assert dff_reads(bits("01")) == ReadSet.of(("D", 1))
-        assert dff_reads(bits("00")) is None
-        assert dff_reads(bits("01101")) == ReadSet.of(("D", 4))
+        reads = dff_element().reads
+        assert reads(bits("01")) == ReadSet.of(("D", 1))
+        assert reads(bits("00")) is None
+        assert reads(bits("01101")) == ReadSet.of(("D", 4))
 
     def test_output_examples(self):
-        data = Alphabet(("x", "y", "z"))
-        assert dff_output(bits("01"), sig(data, "x", "y")) == "y"
-        assert dff_output(bits("010"), sig(data, "x", "y", "z")) == "y"
-        assert dff_output(bits("00"), sig(data, "x", "y")) is None
+        dff, data = dff_element(), Alphabet(("x", "y", "z"))
+        assert last_output(dff, bits("01"), D=sig(data, "x", "y")) == "y"
+        assert last_output(dff, bits("010"), D=sig(data, "x", "y", "z")) == "y"
+        assert last_output(dff, bits("00"), D=sig(data, "x", "y")) is None
 
     def test_misaligned_signals_rejected(self):
         with pytest.raises(SimulationError):
-            dff_output(bits("01"), bits("0"))
+            last_output(dff_element(), bits("01"), D=bits("0"))
 
     def test_exhaustive_against_last_edge_oracle(self):
         # Every binary clock/data combination up to horizon 4; the oracle is a
         # reverse scan for the last 0->1 transition (the acceptance suite
         # pushes the same comparison to horizon 6).
+        dff = dff_element()
         for t in range(5):
             for clock in itertools.product("01", repeat=t + 1):
                 expected_tick = None
@@ -104,22 +114,25 @@ class TestDff:
                         expected_tick = u
                         break
                 for data in itertools.product("01", repeat=t + 1):
-                    got = dff_output(bits("".join(clock)), bits("".join(data)))
+                    got = last_output(dff, bits("".join(clock)), D=bits("".join(data)))
                     expected = None if expected_tick is None else data[expected_tick]
                     assert got == expected
 
 
 class TestSrLatch:
+    def output(self, set_bits: str, reset_bits: str):
+        return last_output(sr_latch_element(), latch_control(set_bits, reset_bits))
+
     def test_truth_table_at_tick_zero(self):
-        assert sr_output(bits("0"), bits("0")) is None
-        assert sr_output(bits("0"), bits("1")) == "0"
-        assert sr_output(bits("1"), bits("0")) == "1"
-        assert sr_output(bits("1"), bits("1")) == "0"
+        assert self.output("0", "0") is None
+        assert self.output("0", "1") == "0"
+        assert self.output("1", "0") == "1"
+        assert self.output("1", "1") == "0"
 
     def test_holds_last_output_through_idle_inputs(self):
-        assert sr_output(bits("10"), bits("00")) == "1"
-        assert sr_output(bits("0100"), bits("0000")) == "1"
-        assert sr_output(bits("100"), bits("010")) == "0"
+        assert self.output("10", "00") == "1"
+        assert self.output("0100", "0000") == "1"
+        assert self.output("100", "010") == "0"
 
     def test_randomized_persistence(self):
         rng = random.Random(11)
@@ -133,7 +146,7 @@ class TestSrLatch:
                     expected = "1"
                 elif (s[u], r[u]) in (("0", "1"), ("1", "1")):
                     expected = "0"
-            assert sr_output(bits("".join(s)), bits("".join(r))) == expected
+            assert self.output("".join(s), "".join(r)) == expected
 
     def test_element_has_no_read_map(self):
         element = sr_latch_element()
@@ -143,13 +156,14 @@ class TestSrLatch:
 
 class TestMux:
     def test_routing(self):
-        assert mux_output("a", "x", "y") == "x"
-        assert mux_output("b", "x", "y") == "y"
+        step = mux_element().step
+        assert step(None, "a", ("x", "y")) == (None, "x")
+        assert step(None, "b", ("x", "y")) == (None, "y")
 
     def test_reads_select_one_channel_at_current_tick(self):
-        alpha = Alphabet(("a", "b"))
-        assert mux_reads(sig(alpha, "a")) == ReadSet.of(("A", 0))
-        assert mux_reads(sig(alpha, "a", "b")) == ReadSet.of(("B", 1))
+        alpha, reads = Alphabet(("a", "b")), mux_element().reads
+        assert reads(sig(alpha, "a")) == ReadSet.of(("A", 0))
+        assert reads(sig(alpha, "a", "b")) == ReadSet.of(("B", 1))
 
     def test_element_evaluation(self):
         element = mux_element()
@@ -160,31 +174,29 @@ class TestMux:
 
 class TestSyncReads:
     def test_edges_plus_current(self):
-        assert sync_reads(bits("0101")) == ReadSet.of(("D", 1), ("D", 3))
-        assert sync_reads(bits("00")) == ReadSet.of(("D", 1))
-        assert sync_reads(bits("010")) == ReadSet.of(("D", 1), ("D", 2))
+        reads = counter_element().reads
+        assert reads(bits("0101")) == ReadSet.of(("D", 1), ("D", 3))
+        assert reads(bits("00")) == ReadSet.of(("D", 1))
+        assert reads(bits("010")) == ReadSet.of(("D", 1), ("D", 2))
 
     def test_multiple_channels(self):
-        image = sync_reads(bits("01"), channels=("d", "e"))
-        assert image == ReadSet.of(("d", 1), ("e", 1))
+        element = sync_element("two", counter_spec(2), data_channels=("d", "e"))
+        assert element.reads(bits("01")) == ReadSet.of(("d", 1), ("e", 1))
 
 
 class TestSyncOutput:
     def test_counter_counts_edges(self):
-        spec = counter_spec(2)
         clock = bits("0101010")  # three edges
         data = bits("0000000")
-        assert sync_output(spec, clock, (data,)) == "3"
+        assert last_output(counter_element(), clock, D=data) == "3"
 
     def test_no_edges_yields_initial_output(self):
-        spec = counter_spec(2)
-        assert sync_output(spec, bits("111"), (bits("000"),)) == "0"
+        assert last_output(counter_element(), bits("111"), D=bits("000")) == "0"
 
     def test_wraps_modulo_4(self):
-        spec = counter_spec(2)
         clock = bits("0" + "10" * 5)  # five edges
         data = bits("0" * 11)
-        assert sync_output(spec, clock, (data,)) == "1"
+        assert last_output(counter_element(), clock, D=data) == "1"
 
     def test_randomized_against_edge_count(self):
         element = counter_element()
@@ -213,80 +225,60 @@ class TestMulticlock:
 
     def test_reads_split_by_domain(self):
         control = self.pair("011", "001")
-        assert multiclock_reads(control) == ReadSet.of(
+        assert toggler_pair_element().reads(control) == ReadSet.of(
             ("D1", 1), ("D1", 2), ("D2", 2)
         )
 
     def test_flat_clocks_read_only_current(self):
         control = self.pair("00", "11")
-        assert multiclock_reads(control) == ReadSet.of(("D1", 1), ("D2", 1))
+        assert toggler_pair_element().reads(control) == ReadSet.of(("D1", 1), ("D2", 1))
 
     def test_togglers_track_edge_parity(self):
+        element = toggler_pair_element()
         rng = random.Random(5)
         for _ in range(50):
             fast = "".join(rng.choice("01") for _ in range(8))
             slow = "".join(rng.choice("01") for _ in range(8))
             control = self.pair(fast, slow)
-            zeros = (bits("0" * 8),)
-            out = multiclock_output(toggler_spec(), toggler_spec(), control, zeros, zeros)
+            zeros = bits("0" * 8)
+            out = last_output(element, control, D1=zeros, D2=zeros)
             assert out == (
-                str(len(naive_edges(tuple(fast))) % 2),
-                str(len(naive_edges(tuple(slow))) % 2),
+                f"{len(naive_edges(tuple(fast))) % 2}/{len(naive_edges(tuple(slow))) % 2}"
             )
 
     def test_no_edges_yield_initial_outputs(self):
         control = self.pair("000", "111")
-        zeros = (bits("000"),)
-        out = multiclock_output(toggler_spec(), toggler_spec(), control, zeros, zeros)
-        assert out == ("0", "0")
-
-    def test_cross_domain_sampling_sees_pre_edge_state(self):
-        # Domain A copies domain B's register; when both clocks rise on the
-        # same tick it must capture B's value from before that edge.
-        copier = SyncSpec(1, ("0",), lambda s, i: s, lambda s, i: s[0])
-
-        def cross_a(state, inputs, other):
-            return other
-
-        for ticks in range(1, 5):
-            samples = ("0/0", "1/1") * ticks
-            control = CausalSignal.from_samples(self.CLOCKS, samples[: ticks + 1])
-            zeros = (bits("0" * (ticks + 1)),)
-            out_a, out_b = multiclock_output(
-                copier, toggler_spec(), control, zeros, zeros, cross_a=cross_a
-            )
-            # Simultaneous edges: A holds B's state strictly before the edge.
-            edges = len(naive_edges(tuple(s.split("/")[1] for s in samples[: ticks + 1])))
-            assert out_b == str(edges % 2)
-            expected_a = str((edges - 1) % 2) if edges else "0"
-            assert out_a == expected_a
+        zeros = bits("000")
+        assert last_output(toggler_pair_element(), control, D1=zeros, D2=zeros) == "0/0"
 
 
 class TestAbmem:
     def test_reads_examples(self):
+        reads = abmem_element().reads
         control = sig(PAIRS, "A/-", "B/A", "-/B")
-        assert abmem_reads(control.prefix(1)) == ReadSet.of(("D", 0))
-        assert abmem_reads(control) == ReadSet.of(("D", 1))
-        assert abmem_reads(sig(PAIRS, "-/A")) is None
+        assert reads(control.prefix(1)) == ReadSet.of(("D", 0))
+        assert reads(control) == ReadSet.of(("D", 1))
+        assert reads(sig(PAIRS, "-/A")) is None
 
     def test_same_tick_write_is_readable(self):
-        assert abmem_reads(sig(PAIRS, "A/A")) == ReadSet.of(("D", 0))
+        assert abmem_element().reads(sig(PAIRS, "A/A")) == ReadSet.of(("D", 0))
 
     def test_output_examples(self):
-        data = Alphabet(("x", "y"))
+        memory, data = abmem_element(), Alphabet(("x", "y"))
         control = sig(PAIRS, "A/-", "B/A")
-        assert abmem_output(control, sig(data, "x", "y")) == "x"
-        assert abmem_output(sig(PAIRS, "A/A"), sig(data, "x")) == "x"
-        assert abmem_output(sig(PAIRS, "-/B"), sig(data, "x")) is None
+        assert last_output(memory, control, D=sig(data, "x", "y")) == "x"
+        assert last_output(memory, sig(PAIRS, "A/A"), D=sig(data, "x")) == "x"
+        assert last_output(memory, sig(PAIRS, "-/B"), D=sig(data, "x")) is None
 
     def test_cell_state_route_agrees_with_read_map(self):
-        # The evaluator walks cell state while the read map scans the control
-        # history; exhaustively they must pick the same sample.
+        # The step walks cell state while the read step tracks write ticks;
+        # exhaustively they must pick the same sample.
+        memory = abmem_element()
         distinct = Alphabet(("v0", "v1", "v2"))
         for control in enumerate_causal_signals(PAIRS, 2):
             data = sig(distinct, *(f"v{u}" for u in range(control.t + 1)))
-            image = abmem_reads(control)
-            value = abmem_output(control, data)
+            image = memory.reads(control)
+            value = last_output(memory, control, D=data)
             if image is None:
                 assert value is None
             else:
@@ -456,7 +448,7 @@ class TestReadStep:
 
     def test_a_bare_read_map_gets_a_history_read_step(self):
         base = dff_element()
-        bare = dataclasses.replace(base, reads=dff_reads, read_init=None, read_step=None)
+        bare = dataclasses.replace(base, reads=oracle.dff_reads, read_init=None, read_step=None)
         control = bits("0110")
         state, refs = bare.read_init, None
         for tick, symbol in enumerate(control.samples):

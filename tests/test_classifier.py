@@ -22,7 +22,6 @@ from kcir import (
     classify,
     counter_element,
     dff_element,
-    dff_reads,
     enumerate_causal_signals,
     mux_element,
     sr_latch_element,
@@ -32,6 +31,9 @@ from kcir.classifier import DerivedRelation
 
 from .conftest import bits
 from .oracle import derive_relation, find_antisymmetry_witness
+
+
+DFF_READS = dff_element().reads
 
 
 # --- independent oracles ----------------------------------------------------
@@ -112,7 +114,7 @@ class TestDeriveRelation:
         # into the other, so the two read sets are never related.
         signals = enumerate_causal_signals(BINARY, 2)
         relation = build_prefix_relation(signals)
-        derived = derive_relation(dff_reads, relation)
+        derived = derive_relation(DFF_READS, relation)
         edge1, edge2 = ReadSet.of(("D", 1)), ReadSet.of(("D", 2))
         assert derived.nodes == frozenset({edge1, edge2})
         assert derived.pairs == frozenset({(edge1, edge1), (edge2, edge2)})
@@ -121,7 +123,7 @@ class TestDeriveRelation:
     def test_dff_matches_independent_scan(self):
         signals = enumerate_causal_signals(BINARY, 3)
         relation = build_prefix_relation(signals)
-        derived = derive_relation(dff_reads, relation)
+        derived = derive_relation(DFF_READS, relation)
         expected_pairs = set()
         excluded = 0
         for a, b in relation:
@@ -194,7 +196,7 @@ class TestFindAntisymmetryWitness:
         for horizon in range(1, 7):
             signals = enumerate_causal_signals(BINARY, horizon)
             relation = build_prefix_relation(signals)
-            assert find_antisymmetry_witness(dff_reads, relation) is None
+            assert find_antisymmetry_witness(DFF_READS, relation) is None
 
     def test_constant_read_map_has_none(self):
         constant = ReadSet.of(("D", 0))
@@ -266,7 +268,6 @@ class TestClassify:
             control_channels=("C",),
             control_alphabet=BINARY,
             input_channels=(("D", BINARY),),
-            output_alphabet=BINARY,
             init=None,
             step=lambda state, symbol, samples: (state, "0"),
             reads=transitivity_breaker,
@@ -321,9 +322,6 @@ class TestClassify:
         for module in (kcir.signals, kcir.classifier, kcir.circuits):
             monkeypatch.setattr(module, "enumerate_causal_signals", forbidden, raising=False)
             monkeypatch.setattr(module, "build_prefix_relation", forbidden, raising=False)
-        for name in ("posedges", "dff_reads", "mux_reads", "sync_reads",
-                     "multiclock_reads", "abmem_reads"):
-            monkeypatch.setattr(kcir.circuits, name, forbidden)
         # Set past ``__post_init__``, which would walk a given read map instead.
         object.__setattr__(element, "reads", forbidden)
         assert classify(element, horizon) == expected

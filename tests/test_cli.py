@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -9,7 +8,7 @@ import pytest
 from kcir import cli
 from kcir.cli import main
 from kcir import CausalSignal
-from kcir.dsl import load_circuit, parse
+from kcir.dsl import MAX_EXPR_DEPTH, load_circuit, parse
 
 from . import oracle
 from .conftest import CIRCUITS_DIR
@@ -278,19 +277,24 @@ def seeded_stimulus(path, circuit_file: str, ticks: int = 120, seed: int = 5) ->
     return str(path)
 
 
-def oracle_load_circuit(text: str):
-    """The circuit with its evaluator rebuilt the brute-force way."""
-    return dataclasses.replace(load_circuit(text), evaluate=oracle.ast_evaluator(parse(text)))
-
-
 class TestSimulateMatchesOracle:
     """``simulate`` is byte-identical to the prefix re-evaluating engine."""
 
     def both(self, monkeypatch, capsys, *argv):
         fast = run(capsys, *argv)
+        evaluators = []
+
+        def load(text):
+            # The brute-force evaluator of the same description, for the stream below.
+            evaluators.append(oracle.ast_evaluator(parse(text)))
+            return load_circuit(text)
+
+        def stream(element, control, inputs):
+            return oracle.output_stream(element, evaluators[-1], control, inputs)
+
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "load_circuit", oracle_load_circuit)
-            patch.setattr(cli, "output_stream", oracle.output_stream)
+            patch.setattr(cli, "load_circuit", load)
+            patch.setattr(cli, "output_stream", stream)
             slow = run(capsys, *argv)
         return fast, slow
 
@@ -479,3 +483,69 @@ class TestCheckCommand:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestDescriptionSizeGuards:
+    """Oversized or over-nested descriptions end in one error line, before any work."""
+
+    def write(self, tmp_path, body: str) -> str:
+        path = tmp_path / "big.kcir"
+        path.write_text(f"circuit big {{ kind sync; clock c; {body} }}")
+        return str(path)
+
+    def refused(self, capsys, path: str, column: int, message: str):
+        for command in ("classify", "check"):
+            code, out, err = run(capsys, command, "--circuit", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {path}:1:{column}: {message}")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "width", ["3000000", "100000000", "9" * 5000], ids=["3e6", "1e8", "5000-digits"]
+    )
+    def test_state_width_must_match_the_init_vector(self, tmp_path, capsys, width):
+        body = f"state {width} init 0; next q0 = q0; out y = q0;"
+        path = self.write(tmp_path, body)
+        column = len("circuit big { kind sync; clock c; ") + len(f"state {width} init ") + 1
+        self.refused(capsys, path, column, "init vector width 1 does not match state width")
+
+    @staticmethod
+    def nested(depth: int) -> str:
+        return "not(" * depth + "q0" + ")" * depth
+
+    def test_nesting_at_the_bound_parses_simulates_and_checks(self, tmp_path, capsys):
+        depth = MAX_EXPR_DEPTH
+        assert depth % 2 == 0  # an even number of negations is the identity
+        body = f"state 1 init 0; in d; next q0 = xor(q0, d); out y = {self.nested(depth)};"
+        path = self.write(tmp_path, body)
+        stimulus = tmp_path / "stimulus.csv"
+        stimulus.write_text("tick,c,d\n0,0,1\n1,1,1\n2,0,1\n3,1,0\n")
+        code, out, _ = run(capsys, "simulate", "--circuit", path, "--stimulus", str(stimulus))
+        assert code == 0
+        assert out.splitlines() == ["tick,output", "0,0", "1,1", "2,1", "3,1"]
+        code, out, _ = run(capsys, "check", "--circuit", path, "--trials", "50",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        code, out, _ = run(capsys, "classify", "--circuit", path, "--horizon", "2")
+        assert code == 0 and "verdict: time-preserving" in out
+
+    def test_nesting_past_the_bound_is_refused_at_its_operator(self, tmp_path, capsys):
+        depth = MAX_EXPR_DEPTH + 1
+        path = self.write(tmp_path, f"state 1 init 0; next q0 = q0; out y = {self.nested(depth)};")
+        column = (len("circuit big { kind sync; clock c; state 1 init 0; next q0 = q0; out y = ")
+                  + 4 * MAX_EXPR_DEPTH + 1)
+        self.refused(capsys, path, column, f"expression nested deeper than {MAX_EXPR_DEPTH}")
+
+    def test_many_out_clauses_load_simulate_and_classify(self, tmp_path, capsys):
+        outs = " ".join(
+            f"out o{i} = {'q0' if i % 2 == 0 else 'not(q0)'};" for i in range(64)
+        )
+        path = self.write(tmp_path, f"state 1 init 0; in d; next q0 = d; {outs}")
+        stimulus = tmp_path / "stimulus.csv"
+        stimulus.write_text("tick,c,d\n0,0,1\n1,1,1\n")
+        code, out, _ = run(capsys, "simulate", "--circuit", path, "--stimulus", str(stimulus))
+        assert code == 0
+        assert out.splitlines() == ["tick,output", "0," + "01" * 32, "1," + "10" * 32]
+        code, out, _ = run(capsys, "classify", "--circuit", path, "--horizon", "2")
+        assert code == 0 and "verdict: time-preserving" in out

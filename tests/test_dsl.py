@@ -180,6 +180,25 @@ class TestParseBasics:
         assert name in ("q0", "q1")
         assert text[info.value.span.column - 1 - 3 :].startswith(f"in {name};")
 
+    def test_register_block_clauses_in_any_order(self):
+        width = 12
+        nexts = " ".join(f"next q{i} = q{(i + 1) % width};" for i in reversed(range(width)))
+        ast = parse(f"circuit r {{ kind sync; clock ck; state {width} init {'0' * width};"
+                    f" {nexts} out b = q1; out a = q0; }}")
+        assert [target for target, _ in ast.next_exprs] == [f"q{i}" for i in range(width)]
+        assert [name for name, _ in ast.outputs] == ["b", "a"]
+
+    @pytest.mark.parametrize(
+        "clauses,message",
+        [("next q0 = q0; next q0 = q0; out y = q0;", "duplicate next clause for register"),
+         ("next q0 = q0; out y = q0; out y = q0;", "duplicate out clause")],
+        ids=["next", "out"],
+    )
+    def test_duplicate_block_clauses_are_reported(self, clauses, message):
+        with pytest.raises(ParseError) as info:
+            parse(f"circuit x {{ kind sync; clock ck; state 1 init 0; {clauses} }}")
+        assert info.value.message == message
+
     def test_missing_register_next_is_reported(self):
         with pytest.raises(ParseError) as info:
             parse(
