@@ -41,12 +41,10 @@ from .classifier import (
     AxiomReport,
     Classification,
     ClassifyStats,
-    DerivedRelation,
     ReadMap,
     ReadSet,
     RefPoint,
     Verdict,
-    check_partial_order,
     classify,
 )
 from .dsl import (
@@ -70,11 +68,8 @@ from .signals import (
     CausalSignal,
     Tick,
     Trace,
-    build_prefix_relation,
-    enumerate_causal_signals,
     history_count,
     prefix_leq,
-    restrict_trace,
     signal_at,
     split_symbol,
 )
@@ -94,7 +89,6 @@ __all__ = [
     "CircuitElement",
     "Classification",
     "ClassifyStats",
-    "DerivedRelation",
     "DomainAst",
     "ElaborationError",
     "Lit",
@@ -111,15 +105,12 @@ __all__ = [
     "Var",
     "Verdict",
     "abmem_element",
-    "build_prefix_relation",
     "causality_check",
-    "check_partial_order",
     "classify",
     "counter_element",
     "counter_spec",
     "dff_element",
     "elaborate",
-    "enumerate_causal_signals",
     "history_count",
     "load_circuit",
     "multiclock_element",
@@ -129,7 +120,6 @@ __all__ = [
     "prefix_leq",
     "pretty_print",
     "read_soundness_check",
-    "restrict_trace",
     "signal_at",
     "split_symbol",
     "sr_latch_element",

@@ -1,12 +1,12 @@
-"""Read maps, derived relations, partial-order axioms, and the verdict engine.
+"""Read maps, partial-order axioms, and the verdict engine.
 
 A read map tells, for each control-signal history, which input samples a
 circuit actually consumes to produce its current output.  Pushing the prefix
-order on control signals through a read map yields a derived relation on read
-sets.  If that relation is a partial order, the circuit's read structure
-embeds the order of time itself and the circuit is *time-preserving*; if
-antisymmetry fails there is a concrete four-signal witness proving no
-order-preserving arrangement of read sets can exist.
+order on control signals through a read map yields a relation on read sets.
+If that relation is a partial order, the circuit's read structure embeds the
+order of time itself and the circuit is *time-preserving*; if antisymmetry
+fails there is a concrete four-signal witness proving no order-preserving
+arrangement of read sets can exist.
 
 The classifier is exhaustive up to a finite horizon and fully deterministic.
 It walks the prefix tree of control histories once, level by level, stepping
@@ -65,9 +65,6 @@ class ReadSet:
     def of(cls, *refs: tuple[ChannelId, Tick]) -> "ReadSet":
         return cls(tuple(RefPoint(channel, tick) for channel, tick in refs))
 
-    def max_tick(self) -> Optional[Tick]:
-        return max((r.tick for r in self.refs), default=None)
-
     def __str__(self) -> str:
         return refs_text((r.channel, r.tick) for r in self.refs)
 
@@ -81,21 +78,6 @@ ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
 #: output is undefined there).  Folding it over a history from the element's
 #: ``read_init`` gives the read set of that history.
 ReadStepFn = Callable[[Any, str, Tick], tuple[Any, Optional[Refs]]]
-
-
-@dataclass(frozen=True)
-class DerivedRelation:
-    """Image of a signal relation under a read map.
-
-    ``nodes`` is the set of read sets of every defined signal occurring in the
-    source relation; ``pairs`` keeps one entry per source pair whose endpoints
-    are both defined.  Source pairs touching an undefined read set are dropped
-    and counted in ``excluded_undefined``.
-    """
-
-    nodes: frozenset[ReadSet]
-    pairs: frozenset[tuple[ReadSet, ReadSet]]
-    excluded_undefined: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,8 @@ def _axiom_report(
 
     Index order is read-set order, so scanning ``nodes`` (ascending) and
     ``pairs`` in int order meets the same smallest counterexamples as scanning
-    the read sets themselves, at the cost of int hashing and comparison.
+    the read sets themselves, at the cost of int hashing and comparison.  All
+    three axioms are checked outright, none is assumed to hold by construction.
     """
     ordered = sorted(pairs)
     refl = next((x for x in nodes if (x, x) not in pairs), None)
@@ -151,19 +134,6 @@ def _axiom_report(
         antisymmetry_witness=None if anti is None else (images[anti[0]], images[anti[1]]),
         transitivity_witness=None if trans is None else tuple(images[i] for i in trans),
     )
-
-
-def check_partial_order(relation: DerivedRelation) -> AxiomReport:
-    """Check reflexivity, antisymmetry, and transitivity of a derived relation.
-
-    All three axioms are verified outright; nothing is assumed to hold by
-    construction.  Failing witnesses are chosen by scanning nodes and pairs in
-    sorted order, so reruns always report the same counterexample.
-    """
-    images = sorted(relation.nodes.union(*relation.pairs))
-    rank = {image: i for i, image in enumerate(images)}
-    pairs = {(rank[x], rank[y]) for x, y in relation.pairs}
-    return _axiom_report(images, sorted(rank[x] for x in relation.nodes), pairs)
 
 
 @dataclass(frozen=True)
@@ -229,10 +199,10 @@ def _walk_prefix_tree(
 ) -> tuple[list[Refs], list[dict[int, tuple[int, int]]], int]:
     """Push the prefix order through a read step in one pass over the tree.
 
-    Signals are named by their index in :func:`kcir.signals.enumerate_causal_signals`
-    order over ``symbols``, which is ``sort_key`` order; a node's children
-    are its history extended by each symbol in turn, and each child's read
-    state is one ``read_step`` from its parent's.  Refs are interned to ids in
+    Signals are named by their index in ``sort_key`` order over ``symbols``,
+    the index :func:`kcir.signals.signal_at` decodes; a node's children are
+    its history extended by each symbol in turn, and each child's read state
+    is one ``read_step`` from its parent's.  Refs are interned to ids in
     order of first sight.
 
     Returns the interned refs; for every refs id ``y``, a row mapping each

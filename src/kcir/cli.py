@@ -10,7 +10,9 @@ produce byte-identical output on every rerun.  The timing key is null in JSON
 for that reason; wall time is shown in text mode.
 
 ``classify`` states how many control histories a run would walk before it
-starts, and refuses (exit 2) when that is above ``--max-signals``.
+starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``
+refuses a horizon whose trials would each draw more than
+``MAX_CHECK_SAMPLES`` samples.
 ``chi-dump`` folds the circuit's read step once over the control trace.
 """
 
@@ -42,6 +44,12 @@ UNDEF = "UNDEF"
 #: per history (counter at horizon 17: 235 MB for 524,286 histories), so a
 #: million stays under about 0.5 GB.
 MAX_SIGNALS = 1_000_000
+
+#: Most samples one ``check`` trial may draw: ticks 0..horizon on every
+#: channel.  A trial holds its traces and output streams in memory, at up to
+#: about 95 bytes per sample (counter at horizon 1,999,999: 362 MB max RSS),
+#: so a run stays under about 0.5 GB.
+MAX_CHECK_SAMPLES = 4_000_000
 
 
 class UsageError(Exception):
@@ -326,6 +334,14 @@ def _cmd_check(args) -> int:
         raise UsageError("--horizon must be >= 1")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    channels = len(element.control_channels) + len(element.input_channels)
+    samples = (args.horizon + 1) * channels
+    if samples > MAX_CHECK_SAMPLES:
+        raise UsageError(
+            f"--horizon {args.horizon} would draw {samples:,} samples per trial "
+            f"({channels} channels, ticks 0..{args.horizon}), above the limit of "
+            f"{MAX_CHECK_SAMPLES:,}"
+        )
     causality = causality_check(element, args.horizon, args.trials, args.seed)
     if element.read_step is not None:
         soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
@@ -434,6 +450,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    # argparse takes a value that opens with '-' (the abmem control "-/B,A/A")
+    # for an option, so such a --control value is glued to its flag.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--control" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--control={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

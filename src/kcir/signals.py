@@ -6,9 +6,12 @@ i.e. a value history that is closed at the present.  Causal signals over a
 shared alphabet carry a natural partial order: one signal precedes another
 exactly when the second extends the first without rewriting any past sample.
 
-Everything here is immutable and deterministic; enumeration order follows
-the declaration order of alphabet values, which downstream code relies on
-for reproducible tie-breaking.
+Everything here is immutable and deterministic.  Signals are ordered by
+:meth:`CausalSignal.sort_key`: current tick first, then sample ranks in the
+declaration order of alphabet values.  :func:`history_count` counts the
+signals up to a horizon and :func:`signal_at` rebuilds one from its index in
+that order, so the classifier names histories by int and still breaks ties
+reproducibly.
 """
 
 from __future__ import annotations
@@ -91,13 +94,6 @@ class Trace:
         return self.samples[tick]
 
 
-def restrict_trace(trace: Trace, t: Tick) -> Trace:
-    """The first ``t + 1`` samples of ``trace``; ``t`` must lie inside it."""
-    if not 0 <= t < len(trace):
-        raise IndexError(f"tick {t} outside trace of length {len(trace)}")
-    return Trace(trace.alphabet, trace.samples[: t + 1])
-
-
 @dataclass(frozen=True)
 class CausalSignal:
     """A value history up to a current tick: the pair of ``t`` and a trace on 0..t."""
@@ -128,10 +124,6 @@ class CausalSignal:
     def alphabet(self) -> Alphabet:
         return self.trace.alphabet
 
-    def prefix(self, t: Tick) -> "CausalSignal":
-        """The same history cut off at an earlier (or equal) current tick."""
-        return CausalSignal(t, restrict_trace(self.trace, t))
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """(t, sample ranks): the deterministic order used for tie-breaking."""
         rank = self.alphabet.rank
@@ -145,22 +137,6 @@ def prefix_leq(a: CausalSignal, b: CausalSignal) -> bool:
     return a.t <= b.t and b.samples[: a.t + 1] == a.samples
 
 
-def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSignal]:
-    """Every causal signal over ``alphabet`` with current tick 0..horizon.
-
-    The result is duplicate-free and ascends in ``sort_key`` order; its length
-    is ``history_count(len(alphabet), horizon)`` and its entry at ``index`` is
-    ``signal_at(alphabet, index)``.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    signals = []
-    for t in range(horizon + 1):
-        for combo in itertools.product(alphabet.values, repeat=t + 1):
-            signals.append(CausalSignal(t, Trace(alphabet, combo)))
-    return signals
-
-
 def history_count(width: int, horizon: Tick) -> int:
     """Σ width^(t+1) over ticks 0..horizon: the signals over ``width`` symbols."""
     if width == 1:
@@ -169,7 +145,11 @@ def history_count(width: int, horizon: Tick) -> int:
 
 
 def signal_at(alphabet: Alphabet, index: int) -> CausalSignal:
-    """The signal at ``index`` of :func:`enumerate_causal_signals` order."""
+    """The signal at ``index`` in ``sort_key`` order over ``alphabet``.
+
+    Indices below ``history_count(len(alphabet), horizon)`` are exactly the
+    signals with current tick 0..horizon.
+    """
     values = alphabet.values
     width = len(values)
     t, size = 0, width
@@ -182,28 +162,3 @@ def signal_at(alphabet: Alphabet, index: int) -> CausalSignal:
         index, digit = divmod(index, width)
         samples.append(values[digit])
     return CausalSignal.from_samples(alphabet, reversed(samples))
-
-
-def build_prefix_relation(
-    signals: Iterable[CausalSignal],
-) -> list[tuple[CausalSignal, CausalSignal]]:
-    """All ordered pairs (a, b) from ``signals`` with ``prefix_leq(a, b)``.
-
-    Works for any signal set, but only a prefix-closed carrier (as produced by
-    :func:`enumerate_causal_signals`) yields the full partial order.  Pairs are
-    found by direct prefix lookup, so the cost is linear in the output size.
-    """
-    by_shape: dict[tuple[Tick, tuple[str, ...]], CausalSignal] = {}
-    alphabets = set()
-    for s in signals:
-        alphabets.add(s.alphabet)
-        by_shape.setdefault((s.t, s.samples), s)
-    if len(alphabets) > 1:
-        raise ValueError("all signals must share one alphabet")
-    pairs = []
-    for b in by_shape.values():
-        for u in range(b.t + 1):
-            a = by_shape.get((u, b.samples[: u + 1]))
-            if a is not None:
-                pairs.append((a, b))
-    return pairs

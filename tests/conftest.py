@@ -13,6 +13,7 @@ from kcir import (
     output_stream,
     sr_latch_element,
 )
+from kcir.classifier import AxiomReport, _axiom_report
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "circuits"
 
@@ -38,6 +39,18 @@ def last_output(element: CircuitElement, control: CausalSignal, **inputs: Causal
     """The output at the current tick of the given signals: their ``output_stream``'s last entry."""
     traces = {name: signal.trace for name, signal in inputs.items()}
     return output_stream(element, control.trace, traces)[-1]
+
+
+def ranked_axiom_report(relation) -> AxiomReport:
+    """``_axiom_report`` on a relation of read sets, ranked as ``classify`` ranks them.
+
+    ``relation`` has ``nodes`` and ``pairs`` of read sets, like the oracle's
+    ``DerivedRelation``.
+    """
+    images = sorted(relation.nodes.union(*relation.pairs))
+    rank = {image: i for i, image in enumerate(images)}
+    pairs = {(rank[x], rank[y]) for x, y in relation.pairs}
+    return _axiom_report(images, sorted(rank[x] for x in relation.nodes), pairs)
 
 
 @pytest.fixture

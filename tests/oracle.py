@@ -1,9 +1,10 @@
 """Brute-force reference engines for classification, read maps and simulation.
 
-The classifier oracle materialises the whole prefix relation as a list of
-signal pairs, maps every pair through the read map, checks the axioms on the
-image of read sets themselves, and then scans the relation once more for the
-smallest antisymmetry witness.  The read-map oracles rescan the whole control
+The classifier oracle lists every control history up to the horizon,
+materialises the whole prefix relation as a list of signal pairs, maps every
+pair through the read map, checks the axioms on the image of read sets
+themselves, and then scans the relation once more for the smallest
+antisymmetry witness.  The read-map oracles rescan the whole control
 history for every signal (edge ticks, last writes).  The simulation oracle
 evaluates every tick from scratch: each circuit's output is computed from the
 whole prefix (edges found by scanning the clock history, latch and memory
@@ -15,6 +16,7 @@ read steps and the step functions against them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -23,7 +25,6 @@ from kcir.classifier import (
     AxiomReport,
     Classification,
     ClassifyStats,
-    DerivedRelation,
     ReadMap,
     ReadSet,
     RefPoint,
@@ -31,20 +32,61 @@ from kcir.classifier import (
 )
 from kcir.circuits import CircuitElement, SimulationError, SyncSpec
 from kcir.dsl import CircuitAst, _block_spec
-from kcir.signals import (
-    BINARY,
-    CausalSignal,
-    Tick,
-    Trace,
-    build_prefix_relation,
-    enumerate_causal_signals,
-    restrict_trace,
-    split_symbol,
-)
+from kcir.signals import BINARY, Alphabet, CausalSignal, Tick, Trace, split_symbol
 
 Relation = list[tuple[CausalSignal, CausalSignal]]
 
 _ADDRESSES = ("A", "B")
+
+
+# --- the prefix order, materialised -------------------------------------------
+
+def restrict_trace(trace: Trace, t: Tick) -> Trace:
+    """The first ``t + 1`` samples of ``trace``; ``t`` must lie inside it."""
+    if not 0 <= t < len(trace):
+        raise IndexError(f"tick {t} outside trace of length {len(trace)}")
+    return Trace(trace.alphabet, trace.samples[: t + 1])
+
+
+def prefix(signal: CausalSignal, t: Tick) -> CausalSignal:
+    """The same history cut off at an earlier (or equal) current tick."""
+    return CausalSignal(t, restrict_trace(signal.trace, t))
+
+
+def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSignal]:
+    """Every causal signal over ``alphabet`` with current tick 0..horizon, in ``sort_key`` order."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    return [
+        CausalSignal(t, Trace(alphabet, combo))
+        for t in range(horizon + 1)
+        for combo in itertools.product(alphabet.values, repeat=t + 1)
+    ]
+
+
+def build_prefix_relation(signals: Iterable[CausalSignal]) -> Relation:
+    """All pairs (a, b) with ``a`` a prefix of ``b``, over a prefix-closed carrier.
+
+    Each ``b`` is paired with its cut at every tick 0..b.t, shortest first, so
+    the result is the whole prefix order only when ``signals`` holds every
+    prefix of its members, as :func:`enumerate_causal_signals` does.
+    """
+    return [(prefix(b, u), b) for b in signals for u in range(b.t + 1)]
+
+
+@dataclass(frozen=True)
+class DerivedRelation:
+    """Image of a signal relation under a read map.
+
+    ``nodes`` is the set of read sets of every defined signal occurring in the
+    source relation; ``pairs`` keeps one entry per source pair whose endpoints
+    are both defined.  Source pairs touching an undefined read set are dropped
+    and counted in ``excluded_undefined``.
+    """
+
+    nodes: frozenset[ReadSet]
+    pairs: frozenset[tuple[ReadSet, ReadSet]]
+    excluded_undefined: int
 
 
 # --- read maps: rescan the whole control history --------------------------------

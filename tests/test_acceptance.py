@@ -18,12 +18,10 @@ from kcir import (
     ReadSet,
     Verdict,
     abmem_element,
-    build_prefix_relation,
     causality_check,
     classify,
     counter_element,
     dff_element,
-    enumerate_causal_signals,
     mux_element,
     output_stream,
     parse,
@@ -37,6 +35,7 @@ from kcir.cli import main
 from kcir.dsl import ParseError
 
 from .conftest import CIRCUITS_DIR, bits, last_output, latch_control
+from .oracle import build_prefix_relation, enumerate_causal_signals
 from .test_dsl import INVALID_CORPUS, VALID_CORPUS, find_occurrences
 
 KCIR_FILES = (

@@ -22,7 +22,6 @@ from kcir import (
     counter_element,
     counter_spec,
     dff_element,
-    enumerate_causal_signals,
     mux_element,
     output_stream,
     read_soundness_check,
@@ -33,6 +32,7 @@ from kcir import (
 
 from . import oracle
 from .conftest import bits, last_output, latch_control, sig
+from .oracle import enumerate_causal_signals, prefix
 
 
 def _random_trace(rng: random.Random, alphabet: Alphabet, length: int) -> Trace:
@@ -56,7 +56,7 @@ def step_edges(clock: CausalSignal) -> set[int]:
 def read_edges(clock: CausalSignal) -> set[int]:
     """Edge ticks as ``read_step`` sees them: the flip-flop's latest edge at every tick."""
     reads = dff_element().reads
-    images = (reads(clock.prefix(t)) for t in range(clock.t + 1))
+    images = (reads(prefix(clock, t)) for t in range(clock.t + 1))
     return {image.refs[0].tick for image in images if image is not None}
 
 
@@ -256,7 +256,7 @@ class TestAbmem:
     def test_reads_examples(self):
         reads = abmem_element().reads
         control = sig(PAIRS, "A/-", "B/A", "-/B")
-        assert reads(control.prefix(1)) == ReadSet.of(("D", 0))
+        assert reads(prefix(control, 1)) == ReadSet.of(("D", 0))
         assert reads(control) == ReadSet.of(("D", 1))
         assert reads(sig(PAIRS, "-/A")) is None
 

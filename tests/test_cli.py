@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from kcir import cli
 from kcir.cli import main
-from kcir import CausalSignal
+from kcir import CausalSignal, CausalityReport, ReadSoundnessReport
 from kcir.dsl import MAX_EXPR_DEPTH, load_circuit, parse
 
 from . import oracle
@@ -350,6 +351,14 @@ class TestChiDumpCommand:
             "2: {(D,1)}",
         ]
 
+    def test_control_may_open_with_a_dash(self, capsys):
+        code, out, err = run(
+            capsys,
+            "chi-dump", "--circuit", circuit("abmem.kcir"), "--control", "-/B,A/A",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["0: undefined", "1: {(D,1)}"]
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys,
@@ -483,6 +492,36 @@ class TestCheckCommand:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_horizon_guard_refuses_before_drawing(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "causality_check", _never_called)
+        monkeypatch.setattr(cli, "read_soundness_check", _never_called)
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "check", "--circuit", circuit("dff.kcir"), "--horizon", "100000000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        # A clock and a data channel, ticks 0..10^8.
+        assert "200,000,002 samples per trial" in err
+        assert f"limit of {cli.MAX_CHECK_SAMPLES:,}" in err
+        assert peak < 1_000_000
+
+    def test_horizon_guard_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "causality_check", lambda *args: CausalityReport(1, 1, 0))
+        monkeypatch.setattr(
+            cli, "read_soundness_check", lambda *args: ReadSoundnessReport(1, 1, 0, 0, 0)
+        )
+        # dff draws two channels per tick.
+        top = cli.MAX_CHECK_SAMPLES // 2 - 1
+        argv = ["check", "--circuit", circuit("dff.kcir"), "--trials", "1", "--horizon"]
+        assert run(capsys, *argv, str(top))[0] == 0
+        assert run(capsys, *argv, str(top + 1))[0] == 2
 
 
 class TestDescriptionSizeGuards:

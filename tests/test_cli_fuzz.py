@@ -1,0 +1,163 @@
+"""Fuzzing ``kcir.cli.main`` with drawn circuit text and stimulus CSV.
+
+Whatever the files hold, a command must end in exit 0, 2 (with one
+``error:`` line on stderr) or 3 (undefined output in ``simulate``); no
+exception may escape ``main``.  Circuit text is drawn as grammar-token soup
+and as small edits of the files in ``circuits/``; stimulus CSV is drawn from
+the channel names and sample values those circuits use.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kcir.cli import main
+from kcir.dsl import load_circuit
+from kcir.signals import split_symbol
+
+from .conftest import CIRCUITS_DIR
+
+SOURCES = [path.read_text(encoding="utf-8") for path in sorted(CIRCUITS_DIR.glob("*.kcir"))]
+
+TOKENS = (
+    "circuit", "kind", "clock", "state", "init", "in", "next", "out", "domain",
+    "dff", "srlatch", "mux", "sync", "multiclock", "abmem",
+    "not", "and", "or", "xor",
+    "c", "clk", "en", "x", "d", "q0", "q1", "q9", "y", "a_1",
+    "0", "1", "2", "00", "01", "007", "99999999999999999999",
+    "{", "}", "(", ")", ";", ",", "=", "#", "\n", "\r\n", "\t",
+)
+CHARACTERS = st.characters(codec="utf-8")
+
+CHANNELS = ("tick", "C", "D", "S", "A", "B", "W", "R", "C1", "C2", "D1", "D2",
+            "clk", "en", "cf", "cs", "df", "ds", "x", "")
+VALUES = ("0", "1", "a", "b", "A", "B", "-", "2", "", " 1 ", "x", "é", "0/1", '"', "1,0")
+
+
+@st.composite
+def edited_sources(draw):
+    """A file from ``circuits/`` after one to three small edits."""
+    text = draw(st.sampled_from(SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        insert = draw(st.one_of(st.sampled_from(TOKENS), st.text(CHARACTERS, max_size=3)))
+        text = text[:i] + insert + text[j:]
+    return text
+
+
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
+kcir_texts = st.one_of(edited_sources(), token_soup)
+
+
+@st.composite
+def stimulus_csvs(draw, channels=None):
+    """A stimulus table: a header of channel names and rows of ticks and values.
+
+    ``channels`` maps a circuit's channels to the values they take.  Then the
+    header is mostly ``tick`` and those channels in drawn order, and a cell
+    mostly one of its channel's values; else names and values are drawn from
+    every one the circuits use.
+    """
+    channels = channels or {}
+    if channels and draw(st.integers(0, 3)):
+        header = ["tick", *draw(st.permutations(list(channels)))]
+    else:
+        header = draw(st.lists(st.sampled_from(CHANNELS), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            header[0] = "tick"
+    rows = [",".join(header)]
+    for t in range(draw(st.integers(0, 6))):
+        tick = str(t) if draw(st.integers(0, 9)) else draw(st.sampled_from(("x", "-1", "7", "")))
+        names = header[1:] + [""] * (draw(st.integers(0, 9)) == 0)
+        cells = [
+            draw(st.sampled_from(channels[name] if name in channels and draw(st.integers(0, 19))
+                                 else VALUES))
+            for name in names
+        ]
+        rows.append(",".join([tick, *cells]))
+    return "\n".join(rows) + "\n"
+
+
+@st.composite
+def commands(draw, circuit: str, stimulus: str):
+    """One well-formed command line over the drawn files."""
+    command = draw(st.sampled_from(("classify", "simulate", "chi-dump", "check")))
+    argv = [command, "--circuit", circuit]
+    if command == "classify":
+        argv += ["--horizon", str(draw(st.integers(-1, 3)))]
+    elif command == "simulate":
+        argv += ["--stimulus", stimulus]
+        if draw(st.booleans()):
+            argv.append("--allow-undef")
+    elif command == "chi-dump":
+        argv += ["--control", ",".join(draw(st.lists(st.sampled_from(VALUES), max_size=4)))]
+    else:
+        argv += ["--horizon", str(draw(st.integers(0, 4))),
+                 "--trials", str(draw(st.integers(0, 3)))]
+    if command != "simulate" and draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root / "drawn.kcir", root / "drawn.csv"
+
+
+def run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=kcir_texts, csv_text=stimulus_csvs(), data=st.data())
+def test_drawn_files_end_in_a_known_exit_code(files, text, csv_text, data):
+    circuit, stimulus = files
+    circuit.write_text(text, encoding="utf-8")
+    stimulus.write_text(csv_text, encoding="utf-8")
+    argv = data.draw(commands(str(circuit), str(stimulus)))
+    code, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 3:
+        assert argv[0] == "simulate" and "--allow-undef" not in argv
+
+
+def _channels(source: str) -> dict[str, tuple[str, ...]]:
+    """Each channel of the circuit ``source`` describes, with the values it takes."""
+    element = load_circuit(source)
+    symbols = [split_symbol(symbol) for symbol in element.control_alphabet.values]
+    channels = {
+        name: tuple(sorted({parts[i] for parts in symbols}))
+        for i, name in enumerate(element.control_channels)
+    }
+    channels.update((name, ("0", "1")) for name in element.input_names)
+    return channels
+
+
+SIMULATED = [(source, _channels(source)) for source in SOURCES]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(SIMULATED), allow_undef=st.booleans(), data=st.data())
+def test_drawn_stimuli_simulate_or_exit_2(files, case, allow_undef, data):
+    source, channels = case
+    csv_text = data.draw(stimulus_csvs(channels))
+    circuit, stimulus = files
+    circuit.write_text(source, encoding="utf-8")
+    stimulus.write_text(csv_text, encoding="utf-8")
+    argv = ["simulate", "--circuit", str(circuit), "--stimulus", str(stimulus)]
+    code, err = run_main(argv + ["--allow-undef"] * allow_undef)
+    assert code in ((0, 2) if allow_undef else (0, 2, 3)), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -19,24 +19,20 @@ from kcir import (
     Alphabet,
     CausalSignal,
     CircuitElement,
-    DerivedRelation,
     ReadSet,
     SimulationError,
     SyncSpec,
     Trace,
     abmem_element,
-    check_partial_order,
     classify,
     counter_element,
     counter_spec,
     dff_element,
-    enumerate_causal_signals,
     load_circuit,
     multiclock_element,
     mux_element,
     output_stream,
     parse,
-    restrict_trace,
     sr_latch_element,
     sync_element,
     toggler_pair_element,
@@ -44,7 +40,8 @@ from kcir import (
 )
 
 from . import oracle
-from .conftest import CIRCUITS_DIR
+from .conftest import CIRCUITS_DIR, ranked_axiom_report
+from .oracle import DerivedRelation, enumerate_causal_signals, restrict_trace
 
 TWO_INPUT_SYNC = """
 circuit pair {
@@ -222,6 +219,16 @@ def test_table_read_maps_match_the_oracle(case):
     assert classify(element, horizon) == oracle.classify(element, horizon)
 
 
+@settings(max_examples=200, deadline=None)
+@given(table_circuits())
+def test_classify_never_reports_a_reflexivity_failure(case):
+    # The walk pairs every image it meets with itself, so this axiom cannot
+    # fail on classify's output; the check stays, as a guard on the walk.
+    report = classify(*case).axiom_report
+    assert report.reflexive
+    assert report.reflexivity_witness is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pairs=st.sets(st.tuples(st.sampled_from(PALETTE[1:]), st.sampled_from(PALETTE[1:]))),
@@ -230,7 +237,7 @@ def test_table_read_maps_match_the_oracle(case):
 def test_axioms_on_ranks_match_the_read_set_scan(pairs, extra):
     nodes = frozenset(extra.union(*pairs))
     relation = DerivedRelation(nodes, frozenset(pairs), 0)
-    assert check_partial_order(relation) == oracle.check_partial_order(relation)
+    assert ranked_axiom_report(relation) == oracle.check_partial_order(relation)
 
 
 def _failures(case) -> tuple[bool, bool]:

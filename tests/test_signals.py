@@ -11,15 +11,13 @@ from kcir import (
     Alphabet,
     CausalSignal,
     Trace,
-    build_prefix_relation,
-    enumerate_causal_signals,
     history_count,
     prefix_leq,
-    restrict_trace,
     signal_at,
 )
 
 from .conftest import bits
+from .oracle import build_prefix_relation, enumerate_causal_signals, prefix, restrict_trace
 
 
 class TestAlphabet:
@@ -165,7 +163,7 @@ class TestPrefixRelation:
 
     def test_one_trace_induces_a_chain(self):
         full = bits("01101")
-        chain = [full.prefix(t) for t in range(full.t + 1)]
+        chain = [prefix(full, t) for t in range(full.t + 1)]
         for i, a in enumerate(chain):
             assert a.t == i
             for b in chain[i:]:
