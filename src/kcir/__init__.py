@@ -24,15 +24,14 @@ from .circuits import (
     SyncSpec,
     abmem_element,
     causality_check,
+    clocked_element,
     counter_element,
     counter_spec,
     dff_element,
-    multiclock_element,
     mux_element,
     output_stream,
     read_soundness_check,
     sr_latch_element,
-    sync_element,
     toggler_pair_element,
     toggler_spec,
 )
@@ -107,13 +106,13 @@ __all__ = [
     "abmem_element",
     "causality_check",
     "classify",
+    "clocked_element",
     "counter_element",
     "counter_spec",
     "dff_element",
     "elaborate",
     "history_count",
     "load_circuit",
-    "multiclock_element",
     "mux_element",
     "output_stream",
     "parse",
@@ -123,7 +122,6 @@ __all__ = [
     "signal_at",
     "split_symbol",
     "sr_latch_element",
-    "sync_element",
     "toggler_pair_element",
     "toggler_spec",
 ]

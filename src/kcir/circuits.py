@@ -16,6 +16,12 @@ from it as a fold over the prefix, and the classifier steps it once per node
 of the prefix tree.  These two pairs are the only definitions of a circuit:
 there are no per-circuit evaluators or read maps beside them.
 
+Clocked register blocks have one engine: :func:`clocked_element` puts one
+register block on each of k clocks, and a synchronous circuit is the case
+k = 1.  Its control symbol joins the k clock samples with '/', and one edge
+table, shared by ``step`` and ``read_step``, says which clocks rise between
+two symbols, so both refuse a clock sample that is not a bit.
+
 Conventions shared by all built-ins:
 
 - clock and bit values are the strings "0" and "1"; a positive edge is a
@@ -31,7 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
 from .signals import BINARY, Alphabet, CausalSignal, Tick, Trace, split_symbol
@@ -256,7 +262,7 @@ def mux_element(name: str = "mux") -> CircuitElement:
 
 
 # ---------------------------------------------------------------------------
-# Clocked register blocks (synchronous composites)
+# Clocked register blocks: one block per clock domain
 
 @dataclass(frozen=True)
 class SyncSpec:
@@ -282,6 +288,36 @@ class SyncSpec:
             )
 
 
+def _edge_table(clocks: int, mark: Callable[[tuple[int, ...]], Any]) -> dict:
+    """``mark`` of the clocks that rise between two control symbols of a block.
+
+    Keyed by the previous symbol (``None`` before tick 0) and then the current
+    one; ``mark`` gets the indices of the clocks that go from 0 to 1.  Symbols
+    join one bit per clock with '/', so no symbol with a non-bit clock sample
+    is a key.
+    """
+    words = list(itertools.product("01", repeat=clocks))
+    return {
+        None if before is None else "/".join(before): {
+            "/".join(now): mark(() if before is None else tuple(
+                i for i, (b, n) in enumerate(zip(before, now)) if b == "0" and n == "1"
+            ))
+            for now in words
+        }
+        for before in (None, *words)
+    }
+
+
+def _reject_clocks(symbol: str, clocks: int) -> NoReturn:
+    """Raise for a control symbol that is not ``clocks`` '/'-joined bits."""
+    samples = split_symbol(symbol)
+    for sample in samples:
+        _require_bit_clock(sample)
+    raise SimulationError(
+        f"control symbol {symbol!r} has {len(samples)} clock samples, not {clocks}"
+    )
+
+
 def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) -> Refs:
     """Each channel's edge refs and then its current tick, channel by channel.
 
@@ -294,61 +330,93 @@ def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) ->
     return refs
 
 
-def _sync_reader(channels: Sequence[str]) -> tuple[Any, ReadStepFn]:
-    """(read_init, read_step) of a register block reading ``channels``.
+def _clocked_reader(domain_channels: Sequence[Sequence[str]]) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of register blocks reading ``domain_channels``, one per clock.
 
-    Registers latch inputs at each positive edge and the output logic sees the
-    current input, so the refs are the edge ticks together with the current
-    tick on every data channel; with no edges they are the current tick.  The
-    read state is (previous clock sample, per-channel edge refs), with the
-    channels sorted; an edge appends one ref to each channel's tuple.
+    Registers latch inputs at each positive edge of their clock and the output
+    logic sees the current input, so the refs are, on every data channel, the
+    edge ticks of its domain's clock and then the current tick; with no edges
+    they are the current tick.  The read state is (previous control symbol,
+    per-channel edge refs), with the channels of all domains sorted together;
+    an edge of a clock appends one ref to each channel of its domain.
     """
-    channels = tuple(sorted(set(channels)))
+    channels = tuple(sorted({c for own in domain_channels for c in own}))
+    clocks = len(domain_channels)
+    # Per channel, whether it takes an edge ref; None when no clock rises.
+    grows = _edge_table(clocks, lambda rising: tuple(
+        any(c in domain_channels[i] for i in rising) for c in channels
+    ) if rising else None)
 
-    def read_step(state, clock: str, tick: Tick):
+    def read_step(state, symbol: str, tick: Tick):
         previous, edges = state
-        if clock == "1":
-            if previous == "0":
-                edges = tuple(own + ((c, tick),) for c, own in zip(channels, edges))
-        elif clock != "0":
-            _require_bit_clock(clock)
-        return (clock, edges), _with_current(channels, edges, tick)
+        try:
+            grow = grows[previous][symbol]
+        except KeyError:
+            _reject_clocks(symbol, clocks)
+        if grow:
+            edges = tuple([
+                own + ((c, tick),) if g else own for c, own, g in zip(channels, edges, grow)
+            ])
+        return (symbol, edges), _with_current(channels, edges, tick)
 
     return (None, ((),) * len(channels)), read_step
 
 
-def _sync_machine(spec: SyncSpec) -> tuple[Any, StepFn]:
-    """(init, step) of a register block; the state is (previous clock, registers)."""
-    next_state, output_fn = spec.next_state, spec.output_fn
+def _clocked_machine(specs: Sequence[SyncSpec], widths: Sequence[int]) -> tuple[Any, StepFn]:
+    """(init, step) of register blocks ``specs``, one per clock of the control symbol.
 
-    def step(state, clock: str, samples: tuple[str, ...]):
-        _require_bit_clock(clock)
+    The state is (previous control symbol, per-domain registers).  The step's
+    input samples list each domain's channels in domain order, ``widths`` of
+    them per domain, and its output is the domain outputs joined with '/', so
+    a one-domain block outputs its own.
+    """
+    clocks = len(specs)
+    starts = list(itertools.accumulate(widths, initial=0))
+    bounds = list(zip(starts, starts[1:]))
+    outs = [(spec.output_fn, lo, hi) for spec, (lo, hi) in zip(specs, bounds)]
+    rises = _edge_table(
+        clocks, lambda rising: [(i, specs[i].next_state, *bounds[i]) for i in rising]
+    )
+
+    def step(state, symbol: str, samples: tuple[str, ...]):
         previous, registers = state
-        if previous == "0" and clock == "1":
-            registers = next_state(registers, samples)
-        return (clock, registers), output_fn(registers, samples)
+        try:
+            rising = rises[previous][symbol]
+        except KeyError:
+            _reject_clocks(symbol, clocks)
+        if rising:
+            registers = list(registers)
+            for i, next_state, lo, hi in rising:
+                registers[i] = next_state(registers[i], samples[lo:hi])
+            registers = tuple(registers)
+        outputs = []
+        for own, (output_fn, lo, hi) in zip(registers, outs):
+            outputs.append(output_fn(own, samples[lo:hi]))
+        return (symbol, registers), "/".join(outputs)
 
-    return (None, spec.initial_state), step
+    return (None, tuple(spec.initial_state for spec in specs)), step
 
 
-def sync_element(
-    name: str,
-    spec: SyncSpec,
-    *,
-    clock_channel: str = "C",
-    data_channels: Sequence[str] = ("D",),
-    data_alphabets: Sequence[Alphabet] | None = None,
+def clocked_element(
+    name: str, domains: Sequence[tuple[str, SyncSpec, Sequence[str]]]
 ) -> CircuitElement:
-    data_channels = tuple(data_channels)
-    if data_alphabets is None:
-        data_alphabets = tuple(BINARY for _ in data_channels)
-    init, step = _sync_machine(spec)
-    read_init, read_step = _sync_reader(data_channels)
+    """Register blocks, one per clock domain given as (clock channel, spec, data channels).
+
+    The control symbol joins the clock samples with '/' in domain order, and
+    the output joins the domain outputs the same way, so a one-domain block is
+    a synchronous circuit on one binary clock.  Data channels are binary.
+    """
+    if not domains:
+        raise ValueError("a clocked block needs at least one domain")
+    clocks = tuple(clock for clock, _, _ in domains)
+    data = [tuple(channels) for _, _, channels in domains]
+    init, step = _clocked_machine([spec for _, spec, _ in domains], [len(c) for c in data])
+    read_init, read_step = _clocked_reader(data)
     return CircuitElement(
         name=name,
-        control_channels=(clock_channel,),
-        control_alphabet=BINARY,
-        input_channels=tuple(zip(data_channels, data_alphabets)),
+        control_channels=clocks,
+        control_alphabet=Alphabet.product(*(("0", "1"),) * len(clocks)),
+        input_channels=tuple((c, BINARY) for channels in data for c in channels),
         init=init,
         step=step,
         read_init=read_init,
@@ -378,7 +446,7 @@ def counter_spec(bits: int = 2) -> SyncSpec:
 
 
 def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
-    return sync_element(name, counter_spec(bits))
+    return clocked_element(name, [("C", counter_spec(bits), ("D",))])
 
 
 def toggler_spec() -> SyncSpec:
@@ -391,94 +459,11 @@ def toggler_spec() -> SyncSpec:
     )
 
 
-# ---------------------------------------------------------------------------
-# Two clock domains
-
-def _multiclock_reader(
-    channels_a: Sequence[str], channels_b: Sequence[str]
-) -> tuple[Any, ReadStepFn]:
-    """(read_init, read_step) of two register blocks on the clocks of a paired symbol.
-
-    The refs are each domain's edge ticks on that domain's channels plus the
-    current tick on every data channel.  The read state is (previous clock a,
-    previous clock b, per-channel edge refs), with the channels of both
-    domains sorted together; an edge of a domain appends one ref to each of
-    that domain's channels.
-    """
-    channels = tuple(sorted({*channels_a, *channels_b}))
-    domains = tuple((c in channels_a, c in channels_b) for c in channels)
-
-    def read_step(state, symbol: str, tick: Tick):
-        previous_a, previous_b, edges = state
-        parts = symbol.split("/")
-        clock_a, clock_b = parts[0], parts[1]
-        rise_a = previous_a == "0" and clock_a == "1"
-        rise_b = previous_b == "0" and clock_b == "1"
-        if rise_a or rise_b:
-            edges = tuple(
-                own + ((c, tick),) if rise_a and in_a or rise_b and in_b else own
-                for c, own, (in_a, in_b) in zip(channels, edges, domains)
-            )
-        return (clock_a, clock_b, edges), _with_current(channels, edges, tick)
-
-    return (None, None, ((),) * len(channels)), read_step
-
-
-def _multiclock_machine(spec_a: SyncSpec, spec_b: SyncSpec, width_a: int) -> tuple[Any, StepFn]:
-    """(init, step) of two register blocks on the two clocks of a paired symbol.
-
-    The state is (previous clock a, previous clock b, registers a, registers
-    b); the step's input samples list domain a's channels first, ``width_a``
-    of them, and its output is the domain outputs joined as ``a/b``.
-    """
-    next_a, next_b = spec_a.next_state, spec_b.next_state
-    out_a, out_b = spec_a.output_fn, spec_b.output_fn
-
-    def step(state, symbol: str, samples: tuple[str, ...]):
-        previous_a, previous_b, state_a, state_b = state
-        parts = split_symbol(symbol)
-        clock_a, clock_b = parts[0], parts[1]
-        samples_a, samples_b = samples[:width_a], samples[width_a:]
-        if previous_a == "0" and clock_a == "1":
-            state_a = next_a(state_a, samples_a)
-        if previous_b == "0" and clock_b == "1":
-            state_b = next_b(state_b, samples_b)
-        output = f"{out_a(state_a, samples_a)}/{out_b(state_b, samples_b)}"
-        return (clock_a, clock_b, state_a, state_b), output
-
-    return (None, None, spec_a.initial_state, spec_b.initial_state), step
-
-
-def multiclock_element(
-    name: str,
-    spec_a: SyncSpec,
-    spec_b: SyncSpec,
-    *,
-    clock_channels: tuple[str, str] = ("C1", "C2"),
-    data_channels_a: Sequence[str] = ("D1",),
-    data_channels_b: Sequence[str] = ("D2",),
-) -> CircuitElement:
-    """Two register blocks on separate clocks; the output is joined as ``a/b``."""
-    data_channels_a = tuple(data_channels_a)
-    data_channels_b = tuple(data_channels_b)
-    init, step = _multiclock_machine(spec_a, spec_b, len(data_channels_a))
-    read_init, read_step = _multiclock_reader(data_channels_a, data_channels_b)
-    channels = tuple((c, BINARY) for c in (*data_channels_a, *data_channels_b))
-    return CircuitElement(
-        name=name,
-        control_channels=clock_channels,
-        control_alphabet=Alphabet.product(("0", "1"), ("0", "1")),
-        input_channels=channels,
-        init=init,
-        step=step,
-        read_init=read_init,
-        read_step=read_step,
-    )
-
-
 def toggler_pair_element(name: str = "twoclock") -> CircuitElement:
-    """Two independent one-register togglers on separate clocks."""
-    return multiclock_element(name, toggler_spec(), toggler_spec())
+    """Two independent one-register togglers on separate clocks; the output is ``a/b``."""
+    return clocked_element(
+        name, [("C1", toggler_spec(), ("D1",)), ("C2", toggler_spec(), ("D2",))]
+    )
 
 
 # ---------------------------------------------------------------------------

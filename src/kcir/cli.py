@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
@@ -54,6 +55,13 @@ MAX_CHECK_SAMPLES = 4_000_000
 
 class UsageError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parsing whose errors end in one ``error:`` line like every other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +221,7 @@ def _cmd_classify(args) -> int:
     result = classify(element, args.horizon)
     elapsed = time.perf_counter() - started
 
-    stats = {
-        "horizon": result.stats.horizon,
-        "signals": result.stats.signals,
-        "relation_pairs": result.stats.relation_pairs,
-        "distinct_read_sets": result.stats.distinct_read_sets,
-        "excluded_undefined": result.stats.excluded_undefined,
-        "degenerate_horizon": result.stats.degenerate_horizon,
-    }
+    stats = dataclasses.asdict(result.stats)
     if args.format == "json":
         report = {
             "circuit": element.name,
@@ -345,13 +346,7 @@ def _cmd_check(args) -> int:
     causality = causality_check(element, args.horizon, args.trials, args.seed)
     if element.read_step is not None:
         soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
-        soundness_stats = {
-            "trials": soundness.trials,
-            "mutations": soundness.mutations,
-            "undefined": soundness.undefined,
-            "unmutable": soundness.unmutable,
-            "violations": soundness.violations,
-        }
+        soundness_stats = dataclasses.asdict(soundness)
         failed = causality.violations > 0 or soundness.violations > 0
     else:
         soundness_stats = {"skipped": "circuit has no restriction map"}
@@ -359,11 +354,7 @@ def _cmd_check(args) -> int:
     stats = {
         "horizon": args.horizon,
         "seed": args.seed,
-        "causality": {
-            "trials": causality.trials,
-            "mutations": causality.mutations,
-            "violations": causality.violations,
-        },
+        "causality": dataclasses.asdict(causality),
         "read_soundness": soundness_stats,
     }
     verdict = "fail" if failed else "pass"
@@ -397,7 +388,7 @@ def _cmd_check(args) -> int:
 # Entry points
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kcir",
         description="Simulate and classify sequential circuits described in .kcir files.",
     )
@@ -458,13 +449,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv[i:i + 2] = [f"--control={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help, once its text is printed
+        return exc.code
 
 
 def entry() -> None:

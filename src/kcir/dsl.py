@@ -23,6 +23,11 @@ is free.
 
 Parsing is all-or-nothing: the first problem raises :class:`ParseError` with
 a source span covering the offending token.
+
+A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
+parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to two
+named ones, and :func:`elaborate` builds both kinds with
+:func:`kcir.circuits.clocked_element`, one register block per domain.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ BoolExpr = Union[Lit, Var, Call]
 
 @dataclass(frozen=True)
 class DomainAst:
+    """One clocked register block; a ``sync`` circuit's body has the name ``""``."""
+
     name: str
     clock: str
     state_width: int
@@ -117,14 +124,10 @@ class DomainAst:
 
 @dataclass(frozen=True)
 class CircuitAst:
+    """A circuit description; ``sync`` has one domain, ``multiclock`` two, the rest none."""
+
     name: str
     kind: str
-    clocks: tuple[str, ...] = ()
-    state_width: Optional[int] = None
-    init_bits: Optional[str] = None
-    inputs: tuple[str, ...] = ()
-    next_exprs: tuple[tuple[str, BoolExpr], ...] = ()
-    outputs: tuple[tuple[str, BoolExpr], ...] = ()
     domains: tuple[DomainAst, ...] = ()
 
 
@@ -379,7 +382,9 @@ def _expr_vars(expr: BoolExpr):
             yield from _expr_vars(arg)
 
 
-def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
+def _assemble_domain(
+    domain_name: str, clauses: list[_Clause], anchor: _Token, what: str
+) -> DomainAst:
     """Shared validation for a sync circuit body or a multiclock domain body."""
     clock = _single(clauses, "clock")
     if clock is None:
@@ -437,7 +442,15 @@ def _assemble_sync_body(clauses: list[_Clause], anchor: _Token, what: str):
                 _fail("undeclared variable", var)
 
     ordered = tuple((f"q{i}", nexts[f"q{i}"]) for i in range(width))
-    return clock.names[0].text, width, bits, tuple(inputs), ordered, tuple(outputs.items())
+    return DomainAst(
+        domain_name,
+        clock.names[0].text,
+        width,
+        bits,
+        tuple(inputs),
+        ordered,
+        tuple(outputs.items()),
+    )
 
 
 def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
@@ -452,19 +465,8 @@ def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
         return CircuitAst(name.text, kind)
 
     if kind == "sync":
-        clock, width, bits, inputs, nexts, outputs = _assemble_sync_body(
-            clauses, anchor, "sync circuit"
-        )
-        return CircuitAst(
-            name.text,
-            kind,
-            clocks=(clock,),
-            state_width=width,
-            init_bits=bits,
-            inputs=inputs,
-            next_exprs=nexts,
-            outputs=outputs,
-        )
+        body = _assemble_domain("", clauses, anchor, "sync circuit")
+        return CircuitAst(name.text, kind, (body,))
 
     # multiclock
     domain_clauses = [c for c in clauses if c.category == "domain"]
@@ -479,12 +481,7 @@ def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
         seen_names[dom_name.text] = dom_name
         body = clause.extra[0]
         _check_legal(body, _DOMAIN_CLAUSES, "inside a domain")
-        clock, width, bits, inputs, nexts, outputs = _assemble_sync_body(
-            body, dom_name, f"domain {dom_name.text}"
-        )
-        domains.append(
-            DomainAst(dom_name.text, clock, width, bits, inputs, nexts, outputs)
-        )
+        domains.append(_assemble_domain(dom_name.text, body, dom_name, f"domain {dom_name.text}"))
     if domains[0].clock == domains[1].clock:
         _fail("duplicate clock name across domains", domain_clauses[1].names[0])
     overlap = set(domains[0].inputs) & set(domains[1].inputs)
@@ -509,15 +506,14 @@ def _format_expr(expr: BoolExpr) -> str:
     return f"{expr.op}({', '.join(_format_expr(a) for a in expr.args)})"
 
 
-def _format_body(ast, indent: str) -> list[str]:
-    clock = ast.clocks[0] if isinstance(ast, CircuitAst) else ast.clock
-    lines = [f"{indent}clock {clock};"]
-    lines.append(f"{indent}state {ast.state_width} init {ast.init_bits};")
-    for name in ast.inputs:
+def _format_body(domain: DomainAst, indent: str) -> list[str]:
+    lines = [f"{indent}clock {domain.clock};"]
+    lines.append(f"{indent}state {domain.state_width} init {domain.init_bits};")
+    for name in domain.inputs:
         lines.append(f"{indent}in {name};")
-    for target, expr in ast.next_exprs:
+    for target, expr in domain.next_exprs:
         lines.append(f"{indent}next {target} = {_format_expr(expr)};")
-    for name, expr in ast.outputs:
+    for name, expr in domain.outputs:
         lines.append(f"{indent}out {name} = {_format_expr(expr)};")
     return lines
 
@@ -525,13 +521,11 @@ def _format_body(ast, indent: str) -> list[str]:
 def pretty_print(ast: CircuitAst) -> str:
     """Canonical text for an AST; reparsing it yields an equal AST."""
     lines = [f"circuit {ast.name} {{", f"  kind {ast.kind};"]
-    if ast.kind == "sync":
-        lines.extend(_format_body(ast, "  "))
-    elif ast.kind == "multiclock":
-        for domain in ast.domains:
-            lines.append(f"  domain {domain.name} {{")
-            lines.extend(_format_body(domain, "    "))
-            lines.append("  }")
+    for domain in ast.domains:
+        if ast.kind == "sync":
+            lines.extend(_format_body(domain, "  "))
+        else:
+            lines += [f"  domain {domain.name} {{", *_format_body(domain, "    "), "  }"]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -558,10 +552,11 @@ def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
     return lambda env: "1" if sum(f(env) == "1" for f in compiled) % 2 else "0"
 
 
-def _block_spec(width, init_bits, inputs, next_exprs, outputs, where) -> SyncSpec:
-    if len(init_bits) != width:
+def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
+    width, inputs = domain.state_width, domain.inputs
+    if len(domain.init_bits) != width:
         raise ElaborationError(
-            f"{where}: init vector width {len(init_bits)} does not match "
+            f"{where}: init vector width {len(domain.init_bits)} does not match "
             f"state width {width}"
         )
     registers = {f"q{i}" for i in range(width)}
@@ -569,32 +564,30 @@ def _block_spec(width, init_bits, inputs, next_exprs, outputs, where) -> SyncSpe
         if name in registers:
             raise ElaborationError(f"{where}: input {name!r} collides with a state register")
     declared = registers | set(inputs)
-    for _, expr in (*next_exprs, *outputs):
+    for _, expr in (*domain.next_exprs, *domain.outputs):
         for var in _expr_vars(expr):
             if var.name not in declared:
                 raise ElaborationError(f"{where}: undeclared variable {var.name!r}")
     # The environment is the state vector followed by the input samples.
     slots = {f"q{i}": i for i in range(width)}
     slots.update((name, width + k) for k, name in enumerate(inputs))
-    next_fns = [_compile_expr(expr, slots) for _, expr in next_exprs]
-    out_fns = [_compile_expr(expr, slots) for _, expr in outputs]
-    input_names = tuple(inputs)
-
-    def env_of(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
-        for name, value in zip(input_names, samples):
-            if value != "0" and value != "1":
-                raise SimulationError(f"input {name!r} sample {value!r} is not a bit")
-        return state + samples
+    next_fns = [_compile_expr(expr, slots) for _, expr in domain.next_exprs]
+    out_fns = [_compile_expr(expr, slots) for _, expr in domain.outputs]
 
     def step(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
-        env = env_of(state, samples)
-        return tuple(fn(env) for fn in next_fns)
+        # Unchecked: ``out`` runs on the same samples at the same tick and rejects
+        # a non-bit one before any output of that tick is produced.
+        env = state + samples
+        return tuple([fn(env) for fn in next_fns])
 
     def out(state: tuple[str, ...], samples: tuple[str, ...]) -> str:
-        env = env_of(state, samples)
-        return "".join(fn(env) for fn in out_fns)
+        for name, value in zip(inputs, samples):
+            if value != "0" and value != "1":
+                raise SimulationError(f"input {name!r} sample {value!r} is not a bit")
+        env = state + samples
+        return "".join([fn(env) for fn in out_fns])
 
-    return SyncSpec(width, tuple(init_bits), step, out)
+    return SyncSpec(width, tuple(domain.init_bits), step, out)
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:
@@ -607,39 +600,15 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
         return circuits.mux_element(ast.name)
     if ast.kind == "abmem":
         return circuits.abmem_element(ast.name)
-    if ast.kind == "sync":
-        spec = _block_spec(
-            ast.state_width,
-            ast.init_bits,
-            ast.inputs,
-            ast.next_exprs,
-            ast.outputs,
-            ast.name,
+    # sync and multiclock; errors name a multiclock domain as circuit.domain.
+    return circuits.clocked_element(ast.name, [
+        (
+            domain.clock,
+            _block_spec(domain, ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}"),
+            domain.inputs,
         )
-        return circuits.sync_element(
-            ast.name,
-            spec,
-            clock_channel=ast.clocks[0],
-            data_channels=ast.inputs,
-        )
-    # multiclock
-    dom_a, dom_b = ast.domains
-    spec_a = _block_spec(
-        dom_a.state_width, dom_a.init_bits, dom_a.inputs,
-        dom_a.next_exprs, dom_a.outputs, f"{ast.name}.{dom_a.name}",
-    )
-    spec_b = _block_spec(
-        dom_b.state_width, dom_b.init_bits, dom_b.inputs,
-        dom_b.next_exprs, dom_b.outputs, f"{ast.name}.{dom_b.name}",
-    )
-    return circuits.multiclock_element(
-        ast.name,
-        spec_a,
-        spec_b,
-        clock_channels=(dom_a.clock, dom_b.clock),
-        data_channels_a=dom_a.inputs,
-        data_channels_b=dom_b.inputs,
-    )
+        for domain in ast.domains
+    ])
 
 
 def load_circuit(text: str) -> CircuitElement:

@@ -169,7 +169,7 @@ def ast_reads(ast: CircuitAst) -> Optional[ReadMap]:
     if ast.kind in _FIXED_READS:
         return _FIXED_READS[ast.kind]
     if ast.kind == "sync":
-        return lambda control: sync_reads(control, ast.inputs)
+        return lambda control: sync_reads(control, ast.domains[0].inputs)
     dom_a, dom_b = ast.domains
     return lambda control: multiclock_reads(control, dom_a.inputs, dom_b.inputs)
 
@@ -544,13 +544,8 @@ def ast_evaluator(ast: CircuitAst) -> EvalFn:
     if ast.kind in _FIXED_KINDS:
         return _FIXED_KINDS[ast.kind]
     if ast.kind == "sync":
-        spec = _block_spec(ast.state_width, ast.init_bits, ast.inputs,
-                           ast.next_exprs, ast.outputs, ast.name)
-        return sync_evaluator(spec, ast.inputs)
+        (body,) = ast.domains
+        return sync_evaluator(_block_spec(body, ast.name), body.inputs)
     dom_a, dom_b = ast.domains
-    spec_a, spec_b = (
-        _block_spec(d.state_width, d.init_bits, d.inputs, d.next_exprs, d.outputs,
-                    f"{ast.name}.{d.name}")
-        for d in (dom_a, dom_b)
-    )
+    spec_a, spec_b = (_block_spec(d, f"{ast.name}.{d.name}") for d in (dom_a, dom_b))
     return multiclock_evaluator(spec_a, spec_b, dom_a.inputs, dom_b.inputs)

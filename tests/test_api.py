@@ -37,13 +37,13 @@ PUBLIC_NAMES = [
     "abmem_element",
     "causality_check",
     "classify",
+    "clocked_element",
     "counter_element",
     "counter_spec",
     "dff_element",
     "elaborate",
     "history_count",
     "load_circuit",
-    "multiclock_element",
     "mux_element",
     "output_stream",
     "parse",
@@ -53,14 +53,13 @@ PUBLIC_NAMES = [
     "signal_at",
     "split_symbol",
     "sr_latch_element",
-    "sync_element",
     "toggler_pair_element",
     "toggler_spec",
 ]
 
 
 def test_exported_names_are_exactly_the_public_surface():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert sorted(kcir.__all__) == PUBLIC_NAMES
     for name in kcir.__all__:
         assert getattr(kcir, name) is not None, name
@@ -79,3 +78,8 @@ def test_a_circuit_is_its_steps_and_read_steps():
         "read_init",
         "read_step",
     ]
+
+
+def test_a_circuit_description_is_its_clock_domains():
+    fields = [field.name for field in dataclasses.fields(kcir.CircuitAst)]
+    assert fields == ["name", "kind", "domains"]

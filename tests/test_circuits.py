@@ -19,6 +19,7 @@ from kcir import (
     abmem_element,
     causality_check,
     classify,
+    clocked_element,
     counter_element,
     counter_spec,
     dff_element,
@@ -26,7 +27,6 @@ from kcir import (
     output_stream,
     read_soundness_check,
     sr_latch_element,
-    sync_element,
     toggler_pair_element,
 )
 
@@ -47,7 +47,7 @@ def naive_edges(samples):
 
 def step_edges(clock: CausalSignal) -> set[int]:
     """Edge ticks as ``step`` sees them: where a 4-bit edge counter moves."""
-    counter = sync_element("counter4", counter_spec(4))
+    counter = clocked_element("counter4", [("C", counter_spec(4), ("D",))])
     zeros = Trace(BINARY, ("0",) * len(clock.samples))
     counts = output_stream(counter, clock.trace, {"D": zeros})
     return {t for t in range(1, len(counts)) if counts[t] != counts[t - 1]}
@@ -80,8 +80,19 @@ class TestClockEdges:
 
     @pytest.mark.parametrize("edges", (step_edges, read_edges))
     def test_non_bit_samples_rejected(self, edges):
-        with pytest.raises(SimulationError):
-            edges(sig(Alphabet(("0", "1", "z")), "0", "z"))
+        for bad in ("z", "0/1"):
+            with pytest.raises(SimulationError):
+                edges(sig(Alphabet(("0", "1", bad)), "0", bad))
+        # A block on two clocks rejects a non-bit sample of either clock too.
+        pair = toggler_pair_element()
+        for symbol in ("z/1", "1/z"):
+            control = sig(Alphabet(("0/0", symbol)), "0/0", symbol)
+            with pytest.raises(SimulationError, match="clock sample 'z' is not a bit"):
+                if edges is step_edges:
+                    zeros = bits("00").trace
+                    output_stream(pair, control.trace, {"D1": zeros, "D2": zeros})
+                else:
+                    pair.reads(control)
 
 
 class TestDff:
@@ -180,7 +191,7 @@ class TestSyncReads:
         assert reads(bits("010")) == ReadSet.of(("D", 1), ("D", 2))
 
     def test_multiple_channels(self):
-        element = sync_element("two", counter_spec(2), data_channels=("d", "e"))
+        element = clocked_element("two", [("C", counter_spec(2), ("d", "e"))])
         assert element.reads(bits("01")) == ReadSet.of(("d", 1), ("e", 1))
 
 

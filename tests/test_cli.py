@@ -142,6 +142,29 @@ class TestClassifyCommand:
         assert run(capsys, "classify", "--circuit", circuit("dff.kcir"),
                    "--horizon", "-1")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("check", "--circuit", circuit("dff.kcir"), "--horizon", "x"),
+             "argument --horizon: invalid int value: 'x'"),
+            (("check", "--horizon", "3"), "the following arguments are required: --circuit"),
+            (("classify", "--circuit", circuit("dff.kcir"), "--format", "yaml"),
+             "argument --format: invalid choice: 'yaml'"),
+            (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["bad-int", "missing-option", "bad-format", "unknown-command"],
+    )
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "check", "--help")
+        assert code == 0
+        assert out.startswith("usage: kcir check") and err == ""
+
 
 class TestSimulateCommand:
     def test_dff_edge_stimulus(self, capsys):

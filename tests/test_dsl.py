@@ -11,6 +11,7 @@ from kcir import (
     Alphabet,
     Call,
     CircuitAst,
+    DomainAst,
     ElaborationError,
     Lit,
     ParseError,
@@ -110,15 +111,17 @@ class TestParseBasics:
             " out y = q1; in d; }"
         )
         assert ast.kind == "sync"
-        assert ast.clocks == ("clk",)
-        assert ast.state_width == 2
-        assert ast.init_bits == "00"
-        assert ast.inputs == ("d",)
-        assert ast.next_exprs == (
+        (body,) = ast.domains
+        assert body.name == ""
+        assert body.clock == "clk"
+        assert body.state_width == 2
+        assert body.init_bits == "00"
+        assert body.inputs == ("d",)
+        assert body.next_exprs == (
             ("q0", Call("xor", (Var("q0"), Var("d")))),
             ("q1", Call("xor", (Var("q1"), Call("and", (Var("q0"), Var("d")))))),
         )
-        assert ast.outputs == (("y", Var("q1")),)
+        assert body.outputs == (("y", Var("q1")),)
 
     def test_unknown_kind_reports_its_token(self):
         with pytest.raises(ParseError) as info:
@@ -138,7 +141,7 @@ class TestParseBasics:
             "circuit z { kind sync; clock ck; state 3 init 001;"
             " next q0 = q1; next q1 = q2; next q2 = q0; out y = q0; }"
         )
-        assert ast.init_bits == "001"
+        assert ast.domains[0].init_bits == "001"
 
     def test_uppercase_is_rejected(self):
         with pytest.raises(ParseError) as info:
@@ -185,8 +188,9 @@ class TestParseBasics:
         nexts = " ".join(f"next q{i} = q{(i + 1) % width};" for i in reversed(range(width)))
         ast = parse(f"circuit r {{ kind sync; clock ck; state {width} init {'0' * width};"
                     f" {nexts} out b = q1; out a = q0; }}")
-        assert [target for target, _ in ast.next_exprs] == [f"q{i}" for i in range(width)]
-        assert [name for name, _ in ast.outputs] == ["b", "a"]
+        (body,) = ast.domains
+        assert [target for target, _ in body.next_exprs] == [f"q{i}" for i in range(width)]
+        assert [name for name, _ in body.outputs] == ["b", "a"]
 
     @pytest.mark.parametrize(
         "clauses,message",
@@ -257,12 +261,15 @@ class TestRoundTripProperty:
         ast = CircuitAst(
             name="gen",
             kind="sync",
-            clocks=("ck",),
-            state_width=2,
-            init_bits=init,
-            inputs=("d", "e"),
-            next_exprs=(("q0", e0), ("q1", e1)),
-            outputs=(("y", out),),
+            domains=(DomainAst(
+                name="",
+                clock="ck",
+                state_width=2,
+                init_bits=init,
+                inputs=("d", "e"),
+                next_exprs=(("q0", e0), ("q1", e1)),
+                outputs=(("y", out),),
+            ),),
         )
         assert parse(pretty_print(ast)) == ast
 
@@ -299,12 +306,15 @@ class TestCompiledLogic:
         ast = CircuitAst(
             name="gen",
             kind="sync",
-            clocks=("ck",),
-            state_width=2,
-            init_bits=init,
-            inputs=("d", "e"),
-            next_exprs=(("q0", e0), ("q1", e1)),
-            outputs=(("hi", hi), ("lo", lo)),
+            domains=(DomainAst(
+                name="",
+                clock="ck",
+                state_width=2,
+                init_bits=init,
+                inputs=("d", "e"),
+                next_exprs=(("q0", e0), ("q1", e1)),
+                outputs=(("hi", hi), ("lo", lo)),
+            ),),
         )
         ticks = data.draw(st.integers(1, 12))
         columns = [
@@ -392,12 +402,15 @@ class TestElaborate:
         ast = CircuitAst(
             name="bad",
             kind="sync",
-            clocks=("ck",),
-            state_width=2,
-            init_bits="000",
-            inputs=(),
-            next_exprs=(("q0", Lit("0")), ("q1", Lit("0"))),
-            outputs=(("y", Var("q0")),),
+            domains=(DomainAst(
+                name="",
+                clock="ck",
+                state_width=2,
+                init_bits="000",
+                inputs=(),
+                next_exprs=(("q0", Lit("0")), ("q1", Lit("0"))),
+                outputs=(("y", Var("q0")),),
+            ),),
         )
         with pytest.raises(ElaborationError):
             elaborate(ast)
@@ -406,12 +419,15 @@ class TestElaborate:
         ast = CircuitAst(
             name="bad",
             kind="sync",
-            clocks=("ck",),
-            state_width=1,
-            init_bits="0",
-            inputs=(),
-            next_exprs=(("q0", Var("ghost")),),
-            outputs=(("y", Var("q0")),),
+            domains=(DomainAst(
+                name="",
+                clock="ck",
+                state_width=1,
+                init_bits="0",
+                inputs=(),
+                next_exprs=(("q0", Var("ghost")),),
+                outputs=(("y", Var("q0")),),
+            ),),
         )
         with pytest.raises(ElaborationError):
             elaborate(ast)
@@ -420,12 +436,15 @@ class TestElaborate:
         ast = CircuitAst(
             name="bad",
             kind="sync",
-            clocks=("ck",),
-            state_width=1,
-            init_bits="0",
-            inputs=("q0",),
-            next_exprs=(("q0", Var("q0")),),
-            outputs=(("y", Var("q0")),),
+            domains=(DomainAst(
+                name="",
+                clock="ck",
+                state_width=1,
+                init_bits="0",
+                inputs=("q0",),
+                next_exprs=(("q0", Var("q0")),),
+                outputs=(("y", Var("q0")),),
+            ),),
         )
         with pytest.raises(ElaborationError):
             elaborate(ast)

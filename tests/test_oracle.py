@@ -25,16 +25,15 @@ from kcir import (
     Trace,
     abmem_element,
     classify,
+    clocked_element,
     counter_element,
     counter_spec,
     dff_element,
     load_circuit,
-    multiclock_element,
     mux_element,
     output_stream,
     parse,
     sr_latch_element,
-    sync_element,
     toggler_pair_element,
     toggler_spec,
 )
@@ -275,13 +274,13 @@ def _built_in_cases():
     yield "counter", counter_element(), oracle.sync_evaluator(counter_spec(2)), BITS
     yield (
         "counter3",
-        sync_element("counter3", counter_spec(3)),
+        clocked_element("counter3", [("C", counter_spec(3), ("D",))]),
         oracle.sync_evaluator(counter_spec(3)),
         BITS,
     )
     yield (
         "holder-toggler",
-        multiclock_element("pair", HOLDER, toggler_spec()),
+        clocked_element("pair", [("C1", HOLDER, ("D1",)), ("C2", toggler_spec(), ("D2",))]),
         oracle.multiclock_evaluator(HOLDER, toggler_spec()),
         BITS,
     )
