@@ -13,7 +13,10 @@ or not, with concrete witnesses when it is not.
 
 A circuit is defined once, by ``init``/``step`` and, where it has a read
 map, ``read_init``/``read_step``; ``output_stream``, the read map ``reads``
-and the randomized checks are folds of those steps.
+and the randomized checks are folds of those steps.  A stream is its
+samples: ``output_stream`` takes the control symbols and one sample sequence
+per input channel, and a :class:`CausalSignal` is an alphabet and the
+samples of ticks 0..t.
 """
 
 from .circuits import (
@@ -66,7 +69,6 @@ from .signals import (
     Alphabet,
     CausalSignal,
     Tick,
-    Trace,
     history_count,
     prefix_leq,
     signal_at,
@@ -100,7 +102,6 @@ __all__ = [
     "SourceSpan",
     "SyncSpec",
     "Tick",
-    "Trace",
     "Var",
     "Verdict",
     "abmem_element",

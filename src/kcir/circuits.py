@@ -2,9 +2,12 @@
 
 Each element is a causal function written as one step per tick: ``step``
 maps (state, control symbol, current input samples) to (next state, output),
-starting from ``init``.  Simulating a stimulus is one left fold over its
-columns, so ``output_stream`` costs O(T) steps for T ticks, and the output at
-a tick of any history is the same fold cut off at that tick.
+starting from ``init``.  A stimulus is plain sample columns: the control
+symbols and one sample sequence per input channel.  Simulating it is one left
+fold over those columns, so ``output_stream`` costs O(T) steps for T ticks,
+and the output at a tick of any history is the same fold cut off at that
+tick.  ``step`` and ``read_step`` refuse a control symbol outside the
+element's ``control_alphabet`` with :class:`SimulationError`.
 
 Where the circuit admits one, a read step describes exactly which input
 samples the output depends on: ``read_step`` maps (read state, control
@@ -40,11 +43,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
-from .signals import BINARY, Alphabet, CausalSignal, Tick, Trace, split_symbol
+from .signals import BINARY, Alphabet, CausalSignal, Tick, split_symbol
 
 
 class SimulationError(ValueError):
-    """Raised when traces or samples fed to a circuit are malformed for it."""
+    """Raised when control symbols or samples fed to a circuit are malformed for it."""
 
 
 StepFn = Callable[[Any, str, tuple[str, ...]], tuple[Any, Optional[str]]]
@@ -81,7 +84,7 @@ def _history_read_step(reads: ReadMap, alphabet: Alphabet) -> ReadStepFn:
 
     def read_step(history: tuple[str, ...], symbol: str, tick: Tick):
         history = (*history, symbol)
-        image = reads(CausalSignal(tick, Trace(alphabet, history)))
+        image = reads(CausalSignal(alphabet, history))
         if image is None:
             return history, None
         return history, tuple((ref.channel, ref.tick) for ref in image.refs)
@@ -202,20 +205,20 @@ def dff_element(name: str = "dff") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # SR latch
 
+#: The latch output each set/reset symbol forces; "0/0" holds it instead.
+_SR_FORCES = {"1/0": "1", "0/1": "0", "1/1": "0"}
+
+
 def _sr_step(q: Optional[str], symbol: str, _samples: tuple[str, ...]):
     """Level-sensitive set/reset latch; (0,0) holds the previous output.
 
     Undefined until the first tick whose inputs are not (0,0), since no
     previous output exists to hold.
     """
-    parts = split_symbol(symbol)
-    s, r = parts[0], parts[1]
-    if (s, r) == ("1", "0"):
-        q = "1"
-    elif (s, r) in (("0", "1"), ("1", "1")):
-        q = "0"
-    elif (s, r) != ("0", "0"):
-        raise SimulationError(f"latch inputs ({s!r}, {r!r}) are not bits")
+    if symbol in _SR_FORCES:
+        q = _SR_FORCES[symbol]
+    elif symbol != "0/0":
+        raise SimulationError(f"latch control symbol {symbol!r} is not two bits")
     return q, q
 
 
@@ -235,18 +238,23 @@ def sr_latch_element(name: str = "srlatch") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Multiplexer
 
+def _mux_channel(select: str) -> int:
+    """Index of the input channel a select value routes: 0 for 'a', 1 for 'b'."""
+    if select == "a":
+        return 0
+    if select == "b":
+        return 1
+    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
+
+
 def _mux_read_step(state, select: str, tick: Tick):
     """The selected channel at the current tick; the other channel is never read."""
-    return state, (("A", tick),) if select == "a" else (("B", tick),)
+    return state, ((("A", "B")[_mux_channel(select)], tick),)
 
 
 def _mux_step(state, select: str, samples: tuple[str, ...]):
     """Route one of two current inputs according to the select value."""
-    if select == "a":
-        return state, samples[0]
-    if select == "b":
-        return state, samples[1]
-    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
+    return state, samples[_mux_channel(select)]
 
 
 def mux_element(name: str = "mux") -> CircuitElement:
@@ -268,24 +276,20 @@ def mux_element(name: str = "mux") -> CircuitElement:
 class SyncSpec:
     """A clocked register block: registers plus combinational next/output logic.
 
-    ``next_state`` maps (state vector, input samples at the edge) to the next
-    state vector; ``output_fn`` maps (state vector, current input samples) to
-    the output value.  Both must be total over their finite domains.
+    ``initial_state`` holds one value per register, so its length is the
+    register count.  ``next_state`` maps (state vector, input samples at the
+    edge) to the next state vector; ``output_fn`` maps (state vector, current
+    input samples) to the output value.  Both must be total over their finite
+    domains.
     """
 
-    register_count: int
     initial_state: tuple[str, ...]
     next_state: Callable[[tuple[str, ...], tuple[str, ...]], tuple[str, ...]]
     output_fn: Callable[[tuple[str, ...], tuple[str, ...]], str]
 
     def __post_init__(self) -> None:
-        if self.register_count < 1:
+        if not self.initial_state:
             raise ValueError("a register block needs at least one register")
-        if len(self.initial_state) != self.register_count:
-            raise ValueError(
-                f"initial state width {len(self.initial_state)} does not match "
-                f"register count {self.register_count}"
-            )
 
 
 def _edge_table(clocks: int, mark: Callable[[tuple[int, ...]], Any]) -> dict:
@@ -442,7 +446,7 @@ def counter_spec(bits: int = 2) -> SyncSpec:
     def out(state: tuple[str, ...], _inputs: tuple[str, ...]) -> str:
         return str(_state_value(state))
 
-    return SyncSpec(bits, ("0",) * bits, step, out)
+    return SyncSpec(("0",) * bits, step, out)
 
 
 def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
@@ -452,7 +456,6 @@ def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
 def toggler_spec() -> SyncSpec:
     """A single register that flips on every edge."""
     return SyncSpec(
-        1,
         ("0",),
         lambda state, _inputs: ("1" if state[0] == "0" else "0",),
         lambda state, _inputs: state[0],
@@ -469,18 +472,21 @@ def toggler_pair_element(name: str = "twoclock") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Two-address read/write memory
 
-_ADDRESSES = ("A", "B")
-_IDLE = "-"
-_CELL_INDEX = {addr: i for i, addr in enumerate(_ADDRESSES)}
-_EMPTY_CELLS: tuple[Optional[str], ...] = (None,) * len(_ADDRESSES)
+#: Each address's cell, and ``None`` for the idle address '-'.
+_SLOTS = {"A": 0, "B": 1, "-": None}
+_EMPTY_CELLS: tuple[Optional[str], ...] = (None, None)
+#: (written cell, read cell) of each memory control symbol.
+_CELLS = {f"{w}/{r}": (_SLOTS[w], _SLOTS[r]) for w in _SLOTS for r in _SLOTS}
 
 
 def _cell_indices(symbol: str) -> tuple[Optional[int], Optional[int]]:
     """(written cell, read cell) of a memory control symbol; ``None`` for no cell."""
-    parts = split_symbol(symbol)
-    if len(parts) != 2:
-        raise SimulationError(f"memory control symbol {symbol!r} is not a pair")
-    return _CELL_INDEX.get(parts[0]), _CELL_INDEX.get(parts[1])
+    try:
+        return _CELLS[symbol]
+    except KeyError:
+        raise SimulationError(
+            f"memory control symbol {symbol!r} is not a write/read pair of A, B or '-'"
+        ) from None
 
 
 def _abmem_read_step(written, symbol: str, tick: Tick):
@@ -511,11 +517,10 @@ def _abmem_step(cells: tuple[Optional[str], ...], symbol: str, samples: tuple[st
 
 
 def abmem_element(name: str = "abmem") -> CircuitElement:
-    addresses = (*_ADDRESSES, _IDLE)
     return CircuitElement(
         name=name,
         control_channels=("W", "R"),
-        control_alphabet=Alphabet.product(addresses, addresses),
+        control_alphabet=Alphabet.product(_SLOTS, _SLOTS),
         input_channels=(("D", BINARY),),
         init=_EMPTY_CELLS,
         step=_abmem_step,
@@ -529,25 +534,26 @@ def abmem_element(name: str = "abmem") -> CircuitElement:
 
 def output_stream(
     element: CircuitElement,
-    control: Trace,
-    inputs: Mapping[str, Trace],
+    control: Sequence[str],
+    inputs: Mapping[str, Sequence[str]],
 ) -> list[Optional[str]]:
-    """Per-tick outputs over whole traces: one left fold of ``step`` over the columns.
+    """Per-tick outputs over whole sample columns: one left fold of ``step``.
 
-    Entry ``t`` is the output at tick ``t``, which by causality depends on the
-    prefixes at ``t`` alone; the cost is one step per tick.
+    ``control`` holds the control symbol of every tick and ``inputs`` maps
+    each input channel to its samples.  Entry ``t`` is the output at tick
+    ``t``, which by causality depends on the prefixes at ``t`` alone; the cost
+    is one step per tick.
     """
     names = element.input_names
     if set(inputs) != set(names):
         raise SimulationError(
             f"input channels {sorted(inputs)} do not match {sorted(names)}"
         )
-    lengths = {len(control), *(len(trace) for trace in inputs.values())}
-    if len(lengths) != 1:
-        raise SimulationError("control and input traces must have equal length")
+    if len({len(control), *(len(samples) for samples in inputs.values())}) != 1:
+        raise SimulationError("control and input columns must have equal length")
     if len(control) == 0:
-        raise SimulationError("traces must cover at least tick 0")
-    return _fold_outputs(element, control.samples, [inputs[name].samples for name in names])
+        raise SimulationError("columns must cover at least tick 0")
+    return _fold_outputs(element, control, [inputs[name] for name in names])
 
 
 def _fold_outputs(
@@ -563,8 +569,16 @@ def _fold_outputs(
     return outputs
 
 
-def _random_trace(rng: random.Random, alphabet: Alphabet, length: int) -> Trace:
-    return Trace(alphabet, tuple(rng.choice(alphabet.values) for _ in range(length)))
+def _stream_alphabets(element: CircuitElement) -> list[Alphabet]:
+    """The control alphabet, then each input channel's in channel order."""
+    return [element.control_alphabet, *(alphabet for _, alphabet in element.input_channels)]
+
+
+def _random_streams(
+    rng: random.Random, alphabets: Sequence[Alphabet], length: int
+) -> list[tuple[str, ...]]:
+    """One random column per alphabet: the control symbols, then the input columns."""
+    return [tuple(rng.choice(a.values) for _ in range(length)) for a in alphabets]
 
 
 @dataclass(frozen=True)
@@ -581,7 +595,7 @@ def read_soundness_check(
 ) -> ReadSoundnessReport:
     """Mutate input samples outside the read set; the output must not move.
 
-    Each trial draws random control and input traces, picks a tick, and flips
+    Each trial draws random control and input columns, picks a tick, and flips
     one input sample at a position the read step does not claim at ``t``; the
     outputs at ``t`` before and after are ``step`` folded over ticks 0..t.
     Trials whose read set is undefined, or where every position up to ``t``
@@ -591,16 +605,14 @@ def read_soundness_check(
         raise ValueError(f"circuit {element.name!r} has no read map")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    alphabets = _stream_alphabets(element)
     rng = random.Random(seed)
     mutations = undefined = unmutable = violations = 0
     for _ in range(trials):
-        control = _random_trace(rng, element.control_alphabet, horizon + 1)
-        input_traces = {
-            name: _random_trace(rng, alphabet, horizon + 1)
-            for name, alphabet in element.input_channels
-        }
+        control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = rng.randint(0, horizon)
-        refs = _fold_refs(element.read_init, element.read_step, control.samples[: t + 1])
+        symbols = control[: t + 1]
+        refs = _fold_refs(element.read_init, element.read_step, symbols)
         if refs is None:
             undefined += 1
             continue
@@ -614,8 +626,7 @@ def read_soundness_check(
         if not free:
             unmutable += 1
             continue
-        symbols = control.samples[: t + 1]
-        columns = [trace.samples[: t + 1] for trace in input_traces.values()]
+        columns = [column[: t + 1] for column in columns]
         baseline = _fold_outputs(element, symbols, columns)[-1]
         k, u, alphabet = free[rng.randrange(len(free))]
         old = columns[k][u]
@@ -640,31 +651,18 @@ def causality_check(
     """Mutate a sample at some tick m; outputs strictly before m must not move."""
     if horizon < 1:
         raise ValueError("causality needs a horizon of at least 1")
+    alphabets = _stream_alphabets(element)
     rng = random.Random(seed)
     mutations = violations = 0
     for _ in range(trials):
-        control = _random_trace(rng, element.control_alphabet, horizon + 1)
-        input_traces = {
-            name: _random_trace(rng, alphabet, horizon + 1)
-            for name, alphabet in element.input_channels
-        }
-        before = output_stream(element, control, input_traces)
+        streams = _random_streams(rng, alphabets, horizon + 1)
+        before = _fold_outputs(element, streams[0], streams[1:])
         m = rng.randint(1, horizon)
-        pick = rng.randrange(len(element.input_channels) + 1)
-        if pick == 0:
-            alphabet = element.control_alphabet
-            samples = list(control.samples)
-            samples[m] = rng.choice([v for v in alphabet.values if v != samples[m]])
-            control2 = Trace(alphabet, tuple(samples))
-            inputs2 = input_traces
-        else:
-            name, alphabet = element.input_channels[pick - 1]
-            samples = list(input_traces[name].samples)
-            samples[m] = rng.choice([v for v in alphabet.values if v != samples[m]])
-            control2 = control
-            inputs2 = dict(input_traces)
-            inputs2[name] = Trace(alphabet, tuple(samples))
-        after = output_stream(element, control2, inputs2)
+        pick = rng.randrange(len(streams))
+        samples = list(streams[pick])
+        samples[m] = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
+        streams[pick] = samples
+        after = _fold_outputs(element, streams[0], streams[1:])
         mutations += 1
         if before[:m] != after[:m]:
             violations += 1

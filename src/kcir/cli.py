@@ -13,7 +13,7 @@ for that reason; wall time is shown in text mode.
 starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``
 refuses a horizon whose trials would each draw more than
 ``MAX_CHECK_SAMPLES`` samples.
-``chi-dump`` folds the circuit's read step once over the control trace.
+``chi-dump`` folds the circuit's read step once over the control symbols.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
@@ -37,7 +37,7 @@ from .circuits import (
 )
 from .classifier import AntisymmetryWitness, AxiomReport, ReadSet, Refs, classify, refs_text
 from .dsl import ElaborationError, ParseError, load_circuit
-from .signals import Alphabet, CausalSignal, Trace, history_count
+from .signals import CausalSignal, history_count
 
 UNDEF = "UNDEF"
 
@@ -47,9 +47,9 @@ UNDEF = "UNDEF"
 MAX_SIGNALS = 1_000_000
 
 #: Most samples one ``check`` trial may draw: ticks 0..horizon on every
-#: channel.  A trial holds its traces and output streams in memory, at up to
-#: about 95 bytes per sample (counter at horizon 1,999,999: 362 MB max RSS),
-#: so a run stays under about 0.5 GB.
+#: channel.  A trial holds its sample columns and output streams in memory,
+#: at up to about 95 bytes per sample (counter at horizon 1,999,999: 362 MB
+#: max RSS), so a run stays under about 0.5 GB.
 MAX_CHECK_SAMPLES = 4_000_000
 
 
@@ -139,16 +139,27 @@ def _load_element(path: str) -> CircuitElement:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _read_stimulus(path: str, element: CircuitElement) -> tuple[Trace, dict[str, Trace]]:
+def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[str, list[str]]]:
+    """The control symbols and the input columns of a stimulus CSV, read in one pass."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except (OSError, UnicodeDecodeError) as exc:
+            return _stimulus_columns(filter(None, csv.reader(handle)), element)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+
+
+def _stimulus_columns(
+    rows: Iterator[list[str]], element: CircuitElement
+) -> tuple[list[str], dict[str, list[str]]]:
+    """Validate the non-blank ``rows`` of a stimulus as they are read.
+
+    Each cell is stripped once, and each tick's control symbol is joined and
+    checked against the control alphabet; no row is kept once it is read.
+    """
+    header = [cell.strip() for cell in next(rows, ())]
+    if not header:
         raise UsageError("stimulus file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != "tick":
+    if header[0] != "tick":
         raise UsageError("stimulus header must start with 'tick'")
     columns = header[1:]
     expected = set(element.control_channels) | set(element.input_names)
@@ -160,39 +171,35 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[Trace, dict[str,
     if len(set(columns)) != len(columns):
         raise UsageError("stimulus has a duplicate column")
 
-    data: dict[str, list[str]] = {name: [] for name in columns}
-    for i, row in enumerate(rows[1:]):
-        cells = [cell.strip() for cell in row]
+    at = {name: k for k, name in enumerate(header)}
+    control_at = [at[channel] for channel in element.control_channels]
+    alphabet = element.control_alphabet
+    control: list[str] = []
+    inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
+    fills = [(inputs[name].append, at[name]) for name in element.input_names]
+    for i, row in enumerate(rows, 1):
+        cells = list(map(str.strip, row))
         if len(cells) != len(header):
-            raise UsageError(f"stimulus row {i + 1} has {len(cells)} cells, expected {len(header)}")
+            raise UsageError(f"stimulus row {i} has {len(cells)} cells, expected {len(header)}")
         try:
             tick = int(cells[0])
         except ValueError:
-            raise UsageError(f"stimulus row {i + 1} has non-integer tick {cells[0]!r}") from None
-        if tick != i:
+            raise UsageError(f"stimulus row {i} has non-integer tick {cells[0]!r}") from None
+        if tick != i - 1:
             raise UsageError(
-                f"stimulus ticks must be contiguous from 0: row {i + 1} has tick {tick}"
+                f"stimulus ticks must be contiguous from 0: row {i} has tick {tick}"
             )
-        for name, cell in zip(columns, cells[1:]):
-            data[name].append(cell)
-    if not data[columns[0]]:
-        raise UsageError("stimulus must contain at least one row")
-
-    control_symbols = [
-        "/".join(data[channel][t] for channel in element.control_channels)
-        for t in range(len(data[columns[0]]))
-    ]
-    for symbol in control_symbols:
-        if symbol not in element.control_alphabet:
+        symbol = "/".join([cells[k] for k in control_at])
+        if symbol not in alphabet:
             raise UsageError(
                 f"control value {symbol!r} is not in the circuit's control alphabet "
-                f"{element.control_alphabet.values!r}"
+                f"{alphabet.values!r}"
             )
-    control = Trace(element.control_alphabet, tuple(control_symbols))
-    inputs = {}
-    for name in element.input_names:
-        tokens = tuple(data[name])
-        inputs[name] = Trace(Alphabet(tuple(dict.fromkeys(tokens))), tokens)
+        control.append(symbol)
+        for fill, k in fills:
+            fill(cells[k])
+    if not control:
+        raise UsageError("stimulus must contain at least one row")
     return control, inputs
 
 
@@ -410,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a circuit over a stimulus CSV")
     p.add_argument("--circuit", required=True)
     p.add_argument("--stimulus", required=True, help="CSV with tick and channel columns")
-    p.add_argument("--out", help="write the trace CSV here instead of stdout")
+    p.add_argument("--out", help="write the output CSV here instead of stdout")
     p.add_argument(
         "--allow-undef",
         action="store_true",

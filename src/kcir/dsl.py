@@ -587,7 +587,7 @@ def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
         env = state + samples
         return "".join([fn(env) for fn in out_fns])
 
-    return SyncSpec(width, tuple(domain.init_bits), step, out)
+    return SyncSpec(tuple(domain.init_bits), step, out)
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:

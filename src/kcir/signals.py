@@ -1,10 +1,10 @@
-"""Finite discrete time, value traces, and causal signals under the prefix order.
+"""Finite discrete time and causal signals under the prefix order.
 
-Time is a finite run of integer ticks 0..n.  A trace assigns one symbolic
-value per tick, and a causal signal is a trace paired with its current tick,
-i.e. a value history that is closed at the present.  Causal signals over a
-shared alphabet carry a natural partial order: one signal precedes another
-exactly when the second extends the first without rewriting any past sample.
+Time is a finite run of integer ticks 0..n.  A causal signal is a value
+history closed at the present: one symbolic value per tick from 0 up to its
+current tick, all drawn from one alphabet.  Causal signals over a shared
+alphabet carry a natural partial order: one signal precedes another exactly
+when the second extends the first without rewriting any past sample.
 
 Everything here is immutable and deterministic.  Signals are ordered by
 :meth:`CausalSignal.sort_key`: current tick first, then sample ranks in the
@@ -73,13 +73,15 @@ def split_symbol(symbol: str) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Trace:
-    """A closed run of samples from tick 0, each drawn from one alphabet."""
+class CausalSignal:
+    """A value history closed at the present: one sample per tick 0..t, ``t`` the last."""
 
     alphabet: Alphabet
     samples: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not self.samples:
+            raise ValueError("a causal signal needs at least the tick-0 sample")
         ranks = self.alphabet._ranks
         for sample in self.samples:
             if sample not in ranks:
@@ -87,42 +89,14 @@ class Trace:
                     f"sample {sample!r} not in alphabet {self.alphabet.values!r}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, tick: Tick) -> str:
-        return self.samples[tick]
-
-
-@dataclass(frozen=True)
-class CausalSignal:
-    """A value history up to a current tick: the pair of ``t`` and a trace on 0..t."""
-
-    t: Tick
-    trace: Trace
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("current tick must be >= 0")
-        if len(self.trace) != self.t + 1:
-            raise ValueError(
-                f"trace length {len(self.trace)} does not match current tick {self.t}"
-            )
-
     @classmethod
     def from_samples(cls, alphabet: Alphabet, samples: Iterable[str]) -> "CausalSignal":
-        samples = tuple(samples)
-        if not samples:
-            raise ValueError("a causal signal needs at least the tick-0 sample")
-        return cls(len(samples) - 1, Trace(alphabet, samples))
+        return cls(alphabet, tuple(samples))
 
     @property
-    def samples(self) -> tuple[str, ...]:
-        return self.trace.samples
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.trace.alphabet
+    def t(self) -> Tick:
+        """The current tick: the last one sampled."""
+        return len(self.samples) - 1
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """(t, sample ranks): the deterministic order used for tie-breaking."""

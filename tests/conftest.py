@@ -37,8 +37,8 @@ def latch_control(set_bits: str, reset_bits: str) -> CausalSignal:
 
 def last_output(element: CircuitElement, control: CausalSignal, **inputs: CausalSignal) -> Optional[str]:
     """The output at the current tick of the given signals: their ``output_stream``'s last entry."""
-    traces = {name: signal.trace for name, signal in inputs.items()}
-    return output_stream(element, control.trace, traces)[-1]
+    columns = {name: signal.samples for name, signal in inputs.items()}
+    return output_stream(element, control.samples, columns)[-1]
 
 
 def ranked_axiom_report(relation) -> AxiomReport:

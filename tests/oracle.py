@@ -32,7 +32,7 @@ from kcir.classifier import (
 )
 from kcir.circuits import CircuitElement, SimulationError, SyncSpec
 from kcir.dsl import CircuitAst, _block_spec
-from kcir.signals import BINARY, Alphabet, CausalSignal, Tick, Trace, split_symbol
+from kcir.signals import BINARY, Alphabet, CausalSignal, Tick, split_symbol
 
 Relation = list[tuple[CausalSignal, CausalSignal]]
 
@@ -41,16 +41,11 @@ _ADDRESSES = ("A", "B")
 
 # --- the prefix order, materialised -------------------------------------------
 
-def restrict_trace(trace: Trace, t: Tick) -> Trace:
-    """The first ``t + 1`` samples of ``trace``; ``t`` must lie inside it."""
-    if not 0 <= t < len(trace):
-        raise IndexError(f"tick {t} outside trace of length {len(trace)}")
-    return Trace(trace.alphabet, trace.samples[: t + 1])
-
-
 def prefix(signal: CausalSignal, t: Tick) -> CausalSignal:
     """The same history cut off at an earlier (or equal) current tick."""
-    return CausalSignal(t, restrict_trace(signal.trace, t))
+    if not 0 <= t <= signal.t:
+        raise IndexError(f"tick {t} outside a signal at current tick {signal.t}")
+    return CausalSignal(signal.alphabet, signal.samples[: t + 1])
 
 
 def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSignal]:
@@ -58,7 +53,7 @@ def enumerate_causal_signals(alphabet: Alphabet, horizon: Tick) -> list[CausalSi
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     return [
-        CausalSignal(t, Trace(alphabet, combo))
+        CausalSignal(alphabet, combo)
         for t in range(horizon + 1)
         for combo in itertools.product(alphabet.values, repeat=t + 1)
     ]
@@ -346,30 +341,33 @@ EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
 def output_stream(
     element: CircuitElement,
     evaluate: EvalFn,
-    control: Trace,
-    inputs: Mapping[str, Trace],
+    control: Sequence[str],
+    inputs: Mapping[str, Sequence[str]],
 ) -> list[Optional[str]]:
-    """Per-tick outputs over whole traces; entry ``t`` is ``evaluate`` on the prefixes at ``t``.
+    """Per-tick outputs over whole columns; entry ``t`` is ``evaluate`` on the prefixes at ``t``.
 
-    ``element`` supplies only the input channel names.
+    ``element`` supplies only the control alphabet and the input channel
+    names.  An input signal's alphabet is its column's own samples, so
+    values outside the channel's alphabet reach ``evaluate`` unchecked.
     """
     names = element.input_names
     if set(inputs) != set(names):
         raise SimulationError(
             f"input channels {sorted(inputs)} do not match {sorted(names)}"
         )
-    lengths = {len(control), *(len(trace) for trace in inputs.values())}
-    if len(lengths) != 1:
-        raise SimulationError("control and input traces must have equal length")
+    if len({len(control), *(len(samples) for samples in inputs.values())}) != 1:
+        raise SimulationError("control and input columns must have equal length")
     if len(control) == 0:
-        raise SimulationError("traces must cover at least tick 0")
+        raise SimulationError("columns must cover at least tick 0")
+    signals = {
+        name: CausalSignal.from_samples(Alphabet(tuple(dict.fromkeys(column))), column)
+        for name, column in inputs.items()
+    }
+    whole = CausalSignal.from_samples(element.control_alphabet, control)
     outputs = []
     for t in range(len(control)):
-        control_sig = CausalSignal(t, restrict_trace(control, t))
-        input_sigs = {
-            name: CausalSignal(t, restrict_trace(inputs[name], t)) for name in names
-        }
-        outputs.append(evaluate(control_sig, input_sigs))
+        input_sigs = {name: prefix(signals[name], t) for name in names}
+        outputs.append(evaluate(prefix(whole, t), input_sigs))
     return outputs
 
 
@@ -469,7 +467,7 @@ def abmem_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
 def _component_signal(signal: CausalSignal, index: int) -> CausalSignal:
     """One binary component of a signal over a '/'-joined product alphabet."""
     parts = tuple(split_symbol(s)[index] for s in signal.samples)
-    return CausalSignal(signal.t, Trace(BINARY, parts))
+    return CausalSignal(BINARY, parts)
 
 
 def _mux_output(select: str, a_value: str, b_value: str) -> str:

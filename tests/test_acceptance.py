@@ -29,7 +29,6 @@ from kcir import (
     read_soundness_check,
     sr_latch_element,
     toggler_pair_element,
-    Trace,
 )
 from kcir.cli import main
 from kcir.dsl import ParseError
@@ -233,9 +232,7 @@ def test_criterion_8_counter_semantics():
     for _ in range(500):
         clock = tuple(rng.choice("01") for _ in range(17))
         data = tuple(rng.choice("01") for _ in range(17))
-        outputs = output_stream(
-            element, Trace(BINARY, clock), {"D": Trace(BINARY, data)}
-        )
+        outputs = output_stream(element, clock, {"D": data})
         edges = 0
         for t in range(17):
             if t >= 1 and clock[t - 1 : t + 1] == ("0", "1"):

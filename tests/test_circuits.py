@@ -9,12 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kcir import (
-    BINARY,
     Alphabet,
     CausalSignal,
     ReadSet,
     SimulationError,
-    Trace,
     Verdict,
     abmem_element,
     causality_check,
@@ -35,8 +33,8 @@ from .conftest import bits, last_output, latch_control, sig
 from .oracle import enumerate_causal_signals, prefix
 
 
-def _random_trace(rng: random.Random, alphabet: Alphabet, length: int) -> Trace:
-    return Trace(alphabet, tuple(rng.choice(alphabet.values) for _ in range(length)))
+def _random_samples(rng: random.Random, alphabet: Alphabet, length: int) -> tuple[str, ...]:
+    return tuple(rng.choice(alphabet.values) for _ in range(length))
 
 PAIRS = Alphabet.product(("A", "B", "-"), ("A", "B", "-"))
 
@@ -48,8 +46,8 @@ def naive_edges(samples):
 def step_edges(clock: CausalSignal) -> set[int]:
     """Edge ticks as ``step`` sees them: where a 4-bit edge counter moves."""
     counter = clocked_element("counter4", [("C", counter_spec(4), ("D",))])
-    zeros = Trace(BINARY, ("0",) * len(clock.samples))
-    counts = output_stream(counter, clock.trace, {"D": zeros})
+    zeros = ("0",) * len(clock.samples)
+    counts = output_stream(counter, clock.samples, {"D": zeros})
     return {t for t in range(1, len(counts)) if counts[t] != counts[t - 1]}
 
 
@@ -89,8 +87,8 @@ class TestClockEdges:
             control = sig(Alphabet(("0/0", symbol)), "0/0", symbol)
             with pytest.raises(SimulationError, match="clock sample 'z' is not a bit"):
                 if edges is step_edges:
-                    zeros = bits("00").trace
-                    output_stream(pair, control.trace, {"D1": zeros, "D2": zeros})
+                    zeros = ("0", "0")
+                    output_stream(pair, control.samples, {"D1": zeros, "D2": zeros})
                 else:
                     pair.reads(control)
 
@@ -178,9 +176,8 @@ class TestMux:
 
     def test_element_evaluation(self):
         element = mux_element()
-        control = Trace(element.control_alphabet, ("a", "b"))
-        inputs = {"A": Trace(BINARY, ("0", "0")), "B": Trace(BINARY, ("1", "1"))}
-        assert output_stream(element, control, inputs) == ["0", "1"]
+        inputs = {"A": ("0", "0"), "B": ("1", "1")}
+        assert output_stream(element, ("a", "b"), inputs) == ["0", "1"]
 
 
 class TestSyncReads:
@@ -215,11 +212,7 @@ class TestSyncOutput:
         for _ in range(50):
             clock = tuple(rng.choice("01") for _ in range(9))
             data = tuple(rng.choice("01") for _ in range(9))
-            outputs = output_stream(
-                element,
-                Trace(BINARY, clock),
-                {"D": Trace(BINARY, data)},
-            )
+            outputs = output_stream(element, clock, {"D": data})
             running = 0
             for t in range(9):
                 if t >= 1 and clock[t - 1 : t + 1] == ("0", "1"):
@@ -299,44 +292,36 @@ class TestAbmem:
 class TestOutputStream:
     def test_dff_stream(self):
         element = dff_element()
-        control = Trace(BINARY, ("0", "1", "0", "1"))
-        data = Trace(Alphabet(("a", "b", "c", "e")), ("a", "b", "c", "e"))
-        assert output_stream(element, control, {"D": data}) == [None, "b", "b", "e"]
+        control = ("0", "1", "0", "1")
+        assert output_stream(element, control, {"D": "abce"}) == [None, "b", "b", "e"]
 
     def test_sr_stream(self):
         element = sr_latch_element()
-        control = Trace(element.control_alphabet, ("1/0", "0/0"))
-        assert output_stream(element, control, {}) == ["1", "1"]
+        assert output_stream(element, ("1/0", "0/0"), {}) == ["1", "1"]
 
     def test_length_one_traces(self):
         element = mux_element()
-        control = Trace(element.control_alphabet, ("b",))
-        inputs = {"A": Trace(BINARY, ("0",)), "B": Trace(BINARY, ("1",))}
-        assert output_stream(element, control, inputs) == ["1"]
+        assert output_stream(element, ("b",), {"A": ("0",), "B": ("1",)}) == ["1"]
 
     def test_length_mismatch_is_an_error(self):
         element = dff_element()
         with pytest.raises(SimulationError):
-            output_stream(
-                element,
-                Trace(BINARY, ("0", "1")),
-                {"D": Trace(BINARY, ("0",))},
-            )
+            output_stream(element, ("0", "1"), {"D": ("0",)})
 
     def test_wrong_channels_are_an_error(self):
         element = dff_element()
         with pytest.raises(SimulationError):
-            output_stream(element, Trace(BINARY, ("0",)), {"X": Trace(BINARY, ("0",))})
+            output_stream(element, ("0",), {"X": ("0",)})
 
     def test_empty_traces_are_an_error(self):
         with pytest.raises(SimulationError, match="at least tick 0"):
-            output_stream(dff_element(), Trace(BINARY, ()), {"D": Trace(BINARY, ())})
+            output_stream(dff_element(), (), {"D": ()})
 
     def test_initial_state_is_shared_by_independent_runs(self):
         element = abmem_element()
-        control = Trace(element.control_alphabet, ("A/A", "-/A"))
-        first = output_stream(element, control, {"D": Trace(BINARY, ("1", "0"))})
-        second = output_stream(element, control, {"D": Trace(BINARY, ("0", "1"))})
+        control = ("A/A", "-/A")
+        first = output_stream(element, control, {"D": ("1", "0")})
+        second = output_stream(element, control, {"D": ("0", "1")})
         assert (first, second) == (["1", "1"], ["0", "0"])
 
 
@@ -363,9 +348,9 @@ class TestLinearTime:
         element, calls = _counting(factory())
         rng = random.Random(7)
         ticks = 2000
-        control = _random_trace(rng, element.control_alphabet, ticks)
+        control = _random_samples(rng, element.control_alphabet, ticks)
         inputs = {
-            name: _random_trace(rng, alphabet, ticks)
+            name: _random_samples(rng, alphabet, ticks)
             for name, alphabet in element.input_channels
         }
         assert len(output_stream(element, control, inputs)) == ticks
@@ -496,3 +481,27 @@ class TestRandomizedProperties:
             image = element.reads(signal)
             if image is not None:
                 assert all(ref.tick <= signal.t for ref in image.refs)
+
+
+#: Control symbols in no built-in's alphabet: junk, extra '/' parts and
+#: unknown memory addresses.
+OUTSIDE_ALPHABETS = ("x", "z", "", "2", "a/b", "1/0/x", "0/0/0", "Z/Q", "Z/A", "A/Z", "A/A/A")
+
+
+@pytest.mark.parametrize("factory", ALL_ELEMENTS)
+def test_steps_refuse_control_symbols_outside_the_alphabet(factory):
+    element = factory()
+    samples = ("0",) * len(element.input_channels)
+    last = element.control_alphabet.values[-1]
+    states = [element.init, element.step(element.init, last, samples)[0]]
+    read_states = []
+    if element.read_step is not None:
+        read_states = [(element.read_init, 0), (element.read_step(element.read_init, last, 0)[0], 1)]
+    for symbol in OUTSIDE_ALPHABETS:
+        assert symbol not in element.control_alphabet
+        for state in states:
+            with pytest.raises(SimulationError):
+                element.step(state, symbol, samples)
+        for state, tick in read_states:
+            with pytest.raises(SimulationError):
+                element.read_step(state, symbol, tick)

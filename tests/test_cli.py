@@ -248,6 +248,8 @@ class TestSimulateCommand:
             "tick,C,D,Z\n0,0,a,b\n",              # unknown column
             "tick,C,D\n0,2,a\n",                  # control symbol not in alphabet
             "tick,C,D\n",                          # no rows
+            # A cell longer than csv.field_size_limit() (131,072 characters).
+            pytest.param("tick,C,D\n0,0," + "1" * 200_000 + "\n", id="oversized-cell"),
         ],
     )
     def test_malformed_stimulus_exits_2(self, tmp_path, capsys, rows):
@@ -258,6 +260,7 @@ class TestSimulateCommand:
             "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim),
         )
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_srlatch_pair_columns(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"

@@ -4,16 +4,18 @@ Whatever the files hold, a command must end in exit 0, 2 (with one
 ``error:`` line on stderr) or 3 (undefined output in ``simulate``); no
 exception may escape ``main``.  Circuit text is drawn as grammar-token soup
 and as small edits of the files in ``circuits/``; stimulus CSV is drawn from
-the channel names and sample values those circuits use.
+the channel names and sample values those circuits use, with cells that are
+sometimes padded with whitespace, quoted, or several values joined by '/'.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kcir.cli import main
@@ -56,6 +58,21 @@ kcir_texts = st.one_of(edited_sources(), token_soup)
 
 
 @st.composite
+def stimulus_cells(draw, values):
+    """One cell: a value, sometimes joined to more by '/', padded or quoted."""
+    cell = draw(st.sampled_from(values))
+    if not draw(st.integers(0, 11)):
+        more = draw(st.lists(st.sampled_from(values), min_size=1, max_size=2))
+        cell = "/".join([cell, *more])
+    if not draw(st.integers(0, 5)):
+        pads = st.sampled_from(("", " ", "  ", "\t"))
+        cell = draw(pads) + cell + draw(pads)
+    if not draw(st.integers(0, 5)):
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
 def stimulus_csvs(draw, channels=None):
     """A stimulus table: a header of channel names and rows of ticks and values.
 
@@ -76,8 +93,8 @@ def stimulus_csvs(draw, channels=None):
         tick = str(t) if draw(st.integers(0, 9)) else draw(st.sampled_from(("x", "-1", "7", "")))
         names = header[1:] + [""] * (draw(st.integers(0, 9)) == 0)
         cells = [
-            draw(st.sampled_from(channels[name] if name in channels and draw(st.integers(0, 19))
-                                 else VALUES))
+            draw(stimulus_cells(channels[name] if name in channels and draw(st.integers(0, 19))
+                                else VALUES))
             for name in names
         ]
         rows.append(",".join([tick, *cells]))
@@ -146,13 +163,21 @@ def _channels(source: str) -> dict[str, tuple[str, ...]]:
 
 
 SIMULATED = [(source, _channels(source)) for source in SOURCES]
+DFF = next(case for case in SIMULATED if set(case[1]) == {"C", "D"})
+#: A dff stimulus with one cell longer than the csv module reads.
+OVERSIZED = "tick,C,D\n0,0," + "1" * (csv.field_size_limit() + 1) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=st.sampled_from(SIMULATED), allow_undef=st.booleans(), data=st.data())
-def test_drawn_stimuli_simulate_or_exit_2(files, case, allow_undef, data):
-    source, channels = case
-    csv_text = data.draw(stimulus_csvs(channels))
+@given(
+    drawn=st.sampled_from(SIMULATED).flatmap(
+        lambda case: st.tuples(st.just(case), stimulus_csvs(case[1]))
+    ),
+    allow_undef=st.booleans(),
+)
+@example(drawn=(DFF, OVERSIZED), allow_undef=False)
+def test_drawn_stimuli_simulate_or_exit_2(files, drawn, allow_undef):
+    (source, channels), csv_text = drawn
     circuit, stimulus = files
     circuit.write_text(source, encoding="utf-8")
     stimulus.write_text(csv_text, encoding="utf-8")

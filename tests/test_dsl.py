@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcir import (
-    BINARY,
-    Alphabet,
     Call,
     CircuitAst,
     DomainAst,
     ElaborationError,
     Lit,
     ParseError,
-    Trace,
     Var,
     elaborate,
     output_stream,
@@ -331,8 +328,7 @@ class TestCompiledLogic:
                 env = {**registers, "d": d[t], "e": e[t]}
             expected.append(_interpret(hi, env) + _interpret(lo, env))
         element = elaborate(ast)
-        inputs = {"d": Trace(BINARY, d), "e": Trace(BINARY, e)}
-        assert output_stream(element, Trace(BINARY, clock), inputs) == expected
+        assert output_stream(element, clock, {"d": d, "e": e}) == expected
 
 
 class TestElaborate:
@@ -340,9 +336,7 @@ class TestElaborate:
         element = elaborate(parse("circuit ff { kind dff; }"))
         assert element.name == "ff"
         assert element.reads is not None
-        control = Trace(BINARY, ("0", "1"))
-        data = Trace(Alphabet(("x", "y")), ("x", "y"))
-        assert output_stream(element, control, {"D": data}) == [None, "y"]
+        assert output_stream(element, ("0", "1"), {"D": ("x", "y")}) == [None, "y"]
 
     def test_abmem_ast_uses_pair_control_alphabet(self):
         element = elaborate(parse("circuit m { kind abmem; }"))
@@ -375,15 +369,12 @@ class TestElaborate:
                         "1" if q1 != ("1" if q0 == d == "1" else "0") else "0",
                     )
                 expected.append(q1)
-            outputs = output_stream(
-                element, Trace(BINARY, clock), {"d": Trace(BINARY, data)}
-            )
-            assert outputs == expected
+            assert output_stream(element, clock, {"d": data}) == expected
 
     def test_sync_circuit_output_bundles_out_clauses(self):
         element = elaborate(parse(VALID_CORPUS[13]))  # two_outs: hi then lo
-        clock = Trace(BINARY, ("0", "1", "0", "1"))
-        data = Trace(BINARY, ("1", "1", "0", "0"))
+        clock = ("0", "1", "0", "1")
+        data = ("1", "1", "0", "0")
         # q0 samples d at each edge; q1 trails q0 by one edge.
         assert output_stream(element, clock, {"d": data}) == ["00", "01", "01", "10"]
 
@@ -391,11 +382,8 @@ class TestElaborate:
         element = elaborate(parse(VALID_CORPUS[18]))
         assert element.control_channels == ("cf", "cs")
         assert element.input_names == ("df", "ds")
-        clocks = Trace(element.control_alphabet, ("0/0", "1/0", "0/1"))
-        inputs = {
-            "df": Trace(BINARY, ("0", "0", "0")),
-            "ds": Trace(BINARY, ("1", "1", "1")),
-        }
+        clocks = ("0/0", "1/0", "0/1")
+        inputs = {"df": ("0", "0", "0"), "ds": ("1", "1", "1")}
         assert output_stream(element, clocks, inputs) == ["0/0", "1/0", "1/1"]
 
     def test_init_width_mismatch_is_an_elaboration_error(self):

@@ -22,7 +22,6 @@ from kcir import (
     ReadSet,
     SimulationError,
     SyncSpec,
-    Trace,
     abmem_element,
     classify,
     clocked_element,
@@ -40,7 +39,7 @@ from kcir import (
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
-from .oracle import DerivedRelation, enumerate_causal_signals, restrict_trace
+from .oracle import DerivedRelation, enumerate_causal_signals
 
 TWO_INPUT_SYNC = """
 circuit pair {
@@ -264,7 +263,7 @@ BITS = ("0", "1")
 TOKENS = ("a", "b", "c", "d")
 ROUTING_KINDS = ("dff", "mux", "abmem")
 # A register that only holds its initial value, beside a toggler on the other clock.
-HOLDER = SyncSpec(1, ("0",), lambda state, _inputs: state, lambda state, _inputs: state[0])
+HOLDER = SyncSpec(("0",), lambda state, _inputs: state, lambda state, _inputs: state[0])
 
 
 def _built_in_cases():
@@ -306,17 +305,14 @@ STREAM_CASES = [*_built_in_cases(), *_file_cases()]
 
 @st.composite
 def stimuli(draw, element: CircuitElement, values, max_ticks: int = 40):
-    """Control and input traces of one drawn length from 1 to ``max_ticks``."""
+    """Control and input columns of one drawn length from 1 to ``max_ticks``."""
     ticks = draw(st.integers(1, max_ticks))
-    control = draw(st.lists(st.sampled_from(element.control_alphabet.values),
-                            min_size=ticks, max_size=ticks))
-    alphabet = Alphabet(values)
-    inputs = {
-        name: Trace(alphabet, tuple(draw(st.lists(st.sampled_from(values),
-                                                  min_size=ticks, max_size=ticks))))
-        for name in element.input_names
-    }
-    return Trace(element.control_alphabet, tuple(control)), inputs
+
+    def column(choices):
+        return draw(st.lists(st.sampled_from(choices), min_size=ticks, max_size=ticks))
+
+    control = column(element.control_alphabet.values)
+    return control, {name: column(values) for name in element.input_names}
 
 
 @pytest.mark.parametrize(
@@ -350,18 +346,15 @@ def test_non_bit_inputs_fail_alike_at_the_same_tick(name, element, evaluate, val
     control, inputs = data.draw(stimuli(element, BITS, max_ticks=20))
     # Plant one to three non-bit samples; every tick up to the first one
     # must simulate, and every longer prefix must fail with the same message.
-    bad = Alphabet((*BITS, "x"))
-    columns = {name: list(trace.samples) for name, trace in inputs.items()}
     for _ in range(data.draw(st.integers(1, 3))):
-        channel = data.draw(st.sampled_from(sorted(columns)))
-        columns[channel][data.draw(st.integers(0, len(control) - 1))] = "x"
-    inputs = {name: Trace(bad, tuple(samples)) for name, samples in columns.items()}
+        channel = data.draw(st.sampled_from(sorted(inputs)))
+        inputs[channel][data.draw(st.integers(0, len(control) - 1))] = "x"
     first_bad = min(
-        t for t in range(len(control)) if any(col[t] == "x" for col in columns.values())
+        t for t in range(len(control)) if any(col[t] == "x" for col in inputs.values())
     )
     for length in range(1, len(control) + 1):
-        cut_control = restrict_trace(control, length - 1)
-        cut_inputs = {n: restrict_trace(trace, length - 1) for n, trace in inputs.items()}
+        cut_control = control[:length]
+        cut_inputs = {name: column[:length] for name, column in inputs.items()}
         got = _outcome(output_stream, element, cut_control, cut_inputs)
         want = _outcome(oracle.output_stream, element, evaluate, cut_control, cut_inputs)
         assert got == want

@@ -10,14 +10,13 @@ from kcir import (
     BINARY,
     Alphabet,
     CausalSignal,
-    Trace,
     history_count,
     prefix_leq,
     signal_at,
 )
 
 from .conftest import bits
-from .oracle import build_prefix_relation, enumerate_causal_signals, prefix, restrict_trace
+from .oracle import build_prefix_relation, enumerate_causal_signals, prefix
 
 
 class TestAlphabet:
@@ -37,21 +36,25 @@ class TestAlphabet:
         assert alpha.values == ("A/A", "A/-", "B/A", "B/-")
 
 
-class TestTraceAndSignal:
+class TestCausalSignal:
     def test_samples_must_be_in_alphabet(self):
         with pytest.raises(ValueError):
-            Trace(BINARY, ("0", "2"))
+            CausalSignal.from_samples(BINARY, ("0", "2"))
 
-    def test_signal_length_must_match_tick(self):
-        with pytest.raises(ValueError):
-            CausalSignal(2, Trace(BINARY, ("0", "1")))
+    def test_signal_needs_the_tick_0_sample(self):
+        with pytest.raises(ValueError, match="tick-0 sample"):
+            CausalSignal(BINARY, ())
 
-    def test_restrict_trace(self):
-        trace = Trace(BINARY, ("0", "1", "1", "0"))
-        assert restrict_trace(trace, 1).samples == ("0", "1")
-        assert restrict_trace(Trace(BINARY, ("0",)), 0).samples == ("0",)
+    def test_current_tick_is_the_last_sampled(self):
+        assert bits("0").t == 0
+        assert bits("0110").t == 3
+        assert CausalSignal(BINARY, ("0", "1")) == bits("01")
+
+    def test_prefix(self):
+        assert prefix(bits("0110"), 1) == bits("01")
+        assert prefix(bits("0"), 0) == bits("0")
         with pytest.raises(IndexError):
-            restrict_trace(Trace(BINARY, ("0", "1")), 5)
+            prefix(bits("01"), 5)
 
 
 class TestPrefixLeq:
