@@ -11,8 +11,8 @@ for that reason; wall time is shown in text mode.
 
 ``classify`` states how many control histories a run would walk before it
 starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``
-refuses a horizon whose trials would each draw more than
-``MAX_CHECK_SAMPLES`` samples.
+refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
+samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
 ``chi-dump`` folds the circuit's read step once over the control symbols.
 """
 
@@ -36,7 +36,7 @@ from .circuits import (
     read_soundness_check,
 )
 from .classifier import AntisymmetryWitness, AxiomReport, ReadSet, Refs, classify, refs_text
-from .dsl import ElaborationError, ParseError, load_circuit
+from .dsl import ParseError, load_circuit
 from .signals import CausalSignal, history_count
 
 UNDEF = "UNDEF"
@@ -46,11 +46,12 @@ UNDEF = "UNDEF"
 #: million stays under about 0.5 GB.
 MAX_SIGNALS = 1_000_000
 
-#: Most samples one ``check`` trial may draw: ticks 0..horizon on every
-#: channel.  A trial holds its sample columns and output streams in memory,
-#: at up to about 95 bytes per sample (counter at horizon 1,999,999: 362 MB
-#: max RSS), so a run stays under about 0.5 GB.
-MAX_CHECK_SAMPLES = 4_000_000
+#: Most samples one ``check`` trial may draw (ticks 0..horizon on every
+#: channel) and one ``simulate`` stimulus may hold (rows times channels).
+#: Both hold their sample columns and output streams in memory, at up to
+#: about 95 bytes per sample (a ``check`` trial of counter at horizon
+#: 1,999,999: 362 MB max RSS), so a run stays under about 0.5 GB.
+MAX_SAMPLES = 4_000_000
 
 
 class UsageError(Exception):
@@ -135,8 +136,6 @@ def _load_element(path: str) -> CircuitElement:
         return load_circuit(text)
     except ParseError as exc:
         raise UsageError(f"{path}:{exc.span.line}:{exc.span.column}: {exc.message}") from exc
-    except ElaborationError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[str, list[str]]]:
@@ -155,6 +154,7 @@ def _stimulus_columns(
 
     Each cell is stripped once, and each tick's control symbol is joined and
     checked against the control alphabet; no row is kept once it is read.
+    The row that takes the stimulus past ``MAX_SAMPLES`` samples is refused.
     """
     header = [cell.strip() for cell in next(rows, ())]
     if not header:
@@ -177,7 +177,13 @@ def _stimulus_columns(
     control: list[str] = []
     inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
     fills = [(inputs[name].append, at[name]) for name in element.input_names]
+    max_rows = MAX_SAMPLES // len(columns)
     for i, row in enumerate(rows, 1):
+        if i > max_rows:
+            raise UsageError(
+                f"stimulus row {i} takes it past the limit of {MAX_SAMPLES:,} samples "
+                f"({len(columns)} channels per tick)"
+            )
         cells = list(map(str.strip, row))
         if len(cells) != len(header):
             raise UsageError(f"stimulus row {i} has {len(cells)} cells, expected {len(header)}")
@@ -344,11 +350,11 @@ def _cmd_check(args) -> int:
         raise UsageError("--trials must be >= 1")
     channels = len(element.control_channels) + len(element.input_channels)
     samples = (args.horizon + 1) * channels
-    if samples > MAX_CHECK_SAMPLES:
+    if samples > MAX_SAMPLES:
         raise UsageError(
             f"--horizon {args.horizon} would draw {samples:,} samples per trial "
             f"({channels} channels, ticks 0..{args.horizon}), above the limit of "
-            f"{MAX_CHECK_SAMPLES:,}"
+            f"{MAX_SAMPLES:,}"
         )
     causality = causality_check(element, args.horizon, args.trials, args.seed)
     if element.read_step is not None:

@@ -28,10 +28,14 @@ A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to two
 named ones, and :func:`elaborate` builds both kinds with
 :func:`kcir.circuits.clocked_element`, one register block per domain.
+
+The parser is the only validator: a hand-built :class:`CircuitAst` is
+elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -78,7 +82,7 @@ class ParseError(Exception):
 
 
 class ElaborationError(Exception):
-    """A structurally valid description that cannot be turned into a circuit."""
+    """A hand-built description that :func:`parse` would not return for its canonical text."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,6 @@ class DomainAst:
 
     name: str
     clock: str
-    state_width: int
     init_bits: str
     inputs: tuple[str, ...]
     next_exprs: tuple[tuple[str, BoolExpr], ...]
@@ -146,53 +149,28 @@ class _Token:
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
-_PUNCT = set("{}();,=")
+#: One alternative per token kind; blanks and comments match no group, and any
+#: other character is ``bad``.  ``[a-z]`` and ``[0-9]`` are ASCII only.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<punct>[{}();,=])"
+    r"|(?P<ident>[a-z][a-z0-9_]*)|(?P<number>[0-9]+)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                column += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, column))
-            i += 1
-            column += 1
-            continue
-        if ch.islower() and ch.isalpha() and ch.isascii():
-            start, start_col = i, column
-            while i < n and (text[i].isascii() and (text[i].islower() or text[i].isdigit() or text[i] == "_")):
-                i += 1
-                column += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-            continue
-        if ch.isdigit():
-            start, start_col = i, column
-            while i < n and text[i].isdigit():
-                i += 1
-                column += 1
-            tokens.append(_Token("number", text[start:i], line, start_col))
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", SourceSpan(line, column, 1), ch
-        )
-    tokens.append(_Token("eof", "", line, column))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, column = match.lastgroup, match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(
+                f"unexpected character {match[0]!r}", SourceSpan(line, column, 1), match[0]
+            )
+        elif kind:
+            tokens.append(_Token(kind, match[0], line, column))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -394,8 +372,8 @@ def _assemble_domain(
     state = _single(clauses, "state")
     if state is None:
         _fail(f"{what} requires a state clause", anchor)
-    width = int(state.names[0].text)
     bits = state.names[1].text
+    width = len(bits)
 
     registers = {f"q{i}" for i in range(width)}
     inputs: dict[str, None] = {}
@@ -445,7 +423,6 @@ def _assemble_domain(
     return DomainAst(
         domain_name,
         clock.names[0].text,
-        width,
         bits,
         tuple(inputs),
         ordered,
@@ -508,7 +485,7 @@ def _format_expr(expr: BoolExpr) -> str:
 
 def _format_body(domain: DomainAst, indent: str) -> list[str]:
     lines = [f"{indent}clock {domain.clock};"]
-    lines.append(f"{indent}state {domain.state_width} init {domain.init_bits};")
+    lines.append(f"{indent}state {len(domain.init_bits)} init {domain.init_bits};")
     for name in domain.inputs:
         lines.append(f"{indent}in {name};")
     for target, expr in domain.next_exprs:
@@ -553,21 +530,8 @@ def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
 
 
 def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
-    width, inputs = domain.state_width, domain.inputs
-    if len(domain.init_bits) != width:
-        raise ElaborationError(
-            f"{where}: init vector width {len(domain.init_bits)} does not match "
-            f"state width {width}"
-        )
-    registers = {f"q{i}" for i in range(width)}
-    for name in inputs:
-        if name in registers:
-            raise ElaborationError(f"{where}: input {name!r} collides with a state register")
-    declared = registers | set(inputs)
-    for _, expr in (*domain.next_exprs, *domain.outputs):
-        for var in _expr_vars(expr):
-            if var.name not in declared:
-                raise ElaborationError(f"{where}: undeclared variable {var.name!r}")
+    """The register block of a parsed domain; ``where`` names it in sample errors."""
+    width, inputs = len(domain.init_bits), domain.inputs
     # The environment is the state vector followed by the input samples.
     slots = {f"q{i}": i for i in range(width)}
     slots.update((name, width + k) for k, name in enumerate(inputs))
@@ -583,7 +547,7 @@ def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
     def out(state: tuple[str, ...], samples: tuple[str, ...]) -> str:
         for name, value in zip(inputs, samples):
             if value != "0" and value != "1":
-                raise SimulationError(f"input {name!r} sample {value!r} is not a bit")
+                raise SimulationError(f"{where}: input {name!r} sample {value!r} is not a bit")
         env = state + samples
         return "".join([fn(env) for fn in out_fns])
 
@@ -591,7 +555,35 @@ def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:
-    """Instantiate the circuit element a description denotes."""
+    """Instantiate the circuit element a description denotes.
+
+    Only what :func:`parse` returns for ``pretty_print(ast)`` is accepted; any
+    other ``ast`` raises one :class:`ElaborationError` line.
+    """
+    try:
+        canonical = parse(pretty_print(ast))
+    except ParseError as exc:
+        raise ElaborationError(
+            f"circuit {ast.name!r}: {exc.message} at {exc.token_text!r}"
+        ) from exc
+    if canonical != ast:
+        raise ElaborationError(
+            f"circuit {ast.name!r}: {_changed_field(ast, canonical)} is not read back "
+            "from its canonical text"
+        )
+    return _build(ast)
+
+
+def _changed_field(ast: CircuitAst, canonical: CircuitAst) -> str:
+    """The first field of ``ast``, domains before the circuit, that reads back changed."""
+    for given, read in (*zip(ast.domains, canonical.domains), (ast, canonical)):
+        for name in read.__dataclass_fields__:
+            if getattr(given, name) != getattr(read, name):
+                return f"{name} {getattr(given, name)!r}"
+    return "its type"
+
+
+def _build(ast: CircuitAst) -> CircuitElement:
     if ast.kind == "dff":
         return circuits.dff_element(ast.name)
     if ast.kind == "srlatch":
@@ -612,5 +604,5 @@ def elaborate(ast: CircuitAst) -> CircuitElement:
 
 
 def load_circuit(text: str) -> CircuitElement:
-    """Parse and elaborate in one step."""
-    return elaborate(parse(text))
+    """Parse and elaborate in one step, reading ``text`` once."""
+    return _build(parse(text))

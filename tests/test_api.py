@@ -82,6 +82,8 @@ def test_a_circuit_is_its_steps_and_read_steps():
 def test_a_circuit_description_is_its_clock_domains():
     fields = [field.name for field in dataclasses.fields(kcir.CircuitAst)]
     assert fields == ["name", "kind", "domains"]
+    fields = [field.name for field in dataclasses.fields(kcir.DomainAst)]
+    assert fields == ["name", "clock", "init_bits", "inputs", "next_exprs", "outputs"]
 
 
 def test_a_signal_is_its_alphabet_and_samples():

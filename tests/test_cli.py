@@ -281,6 +281,28 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "circuit_file,header", [("dff.kcir", "C,D"), ("twoclock.kcir", "cf,cs,df,ds")]
+    )
+    def test_stimulus_bound_is_inclusive(self, monkeypatch, tmp_path, capsys,
+                                         circuit_file, header):
+        channels = header.count(",") + 1
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 3 * channels)
+        stim = tmp_path / "stim.csv"
+        argv = ["simulate", "--circuit", circuit(circuit_file), "--stimulus", str(stim),
+                "--allow-undef"]
+        rows = [f"tick,{header}"] + [f"{t}," + ",".join(["0"] * channels) for t in range(4)]
+        stim.write_text("\n".join(rows[:4]) + "\n")
+        assert run(capsys, *argv)[0] == 0
+        stim.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: stimulus row 4 takes it past the limit of {3 * channels:,} samples "
+            f"({channels} channels per tick)\n"
+        )
+
 
 ADDRESSES = ("A", "B", "-")
 TOKENS = ("a", "b", "c", "d", "e")
@@ -535,7 +557,7 @@ class TestCheckCommand:
         assert err.count("\n") == 1
         # A clock and a data channel, ticks 0..10^8.
         assert "200,000,002 samples per trial" in err
-        assert f"limit of {cli.MAX_CHECK_SAMPLES:,}" in err
+        assert f"limit of {cli.MAX_SAMPLES:,}" in err
         assert peak < 1_000_000
 
     def test_horizon_guard_bound_is_inclusive(self, monkeypatch, capsys):
@@ -544,7 +566,7 @@ class TestCheckCommand:
             cli, "read_soundness_check", lambda *args: ReadSoundnessReport(1, 1, 0, 0, 0)
         )
         # dff draws two channels per tick.
-        top = cli.MAX_CHECK_SAMPLES // 2 - 1
+        top = cli.MAX_SAMPLES // 2 - 1
         argv = ["check", "--circuit", circuit("dff.kcir"), "--trials", "1", "--horizon"]
         assert run(capsys, *argv, str(top))[0] == 0
         assert run(capsys, *argv, str(top + 1))[0] == 2

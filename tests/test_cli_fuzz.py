@@ -6,6 +6,8 @@ exception may escape ``main``.  Circuit text is drawn as grammar-token soup
 and as small edits of the files in ``circuits/``; stimulus CSV is drawn from
 the channel names and sample values those circuits use, with cells that are
 sometimes padded with whitespace, quoted, or several values joined by '/'.
+A drawn text that parses must also parse back from its canonical text to
+the same description, and ``elaborate`` must accept that description.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kcir.cli import main
-from kcir.dsl import load_circuit
+from kcir.dsl import ParseError, elaborate, load_circuit, parse, pretty_print
 from kcir.signals import split_symbol
 
 from .conftest import CIRCUITS_DIR
@@ -138,6 +140,13 @@ def run_main(argv) -> tuple[int, str]:
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=kcir_texts, csv_text=stimulus_csvs(), data=st.data())
 def test_drawn_files_end_in_a_known_exit_code(files, text, csv_text, data):
+    try:
+        ast = parse(text)
+    except ParseError:
+        pass
+    else:
+        assert parse(pretty_print(ast)) == ast
+        elaborate(ast)
     circuit, stimulus = files
     circuit.write_text(text, encoding="utf-8")
     stimulus.write_text(csv_text, encoding="utf-8")
