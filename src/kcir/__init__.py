@@ -7,9 +7,9 @@ over the stimulus.  Where a control signal (a clock, a select line, an
 address stream) determines which input samples matter, the circuit carries a
 read map, written as a read step from (read state, control symbol, tick) to
 (read state, refs read at that tick); pushing the prefix order of control
-histories through that map, one read step per history, and brute-force
-checking the partial-order axioms classifies the circuit as time-preserving
-or not, with concrete witnesses when it is not.
+histories through that map, one read step per distinct read state of each
+tick and symbol, and checking the partial-order axioms classifies the
+circuit as time-preserving or not, with concrete witnesses when it is not.
 
 A circuit is defined once, by ``init``/``step`` and, where it has a read
 map, ``read_init``/``read_step``; ``output_stream``, the read map ``reads``

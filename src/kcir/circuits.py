@@ -16,7 +16,7 @@ refs are the sorted ``(channel, tick)`` pairs read at that tick.  It sees the
 control history only and tracks edge and write ticks, never sample values,
 so it is a route independent of ``step``.  The read map ``reads`` is derived
 from it as a fold over the prefix, and the classifier steps it once per node
-of the prefix tree.  These two pairs are the only definitions of a circuit:
+of the read-state DAG.  These two pairs are the only definitions of a circuit:
 there are no per-circuit evaluators or read maps beside them.
 
 Clocked register blocks have one engine: :func:`clocked_element` puts one
@@ -109,17 +109,18 @@ class CircuitElement:
     the control symbol at a tick and the tick, it returns the next read state
     and the refs read at that tick, sorted and duplicate-free, or ``None``
     when the output is undefined there; ``read_init`` is the read state before
-    tick 0.  ``reads``, the read map from a control history to its read set,
-    defaults to the fold of ``read_step`` over the history.  An element given
-    only ``reads`` gets a ``read_step`` that carries the history and applies
-    ``reads`` to it, so the classifier walks every element the same way.
-    Both are ``None`` for circuits whose inputs do not restrict one another.
-    The two never disagree, also under ``dataclasses.replace``: a ``reads``
-    that is not the derived fold is the source, and ``read_step`` is rebuilt
-    from it; a derived fold of another ``read_init``/``read_step`` is rebuilt
-    from the current ones.  So ``replace(element, reads=r)`` walks ``r``, and
-    an element built from ``reads`` takes a new read step only with
-    ``reads=None``.
+    tick 0.  Read states must be hashable, since the classifier keys the
+    nodes of its read-state DAG on them.  ``reads``, the read map from a
+    control history to its read set, defaults to the fold of ``read_step``
+    over the history.  An element given only ``reads`` gets a ``read_step``
+    that carries the history and applies ``reads`` to it, so the classifier
+    walks every element the same way.  Both are ``None`` for circuits whose
+    inputs do not restrict one another.  The two never disagree, also under
+    ``dataclasses.replace``: a ``reads`` that is not the derived fold is the
+    source, and ``read_step`` is rebuilt from it; a derived fold of another
+    ``read_init``/``read_step`` is rebuilt from the current ones.  So
+    ``replace(element, reads=r)`` walks ``r``, and an element built from
+    ``reads`` takes a new read step only with ``reads=None``.
     """
 
     name: str

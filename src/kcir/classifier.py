@@ -9,12 +9,17 @@ fails there is a concrete four-signal witness proving no order-preserving
 arrangement of read sets can exist.
 
 The classifier is exhaustive up to a finite horizon and fully deterministic.
-It walks the prefix tree of control histories once, level by level, stepping
-each history's read state from its parent's with the circuit's ``read_step``
-(one step per tree node; no history is rebuilt or rescanned).  Read sets are
+It walks the control histories as a DAG of read states, level by level: two
+histories of one length that reach the same read state and refs have the
+same futures, so they are one node, and each node's read state is stepped
+once per symbol with the circuit's ``read_step``, however many histories
+reach it.  A forward pass counts the histories per node exactly, for the
+pairs with an undefined endpoint; a backward pass collects the images
+reachable below each node, which is the derived relation.  Read sets are
 interned to ints, the axioms are checked on those ints, and witnesses are the
 lexicographic minimum under the signal order of
-:meth:`kcir.signals.CausalSignal.sort_key`.
+:meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
+history and shortest smallest paths below it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence
 
-from .signals import CausalSignal, Tick, history_count, prefix_leq, signal_at
+from .signals import CausalSignal, Tick, history_count, prefix_leq
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitElement
@@ -194,64 +199,149 @@ class Classification:
     stats: ClassifyStats
 
 
-def _walk_prefix_tree(
-    read_init: Any, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
-) -> tuple[list[Refs], list[dict[int, tuple[int, int]]], int]:
-    """Push the prefix order through a read step in one pass over the tree.
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]  # lowest bit first
+    members = []
+    i = bits.find("1")
+    while i >= 0:
+        members.append(i)
+        i = bits.find("1", i + 1)
+    return members
 
-    Signals are named by their index in ``sort_key`` order over ``symbols``,
-    the index :func:`kcir.signals.signal_at` decodes; a node's children are
-    its history extended by each symbol in turn, and each child's read state
-    is one ``read_step`` from its parent's.  Refs are interned to ids in
-    order of first sight.
 
-    Returns the interned refs; for every refs id ``y``, a row mapping each
-    ``x`` of an ordered image pair ``(x, y)`` to its smallest source pair
-    ``(a, b)`` of signal indices; and the number of prefix pairs with an
-    undefined endpoint.
+class _ReadSets:
+    """Read sets by rank, each built only when a witness names it."""
+
+    def __init__(self, ranked: list[Refs]) -> None:
+        self.ranked = ranked
+
+    def __getitem__(self, rank: int) -> ReadSet:
+        return ReadSet.of(*self.ranked[rank])
+
+
+class _ReadStateDag:
+    """The control histories up to a horizon, merged by read state, level by level.
+
+    Histories of one length that reach the same read state and refs are one
+    node: a read step sees only the state, the symbol and the tick, so such
+    histories have the same futures.  Each node is expanded once, by one
+    ``read_step`` per symbol.  Parents are expanded in order and symbols in
+    alphabet order, so a level's nodes are met in the ``sort_key`` order of
+    their smallest histories, and each node's first parent lies on its
+    smallest history.  Refs are interned to image ids in order of first sight.
+
+    Per level ``t`` and node ``i``: ``images[t][i]`` is the image id (-1 where
+    undefined), ``origins[t][i]`` the (first parent, symbol) it was met by,
+    ``children[t][i]`` its children in symbol order (below the horizon) and
+    ``reach[t][i]`` the bit set of the image ids of it and its descendants.
+    ``excluded`` counts the prefix pairs with an undefined endpoint, from
+    exact per-node history counts.
     """
-    ids: dict[Refs, int] = {}
-    best: list[dict[int, tuple[int, int]]] = []
-    excluded = 0
-    # Per node: (read state, ancestor-or-self image id -> smallest source
-    # index, image ids already emitted under that map, undefined
-    # ancestors-or-self).  A map is never changed once built, so a node whose
-    # image is in its parent's map shares it; a later node under the same map
-    # with an already emitted image offers only larger sources for the same
-    # pairs and emits nothing.
-    parents: list[tuple[Any, dict[int, int], set[int], int]] = [(read_init, {}, set(), 0)]
-    b = 0
-    for t in range(horizon + 1):
-        level = []
-        keep = t < horizon  # the deepest level has no children to serve
-        for parent_state, parent_sources, parent_done, parent_undefined in parents:
-            for symbol in symbols:
-                state, refs = read_step(parent_state, symbol, t)
-                sources, done, undefined = parent_sources, parent_done, parent_undefined
-                if refs is None:
-                    excluded += t + 1
-                    undefined += 1
-                else:
-                    excluded += undefined
-                    y = ids.get(refs)
-                    if y is None:
-                        y = ids[refs] = len(best)
-                        best.append({})
-                    if y not in sources:
-                        sources = {**sources, y: b}
-                        done = set()
-                    if y not in done:
-                        done.add(y)
-                        row = best[y]
-                        for x, a in sources.items():
-                            current = row.get(x)
-                            if current is None or a < current[0]:
-                                row[x] = (a, b)
-                if keep:
-                    level.append((state, sources, done, undefined))
-                b += 1
-        parents = level
-    return list(ids), best, excluded
+
+    def __init__(
+        self, read_init: Any, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
+    ) -> None:
+        ids: dict[Refs, int] = {}
+        self.symbols = symbols
+        self.images: list[list[int]] = []
+        self.origins: list[list[tuple[int, str]]] = []
+        self.children: list[list[list[int]]] = []
+        self.excluded = 0
+        # Per parent: read state, the histories reaching it, and the sum over
+        # those histories of their undefined ancestors-or-self.
+        parents: list[list] = [[read_init, 1, 0]]
+        for t in range(horizon + 1):
+            index: dict[tuple[Any, Optional[Refs]], int] = {}
+            nodes: list[list] = []
+            images: list[int] = []
+            origins: list[tuple[int, str]] = []
+            rows = []
+            for i, (parent_state, count, undefined) in enumerate(parents):
+                row = []
+                for symbol in symbols:
+                    state, refs = read_step(parent_state, symbol, t)
+                    if refs is None:
+                        self.excluded += count * (t + 1)
+                        child_undefined = undefined + count
+                    else:
+                        self.excluded += undefined
+                        child_undefined = undefined
+                    key = (state, refs)
+                    k = index.get(key)
+                    if k is None:
+                        k = index[key] = len(nodes)
+                        nodes.append([state, 0, 0])
+                        images.append(-1 if refs is None else ids.setdefault(refs, len(ids)))
+                        origins.append((i, symbol))
+                    node = nodes[k]
+                    node[1] += count
+                    node[2] += child_undefined
+                    row.append(k)
+                rows.append(row)
+            if t:
+                self.children.append(rows)
+            self.images.append(images)
+            self.origins.append(origins)
+            parents = nodes
+        self.children.append([[]] * len(parents))  # the deepest level has none
+        self.refs = list(ids)
+
+        self.reach: list[list[int]] = [[]] * (horizon + 1)
+        below: list[int] = []
+        for t in range(horizon, -1, -1):
+            level = []
+            for y, row in zip(self.images[t], self.children[t]):
+                mask = 0 if y < 0 else 1 << y
+                for k in row:
+                    mask |= below[k]
+                level.append(mask)
+            self.reach[t] = below = level
+
+    def first(self, wanted: Callable[[int, int], Any]) -> tuple[int, int]:
+        """(level, index) of the first defined node for which ``wanted(image, reach)``.
+
+        Nodes are met level by level in order, so it is the node with the
+        smallest history.
+        """
+        return next(
+            (t, i)
+            for t, (images, reach) in enumerate(zip(self.images, self.reach))
+            for i, (y, mask) in enumerate(zip(images, reach))
+            if y >= 0 and wanted(y, mask)
+        )
+
+    def history(self, t: int, i: int) -> tuple[str, ...]:
+        """The smallest history that reaches node ``i`` of level ``t``."""
+        samples = []
+        for level in range(t, -1, -1):
+            i, symbol = self.origins[level][i]
+            samples.append(symbol)
+        return tuple(reversed(samples))
+
+    def path(self, t: int, i: int, targets: int) -> tuple[tuple[str, ...], int]:
+        """(path, image) of the shortest, then smallest, path from a node to a target.
+
+        The path is the symbols leading from node ``i`` of level ``t`` to the
+        first node below it whose image is in the bit set ``targets``.
+        Frontiers keep their nodes in order of their smallest paths, as the
+        levels do, and drop nodes that reach no target.
+        """
+        frontier = {i: ()}
+        while frontier:
+            reached: dict[int, tuple[str, ...]] = {}
+            for j, path in frontier.items():
+                if not self.reach[t][j] & targets:
+                    continue
+                for symbol, k in zip(self.symbols, self.children[t][j]):
+                    if k not in reached:
+                        reached[k] = (*path, symbol)
+                        y = self.images[t + 1][k]
+                        if y >= 0 and targets >> y & 1:
+                            return reached[k], y
+            frontier = reached
+            t += 1
+        raise LookupError("no target below the node")
 
 
 def classify(circuit: "CircuitElement", horizon: int) -> Classification:
@@ -259,15 +349,19 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     A circuit without a read map cannot be split into a controlling and a
     restricted input part, so it is reported as not-fundamental-form without
-    enumeration.  Otherwise every control history up to the horizon is
-    visited once, in one walk over the prefix tree that steps the circuit's
-    read state from parent to child and pushes the prefix relation through
-    it, and the partial-order axioms decide the verdict.  An antisymmetry
-    failure always comes with a re-checkable witness; a failure of any other
-    axiom is reported through the axiom report alone.
+    enumeration.  Otherwise the control histories up to the horizon are
+    walked as the DAG of their read states (:class:`_ReadStateDag`): each
+    distinct read state of a level is stepped once per symbol, whatever the
+    number of histories reaching it.  The prefix order then carries an image
+    to exactly the images reachable below a node holding it, and the
+    partial-order axioms decide the verdict.  An antisymmetry failure always
+    comes with a re-checkable witness, the lexicographic minimum over all
+    histories; a failure of any other axiom is reported through the axiom
+    report alone.
 
-    A horizon below 1 admits no clock edges; the verdict is still computed
-    but flagged degenerate in the stats.
+    A circuit's read states must be hashable, since they key the DAG's
+    nodes.  A horizon below 1 admits no clock edges; the verdict is still
+    computed but flagged degenerate in the stats.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -278,26 +372,28 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
 
     alphabet = circuit.control_alphabet
-    refs, rows, excluded = _walk_prefix_tree(
-        circuit.read_init, circuit.read_step, alphabet.values, horizon
-    )
+    dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
+    # after[x]: the bit set of images that some history holding x reaches.
+    after = [0] * len(dag.refs)
+    for images, reach in zip(dag.images, dag.reach):
+        for x, mask in zip(images, reach):
+            if x >= 0:
+                after[x] |= mask
     # Rank the images once; from here on an image is its rank.
-    order = sorted(range(len(refs)), key=refs.__getitem__)
+    order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
-    images = [ReadSet.of(*refs[i]) for i in order]
-    best = {
-        (rank[x], rank[y]): sources for y, row in enumerate(rows) for x, sources in row.items()
-    }
-    report = _axiom_report(images, range(len(images)), best)
+    images = _ReadSets([dag.refs[i] for i in order])
+    pairs = {(rank[x], rank[y]) for x, mask in enumerate(after) for y in _members(mask)}
+    report = _axiom_report(images, range(len(order)), pairs)
     width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,
         signals=history_count(width, horizon),
         relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
-        distinct_read_sets=len(images),
-        excluded_undefined=excluded,
+        distinct_read_sets=len(order),
+        excluded_undefined=dag.excluded,
         degenerate_horizon=degenerate,
     )
 
@@ -306,14 +402,24 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     witness = None
     if not report.antisymmetric:
-        # The smallest (a0, a1) over image pairs whose reverse is present,
-        # with (b0, b1) the smallest source of the reverse: the lexicographic
-        # minimum of (a0, a1, b0, b1) over all swapped source pairs.
-        sources, x, y = min(
-            (best[x, y] + best[y, x], x, y)
-            for x, y in best
-            if x != y and (y, x) in best
-        )
-        a0, a1, b0, b1 = (signal_at(alphabet, i) for i in sources)
-        witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
+        # The lexicographic minimum of (a0, a1, b0, b1) over swapped source
+        # pairs.  a0 is the smallest history holding an image x that reaches
+        # an image y which reaches x back; a1 its smallest extension to such
+        # a y; then b0 is the smallest history holding y that reaches x, and
+        # b1 its smallest extension to x.
+        before = [0] * len(after)
+        for y, mask in enumerate(after):
+            for x in _members(mask):
+                before[x] |= 1 << y
+        swapped = [a & b & ~(1 << x) for x, (a, b) in enumerate(zip(after, before))]
+        t, i = dag.first(lambda x, mask: swapped[x] & mask)
+        x = dag.images[t][i]
+        a0 = dag.history(t, i)
+        tail, y = dag.path(t, i, swapped[x])
+        a1 = a0 + tail
+        t, i = dag.first(lambda image, mask: image == y and mask >> x & 1)
+        b0 = dag.history(t, i)
+        b1 = b0 + dag.path(t, i, 1 << x)[0]
+        a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
+        witness = AntisymmetryWitness(a0, a1, b0, b1, images[rank[x]], images[rank[y]])
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

@@ -41,9 +41,11 @@ from .signals import CausalSignal, history_count
 
 UNDEF = "UNDEF"
 
-#: Default ``classify --max-signals``.  A walk peaks at up to about 450 bytes
-#: per history (counter at horizon 17: 235 MB for 524,286 histories), so a
-#: million stays under about 0.5 GB.
+#: Default ``classify --max-signals``, a bound on control histories.  The
+#: read-state DAG merges histories, so the largest runs it admits stay small:
+#: one ``classify`` process peaks at 53 MB max RSS for counter at horizon 17
+#: (524,286 histories) and 27 MB for twoclock at horizon 8 (349,524), of
+#: which the interpreter alone is about 17 MB.
 MAX_SIGNALS = 1_000_000
 
 #: Most samples one ``check`` trial may draw (ticks 0..horizon on every

@@ -476,11 +476,26 @@ def parse(text: str) -> CircuitAst:
 # Pretty-printing
 
 def _format_expr(expr: BoolExpr) -> str:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return expr.name
-    return f"{expr.op}({', '.join(_format_expr(a) for a in expr.args)})"
+    # Iterative, so an expression of any depth prints and the parser, not
+    # Python's recursion limit, refuses one nested past MAX_EXPR_DEPTH.
+    parts = []
+    stack: list[Union[BoolExpr, str]] = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Lit):
+            parts.append(item.value)
+        elif isinstance(item, Var):
+            parts.append(item.name)
+        else:
+            parts.append(f"{item.op}(")
+            stack.append(")")
+            for k in range(len(item.args) - 1, -1, -1):
+                stack.append(item.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(parts)
 
 
 def _format_body(domain: DomainAst, indent: str) -> list[str]:

@@ -10,7 +10,7 @@ Everything here is immutable and deterministic.  Signals are ordered by
 :meth:`CausalSignal.sort_key`: current tick first, then sample ranks in the
 declaration order of alphabet values.  :func:`history_count` counts the
 signals up to a horizon and :func:`signal_at` rebuilds one from its index in
-that order, so the classifier names histories by int and still breaks ties
+that order, so a history can be named by an int that still breaks ties
 reproducibly.
 """
 

@@ -1,4 +1,4 @@
-"""Brute-force reference engines for classification, read maps and simulation.
+"""Reference engines for classification, read maps and simulation.
 
 The classifier oracle lists every control history up to the horizon,
 materialises the whole prefix relation as a list of signal pairs, maps every
@@ -10,8 +10,14 @@ evaluates every tick from scratch: each circuit's output is computed from the
 whole prefix (edges found by scanning the clock history, latch and memory
 state replayed from tick 0), and :func:`output_stream` applies such a prefix
 evaluator at every tick.  All are slow but direct, and none calls a step or
-read step of the engine, so the tests compare the one-pass tree walk, the
-read steps and the step functions against them.
+read step of the engine, so the tests compare the read-state DAG, the read
+steps and the step functions against them.
+
+The walk oracle, :func:`walk_classify`, is the engine ``classify`` had before
+it merged histories by read state: one pass over the prefix tree, stepping
+each history's read state from its parent's.  It shares the element's read
+steps and ``_axiom_report`` with ``classify`` and nothing else, and it
+reaches horizons the brute-force oracle cannot.
 """
 
 from __future__ import annotations
@@ -27,12 +33,23 @@ from kcir.classifier import (
     ClassifyStats,
     ReadMap,
     ReadSet,
+    ReadStepFn,
+    Refs,
     RefPoint,
     Verdict,
+    _axiom_report,
 )
 from kcir.circuits import CircuitElement, SimulationError, SyncSpec
 from kcir.dsl import CircuitAst, _block_spec
-from kcir.signals import BINARY, Alphabet, CausalSignal, Tick, split_symbol
+from kcir.signals import (
+    BINARY,
+    Alphabet,
+    CausalSignal,
+    Tick,
+    history_count,
+    signal_at,
+    split_symbol,
+)
 
 Relation = list[tuple[CausalSignal, CausalSignal]]
 
@@ -331,6 +348,141 @@ def classify(circuit, horizon: int, read_map: Optional[ReadMap] = None) -> Class
         witness = find_antisymmetry_witness(read_map, relation, reads=reads)
         assert witness is not None, "antisymmetry failure must yield a witness"
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
+
+
+# --- classification by one walk over the prefix tree ----------------------------
+
+def _walk_prefix_tree(
+    read_init, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
+) -> tuple[list[Refs], list[dict[int, tuple[int, int]]], int]:
+    """Push the prefix order through a read step in one pass over the tree.
+
+    Signals are named by their index in ``sort_key`` order over ``symbols``,
+    the index :func:`kcir.signals.signal_at` decodes; a node's children are
+    its history extended by each symbol in turn, and each child's read state
+    is one ``read_step`` from its parent's.  Refs are interned to ids in
+    order of first sight.
+
+    Returns the interned refs; for every refs id ``y``, a row mapping each
+    ``x`` of an ordered image pair ``(x, y)`` to its smallest source pair
+    ``(a, b)`` of signal indices; and the number of prefix pairs with an
+    undefined endpoint.
+    """
+    ids: dict[Refs, int] = {}
+    best: list[dict[int, tuple[int, int]]] = []
+    excluded = 0
+    # Per node: (read state, ancestor-or-self image id -> smallest source
+    # index, image ids already emitted under that map, undefined
+    # ancestors-or-self).  A map is never changed once built, so a node whose
+    # image is in its parent's map shares it; a later node under the same map
+    # with an already emitted image offers only larger sources for the same
+    # pairs and emits nothing.
+    parents = [(read_init, {}, set(), 0)]
+    b = 0
+    for t in range(horizon + 1):
+        level = []
+        keep = t < horizon  # the deepest level has no children to serve
+        for parent_state, parent_sources, parent_done, parent_undefined in parents:
+            for symbol in symbols:
+                state, refs = read_step(parent_state, symbol, t)
+                sources, done, undefined = parent_sources, parent_done, parent_undefined
+                if refs is None:
+                    excluded += t + 1
+                    undefined += 1
+                else:
+                    excluded += undefined
+                    y = ids.get(refs)
+                    if y is None:
+                        y = ids[refs] = len(best)
+                        best.append({})
+                    if y not in sources:
+                        sources = {**sources, y: b}
+                        done = set()
+                    if y not in done:
+                        done.add(y)
+                        row = best[y]
+                        for x, a in sources.items():
+                            current = row.get(x)
+                            if current is None or a < current[0]:
+                                row[x] = (a, b)
+                if keep:
+                    level.append((state, sources, done, undefined))
+                b += 1
+        parents = level
+    return list(ids), best, excluded
+
+
+def walk_classify(circuit: CircuitElement, horizon: int) -> Classification:
+    """The classification built by one walk over the prefix tree of control histories.
+
+    Every history is stepped from its parent's read state, so this reference
+    reaches horizons the materialised oracle cannot, while sharing nothing
+    with the read-state DAG of :func:`kcir.classify` but ``_axiom_report``.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    degenerate = horizon < 1
+    if circuit.read_step is None:
+        stats = ClassifyStats(horizon, 0, 0, 0, 0, degenerate)
+        return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
+
+    alphabet = circuit.control_alphabet
+    refs, rows, excluded = _walk_prefix_tree(
+        circuit.read_init, circuit.read_step, alphabet.values, horizon
+    )
+    order = sorted(range(len(refs)), key=refs.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    images = [ReadSet.of(*refs[i]) for i in order]
+    best = {
+        (rank[x], rank[y]): sources for y, row in enumerate(rows) for x, sources in row.items()
+    }
+    report = _axiom_report(images, range(len(images)), best)
+    width = len(alphabet)
+    stats = ClassifyStats(
+        horizon=horizon,
+        signals=history_count(width, horizon),
+        relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
+        distinct_read_sets=len(images),
+        excluded_undefined=excluded,
+        degenerate_horizon=degenerate,
+    )
+    if report.is_partial_order:
+        return Classification(Verdict.TIME_PRESERVING, report, None, stats)
+
+    witness = None
+    if not report.antisymmetric:
+        # The smallest (a0, a1) over image pairs whose reverse is present,
+        # with (b0, b1) the smallest source of the reverse: the lexicographic
+        # minimum of (a0, a1, b0, b1) over all swapped source pairs.
+        sources, x, y = min(
+            (best[x, y] + best[y, x], x, y)
+            for x, y in best
+            if x != y and (y, x) in best
+        )
+        a0, a1, b0, b1 = (signal_at(alphabet, i) for i in sources)
+        witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
+    return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
+
+
+def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[int]:
+    """The distinct (read state, refs) pairs at each tick 0..horizon.
+
+    These are the nodes of the read-state DAG level by level, found by
+    stepping every distinct read state of the level before once per symbol.
+    """
+    sizes = []
+    states = {element.read_init}
+    for t in range(horizon + 1):
+        nodes = {
+            element.read_step(state, symbol, t)
+            for state in states
+            for symbol in element.control_alphabet.values
+        }
+        sizes.append(len(nodes))
+        states = {state for state, _ in nodes}
+    return sizes
 
 
 # --- simulation ---------------------------------------------------------------

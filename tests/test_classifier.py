@@ -300,7 +300,7 @@ class TestClassify:
     @pytest.mark.parametrize(
         "factory,horizon", [(abmem_element, 2), (dff_element, 6), (toggler_pair_element, 3)]
     )
-    def test_read_step_runs_once_per_signal(self, factory, horizon):
+    def test_read_step_runs_once_per_symbol_and_dag_node(self, factory, horizon):
         element = factory()
         calls = []
 
@@ -309,7 +309,10 @@ class TestClassify:
             return element.read_step(state, symbol, tick)
 
         result = classify(dataclasses.replace(element, read_step=counting), horizon)
-        assert len(calls) == result.stats.signals
+        # The root and every node above the deepest level are expanded once.
+        expanded = 1 + sum(oracle.dag_level_sizes(element, horizon)[:horizon])
+        assert len(calls) == len(element.control_alphabet) * expanded
+        assert len(calls) < result.stats.signals
         assert result == classify(element, horizon)
 
     @pytest.mark.parametrize(

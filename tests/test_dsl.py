@@ -21,6 +21,7 @@ from kcir import (
     pretty_print,
     read_soundness_check,
 )
+from kcir.dsl import MAX_EXPR_DEPTH
 
 # ---------------------------------------------------------------------------
 # Corpora
@@ -346,6 +347,13 @@ def next_q0(expr) -> CircuitAst:
     return sync(next_exprs=(("q0", expr), ("q1", Var("q0"))))
 
 
+def nested_not(depth: int) -> Call:
+    expr = d
+    for _ in range(depth):
+        expr = Call("not", (expr,))
+    return expr
+
+
 UNREADABLE = {
     "nand": (next_q0(Call("nand", (d, e))), "unknown operator at 'nand'"),
     "not-of-two": (next_q0(Call("not", (d, e))), "arity mismatch at 'not'"),
@@ -373,6 +381,9 @@ UNREADABLE = {
     "one-domain-multiclock": (
         CircuitAst("bad", "multiclock", (FAST,)),
         "multiclock circuit requires exactly two domain blocks at 'multiclock'"),
+    "nested-past-the-depth-limit": (
+        next_q0(nested_not(5000)),
+        f"expression nested deeper than {MAX_EXPR_DEPTH} levels at 'not'"),
     "two-domains-on-one-clock": (
         CircuitAst("bad", "multiclock", (FAST, replace(SLOW, clock="cf"))),
         "duplicate clock name across domains at 'slow'"),

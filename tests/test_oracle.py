@@ -1,12 +1,14 @@
 """The fast engines must agree exactly with the brute-force oracles.
 
-The one-pass classifier agrees on whole :class:`Classification` objects:
-verdict, stats, the axiom report with its witnesses, and the antisymmetry
-witness, against the oracle engine run on the rescanning read maps.  The read
-steps agree with those read maps at every node of the prefix tree, and report
-canonical refs.  The step-function simulator agrees with the prefix
-evaluators on whole output streams, and on the error a malformed input raises
-and the tick at which it raises.
+The read-state DAG classifier agrees on whole :class:`Classification`
+objects: verdict, stats, the axiom report with its witnesses, and the
+antisymmetry witness, against the oracle engine run on the rescanning read
+maps, and against the prefix-tree walk at horizons the oracle cannot reach.
+Drawn Mealy read steps make the DAG merge histories.  The read steps agree
+with those read maps at every node of the prefix tree, and report canonical
+refs.  The step-function simulator agrees with the prefix evaluators on
+whole output streams, and on the error a malformed input raises and the
+tick at which it raises.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from kcir import (
     counter_element,
     counter_spec,
     dff_element,
+    history_count,
     load_circuit,
     mux_element,
     output_stream,
@@ -220,8 +223,8 @@ def test_table_read_maps_match_the_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(table_circuits())
 def test_classify_never_reports_a_reflexivity_failure(case):
-    # The walk pairs every image it meets with itself, so this axiom cannot
-    # fail on classify's output; the check stays, as a guard on the walk.
+    # Every defined node reaches its own image, so this axiom cannot fail on
+    # classify's output; the check stays, as a guard on the DAG.
     report = classify(*case).axiom_report
     assert report.reflexive
     assert report.reflexivity_witness is None
@@ -236,6 +239,104 @@ def test_axioms_on_ranks_match_the_read_set_scan(pairs, extra):
     nodes = frozenset(extra.union(*pairs))
     relation = DerivedRelation(nodes, frozenset(pairs), 0)
     assert ranked_axiom_report(relation) == oracle.check_partial_order(relation)
+
+
+# The read maps above carry their whole history as read state, so their DAG
+# is the prefix tree.  These read steps are small Mealy tables whose state,
+# like a built-in's, is a table state and the tick of its last event, so
+# histories that agree on both merge.
+MEALY_READS = ("none", "current", "last", "both")
+
+
+@st.composite
+def mealy_circuits(draw):
+    """A circuit whose read step is a drawn table over (table state, control symbol).
+
+    The table gives the next table state, whether the tick is an event, and
+    what is read: nothing (undefined), the current tick, the last event's
+    tick (undefined before any event), or both.
+    """
+    states = draw(st.integers(2, 4))
+    alphabet = Alphabet(tuple("abc"[: draw(st.integers(1, 3))]))
+    table = {
+        (q, symbol): (
+            draw(st.integers(0, states - 1)),
+            draw(st.booleans()),
+            draw(st.sampled_from(MEALY_READS)),
+        )
+        for q in range(states)
+        for symbol in alphabet.values
+    }
+
+    def read_step(state, symbol, tick):
+        q, last = state
+        q, event, read = table[q, symbol]
+        if event:
+            last = tick
+        if read == "none" or (read == "last" and last is None):
+            refs = None
+        elif read == "current" or (read == "both" and last in (None, tick)):
+            refs = (("D", tick),)
+        elif read == "last":
+            refs = (("D", last),)
+        else:
+            refs = (("D", last), ("D", tick))
+        return (q, last), refs
+
+    return CircuitElement(
+        name="mealy",
+        control_channels=("C",),
+        control_alphabet=alphabet,
+        input_channels=(("D", alphabet),),
+        init=None,
+        step=lambda state, symbol, samples: (state, None),
+        read_init=(0, None),
+        read_step=read_step,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mealy_circuits(), st.integers(0, 3))
+def test_mealy_read_steps_match_the_oracle(element, horizon):
+    assert classify(element, horizon) == oracle.classify(element, horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mealy_circuits(), st.integers(0, 6))
+def test_mealy_read_steps_match_the_walk(element, horizon):
+    assert classify(element, horizon) == oracle.walk_classify(element, horizon)
+
+
+def test_mealy_strategy_merges_histories():
+    def merges(case):
+        element, horizon = case
+        width = len(element.control_alphabet)
+        return sum(oracle.dag_level_sizes(element, horizon)) < history_count(width, horizon)
+
+    element, horizon = find(
+        st.tuples(mealy_circuits(), st.integers(0, 3)),
+        merges,
+        settings=settings(max_examples=500, deadline=None, database=None),
+    )
+    assert classify(element, horizon) == oracle.classify(element, horizon)
+
+
+# Horizons past the brute-force oracle's reach, checked against the walk.
+DEEP = [
+    (dff_element, 14),
+    (mux_element, 12),
+    (counter_element, 12),
+    (toggler_pair_element, 6),
+    (abmem_element, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,horizon", DEEP, ids=[f"{factory.__name__}-{h}" for factory, h in DEEP]
+)
+def test_deep_horizons_match_the_walk(factory, horizon):
+    element = factory()
+    assert classify(element, horizon) == oracle.walk_classify(element, horizon)
 
 
 def _failures(case) -> tuple[bool, bool]:
