@@ -25,6 +25,12 @@ k = 1.  Its control symbol joins the k clock samples with '/', and one edge
 table, shared by ``step`` and ``read_step``, says which clocks rise between
 two symbols, so both refuse a clock sample that is not a bit.
 
+The randomized property checks fold ``step`` over the ticks a trial
+compares and no more: a causality trial folds ticks 0..m-1 before and after
+the mutation at tick m, and a read-soundness trial folds the ticks before the
+mutated one once and runs the baseline and the mutated run from that shared
+state to the compared tick.
+
 Conventions shared by all built-ins:
 
 - clock and bit values are the strings "0" and "1"; a positive edge is a
@@ -561,13 +567,21 @@ def _fold_outputs(
     element: CircuitElement, symbols: Sequence[str], columns: Sequence[Sequence[str]]
 ) -> list[Optional[str]]:
     """The output at every tick: ``step`` folded over aligned columns from ``init``."""
-    step = element.step
-    state = element.init
+    return _fold(element.step, element.init, symbols, _rows(columns))[1]
+
+
+def _fold(
+    step: StepFn, state: Any, symbols: Iterable[str], rows: Iterable[tuple[str, ...]]
+) -> tuple[Any, list[Optional[str]]]:
+    """The state after ``step`` folded over ``symbols`` and ``rows``, and every output.
+
+    The fold stops at the end of ``symbols``, so ``rows`` may run longer.
+    """
     outputs = []
-    for symbol, samples in zip(symbols, _rows(columns)):
+    for symbol, samples in zip(symbols, rows):
         state, output = step(state, symbol, samples)
         outputs.append(output)
-    return outputs
+    return state, outputs
 
 
 def _stream_alphabets(element: CircuitElement) -> list[Alphabet]:
@@ -577,9 +591,10 @@ def _stream_alphabets(element: CircuitElement) -> list[Alphabet]:
 
 def _random_streams(
     rng: random.Random, alphabets: Sequence[Alphabet], length: int
-) -> list[tuple[str, ...]]:
+) -> list[list[str]]:
     """One random column per alphabet: the control symbols, then the input columns."""
-    return [tuple(rng.choice(a.values) for _ in range(length)) for a in alphabets]
+    choice = rng.choice
+    return [[choice(values) for _ in range(length)] for values in [a.values for a in alphabets]]
 
 
 @dataclass(frozen=True)
@@ -599,21 +614,24 @@ def read_soundness_check(
     Each trial draws random control and input columns, picks a tick, and flips
     one input sample at a position the read step does not claim at ``t``; the
     outputs at ``t`` before and after are ``step`` folded over ticks 0..t.
-    Trials whose read set is undefined, or where every position up to ``t``
-    is claimed, are counted but not mutated.
+    The two runs agree before the mutated tick ``u``, so ticks 0..u-1 are
+    folded once and both runs go on from that shared state, which no step
+    mutates in place: a trial costs u + 2(t+1-u) steps.  Trials whose read
+    set is undefined, or where every position up to ``t`` is claimed, are
+    counted but not mutated.
     """
     if element.read_step is None:
         raise ValueError(f"circuit {element.name!r} has no read map")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     alphabets = _stream_alphabets(element)
+    step, init = element.step, element.init
     rng = random.Random(seed)
     mutations = undefined = unmutable = violations = 0
     for _ in range(trials):
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = rng.randint(0, horizon)
-        symbols = control[: t + 1]
-        refs = _fold_refs(element.read_init, element.read_step, symbols)
+        refs = _fold_refs(element.read_init, element.read_step, control[: t + 1])
         if refs is None:
             undefined += 1
             continue
@@ -627,14 +645,17 @@ def read_soundness_check(
         if not free:
             unmutable += 1
             continue
-        columns = [column[: t + 1] for column in columns]
-        baseline = _fold_outputs(element, symbols, columns)[-1]
         k, u, alphabet = free[rng.randrange(len(free))]
         old = columns[k][u]
         new = rng.choice([v for v in alphabet.values if v != old])
-        columns[k] = (*columns[k][:u], new, *columns[k][u + 1:])
         mutations += 1
-        if _fold_outputs(element, symbols, columns)[-1] != baseline:
+        rows = list(itertools.islice(zip(*columns), t + 1))
+        shared = _fold(step, init, control[:u], rows)[0]
+        tail = control[u : t + 1]
+        baseline = _fold(step, shared, tail, rows[u:])[1][-1]
+        row = rows[u]
+        rows[u] = (*row[:k], new, *row[k + 1:])
+        if _fold(step, shared, tail, rows[u:])[1][-1] != baseline:
             violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 
@@ -649,22 +670,30 @@ class CausalityReport:
 def causality_check(
     element: CircuitElement, horizon: int, trials: int, seed: int
 ) -> CausalityReport:
-    """Mutate a sample at some tick m; outputs strictly before m must not move."""
+    """Mutate a sample at some tick m; outputs strictly before m must not move.
+
+    Only the compared ticks 0..m-1 are folded, once before the mutation and
+    once after, so a trial costs 2m steps.  A pure ``step`` cannot see the
+    mutated tick there, so a violation shows a step whose output depends on
+    more than its arguments.
+    """
     if horizon < 1:
         raise ValueError("causality needs a horizon of at least 1")
     alphabets = _stream_alphabets(element)
+    step, init = element.step, element.init
     rng = random.Random(seed)
     mutations = violations = 0
     for _ in range(trials):
         streams = _random_streams(rng, alphabets, horizon + 1)
-        before = _fold_outputs(element, streams[0], streams[1:])
         m = rng.randint(1, horizon)
         pick = rng.randrange(len(streams))
-        samples = list(streams[pick])
-        samples[m] = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
-        streams[pick] = samples
-        after = _fold_outputs(element, streams[0], streams[1:])
+        samples = streams[pick]
+        new = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
+        control, *columns = streams
+        before = _fold(step, init, control[:m], _rows(columns))[1]
+        samples[m] = new
+        after = _fold(step, init, control[:m], _rows(columns))[1]
         mutations += 1
-        if before[:m] != after[:m]:
+        if before != after:
             violations += 1
     return CausalityReport(trials, mutations, violations)

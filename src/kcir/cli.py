@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -402,7 +403,9 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry points
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state in it."""
     parser = _ArgumentParser(
         prog="kcir",
         description="Simulate and classify sequential circuits described in .kcir files.",

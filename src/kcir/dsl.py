@@ -27,7 +27,9 @@ a source span covering the offending token.
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to two
 named ones, and :func:`elaborate` builds both kinds with
-:func:`kcir.circuits.clocked_element`, one register block per domain.
+:func:`kcir.circuits.clocked_element`, one register block per domain.  Each
+block's logic is compiled once per distinct domain to straight-line Python
+whose locals are named by slot number only.
 
 The parser is the only validator: a hand-built :class:`CircuitAst` is
 elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
@@ -35,9 +37,11 @@ elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from types import CodeType
+from typing import Optional, Sequence, Union
 
 from . import circuits
 from .circuits import CircuitElement, SimulationError, SyncSpec
@@ -55,9 +59,9 @@ _LEGAL_CLAUSES = {
     "multiclock": {"kind", "domain"},
 }
 _DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
-#: Deepest operator nesting an expression may have.  Parsing, compiling and
-#: evaluating recurse at every level, so the bound keeps them well inside
-#: Python's recursion limit.
+#: Deepest operator nesting an expression may have.  Parsing recurses at
+#: every level, so the bound keeps it well inside Python's recursion limit;
+#: compiling walks its own stack and the compiled logic is straight-line.
 MAX_EXPR_DEPTH = 200
 
 
@@ -525,48 +529,116 @@ def pretty_print(ast: CircuitAst) -> str:
 # ---------------------------------------------------------------------------
 # Elaboration
 
-def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
-    """A function of the environment tuple; ``slots`` maps each name to its index."""
-    if isinstance(expr, Lit):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Var):
-        slot = slots[expr.name]
-        return lambda env: env[slot]
-    compiled = [_compile_expr(arg, slots) for arg in expr.args]
-    if expr.op == "not":
-        inner = compiled[0]
-        return lambda env: "1" if inner(env) == "0" else "0"
-    if expr.op == "and":
-        return lambda env: "1" if all(f(env) == "1" for f in compiled) else "0"
-    if expr.op == "or":
-        return lambda env: "1" if any(f(env) == "1" for f in compiled) else "0"
-    return lambda env: "1" if sum(f(env) == "1" for f in compiled) % 2 else "0"
+class _LogicWriter:
+    """Straight-line statements computing boolean expressions over bool locals.
+
+    A variable is the local ``v<slot>``, and each operator node is one
+    statement assigning a fresh ``t<k>``.  The walk keeps its own stack, so
+    no nesting depth recurses.
+    """
+
+    _JOIN = {"and": " and ", "or": " or ", "xor": " ^ "}
+
+    def __init__(self, slots: dict[str, int]):
+        self.slots = slots
+        self.lines: list[str] = []
+        self.used: set[int] = set()
+
+    def operand(self, expr: BoolExpr) -> str:
+        """Append the statements for ``expr``; return the operand holding its value."""
+        operands: list[str] = []
+        stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, Lit):
+                operands.append("True" if node.value == "1" else "False")
+            elif isinstance(node, Var):
+                slot = self.slots[node.name]
+                self.used.add(slot)
+                operands.append(f"v{slot}")
+            elif not expanded:
+                stack.append((node, True))
+                stack.extend((arg, False) for arg in reversed(node.args))
+            else:
+                cut = len(operands) - len(node.args)
+                args = operands[cut:]
+                del operands[cut:]
+                value = f"not {args[0]}" if node.op == "not" else self._JOIN[node.op].join(args)
+                name = f"t{len(self.lines)}"
+                self.lines.append(f"{name} = {value}")
+                operands.append(name)
+        return operands[0]
+
+
+def _logic_function(
+    exprs: Sequence[BoolExpr], slots: dict[str, int], width: int, output: bool
+) -> list[str]:
+    """Source lines of ``next_state(state, samples)``, or of ``output_fn`` for ``output``.
+
+    ``state`` holds slots ``0..width-1`` and ``samples`` the rest, all as
+    "0"/"1" strings.  Next-state logic returns the tuple of its expressions'
+    bits.  Output logic first hands samples holding a non-bit to
+    ``reject_sample`` and returns the bits concatenated.
+    """
+    writer = _LogicWriter(slots)
+    bits = [f'("1" if {writer.operand(expr)} else "0")' for expr in exprs]
+    head = [f"{''.join(f'v{i}, ' for i in range(width))}= state"]
+    if len(slots) > width:
+        head.append(f"{''.join(f'v{i}, ' for i in range(width, len(slots)))}= samples")
+    if output:
+        head += [
+            f'if v{i} != "0" and v{i} != "1": reject_sample(samples)'
+            for i in range(width, len(slots))
+        ]
+    head += [f'v{i} = v{i} == "1"' for i in sorted(writer.used)]
+    result = " + ".join(bits) if output else f"({', '.join(bits)},)"
+    name = "output_fn" if output else "next_state"
+    return [f"def {name}(state, samples):", *(
+        f"    {line}" for line in (*head, *writer.lines, f"return {result}")
+    )]
+
+
+@functools.lru_cache(maxsize=128)
+def _block_code(domain: DomainAst) -> CodeType:
+    """The compiled :func:`_block_source`, kept per distinct domain as ``re`` keeps patterns."""
+    return compile(_block_source(domain), "<kcir register block>", "exec")
+
+
+def _block_source(domain: DomainAst) -> str:
+    """Straight-line Python for a domain's ``next_state`` and ``output_fn``.
+
+    Locals are named by slot number only (``v<slot>`` for the state vector
+    followed by the input samples, ``t<k>`` for operator results), so no
+    identifier or other text of the description enters the source.
+    """
+    width = len(domain.init_bits)
+    slots = {f"q{i}": i for i in range(width)}
+    slots.update((name, width + k) for k, name in enumerate(domain.inputs))
+    nexts = [expr for _, expr in domain.next_exprs]
+    outs = [expr for _, expr in domain.outputs]
+    return "\n".join([
+        *_logic_function(nexts, slots, width, output=False),
+        *_logic_function(outs, slots, width, output=True),
+    ]) + "\n"
 
 
 def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
-    """The register block of a parsed domain; ``where`` names it in sample errors."""
-    width, inputs = len(domain.init_bits), domain.inputs
-    # The environment is the state vector followed by the input samples.
-    slots = {f"q{i}": i for i in range(width)}
-    slots.update((name, width + k) for k, name in enumerate(inputs))
-    next_fns = [_compile_expr(expr, slots) for _, expr in domain.next_exprs]
-    out_fns = [_compile_expr(expr, slots) for _, expr in domain.outputs]
+    """The register block of a parsed domain; ``where`` names it in sample errors.
 
-    def step(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
-        # Unchecked: ``out`` runs on the same samples at the same tick and rejects
-        # a non-bit one before any output of that tick is produced.
-        env = state + samples
-        return tuple([fn(env) for fn in next_fns])
+    ``next_state`` does not check its samples: ``output_fn`` runs on the same
+    samples at the same tick and rejects a non-bit one before any output of
+    that tick is produced.
+    """
+    inputs = domain.inputs
 
-    def out(state: tuple[str, ...], samples: tuple[str, ...]) -> str:
+    def reject_sample(samples: tuple[str, ...]) -> None:
         for name, value in zip(inputs, samples):
             if value != "0" and value != "1":
                 raise SimulationError(f"{where}: input {name!r} sample {value!r} is not a bit")
-        env = state + samples
-        return "".join([fn(env) for fn in out_fns])
 
-    return SyncSpec(tuple(domain.init_bits), step, out)
+    namespace = {"reject_sample": reject_sample}
+    exec(_block_code(domain), namespace)
+    return SyncSpec(tuple(domain.init_bits), namespace["next_state"], namespace["output_fn"])
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:

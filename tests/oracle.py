@@ -18,11 +18,20 @@ it merged histories by read state: one pass over the prefix tree, stepping
 each history's read state from its parent's.  It shares the element's read
 steps and ``_axiom_report`` with ``classify`` and nothing else, and it
 reaches horizons the brute-force oracle cannot.
+
+The register-block reference, :func:`reference_block_spec`, evaluates a
+domain's expressions by walking nested closures over "0"/"1" strings, the
+way ``.kcir`` blocks ran before they were compiled to straight-line Python.
+The check references, :func:`causality_check` and
+:func:`read_soundness_check`, fold every trial over all the ticks they draw
+or cut, from tick 0, for both runs; the library folds only the compared
+ticks and shares the prefix the runs agree on.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -39,8 +48,17 @@ from kcir.classifier import (
     Verdict,
     _axiom_report,
 )
-from kcir.circuits import CircuitElement, SimulationError, SyncSpec
-from kcir.dsl import CircuitAst, _block_spec
+from kcir.circuits import (
+    CausalityReport,
+    CircuitElement,
+    ReadSoundnessReport,
+    SimulationError,
+    SyncSpec,
+    _fold_outputs,
+    _fold_refs,
+    _stream_alphabets,
+)
+from kcir.dsl import BoolExpr, CircuitAst, DomainAst, Lit, Var
 from kcir.signals import (
     BINARY,
     Alphabet,
@@ -689,13 +707,134 @@ _FIXED_KINDS = {
 }
 
 
+def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
+    """A function of the environment tuple; ``slots`` maps each name to its index."""
+    if isinstance(expr, Lit):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Var):
+        slot = slots[expr.name]
+        return lambda env: env[slot]
+    compiled = [_compile_expr(arg, slots) for arg in expr.args]
+    if expr.op == "not":
+        inner = compiled[0]
+        return lambda env: "1" if inner(env) == "0" else "0"
+    if expr.op == "and":
+        return lambda env: "1" if all(f(env) == "1" for f in compiled) else "0"
+    if expr.op == "or":
+        return lambda env: "1" if any(f(env) == "1" for f in compiled) else "0"
+    return lambda env: "1" if sum(f(env) == "1" for f in compiled) % 2 else "0"
+
+
+def reference_block_spec(domain: DomainAst, where: str) -> SyncSpec:
+    """The register block of a parsed domain, its logic as nested closures.
+
+    ``where`` names the block in sample errors, which ``output_fn`` raises
+    for the first input sample that is not a bit; ``next_state`` does not
+    check its samples.
+    """
+    width, inputs = len(domain.init_bits), domain.inputs
+    # The environment is the state vector followed by the input samples.
+    slots = {f"q{i}": i for i in range(width)}
+    slots.update((name, width + k) for k, name in enumerate(inputs))
+    next_fns = [_compile_expr(expr, slots) for _, expr in domain.next_exprs]
+    out_fns = [_compile_expr(expr, slots) for _, expr in domain.outputs]
+
+    def step(state: tuple[str, ...], samples: tuple[str, ...]) -> tuple[str, ...]:
+        env = state + samples
+        return tuple([fn(env) for fn in next_fns])
+
+    def out(state: tuple[str, ...], samples: tuple[str, ...]) -> str:
+        for name, value in zip(inputs, samples):
+            if value != "0" and value != "1":
+                raise SimulationError(f"{where}: input {name!r} sample {value!r} is not a bit")
+        env = state + samples
+        return "".join([fn(env) for fn in out_fns])
+
+    return SyncSpec(tuple(domain.init_bits), step, out)
+
+
 def ast_evaluator(ast: CircuitAst) -> EvalFn:
     """The prefix evaluator a circuit description denotes, built the old way."""
     if ast.kind in _FIXED_KINDS:
         return _FIXED_KINDS[ast.kind]
     if ast.kind == "sync":
         (body,) = ast.domains
-        return sync_evaluator(_block_spec(body, ast.name), body.inputs)
+        return sync_evaluator(reference_block_spec(body, ast.name), body.inputs)
     dom_a, dom_b = ast.domains
-    spec_a, spec_b = (_block_spec(d, f"{ast.name}.{d.name}") for d in (dom_a, dom_b))
+    spec_a, spec_b = (reference_block_spec(d, f"{ast.name}.{d.name}") for d in (dom_a, dom_b))
     return multiclock_evaluator(spec_a, spec_b, dom_a.inputs, dom_b.inputs)
+
+
+# --- randomized checks: every trial folded in full ------------------------------
+
+def _random_streams(
+    rng: random.Random, alphabets: Sequence[Alphabet], length: int
+) -> list[tuple[str, ...]]:
+    """One random column per alphabet: the control symbols, then the input columns."""
+    return [tuple(rng.choice(a.values) for _ in range(length)) for a in alphabets]
+
+
+def read_soundness_check(
+    element: CircuitElement, horizon: int, trials: int, seed: int
+) -> ReadSoundnessReport:
+    """Read soundness with both runs of a trial folded over ticks 0..t from tick 0."""
+    if element.read_step is None:
+        raise ValueError(f"circuit {element.name!r} has no read map")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    alphabets = _stream_alphabets(element)
+    rng = random.Random(seed)
+    mutations = undefined = unmutable = violations = 0
+    for _ in range(trials):
+        control, *columns = _random_streams(rng, alphabets, horizon + 1)
+        t = rng.randint(0, horizon)
+        symbols = control[: t + 1]
+        refs = _fold_refs(element.read_init, element.read_step, symbols)
+        if refs is None:
+            undefined += 1
+            continue
+        claimed = set(refs)
+        free = [
+            (k, u, alphabet)
+            for k, (name, alphabet) in enumerate(element.input_channels)
+            for u in range(t + 1)
+            if (name, u) not in claimed and len(alphabet) > 1
+        ]
+        if not free:
+            unmutable += 1
+            continue
+        columns = [column[: t + 1] for column in columns]
+        baseline = _fold_outputs(element, symbols, columns)[-1]
+        k, u, alphabet = free[rng.randrange(len(free))]
+        old = columns[k][u]
+        new = rng.choice([v for v in alphabet.values if v != old])
+        columns[k] = (*columns[k][:u], new, *columns[k][u + 1:])
+        mutations += 1
+        if _fold_outputs(element, symbols, columns)[-1] != baseline:
+            violations += 1
+    return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
+
+
+def causality_check(
+    element: CircuitElement, horizon: int, trials: int, seed: int
+) -> CausalityReport:
+    """Causality with both runs of a trial folded over every tick 0..horizon."""
+    if horizon < 1:
+        raise ValueError("causality needs a horizon of at least 1")
+    alphabets = _stream_alphabets(element)
+    rng = random.Random(seed)
+    mutations = violations = 0
+    for _ in range(trials):
+        streams = _random_streams(rng, alphabets, horizon + 1)
+        before = _fold_outputs(element, streams[0], streams[1:])
+        m = rng.randint(1, horizon)
+        pick = rng.randrange(len(streams))
+        samples = list(streams[pick])
+        samples[m] = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
+        streams[pick] = samples
+        after = _fold_outputs(element, streams[0], streams[1:])
+        mutations += 1
+        if before[:m] != after[:m]:
+            violations += 1
+    return CausalityReport(trials, mutations, violations)

@@ -27,6 +27,7 @@ from kcir import (
     sr_latch_element,
     toggler_pair_element,
 )
+from kcir.circuits import _random_streams, _stream_alphabets
 
 from . import oracle
 from .conftest import bits, last_output, latch_control, sig
@@ -325,19 +326,21 @@ class TestOutputStream:
         assert (first, second) == (["1", "1"], ["0", "0"])
 
 
-def _counting(element):
-    """The element with a step that counts its calls in the returned list."""
-    calls = [0]
+def _recording(element):
+    """The element with a step that records (tick, samples) of every call in the list."""
+    steps = []
 
     def step(state, symbol, samples):
-        calls[0] += 1
-        return element.step(state, symbol, samples)
+        tick, inner = state
+        steps.append((tick, samples))
+        inner, output = element.step(inner, symbol, samples)
+        return (tick + 1, inner), output
 
-    return dataclasses.replace(element, step=step), calls
+    return dataclasses.replace(element, init=(0, element.init), step=step), steps
 
 
 class TestLinearTime:
-    """Simulation costs one step per tick: no prefix is ever re-folded."""
+    """Simulation costs one step per tick, and a check trial steps only the ticks it compares."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -345,7 +348,7 @@ class TestLinearTime:
          abmem_element, sr_latch_element),
     )
     def test_output_stream_steps_once_per_tick(self, factory):
-        element, calls = _counting(factory())
+        element, steps = _recording(factory())
         rng = random.Random(7)
         ticks = 2000
         control = _random_samples(rng, element.control_alphabet, ticks)
@@ -354,14 +357,45 @@ class TestLinearTime:
             for name, alphabet in element.input_channels
         }
         assert len(output_stream(element, control, inputs)) == ticks
-        assert calls[0] == ticks
+        assert [tick for tick, _ in steps] == list(range(ticks))
 
+    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("horizon", (1, 4, 16))
-    def test_causality_trial_steps_twice_per_tick(self, horizon):
-        element, calls = _counting(counter_element())
-        report = causality_check(element, horizon=horizon, trials=1, seed=3)
+    def test_causality_trial_steps_twice_per_compared_tick(self, horizon, seed):
+        element, steps = _recording(counter_element())
+        report = causality_check(element, horizon=horizon, trials=1, seed=seed)
         assert report.mutations == 1
-        assert calls[0] == 2 * (horizon + 1)
+        # The trial's mutated tick m, drawn right after the streams.
+        rng = random.Random(seed)
+        _random_streams(rng, _stream_alphabets(element), horizon + 1)
+        m = rng.randint(1, horizon)
+        ticks = [tick for tick, _ in steps]
+        assert ticks == [*range(m), *range(m)]
+        assert steps[:m] == steps[m:]
+
+    @pytest.mark.parametrize("factory", (dff_element, mux_element, counter_element,
+                                         toggler_pair_element, abmem_element))
+    def test_read_soundness_trial_shares_the_prefix_before_the_mutation(self, factory):
+        element, steps = _recording(factory())
+        mutated = 0
+        for seed in range(12):
+            steps.clear()
+            report = read_soundness_check(element, horizon=8, trials=1, seed=seed)
+            if not report.mutations:
+                assert steps == []
+                continue
+            mutated += 1
+            # Ticks 0..u-1 once, then u..t for the baseline and again for
+            # the mutated run, whose first row differs in one sample.
+            t = max(tick for tick, _ in steps)
+            u = steps[t + 1][0]
+            assert [tick for tick, _ in steps] == [*range(t + 1), *range(u, t + 1)]
+            assert len(steps) == u + 2 * (t + 1 - u)
+            baseline, again = steps[u : t + 1], steps[t + 1:]
+            assert baseline[1:] == again[1:]
+            changed = [a != b for a, b in zip(baseline[0][1], again[0][1])]
+            assert changed.count(True) == 1
+        assert mutated
 
 
 ELEMENTS_WITH_READS = (
@@ -469,6 +503,18 @@ class TestRandomizedProperties:
         report = causality_check(element, horizon=4, trials=300, seed=13)
         assert report.violations == 0
         assert report.mutations == report.trials
+
+    def test_causality_catches_an_impure_step(self):
+        # The output reads how often the step was called, not its arguments,
+        # so the run after the mutation differs before the mutated tick.
+        element = dff_element()
+        calls = itertools.count()
+        impure = dataclasses.replace(
+            element, step=lambda state, symbol, samples: (state, str(next(calls) % 2))
+        )
+        report = causality_check(impure, horizon=4, trials=50, seed=13)
+        assert report.violations > 0
+        assert causality_check(element, horizon=4, trials=50, seed=13).violations == 0
 
     def test_read_soundness_requires_a_read_map(self):
         with pytest.raises(ValueError):

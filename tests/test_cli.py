@@ -166,6 +166,38 @@ class TestClassifyCommand:
         assert out.startswith("usage: kcir check") and err == ""
 
 
+class TestParserReuse:
+    """The parser is built once per process; no call leaves state for the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_usage_error_does_not_leak_into_a_valid_call(self, capsys):
+        code, _, err = run(capsys, "classify", "--circuit", circuit("dff.kcir"), "--horizon", "x")
+        assert code == 2 and "invalid int value: 'x'" in err
+        code, out, err = run(capsys, "classify", "--circuit", circuit("dff.kcir"))
+        assert (code, err) == (0, "")
+        assert "verdict: time-preserving" in out
+        code, _, err = run(capsys, "check", "--horizon", "3")
+        assert code == 2 and "required: --circuit" in err
+
+    def test_help_twice_prints_the_same_text(self, capsys):
+        first = run(capsys, "check", "--help")
+        assert first[0] == 0 and first[1].startswith("usage: kcir check")
+        assert run(capsys, "check", "--help") == first
+        assert run(capsys, "--help")[1].startswith("usage: kcir")
+        assert run(capsys, "check", "--help") == first
+
+    def test_an_option_does_not_become_the_next_calls_default(self, capsys):
+        argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
+        code, _, err = run(capsys, *argv, "--max-signals", "1")
+        assert code == 2 and "above --max-signals 1\n" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "verdict: time-preserving" in out
+        code, _, err = run(capsys, "classify", "--circuit", circuit("abmem.kcir"), "--horizon", "8")
+        assert code == 2 and "--max-signals 1,000,000" in err
+
+
 class TestSimulateCommand:
     def test_dff_edge_stimulus(self, capsys):
         code, out, _ = run(

@@ -7,7 +7,9 @@ and as small edits of the files in ``circuits/``; stimulus CSV is drawn from
 the channel names and sample values those circuits use, with cells that are
 sometimes padded with whitespace, quoted, or several values joined by '/'.
 A drawn text that parses must also parse back from its canonical text to
-the same description, and ``elaborate`` must accept that description.
+the same description, ``elaborate`` must accept that description, and the
+element must simulate a short random stimulus as the oracle's prefix
+evaluator for that description does.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from kcir.circuits import output_stream
 from kcir.cli import main
 from kcir.dsl import ParseError, elaborate, load_circuit, parse, pretty_print
 from kcir.signals import split_symbol
 
+from . import oracle
 from .conftest import CIRCUITS_DIR
 
 SOURCES = [path.read_text(encoding="utf-8") for path in sorted(CIRCUITS_DIR.glob("*.kcir"))]
@@ -53,6 +57,18 @@ def edited_sources(draw):
         insert = draw(st.one_of(st.sampled_from(TOKENS), st.text(CHARACTERS, max_size=3)))
         text = text[:i] + insert + text[j:]
     return text
+
+
+@st.composite
+def bit_stimuli(draw, element):
+    """A short random stimulus: control symbols and one bit column per input."""
+    ticks = draw(st.integers(1, 8))
+
+    def column(values):
+        return draw(st.lists(st.sampled_from(values), min_size=ticks, max_size=ticks))
+
+    control = column(element.control_alphabet.values)
+    return control, {name: column(("0", "1")) for name in element.input_names}
 
 
 token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
@@ -146,7 +162,11 @@ def test_drawn_files_end_in_a_known_exit_code(files, text, csv_text, data):
         pass
     else:
         assert parse(pretty_print(ast)) == ast
-        elaborate(ast)
+        element = elaborate(ast)
+        control, inputs = data.draw(bit_stimuli(element))
+        assert output_stream(element, control, inputs) == oracle.output_stream(
+            element, oracle.ast_evaluator(ast), control, inputs
+        )
     circuit, stimulus = files
     circuit.write_text(text, encoding="utf-8")
     stimulus.write_text(csv_text, encoding="utf-8")

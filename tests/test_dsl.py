@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import io
+import itertools
 import random
+import re
+import tokenize
 from dataclasses import replace
 
 import pytest
@@ -8,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcir import (
+    BoolExpr,
     Call,
     CircuitAst,
     DomainAst,
     ElaborationError,
     Lit,
     ParseError,
+    SimulationError,
     Var,
     elaborate,
     output_stream,
@@ -21,7 +27,10 @@ from kcir import (
     pretty_print,
     read_soundness_check,
 )
-from kcir.dsl import MAX_EXPR_DEPTH
+from kcir.dsl import MAX_EXPR_DEPTH, _block_code, _block_source, _block_spec
+
+from . import oracle
+from .conftest import CIRCUITS_DIR
 
 # ---------------------------------------------------------------------------
 # Corpora
@@ -328,6 +337,129 @@ class TestCompiledLogic:
             expected.append(_interpret(hi, env) + _interpret(lo, env))
         element = elaborate(ast)
         assert output_stream(element, clock, {"d": d, "e": e}) == expected
+
+
+#: Input names that are Python keywords, builtins or the generated code's own
+#: local and global names; the grammar admits all of them.
+AWKWARD_NAMES = (
+    "env", "samples", "state", "v0", "v1", "t0", "t1", "lambda", "import", "not",
+    "in", "return", "true", "reject_sample", "next_state", "output_fn", "q9",
+)
+
+
+@st.composite
+def _domains(draw) -> DomainAst:
+    """A sync body of 1 to 4 registers and 0 to 3 inputs with n-ary logic."""
+    width = draw(st.integers(1, 4))
+    inputs = tuple(draw(st.lists(st.sampled_from(AWKWARD_NAMES), max_size=3, unique=True)))
+    names = (*(f"q{i}" for i in range(width)), *inputs)
+    leaves = st.one_of(
+        st.builds(Lit, st.sampled_from(("0", "1"))), st.builds(Var, st.sampled_from(names))
+    )
+    exprs = st.recursive(leaves, lambda children: st.one_of(
+        st.builds(lambda a: Call("not", (a,)), children),
+        st.builds(
+            lambda op, args: Call(op, tuple(args)),
+            st.sampled_from(("and", "or", "xor")),
+            st.lists(children, min_size=2, max_size=4),
+        ),
+    ), max_leaves=12)
+    nexts = [(f"q{i}", draw(exprs)) for i in range(width)]
+    outs = [(name, draw(exprs)) for name in draw(
+        st.lists(st.sampled_from(AWKWARD_NAMES), min_size=1, max_size=3, unique=True)
+    )]
+    if draw(st.booleans()):
+        # One expression becomes a nest of negations as deep as the grammar allows.
+        slots = nexts + outs
+        k = draw(st.integers(0, len(slots) - 1))
+        expr = draw(leaves)
+        for _ in range(MAX_EXPR_DEPTH):
+            expr = Call("not", (expr,))
+        slots[k] = (slots[k][0], expr)
+        nexts, outs = slots[:width], slots[width:]
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    return DomainAst("", "clk", bits, inputs, tuple(nexts), tuple(outs))
+
+
+def _identifiers(domain: DomainAst) -> dict[str, str]:
+    """Fresh names for every identifier of a domain, registers excepted."""
+    names = [domain.clock, *domain.inputs, *(name for name, _ in domain.outputs)]
+    return {name: f"renamed_{k}" for k, name in enumerate(dict.fromkeys(names))}
+
+
+def _renamed_expr(expr: BoolExpr, names: dict[str, str]) -> BoolExpr:
+    if isinstance(expr, Var):
+        return Var(names.get(expr.name, expr.name))
+    if isinstance(expr, Call):
+        return Call(expr.op, tuple(_renamed_expr(arg, names) for arg in expr.args))
+    return expr
+
+
+def _renamed(domain: DomainAst) -> DomainAst:
+    names = _identifiers(domain)
+    return DomainAst(
+        "", names[domain.clock], domain.init_bits, tuple(names[n] for n in domain.inputs),
+        tuple((q, _renamed_expr(e, names)) for q, e in domain.next_exprs),
+        tuple((names[n], _renamed_expr(e, names)) for n, e in domain.outputs),
+    )
+
+
+#: Every name the generated source may use besides ``v<slot>`` and ``t<k>``.
+SOURCE_NAMES = {
+    "def", "next_state", "output_fn", "state", "samples", "if", "reject_sample",
+    "not", "and", "or", "True", "False", "else", "return",
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return f"SimulationError: {exc}"
+
+
+class TestCompiledBlocksMatchTheReference:
+    """Straight-line block logic against the closure evaluator in ``tests/oracle.py``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_domains(), st.data())
+    def test_compiled_block_equals_the_reference(self, domain, data):
+        ast = CircuitAst("blk", "sync", (domain,))
+        assert parse(pretty_print(ast)) == ast
+        compiled = _block_spec(domain, "blk")
+        reference = oracle.reference_block_spec(domain, "blk")
+        assert compiled.initial_state == reference.initial_state
+        width = len(domain.init_bits)
+        for env in itertools.product("01", repeat=width + len(domain.inputs)):
+            state, samples = env[:width], env[width:]
+            assert compiled.next_state(state, samples) == reference.next_state(state, samples)
+            assert compiled.output_fn(state, samples) == reference.output_fn(state, samples)
+        if domain.inputs:
+            state = tuple(data.draw(st.text("01", min_size=width, max_size=width)))
+            samples = tuple(data.draw(st.lists(
+                st.sampled_from(("0", "1", "x", "", "2", " 1", "10")),
+                min_size=len(domain.inputs), max_size=len(domain.inputs),
+            )))
+            assert _outcome(compiled.output_fn, state, samples) == _outcome(
+                reference.output_fn, state, samples
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(_domains())
+    def test_generated_source_holds_no_text_of_the_description(self, domain):
+        source = _block_source(domain)
+        assert source == _block_source(_renamed(domain))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert token.string in SOURCE_NAMES or re.fullmatch(r"[vt]\d+", token.string)
+            elif token.type == tokenize.STRING:
+                assert token.string in ('"0"', '"1"')
+
+    def test_code_is_compiled_once_per_domain(self):
+        text = (CIRCUITS_DIR / "counter.kcir").read_text(encoding="utf-8")
+        (domain,) = parse(text).domains
+        assert _block_code(domain) is _block_code(parse(text).domains[0])
+        assert _block_code.cache_info().maxsize is not None
 
 
 # Hand-built descriptions that ``parse`` never returns, each with the end of

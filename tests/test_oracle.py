@@ -8,10 +8,15 @@ Drawn Mealy read steps make the DAG merge histories.  The read steps agree
 with those read maps at every node of the prefix tree, and report canonical
 refs.  The step-function simulator agrees with the prefix evaluators on
 whole output streams, and on the error a malformed input raises and the
-tick at which it raises.
+tick at which it raises.  The randomized checks, which fold only the ticks a
+trial compares, give the same reports and the same ``check`` JSON as the
+references that fold every tick from 0.
 """
 
 from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import find, given, settings
@@ -25,6 +30,7 @@ from kcir import (
     SimulationError,
     SyncSpec,
     abmem_element,
+    causality_check,
     classify,
     clocked_element,
     counter_element,
@@ -35,10 +41,12 @@ from kcir import (
     mux_element,
     output_stream,
     parse,
+    read_soundness_check,
     sr_latch_element,
     toggler_pair_element,
     toggler_spec,
 )
+from kcir import cli
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
@@ -460,3 +468,51 @@ def test_non_bit_inputs_fail_alike_at_the_same_tick(name, element, evaluate, val
         want = _outcome(oracle.output_stream, element, evaluate, cut_control, cut_inputs)
         assert got == want
         assert isinstance(got, str) == (length > first_bad)
+
+
+# --- randomized checks: trimmed folds against full folds ------------------------
+
+CHECK_ELEMENTS = [
+    *((factory.__name__, factory()) for factory in (
+        dff_element, sr_latch_element, mux_element, counter_element,
+        toggler_pair_element, abmem_element,
+    )),
+    *((path.name, load_circuit(path.read_text(encoding="utf-8")))
+      for path in sorted(CIRCUITS_DIR.glob("*.kcir"))),
+]
+
+
+@pytest.mark.parametrize("name,element", CHECK_ELEMENTS, ids=[c[0] for c in CHECK_ELEMENTS])
+@pytest.mark.parametrize("horizon", (1, 4, 16))
+def test_check_reports_match_the_full_fold_oracle(name, element, horizon):
+    for seed in range(5):
+        assert causality_check(element, horizon, 200, seed) == oracle.causality_check(
+            element, horizon, 200, seed
+        )
+        if element.read_step is not None:
+            assert read_soundness_check(element, horizon, 200, seed) == (
+                oracle.read_soundness_check(element, horizon, 200, seed)
+            )
+
+
+CHECK_FILES = sorted(CIRCUITS_DIR.glob("*.kcir"))
+
+
+@pytest.mark.parametrize("path", CHECK_FILES, ids=[p.name for p in CHECK_FILES])
+def test_check_json_is_byte_identical_to_the_full_fold_oracle(path, monkeypatch):
+    def report(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    runs = [
+        ["check", "--circuit", str(path), "--horizon", str(horizon), "--seed", str(seed),
+         "--trials", "100", "--format", "json"]
+        for horizon in (1, 4, 16)
+        for seed in range(5)
+    ]
+    trimmed = [report(argv) for argv in runs]
+    monkeypatch.setattr(cli, "causality_check", oracle.causality_check)
+    monkeypatch.setattr(cli, "read_soundness_check", oracle.read_soundness_check)
+    assert [report(argv) for argv in runs] == trimmed
