@@ -16,17 +16,20 @@ once per symbol with the circuit's ``read_step``, however many histories
 reach it.  A forward pass counts the histories per node exactly, for the
 pairs with an undefined endpoint; a backward pass collects the images
 reachable below each node, which is the derived relation.  Read sets are
-interned to ints, the axioms are checked on those ints, and witnesses are the
-lexicographic minimum under the signal order of
-:meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
-history and shortest smallest paths below it.
+interned to ints in order of first sight, and the axioms are checked on bit
+sets over those ints: one "images after x" set per image.  The verdict does
+not depend on the numbering, so read sets are ranked in sorted order only
+when an axiom fails, and each failed axiom's witness is then its smallest
+counterexample by rank.  The antisymmetry witness is the lexicographic
+minimum under the signal order of :meth:`kcir.signals.CausalSignal.sort_key`,
+read off each node's smallest history and shortest smallest paths below it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .signals import CausalSignal, Tick, history_count, prefix_leq
 
@@ -105,30 +108,33 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
-def _axiom_report(
-    images: Sequence[ReadSet], nodes: Iterable[int], pairs: Collection[tuple[int, int]]
-) -> AxiomReport:
-    """The three axioms on read sets named by their index in sorted ``images``.
+def _axiom_report(images: Sequence[ReadSet], after: Sequence[int]) -> AxiomReport:
+    """The three axioms on the relation that holds ``(x, y)`` when ``y`` is in ``after[x]``.
 
-    Index order is read-set order, so scanning ``nodes`` (ascending) and
-    ``pairs`` in int order meets the same smallest counterexamples as scanning
-    the read sets themselves, at the cost of int hashing and comparison.  All
-    three axioms are checked outright, none is assumed to hold by construction.
+    Images are named by their index into ``images``, and ``after[x]`` is the
+    bit set of the images x is related to.  Pairs are met in index order, so
+    each witness is the smallest counterexample by index: with ``images``
+    sorted it is the one a scan of the read sets themselves meets first.
+    Reflexivity fails at x if x is not in ``after[x]``; for y in ``after[x]``
+    other than x, antisymmetry fails if x is in ``after[y]`` and
+    transitivity if ``after[y]`` holds an image outside ``after[x]``.  All
+    three axioms are checked outright, none is assumed to hold by
+    construction.
     """
-    ordered = sorted(pairs)
-    refl = next((x for x in nodes if (x, x) not in pairs), None)
-    anti = next(((x, y) for x, y in ordered if x != y and (y, x) in pairs), None)
-
-    successors: dict[int, list[int]] = {}
-    for x, y in ordered:
-        successors.setdefault(x, []).append(y)
-    trans = None
-    for x, y in ordered:
-        for z in successors.get(y, ()):
-            if (x, z) not in pairs:
-                trans = (x, y, z)
-                break
-        if trans is not None:
+    refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
+    anti = trans = None
+    for x, mask in enumerate(after):
+        bit = 1 << x
+        for y in _members(mask):
+            if y == x:
+                continue
+            later = after[y]
+            if anti is None and later & bit:
+                anti = (x, y)
+            if trans is None and later | mask != mask:
+                missing = later & ~mask
+                trans = (x, y, (missing & -missing).bit_length() - 1)
+        if anti is not None and trans is not None:
             break
 
     return AxiomReport(
@@ -211,7 +217,7 @@ def _members(mask: int) -> list[int]:
 
 
 class _ReadSets:
-    """Read sets by rank, each built only when a witness names it."""
+    """Read sets by index, each built only when a witness names it."""
 
     def __init__(self, ranked: list[Refs]) -> None:
         self.ranked = ranked
@@ -353,11 +359,13 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     walked as the DAG of their read states (:class:`_ReadStateDag`): each
     distinct read state of a level is stepped once per symbol, whatever the
     number of histories reaching it.  The prefix order then carries an image
-    to exactly the images reachable below a node holding it, and the
-    partial-order axioms decide the verdict.  An antisymmetry failure always
-    comes with a re-checkable witness, the lexicographic minimum over all
-    histories; a failure of any other axiom is reported through the axiom
-    report alone.
+    to exactly the images reachable below a node holding it, as a bit set
+    per image, and the partial-order axioms checked on those bit sets decide
+    the verdict.  Only when an axiom fails are the read sets ranked, so that
+    the axiom report names the smallest counterexamples.  An antisymmetry
+    failure always comes with a re-checkable witness, the lexicographic
+    minimum over all histories; a failure of any other axiom is reported
+    through the axiom report alone.
 
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
@@ -379,20 +387,26 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         for x, mask in zip(images, reach):
             if x >= 0:
                 after[x] |= mask
-    # Rank the images once; from here on an image is its rank.
-    order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = r
-    images = _ReadSets([dag.refs[i] for i in order])
-    pairs = {(rank[x], rank[y]) for x, mask in enumerate(after) for y in _members(mask)}
-    report = _axiom_report(images, range(len(order)), pairs)
+    # The three axioms do not depend on how the images are numbered, so the
+    # first-seen ids decide them; only a failure's witnesses need the images
+    # ranked in read-set order.
+    images = _ReadSets(dag.refs)
+    report = _axiom_report(images, after)
+    if not report.is_partial_order:
+        order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        ranked = [0] * len(order)
+        for x, mask in enumerate(after):
+            ranked[rank[x]] = sum(1 << rank[y] for y in _members(mask))
+        report = _axiom_report(_ReadSets([dag.refs[i] for i in order]), ranked)
     width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,
         signals=history_count(width, horizon),
         relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
-        distinct_read_sets=len(order),
+        distinct_read_sets=len(dag.refs),
         excluded_undefined=dag.excluded,
         degenerate_horizon=degenerate,
     )
@@ -421,5 +435,5 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         b0 = dag.history(t, i)
         b1 = b0 + dag.path(t, i, 1 << x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
-        witness = AntisymmetryWitness(a0, a1, b0, b1, images[rank[x]], images[rank[y]])
+        witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

@@ -44,8 +44,8 @@ UNDEF = "UNDEF"
 
 #: Default ``classify --max-signals``, a bound on control histories.  The
 #: read-state DAG merges histories, so the largest runs it admits stay small:
-#: one ``classify`` process peaks at 53 MB max RSS for counter at horizon 17
-#: (524,286 histories) and 27 MB for twoclock at horizon 8 (349,524), of
+#: one ``classify`` process peaks at 42 MB max RSS for counter at horizon 17
+#: (524,286 histories) and 26 MB for twoclock at horizon 8 (349,524), of
 #: which the interpreter alone is about 17 MB.
 MAX_SIGNALS = 1_000_000
 

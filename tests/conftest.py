@@ -42,15 +42,17 @@ def last_output(element: CircuitElement, control: CausalSignal, **inputs: Causal
 
 
 def ranked_axiom_report(relation) -> AxiomReport:
-    """``_axiom_report`` on a relation of read sets, ranked as ``classify`` ranks them.
+    """``_axiom_report`` on a relation of read sets, as rank bit sets like ``classify``'s.
 
     ``relation`` has ``nodes`` and ``pairs`` of read sets, like the oracle's
-    ``DerivedRelation``.
+    ``DerivedRelation``; every endpoint of a pair must be a node.
     """
-    images = sorted(relation.nodes.union(*relation.pairs))
+    images = sorted(relation.nodes)
     rank = {image: i for i, image in enumerate(images)}
-    pairs = {(rank[x], rank[y]) for x, y in relation.pairs}
-    return _axiom_report(images, sorted(rank[x] for x in relation.nodes), pairs)
+    after = [0] * len(images)
+    for x, y in relation.pairs:
+        after[rank[x]] |= 1 << rank[y]
+    return _axiom_report(images, after)
 
 
 @pytest.fixture

@@ -15,9 +15,11 @@ steps and the step functions against them.
 
 The walk oracle, :func:`walk_classify`, is the engine ``classify`` had before
 it merged histories by read state: one pass over the prefix tree, stepping
-each history's read state from its parent's.  It shares the element's read
-steps and ``_axiom_report`` with ``classify`` and nothing else, and it
-reaches horizons the brute-force oracle cannot.
+each history's read state from its parent's.  It checks the axioms with
+:func:`pair_axiom_report`, the scan over a set of ranked image pairs that
+``classify`` used before it checked them on bit sets.  So it shares nothing
+with ``classify`` but the element, and it reaches horizons the brute-force
+oracle cannot.
 
 The register-block reference, :func:`reference_block_spec`, evaluates a
 domain's expressions by walking nested closures over "0"/"1" strings, the
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from kcir.classifier import (
     AntisymmetryWitness,
@@ -46,7 +48,6 @@ from kcir.classifier import (
     Refs,
     RefPoint,
     Verdict,
-    _axiom_report,
 )
 from kcir.circuits import (
     CausalityReport,
@@ -236,6 +237,41 @@ def check_partial_order(relation: DerivedRelation) -> AxiomReport:
         reflexivity_witness=refl_witness,
         antisymmetry_witness=anti_witness,
         transitivity_witness=trans_witness,
+    )
+
+
+def pair_axiom_report(
+    images: Sequence[ReadSet], nodes: Iterable[int], pairs: Collection[tuple[int, int]]
+) -> AxiomReport:
+    """The three axioms on read sets named by their index in sorted ``images``.
+
+    Index order is read-set order, so scanning ``nodes`` (ascending) and
+    ``pairs`` in int order meets the same smallest counterexamples as scanning
+    the read sets themselves, at the cost of int hashing and comparison.
+    """
+    ordered = sorted(pairs)
+    refl = next((x for x in nodes if (x, x) not in pairs), None)
+    anti = next(((x, y) for x, y in ordered if x != y and (y, x) in pairs), None)
+
+    successors: dict[int, list[int]] = {}
+    for x, y in ordered:
+        successors.setdefault(x, []).append(y)
+    trans = None
+    for x, y in ordered:
+        for z in successors.get(y, ()):
+            if (x, z) not in pairs:
+                trans = (x, y, z)
+                break
+        if trans is not None:
+            break
+
+    return AxiomReport(
+        reflexive=refl is None,
+        antisymmetric=anti is None,
+        transitive=trans is None,
+        reflexivity_witness=None if refl is None else images[refl],
+        antisymmetry_witness=None if anti is None else (images[anti[0]], images[anti[1]]),
+        transitivity_witness=None if trans is None else tuple(images[i] for i in trans),
     )
 
 
@@ -435,7 +471,8 @@ def walk_classify(circuit: CircuitElement, horizon: int) -> Classification:
 
     Every history is stepped from its parent's read state, so this reference
     reaches horizons the materialised oracle cannot, while sharing nothing
-    with the read-state DAG of :func:`kcir.classify` but ``_axiom_report``.
+    with :func:`kcir.classify` but the element: no read-state DAG, and the
+    axioms checked on pairs, not bit sets.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -456,7 +493,7 @@ def walk_classify(circuit: CircuitElement, horizon: int) -> Classification:
     best = {
         (rank[x], rank[y]): sources for y, row in enumerate(rows) for x, sources in row.items()
     }
-    report = _axiom_report(images, range(len(images)), best)
+    report = pair_axiom_report(images, range(len(images)), best)
     width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,

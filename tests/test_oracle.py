@@ -29,6 +29,7 @@ from kcir import (
     ReadSet,
     SimulationError,
     SyncSpec,
+    Verdict,
     abmem_element,
     causality_check,
     classify,
@@ -47,6 +48,7 @@ from kcir import (
     toggler_spec,
 )
 from kcir import cli
+from kcir.classifier import _axiom_report, _ReadStateDag
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
@@ -249,6 +251,59 @@ def test_axioms_on_ranks_match_the_read_set_scan(pairs, extra):
     assert ranked_axiom_report(relation) == oracle.check_partial_order(relation)
 
 
+@st.composite
+def bit_relations(draw):
+    """A relation on up to 10 images as ``after`` bit sets, with a drawn renumbering.
+
+    Sparse drawn pairs, half the time pointing only upwards and half the
+    time closed under transitivity, so partial orders and single-axiom
+    failures all occur; at most two images lack their own bit.
+    """
+    n = draw(st.integers(0, 10))
+    upwards = draw(st.booleans())
+    after = [0] * n
+    missing = set()
+    if n:
+        index = st.integers(0, n - 1)
+        for x, y in draw(st.sets(st.tuples(index, index), max_size=3 * n)):
+            if upwards and x > y:
+                x, y = y, x
+            after[x] |= 1 << y
+        missing = draw(st.sets(index, max_size=2))
+    if draw(st.booleans()):
+        for k in range(n):
+            for x in range(n):
+                if after[x] >> k & 1:
+                    after[x] |= after[k]
+    for x in range(n):
+        if x in missing:
+            after[x] &= ~(1 << x)
+        else:
+            after[x] |= 1 << x
+    return after, draw(st.permutations(range(n)))
+
+
+def _pairs(after):
+    return {(x, y) for x in range(len(after)) for y in range(len(after)) if after[x] >> y & 1}
+
+
+@settings(max_examples=500, deadline=None)
+@given(bit_relations())
+def test_bit_set_axioms_match_the_pair_scan(case):
+    after, renumbering = case
+    images = [ReadSet.of(("D", t)) for t in range(len(after))]
+    report = _axiom_report(images, after)
+    assert report == oracle.pair_axiom_report(images, range(len(after)), _pairs(after))
+
+    # classify decides the verdict on first-seen ids and ranks only on failure.
+    renumbered = [0] * len(after)
+    for x, y in _pairs(after):
+        renumbered[renumbering[x]] |= 1 << renumbering[y]
+    again = _axiom_report(images, renumbered)
+    verdict = (report.reflexive, report.antisymmetric, report.transitive)
+    assert (again.reflexive, again.antisymmetric, again.transitive) == verdict
+
+
 # The read maps above carry their whole history as read state, so their DAG
 # is the prefix tree.  These read steps are small Mealy tables whose state,
 # like a built-in's, is a table state and the tick of its last event, so
@@ -345,6 +400,49 @@ DEEP = [
 def test_deep_horizons_match_the_walk(factory, horizon):
     element = factory()
     assert classify(element, horizon) == oracle.walk_classify(element, horizon)
+
+
+# Past the walk's reach, where a pair-set scan of the DAG's relation still
+# runs in well under a second.
+DEEPER = [
+    (mux_element, 100),
+    (dff_element, 100),
+    (counter_element, 13),
+    (toggler_pair_element, 7),
+    (abmem_element, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,horizon", DEEPER, ids=[f"{factory.__name__}-{h}" for factory, h in DEEPER]
+)
+def test_deeper_horizons_match_the_pair_scan_of_the_dag(factory, horizon):
+    element = factory()
+    dag = _ReadStateDag(
+        element.read_init, element.read_step, element.control_alphabet.values, horizon
+    )
+    after = [0] * len(dag.refs)
+    for images, reach in zip(dag.images, dag.reach):
+        for x, mask in zip(images, reach):
+            if x >= 0:
+                after[x] |= mask
+    order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    pairs = {
+        (rank[x], rank[y])
+        for x, mask in enumerate(after)
+        for y, bit in enumerate(reversed(bin(mask)[2:]))
+        if bit == "1"
+    }
+    images = [ReadSet.of(*dag.refs[i]) for i in order]
+    expected = oracle.pair_axiom_report(images, range(len(images)), pairs)
+    assert classify(element, horizon).axiom_report == expected
+
+
+def test_mux_at_horizon_200_is_time_preserving():
+    result = classify(mux_element(), 200)
+    assert result.verdict is Verdict.TIME_PRESERVING
+    assert result.stats.distinct_read_sets == 402
 
 
 def _failures(case) -> tuple[bool, bool]:
