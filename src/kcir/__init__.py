@@ -71,7 +71,6 @@ from .signals import (
     Tick,
     history_count,
     prefix_leq,
-    signal_at,
     split_symbol,
 )
 
@@ -120,7 +119,6 @@ __all__ = [
     "prefix_leq",
     "pretty_print",
     "read_soundness_check",
-    "signal_at",
     "split_symbol",
     "sr_latch_element",
     "toggler_pair_element",

@@ -67,15 +67,12 @@ def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) ->
     return refs
 
 
-def _read_set(refs: Optional[Refs]) -> Optional[ReadSet]:
-    return None if refs is None else ReadSet.of(*refs)
-
-
 def _fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
     """The read map of a read step, tagged with the (read_init, read_step) it folds."""
 
     def reads(control: CausalSignal) -> Optional[ReadSet]:
-        return _read_set(_fold_refs(read_init, read_step, control.samples))
+        refs = _fold_refs(read_init, read_step, control.samples)
+        return None if refs is None else ReadSet(refs)
 
     reads.folds = (read_init, read_step)
     return reads
@@ -86,14 +83,12 @@ def _history_read_step(reads: ReadMap, alphabet: Alphabet) -> ReadStepFn:
 
     Each step applies the read map to the whole history, so it costs what
     the map costs; it lets the classifier walk elements given only ``reads``.
+    A read set is its refs, so the map's result is the step's refs as it is.
     """
 
     def read_step(history: tuple[str, ...], symbol: str, tick: Tick):
         history = (*history, symbol)
-        image = reads(CausalSignal(alphabet, history))
-        if image is None:
-            return history, None
-        return history, tuple((ref.channel, ref.tick) for ref in image.refs)
+        return history, reads(CausalSignal(alphabet, history))
 
     read_step.reads = reads
     return read_step

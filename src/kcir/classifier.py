@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .signals import CausalSignal, Tick, history_count, prefix_leq
 
@@ -39,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ChannelId = str
 
-#: Plain ``(channel, tick)`` pairs, sorted and duplicate-free: the form a read
-#: step reports a read set in.  Plain tuples order like :class:`ReadSet` refs.
+#: The ``(channel, tick)`` pairs read at a tick, sorted and duplicate-free, as
+#: a read step returns them.  A :class:`ReadSet` is this tuple, so the refs of
+#: a read step and the read set they make equal, hash and order alike.
 Refs = tuple[tuple[ChannelId, Tick], ...]
 
 
@@ -49,32 +50,32 @@ def refs_text(refs: Iterable[tuple[ChannelId, Tick]]) -> str:
     return "{" + ", ".join(f"({channel},{tick})" for channel, tick in refs) + "}"
 
 
-@dataclass(frozen=True, order=True)
-class RefPoint:
-    """One channel-tagged tick an output depends on."""
+class RefPoint(NamedTuple):
+    """One channel-tagged tick an output depends on: a ``(channel, tick)`` pair."""
 
     channel: ChannelId
     tick: Tick
 
 
-@dataclass(frozen=True, order=True)
-class ReadSet:
-    """A finite set of reference points, stored sorted for structural equality."""
+class ReadSet(tuple):
+    """A finite set of reference points: the tuple of its refs, sorted and unique.
 
-    refs: tuple[RefPoint, ...] = ()
+    A read set is its sorted refs, so it equals, hashes and orders like the
+    plain :data:`Refs` tuple a read step returns for it, and iterating it
+    gives its ``(channel, tick)`` pairs.
+    """
 
-    def __post_init__(self) -> None:
-        refs = tuple(self.refs)
-        if len(refs) > 1:  # a single ref is already sorted and unique
-            refs = tuple(sorted(set(refs)))
-        object.__setattr__(self, "refs", refs)
+    __slots__ = ()
+
+    def __new__(cls, refs: Iterable[tuple[ChannelId, Tick]] = ()) -> "ReadSet":
+        return super().__new__(cls, sorted(set(refs)))
 
     @classmethod
     def of(cls, *refs: tuple[ChannelId, Tick]) -> "ReadSet":
-        return cls(tuple(RefPoint(channel, tick) for channel, tick in refs))
+        return cls(refs)
 
     def __str__(self) -> str:
-        return refs_text((r.channel, r.tick) for r in self.refs)
+        return refs_text(self)
 
 
 #: A read map sends a control history to the read set it induces, or ``None``
@@ -108,18 +109,19 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
-def _axiom_report(images: Sequence[ReadSet], after: Sequence[int]) -> AxiomReport:
+def _axiom_report(images: Sequence[Refs], after: Sequence[int]) -> AxiomReport:
     """The three axioms on the relation that holds ``(x, y)`` when ``y`` is in ``after[x]``.
 
-    Images are named by their index into ``images``, and ``after[x]`` is the
-    bit set of the images x is related to.  Pairs are met in index order, so
-    each witness is the smallest counterexample by index: with ``images``
-    sorted it is the one a scan of the read sets themselves meets first.
-    Reflexivity fails at x if x is not in ``after[x]``; for y in ``after[x]``
-    other than x, antisymmetry fails if x is in ``after[y]`` and
-    transitivity if ``after[y]`` holds an image outside ``after[x]``.  All
-    three axioms are checked outright, none is assumed to hold by
-    construction.
+    Images are named by their index into ``images``, the refs of the read
+    sets, and ``after[x]`` is the bit set of the images x is related to.
+    Pairs are met in index order, so each witness is the smallest
+    counterexample by index: with ``images`` sorted it is the one a scan of
+    the read sets themselves meets first, and only the witnesses are built
+    as :class:`ReadSet` values.  Reflexivity fails at x if x is not in
+    ``after[x]``; for y in ``after[x]`` other than x, antisymmetry fails if x
+    is in ``after[y]`` and transitivity if ``after[y]`` holds an image
+    outside ``after[x]``.  All three axioms are checked outright, none is
+    assumed to hold by construction.
     """
     refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
     anti = trans = None
@@ -141,9 +143,9 @@ def _axiom_report(images: Sequence[ReadSet], after: Sequence[int]) -> AxiomRepor
         reflexive=refl is None,
         antisymmetric=anti is None,
         transitive=trans is None,
-        reflexivity_witness=None if refl is None else images[refl],
-        antisymmetry_witness=None if anti is None else (images[anti[0]], images[anti[1]]),
-        transitivity_witness=None if trans is None else tuple(images[i] for i in trans),
+        reflexivity_witness=None if refl is None else ReadSet(images[refl]),
+        antisymmetry_witness=None if anti is None else tuple(ReadSet(images[i]) for i in anti),
+        transitivity_witness=None if trans is None else tuple(ReadSet(images[i]) for i in trans),
     )
 
 
@@ -214,16 +216,6 @@ def _members(mask: int) -> list[int]:
         members.append(i)
         i = bits.find("1", i + 1)
     return members
-
-
-class _ReadSets:
-    """Read sets by index, each built only when a witness names it."""
-
-    def __init__(self, ranked: list[Refs]) -> None:
-        self.ranked = ranked
-
-    def __getitem__(self, rank: int) -> ReadSet:
-        return ReadSet.of(*self.ranked[rank])
 
 
 class _ReadStateDag:
@@ -390,8 +382,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     # The three axioms do not depend on how the images are numbered, so the
     # first-seen ids decide them; only a failure's witnesses need the images
     # ranked in read-set order.
-    images = _ReadSets(dag.refs)
-    report = _axiom_report(images, after)
+    report = _axiom_report(dag.refs, after)
     if not report.is_partial_order:
         order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
         rank = [0] * len(order)
@@ -400,7 +391,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         ranked = [0] * len(order)
         for x, mask in enumerate(after):
             ranked[rank[x]] = sum(1 << rank[y] for y in _members(mask))
-        report = _axiom_report(_ReadSets([dag.refs[i] for i in order]), ranked)
+        report = _axiom_report([dag.refs[i] for i in order], ranked)
     width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,
@@ -435,5 +426,5 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         b0 = dag.history(t, i)
         b1 = b0 + dag.path(t, i, 1 << x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
-        witness = AntisymmetryWitness(a0, a1, b0, b1, images[x], images[y])
+        witness = AntisymmetryWitness(a0, a1, b0, b1, ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

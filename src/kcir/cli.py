@@ -13,7 +13,8 @@ for that reason; wall time is shown in text mode.
 starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
-``chi-dump`` folds the circuit's read step once over the control symbols.
+``chi-dump`` folds the circuit's read step once over the control symbols,
+and refuses a dump that would hold more than ``MAX_SAMPLES`` refs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -36,7 +38,7 @@ from .circuits import (
     output_stream,
     read_soundness_check,
 )
-from .classifier import AntisymmetryWitness, AxiomReport, ReadSet, Refs, classify, refs_text
+from .classifier import AntisymmetryWitness, AxiomReport, Refs, classify, refs_text
 from .dsl import ParseError, load_circuit
 from .signals import CausalSignal, history_count
 
@@ -50,10 +52,12 @@ UNDEF = "UNDEF"
 MAX_SIGNALS = 1_000_000
 
 #: Most samples one ``check`` trial may draw (ticks 0..horizon on every
-#: channel) and one ``simulate`` stimulus may hold (rows times channels).
-#: Both hold their sample columns and output streams in memory, at up to
-#: about 95 bytes per sample (a ``check`` trial of counter at horizon
-#: 1,999,999: 362 MB max RSS), so a run stays under about 0.5 GB.
+#: channel) or one ``simulate`` stimulus may hold (rows times channels), and
+#: most refs one ``chi-dump`` may hold over all its prefixes.  The first two
+#: hold their sample columns and output streams in memory, at up to about 95
+#: bytes per sample (a ``check`` trial of counter at horizon 1,999,999: 362 MB
+#: max RSS), so a run stays under about 0.5 GB; a JSON ``chi-dump`` of counter
+#: just below the limit (3,980 ticks, 3,962,090 refs) peaks at 85 MB.
 MAX_SAMPLES = 4_000_000
 
 
@@ -76,15 +80,10 @@ def _signal_json(signal: CausalSignal) -> dict:
 
 
 def _refs_json(refs: Optional[Iterable[tuple[str, int]]]) -> Optional[list]:
+    """A read set, or a read step's refs, as a list of channel/tick objects."""
     if refs is None:
         return None
     return [{"channel": channel, "tick": tick} for channel, tick in refs]
-
-
-def _reads_json(image: Optional[ReadSet]) -> Optional[list]:
-    if image is None:
-        return None
-    return _refs_json((ref.channel, ref.tick) for ref in image.refs)
 
 
 def _axioms_json(report: Optional[AxiomReport]) -> Optional[dict]:
@@ -96,9 +95,9 @@ def _axioms_json(report: Optional[AxiomReport]) -> Optional[dict]:
         "reflexive": report.reflexive,
         "antisymmetric": report.antisymmetric,
         "transitive": report.transitive,
-        "reflexivity_witness": _reads_json(report.reflexivity_witness),
-        "antisymmetry_witness": None if anti is None else [_reads_json(x) for x in anti],
-        "transitivity_witness": None if trans is None else [_reads_json(x) for x in trans],
+        "reflexivity_witness": _refs_json(report.reflexivity_witness),
+        "antisymmetry_witness": None if anti is None else [_refs_json(x) for x in anti],
+        "transitivity_witness": None if trans is None else [_refs_json(x) for x in trans],
     }
 
 
@@ -110,13 +109,17 @@ def _witness_json(witness: Optional[AntisymmetryWitness]) -> Optional[dict]:
         "a1": _signal_json(witness.a1),
         "b0": _signal_json(witness.b0),
         "b1": _signal_json(witness.b1),
-        "x_reads": _reads_json(witness.x_reads),
-        "y_reads": _reads_json(witness.y_reads),
+        "x_reads": _refs_json(witness.x_reads),
+        "y_reads": _refs_json(witness.y_reads),
     }
 
 
-def _dump_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write_json(report: dict) -> None:
+    """Write ``report`` to stdout in batches as it is encoded, never as one string."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 65536)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _signal_text(signal: CausalSignal) -> str:
@@ -248,7 +251,7 @@ def _cmd_classify(args) -> int:
             "stats": stats,
             "timing": None,
         }
-        sys.stdout.write(_dump_json(report))
+        _write_json(report)
         return 0
 
     print(f"circuit: {element.name}")
@@ -323,11 +326,22 @@ def _cmd_chi_dump(args) -> int:
                 f"control value {token!r} is not in the circuit's control alphabet "
                 f"{element.control_alphabet.values!r}"
             )
-    state, images = element.read_init, []
+    # Every prefix's refs are held for the report, and they grow with the
+    # ticks, so their total is bounded like a stimulus's samples.
+    state, images, held = element.read_init, [], 0
     for tick, token in enumerate(tokens):
         state, refs = element.read_step(state, token, tick)
+        held += 0 if refs is None else len(refs)
+        if held > MAX_SAMPLES:
+            raise UsageError(
+                f"--control tick {tick} takes the dump past the limit of "
+                f"{MAX_SAMPLES:,} refs"
+            )
         images.append(refs)
     if args.format == "json":
+        # One dict per distinct ref, shared by every prefix that holds it, so
+        # the JSON costs little more memory than the refs themselves.
+        ref_json = functools.cache(lambda ref: {"channel": ref[0], "tick": ref[1]})
         report = {
             "circuit": element.name,
             "command": "chi-dump",
@@ -336,9 +350,9 @@ def _cmd_chi_dump(args) -> int:
             "witness": None,
             "stats": {"ticks": len(tokens)},
             "timing": None,
-            "images": [_refs_json(refs) for refs in images],
+            "images": [None if refs is None else [*map(ref_json, refs)] for refs in images],
         }
-        sys.stdout.write(_dump_json(report))
+        _write_json(report)
         return 0
     for tick, refs in enumerate(images):
         print(f"{tick}: {_refs_text(refs)}")
@@ -384,7 +398,7 @@ def _cmd_check(args) -> int:
             "stats": stats,
             "timing": None,
         }
-        sys.stdout.write(_dump_json(report))
+        _write_json(report)
         return 0
     print(f"circuit: {element.name}")
     print("command: check")

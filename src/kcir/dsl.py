@@ -5,7 +5,7 @@ LF and CRLF both work)::
 
     file   := "circuit" IDENT "{" clause* "}"
     clause := "kind" KIND ";"
-            | "clock" IDENT ("," IDENT)? ";"
+            | "clock" IDENT ";"
             | "state" INT "init" BITS ";"
             | "in" IDENT ";"
             | "next" IDENT "=" expr ";"
@@ -256,12 +256,9 @@ class _Parser:
             self.expect_punct(";")
             return _Clause("kind", keyword, [value])
         if word == "clock":
-            names = [self.expect_ident("clock name")]
-            if self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
-                names.append(self.expect_ident("clock name"))
+            name = self.expect_ident("clock name")
             self.expect_punct(";")
-            return _Clause("clock", keyword, names)
+            return _Clause("clock", keyword, [name])
         if word == "state":
             width = self.peek()
             if width.kind != "number":
@@ -371,8 +368,6 @@ def _assemble_domain(
     clock = _single(clauses, "clock")
     if clock is None:
         _fail(f"{what} requires a clock clause", anchor)
-    if len(clock.names) != 1:
-        _fail(f"{what} takes a single clock", clock.names[1])
     state = _single(clauses, "state")
     if state is None:
         _fail(f"{what} requires a state clause", anchor)

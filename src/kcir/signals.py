@@ -9,9 +9,7 @@ when the second extends the first without rewriting any past sample.
 Everything here is immutable and deterministic.  Signals are ordered by
 :meth:`CausalSignal.sort_key`: current tick first, then sample ranks in the
 declaration order of alphabet values.  :func:`history_count` counts the
-signals up to a horizon and :func:`signal_at` rebuilds one from its index in
-that order, so a history can be named by an int that still breaks ties
-reproducibly.
+signals up to a horizon.
 """
 
 from __future__ import annotations
@@ -116,23 +114,3 @@ def history_count(width: int, horizon: Tick) -> int:
     if width == 1:
         return horizon + 1
     return (width ** (horizon + 2) - width) // (width - 1)
-
-
-def signal_at(alphabet: Alphabet, index: int) -> CausalSignal:
-    """The signal at ``index`` in ``sort_key`` order over ``alphabet``.
-
-    Indices below ``history_count(len(alphabet), horizon)`` are exactly the
-    signals with current tick 0..horizon.
-    """
-    values = alphabet.values
-    width = len(values)
-    t, size = 0, width
-    while index >= size:
-        index -= size
-        t += 1
-        size *= width
-    samples = []
-    for _ in range(t + 1):
-        index, digit = divmod(index, width)
-        samples.append(values[digit])
-    return CausalSignal.from_samples(alphabet, reversed(samples))

@@ -66,7 +66,6 @@ from kcir.signals import (
     CausalSignal,
     Tick,
     history_count,
-    signal_at,
     split_symbol,
 )
 
@@ -406,13 +405,34 @@ def classify(circuit, horizon: int, read_map: Optional[ReadMap] = None) -> Class
 
 # --- classification by one walk over the prefix tree ----------------------------
 
+def signal_at(alphabet: Alphabet, index: int) -> CausalSignal:
+    """The signal at ``index`` in ``sort_key`` order over ``alphabet``.
+
+    Indices below ``history_count(len(alphabet), horizon)`` are exactly the
+    signals with current tick 0..horizon, so a history can be named by an int
+    that still breaks ties reproducibly.
+    """
+    values = alphabet.values
+    width = len(values)
+    t, size = 0, width
+    while index >= size:
+        index -= size
+        t += 1
+        size *= width
+    samples = []
+    for _ in range(t + 1):
+        index, digit = divmod(index, width)
+        samples.append(values[digit])
+    return CausalSignal.from_samples(alphabet, reversed(samples))
+
+
 def _walk_prefix_tree(
     read_init, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
 ) -> tuple[list[Refs], list[dict[int, tuple[int, int]]], int]:
     """Push the prefix order through a read step in one pass over the tree.
 
     Signals are named by their index in ``sort_key`` order over ``symbols``,
-    the index :func:`kcir.signals.signal_at` decodes; a node's children are
+    the index :func:`signal_at` decodes; a node's children are
     its history extended by each symbol in turn, and each child's read state
     is one ``read_step`` from its parent's.  Refs are interned to ids in
     order of first sight.
@@ -589,7 +609,8 @@ def dff_output(control: CausalSignal, data: CausalSignal) -> Optional[str]:
     image = dff_reads(control)
     if image is None:
         return None
-    return data.samples[image.refs[0].tick]
+    _, tick = image[0]
+    return data.samples[tick]
 
 
 def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[str]:

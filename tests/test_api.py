@@ -49,7 +49,6 @@ PUBLIC_NAMES = [
     "prefix_leq",
     "pretty_print",
     "read_soundness_check",
-    "signal_at",
     "split_symbol",
     "sr_latch_element",
     "toggler_pair_element",
@@ -58,7 +57,7 @@ PUBLIC_NAMES = [
 
 
 def test_exported_names_are_exactly_the_public_surface():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
     assert sorted(kcir.__all__) == PUBLIC_NAMES
     for name in kcir.__all__:
         assert getattr(kcir, name) is not None, name

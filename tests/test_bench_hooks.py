@@ -15,6 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from kcir import ReadSet, RefPoint, toggler_pair_element
+
+from .oracle import enumerate_causal_signals
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,3 +33,13 @@ def test_bench_selftest_passes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("all checks passed")
+
+
+def test_the_benchs_read_set_rebuild_equals_the_read_map():
+    # bench/run.py rebuilds a JSON read set as ReadSet(tuple(RefPoint(c, t) ...)).
+    element = toggler_pair_element()
+    for signal in enumerate_causal_signals(element.control_alphabet, 3):
+        image = element.reads(signal)
+        rebuilt = ReadSet(tuple(RefPoint(c, t) for c, t in reversed(image)))
+        assert rebuilt == image and hash(rebuilt) == hash(image)
+        assert str(rebuilt) == str(image)

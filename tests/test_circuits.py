@@ -56,7 +56,7 @@ def read_edges(clock: CausalSignal) -> set[int]:
     """Edge ticks as ``read_step`` sees them: the flip-flop's latest edge at every tick."""
     reads = dff_element().reads
     images = (reads(prefix(clock, t)) for t in range(clock.t + 1))
-    return {image.refs[0].tick for image in images if image is not None}
+    return {image[0][1] for image in images if image is not None}
 
 
 class TestClockEdges:
@@ -287,7 +287,7 @@ class TestAbmem:
             if image is None:
                 assert value is None
             else:
-                assert value == data.samples[image.refs[0].tick]
+                assert value == data.samples[image[0][1]]
 
 
 class TestOutputStream:
@@ -526,7 +526,7 @@ class TestRandomizedProperties:
         for signal in enumerate_causal_signals(element.control_alphabet, 4):
             image = element.reads(signal)
             if image is not None:
-                assert all(ref.tick <= signal.t for ref in image.refs)
+                assert all(tick <= signal.t for _, tick in image)
 
 
 #: Control symbols in no built-in's alphabet: junk, extra '/' parts and

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcir import (
     BINARY,
@@ -20,6 +22,8 @@ from kcir import (
     sr_latch_element,
     toggler_pair_element,
 )
+
+from kcir.classifier import refs_text
 
 from . import oracle
 from .conftest import ranked_axiom_report
@@ -78,10 +82,16 @@ def oracle_swap_witness(read_map, relation):
 
 # --- read sets ---------------------------------------------------------------
 
+#: ``(channel, tick)`` lists in any order, with duplicates.
+REF_LISTS = st.lists(
+    st.tuples(st.sampled_from(["D", "D1", "en", "x"]), st.integers(0, 6)), max_size=8
+)
+
+
 class TestReadSet:
     def test_normalizes_to_sorted_unique(self):
         image = ReadSet((RefPoint("D", 2), RefPoint("D", 0), RefPoint("D", 2)))
-        assert image.refs == (RefPoint("D", 0), RefPoint("D", 2))
+        assert image == (RefPoint("D", 0), RefPoint("D", 2))
         assert image == ReadSet.of(("D", 0), ("D", 2))
 
     def test_total_order_is_deterministic(self):
@@ -93,6 +103,17 @@ class TestReadSet:
     def test_str(self):
         assert str(ReadSet.of(("D", 1))) == "{(D,1)}"
         assert str(ReadSet()) == "{}"
+
+    @given(refs=REF_LISTS, other=REF_LISTS)
+    def test_a_read_set_is_its_sorted_refs(self, refs, other):
+        plain, other_plain = tuple(sorted(set(refs))), tuple(sorted(set(other)))
+        image, other_image = ReadSet(refs), ReadSet(map(RefPoint._make, other))
+        assert image == plain and hash(image) == hash(plain)
+        assert other_image == other_plain and hash(other_image) == hash(other_plain)
+        assert (image == other_image) == (plain == other_plain)
+        assert (image < other_image) == (plain < other_plain)
+        assert (image > other_image) == (plain > other_plain)
+        assert str(image) == refs_text(plain)
 
 
 # --- derived relation --------------------------------------------------------

@@ -465,6 +465,16 @@ class TestChiDumpCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refs_held_are_bounded(self, monkeypatch, capsys, fmt):
+        # counter's prefixes of 0,1,0,1 hold 1, 1, 2 and 2 refs.
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 4)
+        argv = ["chi-dump", "--circuit", circuit("counter.kcir"), "--format", fmt]
+        assert run(capsys, *argv, "--control", "0,1,0")[0] == 0
+        code, out, err = run(capsys, *argv, "--control", "0,1,0,1")
+        assert (code, out) == (2, "")
+        assert err == "error: --control tick 3 takes the dump past the limit of 4 refs\n"
+
 
 def _oracle_chi_dump(name: str, images, fmt: str) -> str:
     """chi-dump output built from the read set of every prefix."""
@@ -483,7 +493,7 @@ def _oracle_chi_dump(name: str, images, fmt: str) -> str:
         "timing": None,
         "images": [
             None if image is None
-            else [{"channel": ref.channel, "tick": ref.tick} for ref in image.refs]
+            else [{"channel": channel, "tick": tick} for channel, tick in image]
             for image in images
         ],
     }

@@ -155,14 +155,15 @@ class TestParseBasics:
             parse("circuit X { kind dff; }")
         assert "unexpected character" in info.value.message
 
-    def test_two_name_clock_clause_parses_but_sync_takes_one(self):
+    def test_clock_clause_takes_one_name(self):
         with pytest.raises(ParseError) as info:
             parse(
                 "circuit x { kind sync; clock a, b; state 1 init 0;"
                 " next q0 = q0; out y = q0; }"
             )
-        assert "single clock" in info.value.message
-        assert info.value.token_text == "b"
+        assert info.value.message == "expected ';'"
+        assert info.value.token_text == ","
+        assert (info.value.span.line, info.value.span.column) == (1, 31)
 
     def test_missing_kind_is_reported_at_the_circuit_name(self):
         with pytest.raises(ParseError) as info:

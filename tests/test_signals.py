@@ -12,11 +12,10 @@ from kcir import (
     CausalSignal,
     history_count,
     prefix_leq,
-    signal_at,
 )
 
 from .conftest import bits
-from .oracle import build_prefix_relation, enumerate_causal_signals, prefix
+from .oracle import build_prefix_relation, enumerate_causal_signals, prefix, signal_at
 
 
 class TestAlphabet:
