@@ -13,9 +13,11 @@ It walks the control histories as a DAG of read states, level by level: two
 histories of one length that reach the same read state and refs have the
 same futures, so they are one node, and each node's read state is stepped
 once per symbol with the circuit's ``read_step``, however many histories
-reach it.  A forward pass counts the histories per node exactly, for the
-pairs with an undefined endpoint; a backward pass collects the images
-reachable below each node, which is the derived relation.  Read sets are
+reach it.  The walk fills one node table, numbered in the order it meets
+the nodes, so every child has a larger id than its parents; it also counts
+the histories per node exactly, for the pairs with an undefined endpoint.
+One reverse sweep over the node ids then collects the images reachable
+below each node, and with them the derived relation.  Read sets are
 interned to ints in order of first sight, and the axioms are checked on bit
 sets over those ints: one "images after x" set per image.  The verdict does
 not depend on the numbering, so read sets are ranked in sorted order only
@@ -219,126 +221,119 @@ def _members(mask: int) -> list[int]:
 
 
 class _ReadStateDag:
-    """The control histories up to a horizon, merged by read state, level by level.
+    """The control histories up to a horizon, merged by read state, as one node table.
 
     Histories of one length that reach the same read state and refs are one
     node: a read step sees only the state, the symbol and the tick, so such
     histories have the same futures.  Each node is expanded once, by one
-    ``read_step`` per symbol.  Parents are expanded in order and symbols in
-    alphabet order, so a level's nodes are met in the ``sort_key`` order of
-    their smallest histories, and each node's first parent lies on its
-    smallest history.  Refs are interned to image ids in order of first sight.
+    ``read_step`` per symbol.  Nodes are numbered in the order the walk meets
+    them: level by level, parents in order, symbols in alphabet order.  So
+    node ids follow the ``sort_key`` order of the nodes' smallest histories,
+    each node's first parent lies on its smallest history, and every child
+    has a larger id than its parents.  Refs are interned to image ids in
+    order of first sight.
 
-    Per level ``t`` and node ``i``: ``images[t][i]`` is the image id (-1 where
-    undefined), ``origins[t][i]`` the (first parent, symbol) it was met by,
-    ``children[t][i]`` its children in symbol order (below the horizon) and
-    ``reach[t][i]`` the bit set of the image ids of it and its descendants.
-    ``excluded`` counts the prefix pairs with an undefined endpoint, from
-    exact per-node history counts.
+    Per node ``n``: ``images[n]`` is the image id (-1 where undefined),
+    ``origins[n]`` the (first parent, symbol) it was met by, with parent -1
+    at tick 0, ``children[n]`` its children in symbol order (none at the
+    horizon) and ``reach[n]`` the bit set of the image ids of it and its
+    descendants.  ``after[x]`` is the bit set of the images that some
+    history holding image x reaches, the derived relation; one reverse sweep
+    over the node ids builds it with ``reach``.  ``excluded`` counts the
+    prefix pairs with an undefined endpoint, from exact per-node history
+    counts.
     """
 
     def __init__(
         self, read_init: Any, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
     ) -> None:
         ids: dict[Refs, int] = {}
-        self.symbols = symbols
-        self.images: list[list[int]] = []
-        self.origins: list[list[tuple[int, str]]] = []
-        self.children: list[list[list[int]]] = []
-        self.excluded = 0
-        # Per parent: read state, the histories reaching it, and the sum over
-        # those histories of their undefined ancestors-or-self.
-        parents: list[list] = [[read_init, 1, 0]]
+        images: list[int] = []
+        origins: list[tuple[int, str]] = []
+        children: list[Sequence[int]] = []
+        excluded = 0
+        # Per node of the last level: its id, read state, the histories
+        # reaching it, and the sum over those histories of their undefined
+        # ancestors-or-self.
+        parents: Iterable[list] = [[-1, read_init, 1, 0]]
         for t in range(horizon + 1):
-            index: dict[tuple[Any, Optional[Refs]], int] = {}
-            nodes: list[list] = []
-            images: list[int] = []
-            origins: list[tuple[int, str]] = []
-            rows = []
-            for i, (parent_state, count, undefined) in enumerate(parents):
+            index: dict[tuple[Any, Optional[Refs]], list] = {}
+            for p, parent_state, count, undefined in parents:
                 row = []
                 for symbol in symbols:
                     state, refs = read_step(parent_state, symbol, t)
                     if refs is None:
-                        self.excluded += count * (t + 1)
+                        excluded += count * (t + 1)
                         child_undefined = undefined + count
                     else:
-                        self.excluded += undefined
+                        excluded += undefined
                         child_undefined = undefined
                     key = (state, refs)
-                    k = index.get(key)
-                    if k is None:
-                        k = index[key] = len(nodes)
-                        nodes.append([state, 0, 0])
+                    node = index.get(key)
+                    if node is None:
+                        node = index[key] = [len(images), state, 0, 0]
                         images.append(-1 if refs is None else ids.setdefault(refs, len(ids)))
-                        origins.append((i, symbol))
-                    node = nodes[k]
-                    node[1] += count
-                    node[2] += child_undefined
-                    row.append(k)
-                rows.append(row)
-            if t:
-                self.children.append(rows)
-            self.images.append(images)
-            self.origins.append(origins)
-            parents = nodes
-        self.children.append([[]] * len(parents))  # the deepest level has none
+                        origins.append((p, symbol))
+                        children.append(())  # until the node is expanded
+                    node[2] += count
+                    node[3] += child_undefined
+                    row.append(node[0])
+                if p >= 0:
+                    children[p] = row
+            parents = index.values()
+        del index, parents  # the last level's read states: the sweep needs none
+        self.symbols, self.images, self.origins, self.children = symbols, images, origins, children
+        self.excluded = excluded
         self.refs = list(ids)
 
-        self.reach: list[list[int]] = [[]] * (horizon + 1)
-        below: list[int] = []
-        for t in range(horizon, -1, -1):
-            level = []
-            for y, row in zip(self.images[t], self.children[t]):
-                mask = 0 if y < 0 else 1 << y
-                for k in row:
-                    mask |= below[k]
-                level.append(mask)
-            self.reach[t] = below = level
+        self.reach = reach = [0] * len(images)
+        self.after = after = [0] * len(ids)
+        for n in range(len(images) - 1, -1, -1):
+            y = images[n]
+            mask = 0 if y < 0 else 1 << y
+            for k in children[n]:
+                mask |= reach[k]
+            reach[n] = mask
+            if y >= 0:
+                after[y] |= mask
 
-    def first(self, wanted: Callable[[int, int], Any]) -> tuple[int, int]:
-        """(level, index) of the first defined node for which ``wanted(image, reach)``.
-
-        Nodes are met level by level in order, so it is the node with the
-        smallest history.
-        """
+    def first(self, wanted: Callable[[int, int], Any]) -> int:
+        """The first defined node for which ``wanted(image, reach)``, by smallest history."""
         return next(
-            (t, i)
-            for t, (images, reach) in enumerate(zip(self.images, self.reach))
-            for i, (y, mask) in enumerate(zip(images, reach))
+            n
+            for n, (y, mask) in enumerate(zip(self.images, self.reach))
             if y >= 0 and wanted(y, mask)
         )
 
-    def history(self, t: int, i: int) -> tuple[str, ...]:
-        """The smallest history that reaches node ``i`` of level ``t``."""
+    def history(self, n: int) -> tuple[str, ...]:
+        """The smallest history that reaches node ``n``."""
         samples = []
-        for level in range(t, -1, -1):
-            i, symbol = self.origins[level][i]
+        while n >= 0:
+            n, symbol = self.origins[n]
             samples.append(symbol)
         return tuple(reversed(samples))
 
-    def path(self, t: int, i: int, targets: int) -> tuple[tuple[str, ...], int]:
-        """(path, image) of the shortest, then smallest, path from a node to a target.
+    def path(self, n: int, targets: int) -> tuple[tuple[str, ...], int]:
+        """(path, image) of the shortest, then smallest, path from node ``n`` to a target.
 
-        The path is the symbols leading from node ``i`` of level ``t`` to the
-        first node below it whose image is in the bit set ``targets``.
-        Frontiers keep their nodes in order of their smallest paths, as the
-        levels do, and drop nodes that reach no target.
+        The path is the symbols leading from node ``n`` to the first node
+        below it whose image is in the bit set ``targets``.  Frontiers keep
+        their nodes in order of their smallest paths, as the levels do, and
+        drop nodes that reach no target.
         """
-        frontier = {i: ()}
+        frontier = {n: ()}
         while frontier:
             reached: dict[int, tuple[str, ...]] = {}
             for j, path in frontier.items():
-                if not self.reach[t][j] & targets:
+                if not self.reach[j] & targets:
                     continue
-                for symbol, k in zip(self.symbols, self.children[t][j]):
+                for symbol, k in zip(self.symbols, self.children[j]):
                     if k not in reached:
                         reached[k] = (*path, symbol)
-                        y = self.images[t + 1][k]
+                        y = self.images[k]
                         if y >= 0 and targets >> y & 1:
                             return reached[k], y
             frontier = reached
-            t += 1
         raise LookupError("no target below the node")
 
 
@@ -350,14 +345,15 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     enumeration.  Otherwise the control histories up to the horizon are
     walked as the DAG of their read states (:class:`_ReadStateDag`): each
     distinct read state of a level is stepped once per symbol, whatever the
-    number of histories reaching it.  The prefix order then carries an image
-    to exactly the images reachable below a node holding it, as a bit set
-    per image, and the partial-order axioms checked on those bit sets decide
-    the verdict.  Only when an axiom fails are the read sets ranked, so that
-    the axiom report names the smallest counterexamples.  An antisymmetry
-    failure always comes with a re-checkable witness, the lexicographic
-    minimum over all histories; a failure of any other axiom is reported
-    through the axiom report alone.
+    number of histories reaching it, into one table of nodes numbered in
+    walk order.  The prefix order carries an image to exactly the images
+    reachable below a node holding it; one reverse sweep over the node ids
+    collects them as a bit set per image, and the partial-order axioms
+    checked on those bit sets decide the verdict.  Only when an axiom fails
+    are the read sets ranked, so that the axiom report names the smallest
+    counterexamples.  An antisymmetry failure always comes with a
+    re-checkable witness, the lexicographic minimum over all histories; a
+    failure of any other axiom is reported through the axiom report alone.
 
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
@@ -373,12 +369,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     alphabet = circuit.control_alphabet
     dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
-    # after[x]: the bit set of images that some history holding x reaches.
-    after = [0] * len(dag.refs)
-    for images, reach in zip(dag.images, dag.reach):
-        for x, mask in zip(images, reach):
-            if x >= 0:
-                after[x] |= mask
+    after = dag.after
     # The three axioms do not depend on how the images are numbered, so the
     # first-seen ids decide them; only a failure's witnesses need the images
     # ranked in read-set order.
@@ -417,14 +408,14 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
             for x in _members(mask):
                 before[x] |= 1 << y
         swapped = [a & b & ~(1 << x) for x, (a, b) in enumerate(zip(after, before))]
-        t, i = dag.first(lambda x, mask: swapped[x] & mask)
-        x = dag.images[t][i]
-        a0 = dag.history(t, i)
-        tail, y = dag.path(t, i, swapped[x])
+        n = dag.first(lambda x, mask: swapped[x] & mask)
+        x = dag.images[n]
+        a0 = dag.history(n)
+        tail, y = dag.path(n, swapped[x])
         a1 = a0 + tail
-        t, i = dag.first(lambda image, mask: image == y and mask >> x & 1)
-        b0 = dag.history(t, i)
-        b1 = b0 + dag.path(t, i, 1 << x)[0]
+        n = dag.first(lambda image, mask: image == y and mask >> x & 1)
+        b0 = dag.history(n)
+        b1 = b0 + dag.path(n, 1 << x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
         witness = AntisymmetryWitness(a0, a1, b0, b1, ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

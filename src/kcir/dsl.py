@@ -17,16 +17,17 @@ KIND is one of dff, srlatch, mux, sync, multiclock, abmem.  Identifiers match
 ``[a-z][a-z0-9_]*``.  Registers are named q0..q(k-1) for ``state k``; the init
 bit string lists q0 first and has exactly k bits.  Operators nest at most
 ``MAX_EXPR_DEPTH`` deep.  ``sync`` circuits take exactly one clock and any
-number of inputs and outputs; ``multiclock`` circuits consist of exactly two
-``domain`` blocks, each shaped like a sync body.  Clause order inside a block
-is free.
+number of inputs and outputs; ``multiclock`` circuits consist of two to
+``MAX_DOMAINS`` ``domain`` blocks, each shaped like a sync body.  No name is
+both a clock and an input, or the clock or an input of two domains, since
+each names one stimulus column.  Clause order inside a block is free.
 
 Parsing is all-or-nothing: the first problem raises :class:`ParseError` with
 a source span covering the offending token.
 
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
-parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to two
-named ones, and :func:`elaborate` builds both kinds with
+parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to one
+named one per block, and :func:`elaborate` builds both kinds with
 :func:`kcir.circuits.clocked_element`, one register block per domain.  Each
 block's logic is compiled once per distinct domain to straight-line Python
 whose locals are named by slot number only.
@@ -63,6 +64,10 @@ _DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
 #: every level, so the bound keeps it well inside Python's recursion limit;
 #: compiling walks its own stack and the compiled logic is straight-line.
 MAX_EXPR_DEPTH = 200
+#: Most domain blocks a multiclock circuit may have.  Its control alphabet
+#: holds 2**k symbols, built in full when the circuit is elaborated, and the
+#: walk steps every one of them from every node.
+MAX_DOMAINS = 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ class DomainAst:
 
 @dataclass(frozen=True)
 class CircuitAst:
-    """A circuit description; ``sync`` has one domain, ``multiclock`` two, the rest none."""
+    """A circuit description: one domain for ``sync``, 2 to ``MAX_DOMAINS`` for ``multiclock``."""
 
     name: str
     kind: str
@@ -375,6 +380,7 @@ def _assemble_domain(
     width = len(bits)
 
     registers = {f"q{i}" for i in range(width)}
+    clock_name = clock.names[0].text
     inputs: dict[str, None] = {}
     for clause in clauses:
         if clause.category != "in":
@@ -384,6 +390,8 @@ def _assemble_domain(
             _fail("duplicate input name", name)
         if name.text in registers:
             _fail(f"input name {name.text} collides with a state register", name)
+        if name.text == clock_name:
+            _fail(f"input name {name.text} collides with the clock", name)
         inputs[name.text] = None
 
     declared = registers | inputs.keys()
@@ -421,7 +429,7 @@ def _assemble_domain(
     ordered = tuple((f"q{i}", nexts[f"q{i}"]) for i in range(width))
     return DomainAst(
         domain_name,
-        clock.names[0].text,
+        clock_name,
         bits,
         tuple(inputs),
         ordered,
@@ -446,10 +454,14 @@ def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
 
     # multiclock
     domain_clauses = [c for c in clauses if c.category == "domain"]
-    if len(domain_clauses) != 2:
-        _fail("multiclock circuit requires exactly two domain blocks", anchor)
+    if len(domain_clauses) < 2:
+        _fail("multiclock circuit requires two or more domain blocks", anchor)
+    if len(domain_clauses) > MAX_DOMAINS:
+        _fail(f"multiclock circuit has more than {MAX_DOMAINS} domain blocks",
+              domain_clauses[MAX_DOMAINS].names[0])
     domains = []
     seen_names: dict[str, _Token] = {}
+    names: set[str] = set()  # clocks and inputs of the earlier domains
     for clause in domain_clauses:
         dom_name = clause.names[0]
         if dom_name.text in seen_names:
@@ -457,12 +469,13 @@ def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
         seen_names[dom_name.text] = dom_name
         body = clause.extra[0]
         _check_legal(body, _DOMAIN_CLAUSES, "inside a domain")
-        domains.append(_assemble_domain(dom_name.text, body, dom_name, f"domain {dom_name.text}"))
-    if domains[0].clock == domains[1].clock:
-        _fail("duplicate clock name across domains", domain_clauses[1].names[0])
-    overlap = set(domains[0].inputs) & set(domains[1].inputs)
-    if overlap:
-        _fail("duplicate input name across domains", domain_clauses[1].names[0])
+        domain = _assemble_domain(dom_name.text, body, dom_name, f"domain {dom_name.text}")
+        if domain.clock in names:
+            _fail("duplicate clock name across domains", dom_name)
+        if names.intersection(domain.inputs):
+            _fail("duplicate input name across domains", dom_name)
+        names.update(domain.inputs, (domain.clock,))
+        domains.append(domain)
     return CircuitAst(name.text, kind, domains=tuple(domains))
 
 

@@ -160,16 +160,17 @@ def sync_reads(control: CausalSignal, channels: Sequence[str] = ("D",)) -> ReadS
 
 
 def multiclock_reads(
-    control: CausalSignal,
-    channels_a: Sequence[str] = ("D1",),
-    channels_b: Sequence[str] = ("D2",),
+    control: CausalSignal, channels: Sequence[Sequence[str]] = (("D1",), ("D2",))
 ) -> ReadSet:
-    """Per-domain edge ticks plus the current tick on every data channel."""
-    edges_a = _edge_ticks([split_symbol(s)[0] for s in control.samples])
-    edges_b = _edge_ticks([split_symbol(s)[1] for s in control.samples])
-    refs = [RefPoint(c, u) for c in channels_a for u in edges_a]
-    refs += [RefPoint(c, u) for c in channels_b for u in edges_b]
-    refs += [RefPoint(c, control.t) for c in (*channels_a, *channels_b)]
+    """Per-domain edge ticks plus the current tick on every data channel.
+
+    ``channels`` lists each domain's data channels, in the order of the clock
+    samples in a control symbol.
+    """
+    refs = []
+    for k, domain in enumerate(channels):
+        edges = _edge_ticks([split_symbol(s)[k] for s in control.samples])
+        refs += [RefPoint(c, u) for c in domain for u in (*edges, control.t)]
     return ReadSet(tuple(refs))
 
 
@@ -200,8 +201,8 @@ def ast_reads(ast: CircuitAst) -> Optional[ReadMap]:
         return _FIXED_READS[ast.kind]
     if ast.kind == "sync":
         return lambda control: sync_reads(control, ast.domains[0].inputs)
-    dom_a, dom_b = ast.domains
-    return lambda control: multiclock_reads(control, dom_a.inputs, dom_b.inputs)
+    channels = [domain.inputs for domain in ast.domains]
+    return lambda control: multiclock_reads(control, channels)
 
 
 # --- classification ---------------------------------------------------------------
@@ -560,6 +561,24 @@ def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[int]:
     return sizes
 
 
+def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple[str, ...]]:
+    """Each (level, read state, refs) key's smallest history, in ``sort_key`` order.
+
+    Every history up to the horizon is folded from ``read_init`` on its own,
+    so these are the nodes of the read-state DAG found without merging.
+    """
+    alphabet = element.control_alphabet
+    smallest: dict[tuple, tuple[str, ...]] = {}
+    for t in range(horizon + 1):
+        # product() meets the histories of one length in sample-rank order.
+        for history in itertools.product(alphabet.values, repeat=t + 1):
+            state = element.read_init
+            for tick, symbol in enumerate(history):
+                state, refs = element.read_step(state, symbol, tick)
+            smallest.setdefault((t, state, refs), history)
+    return sorted(smallest.values(), key=lambda h: CausalSignal(alphabet, h).sort_key())
+
+
 # --- simulation ---------------------------------------------------------------
 
 EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
@@ -640,26 +659,22 @@ def sync_output(
 
 
 def multiclock_output(
-    spec_a: SyncSpec,
-    spec_b: SyncSpec,
-    control: CausalSignal,
-    inputs_a: Sequence[CausalSignal],
-    inputs_b: Sequence[CausalSignal],
-) -> tuple[str, str]:
-    """Run two register blocks against the two clocks of a paired control signal."""
-    _require_aligned(control, (*inputs_a, *inputs_b))
-    clock_a = [split_symbol(s)[0] for s in control.samples]
-    clock_b = [split_symbol(s)[1] for s in control.samples]
-    state_a, state_b = spec_a.initial_state, spec_b.initial_state
-    for u in range(1, control.t + 1):
-        if clock_a[u - 1] == "0" and clock_a[u] == "1":
-            state_a = spec_a.next_state(state_a, tuple(sig.samples[u] for sig in inputs_a))
-        if clock_b[u - 1] == "0" and clock_b[u] == "1":
-            state_b = spec_b.next_state(state_b, tuple(sig.samples[u] for sig in inputs_b))
-    t = control.t
-    out_a = spec_a.output_fn(state_a, tuple(sig.samples[t] for sig in inputs_a))
-    out_b = spec_b.output_fn(state_b, tuple(sig.samples[t] for sig in inputs_b))
-    return out_a, out_b
+    specs: Sequence[SyncSpec], control: CausalSignal, inputs: Sequence[Sequence[CausalSignal]]
+) -> tuple[str, ...]:
+    """Run one register block per clock of a product control signal, one output each.
+
+    ``specs`` and ``inputs`` give each domain's block and data signals, in the
+    order of the clock samples in a control symbol.
+    """
+    _require_aligned(control, [sig for domain in inputs for sig in domain])
+    outputs = []
+    for k, (spec, signals) in enumerate(zip(specs, inputs)):
+        clock = [split_symbol(s)[k] for s in control.samples]
+        state = spec.initial_state
+        for u in sorted(_edge_ticks(clock)):
+            state = spec.next_state(state, tuple(sig.samples[u] for sig in signals))
+        outputs.append(spec.output_fn(state, tuple(sig.samples[control.t] for sig in signals)))
+    return tuple(outputs)
 
 
 @dataclass
@@ -733,20 +748,11 @@ def sync_evaluator(spec: SyncSpec, data_channels: Sequence[str] = ("D",)) -> Eva
 
 
 def multiclock_evaluator(
-    spec_a: SyncSpec,
-    spec_b: SyncSpec,
-    data_channels_a: Sequence[str] = ("D1",),
-    data_channels_b: Sequence[str] = ("D2",),
+    specs: Sequence[SyncSpec], data_channels: Sequence[Sequence[str]] = (("D1",), ("D2",))
 ) -> EvalFn:
     def evaluate(control, inputs):
-        out_a, out_b = multiclock_output(
-            spec_a,
-            spec_b,
-            control,
-            tuple(inputs[c] for c in data_channels_a),
-            tuple(inputs[c] for c in data_channels_b),
-        )
-        return f"{out_a}/{out_b}"
+        signals = [tuple(inputs[c] for c in domain) for domain in data_channels]
+        return "/".join(multiclock_output(specs, control, signals))
 
     return evaluate
 
@@ -819,9 +825,8 @@ def ast_evaluator(ast: CircuitAst) -> EvalFn:
     if ast.kind == "sync":
         (body,) = ast.domains
         return sync_evaluator(reference_block_spec(body, ast.name), body.inputs)
-    dom_a, dom_b = ast.domains
-    spec_a, spec_b = (reference_block_spec(d, f"{ast.name}.{d.name}") for d in (dom_a, dom_b))
-    return multiclock_evaluator(spec_a, spec_b, dom_a.inputs, dom_b.inputs)
+    specs = [reference_block_spec(d, f"{ast.name}.{d.name}") for d in ast.domains]
+    return multiclock_evaluator(specs, [d.inputs for d in ast.domains])
 
 
 # --- randomized checks: every trial folded in full ------------------------------

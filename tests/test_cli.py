@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import csv
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from kcir import cli
 from kcir.cli import main
 from kcir import CausalSignal, CausalityReport, ReadSoundnessReport
-from kcir.dsl import MAX_EXPR_DEPTH, load_circuit, parse
+from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, load_circuit, parse
 
 from . import oracle
 from .conftest import CIRCUITS_DIR
@@ -544,7 +549,7 @@ class TestChiDumpMatchesOracle:
         tokens = [f"{a}/{b}" for a, b in zip(fast, slow)]
         self.check(
             capsys, "twoclock.kcir",
-            lambda control: oracle.multiclock_reads(control, ("df",), ("ds",)),
+            lambda control: oracle.multiclock_reads(control, [("df",), ("ds",)]),
             tokens,
         )
 
@@ -678,3 +683,98 @@ class TestDescriptionSizeGuards:
         assert out.splitlines() == ["tick,output", "0," + "01" * 32, "1," + "10" * 32]
         code, out, _ = run(capsys, "classify", "--circuit", path, "--horizon", "2")
         assert code == 0 and "verdict: time-preserving" in out
+
+    def test_domains_past_the_limit_are_refused_before_the_alphabet_is_built(self, tmp_path):
+        # 40 domains would make a control alphabet of 2**40 symbols; the child
+        # processes' capped address space makes building it fail fast.
+        text = "circuit big { kind multiclock; " + " ".join(
+            f"domain d{i} {{ clock c{i}; state 1 init 0; next q0 = not(q0); out y{i} = q0; }}"
+            for i in range(40)
+        ) + " }"
+        path = tmp_path / "big.kcir"
+        path.write_text(text)
+        stimulus = tmp_path / "stimulus.csv"
+        stimulus.write_text("tick\n0\n")
+        column = text.index(f"domain d{MAX_DOMAINS} ") + len("domain ") + 1
+        for argv in (("classify", "--horizon", "2"), ("check",),
+                     ("simulate", "--stimulus", str(stimulus)), ("chi-dump", "--control", "0")):
+            done = run_capped(*argv, "--circuit", str(path))
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr == (
+                f"error: {path}:1:{column}: multiclock circuit has more than {MAX_DOMAINS} "
+                "domain blocks\n"
+            )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: Address space of the child processes below: a read that holds an endless
+#: file whole fails fast under it instead of growing until the host kills it.
+CHILD_ADDRESS_SPACE = 400 * 2**20
+
+
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m kcir.cli`` in a child process with a capped address space."""
+    import resource
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kcir.cli", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap,
+    )
+
+
+needs_dev_zero = pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+
+
+class TestBoundedReads:
+    """Input that never ends is refused after a bounded read, with one error line."""
+
+    @needs_dev_zero
+    def test_endless_circuit_file_exits_2(self):
+        done = run_capped("classify", "--circuit", "/dev/zero", "--horizon", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: /dev/zero is longer than the limit of {cli.MAX_CIRCUIT_CHARS:,} "
+            "characters\n"
+        )
+
+    @needs_dev_zero
+    def test_endless_stimulus_line_exits_2(self):
+        done = run_capped(
+            "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", "/dev/zero"
+        )
+        bound = 3 * (2 * csv.field_size_limit() + 3) + 1  # tick, C and D
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: stimulus line 1 is longer than the limit of {bound:,} characters\n"
+        )
+
+    def test_circuit_file_at_the_bound_is_accepted(self, tmp_path, capsys):
+        text = (CIRCUITS_DIR / "dff.kcir").read_text(encoding="utf-8")
+        path = tmp_path / "padded.kcir"
+        path.write_text(text.ljust(cli.MAX_CIRCUIT_CHARS), encoding="utf-8")
+        code, out, _ = run(capsys, "classify", "--circuit", str(path), "--horizon", "2")
+        assert code == 0 and "verdict: time-preserving" in out
+        path.write_text(text.ljust(cli.MAX_CIRCUIT_CHARS + 1), encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--circuit", str(path), "--horizon", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path} is longer than the limit of {cli.MAX_CIRCUIT_CHARS:,} characters\n"
+        )
+
+    def test_longest_row_the_field_limit_admits_passes_the_line_bound(self, tmp_path, capsys):
+        # Three cells of field-limit quote characters, each written quoted, so
+        # every character is doubled: the row reaches the line bound exactly.
+        cell = '"' + '""' * csv.field_size_limit() + '"'
+        row = ",".join([cell] * 3) + "\r\n"
+        assert len(row) == 3 * (2 * csv.field_size_limit() + 3) + 1
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,C,D\n" + row, newline="")
+        code, _, err = run(
+            capsys, "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim)
+        )
+        assert code == 2
+        assert err.startswith("error: stimulus row 1 has non-integer tick")

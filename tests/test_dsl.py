@@ -21,13 +21,15 @@ from kcir import (
     ParseError,
     SimulationError,
     Var,
+    Verdict,
+    classify,
     elaborate,
     output_stream,
     parse,
     pretty_print,
     read_soundness_check,
 )
-from kcir.dsl import MAX_EXPR_DEPTH, _block_code, _block_source, _block_spec
+from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, _block_code, _block_source, _block_spec
 
 from . import oracle
 from .conftest import CIRCUITS_DIR
@@ -470,6 +472,7 @@ d, e = Var("d"), Var("e")
 BODY = DomainAst("", "ck", "00", ("d", "e"), (("q0", d), ("q1", Var("q0"))), (("y", Var("q1")),))
 FAST = DomainAst("fast", "cf", "0", ("df",), (("q0", Var("df")),), (("y", Var("q0")),))
 SLOW = DomainAst("slow", "cs", "0", ("ds",), (("q0", Var("ds")),), (("z", Var("q0")),))
+HOLD = DomainAst("hold", "ch", "0", ("dh",), (("q0", Var("q0")),), (("w", Var("q0")),))
 
 
 def sync(**changes) -> CircuitAst:
@@ -513,13 +516,33 @@ UNREADABLE = {
         CircuitAst("bad", "dff", (FAST,)), "clause 'domain' not allowed for kind dff at 'domain'"),
     "one-domain-multiclock": (
         CircuitAst("bad", "multiclock", (FAST,)),
-        "multiclock circuit requires exactly two domain blocks at 'multiclock'"),
+        "multiclock circuit requires two or more domain blocks at 'multiclock'"),
     "nested-past-the-depth-limit": (
         next_q0(nested_not(5000)),
         f"expression nested deeper than {MAX_EXPR_DEPTH} levels at 'not'"),
     "two-domains-on-one-clock": (
         CircuitAst("bad", "multiclock", (FAST, replace(SLOW, clock="cf"))),
         "duplicate clock name across domains at 'slow'"),
+    "third-domain-on-the-first-clock": (
+        CircuitAst("bad", "multiclock", (FAST, SLOW, replace(HOLD, clock="cf"))),
+        "duplicate clock name across domains at 'hold'"),
+    "third-domain-sharing-an-input": (
+        CircuitAst("bad", "multiclock", (FAST, SLOW, replace(HOLD, inputs=("ds",)))),
+        "duplicate input name across domains at 'hold'"),
+    "input-named-like-the-clock": (
+        sync(inputs=("d", "ck")), "input name ck collides with the clock at 'ck'"),
+    "clock-named-like-an-earlier-input": (
+        CircuitAst("bad", "multiclock", (FAST, replace(SLOW, clock="df"))),
+        "duplicate clock name across domains at 'slow'"),
+    "input-named-like-an-earlier-clock": (
+        CircuitAst("bad", "multiclock", (
+            FAST, replace(SLOW, inputs=("cf",), next_exprs=(("q0", Var("cf")),)))),
+        "duplicate input name across domains at 'slow'"),
+    "one-domain-past-the-limit": (
+        CircuitAst("bad", "multiclock", tuple(
+            replace(HOLD, name=f"h{i}", clock=f"c{i}", inputs=()) for i in range(MAX_DOMAINS + 1)
+        )),
+        f"multiclock circuit has more than {MAX_DOMAINS} domain blocks at 'h{MAX_DOMAINS}'"),
 }
 
 
@@ -578,9 +601,24 @@ class TestElaborate:
         inputs = {"df": ("0", "0", "0"), "ds": ("1", "1", "1")}
         assert output_stream(element, clocks, inputs) == ["0/0", "1/0", "1/1"]
 
+    def test_three_clock_domains_elaborate(self):
+        element = elaborate(parse((CIRCUITS_DIR / "threeclock.kcir").read_text(encoding="utf-8")))
+        assert element.control_channels == ("ca", "cb", "cc")
+        assert element.input_names == ("da", "db", "en")
+        assert len(element.control_alphabet) == 8
+        clocks = ("0/0/0", "1/1/1", "0/0/0", "1/1/1")
+        inputs = {"da": ("0",) * 4, "db": ("1", "1", "0", "0"), "en": ("1",) * 4}
+        # ya toggles, yb samples db, and hi/lo count the enabled edges.
+        assert output_stream(element, clocks, inputs) == ["0/0/00", "1/1/01", "1/1/01", "0/0/10"]
+        assert classify(element, 3).verdict is Verdict.TIME_PRESERVING
+
     def test_the_unedited_descriptions_elaborate(self):
         elaborate(CircuitAst("good", "sync", (BODY,)))
         elaborate(CircuitAst("good", "multiclock", (FAST, SLOW)))
+        elaborate(CircuitAst("good", "multiclock", (FAST, SLOW, HOLD)))
+        elaborate(CircuitAst("good", "multiclock", tuple(
+            replace(HOLD, name=f"h{i}", clock=f"c{i}", inputs=()) for i in range(MAX_DOMAINS)
+        )))
 
     @pytest.mark.parametrize("ast,fault", UNREADABLE.values(), ids=UNREADABLE.keys())
     def test_only_descriptions_that_parse_back_elaborate(self, ast, fault):

@@ -4,13 +4,15 @@ The read-state DAG classifier agrees on whole :class:`Classification`
 objects: verdict, stats, the axiom report with its witnesses, and the
 antisymmetry witness, against the oracle engine run on the rescanning read
 maps, and against the prefix-tree walk at horizons the oracle cannot reach.
-Drawn Mealy read steps make the DAG merge histories.  The read steps agree
-with those read maps at every node of the prefix tree, and report canonical
-refs.  The step-function simulator agrees with the prefix evaluators on
-whole output streams, and on the error a malformed input raises and the
-tick at which it raises.  The randomized checks, which fold only the ticks a
-trial compares, give the same reports and the same ``check`` JSON as the
-references that fold every tick from 0.
+Drawn Mealy read steps make the DAG merge histories.  The DAG's node table
+numbers nodes in the order of their smallest histories, with children after
+parents, and its ``after`` sets are the oracle's derived image pairs.  The
+read steps agree with those read maps at every node of the prefix tree, and
+report canonical refs.  The step-function simulator agrees with the prefix
+evaluators on whole output streams, and on the error a malformed input
+raises and the tick at which it raises.  The randomized checks, which fold
+only the ticks a trial compares, give the same reports and the same
+``check`` JSON as the references that fold every tick from 0.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from kcir import (
     toggler_spec,
 )
 from kcir import cli
-from kcir.classifier import _axiom_report, _ReadStateDag
+from kcir.classifier import _axiom_report, _members, _ReadStateDag
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
@@ -421,22 +423,59 @@ def test_deeper_horizons_match_the_pair_scan_of_the_dag(factory, horizon):
     dag = _ReadStateDag(
         element.read_init, element.read_step, element.control_alphabet.values, horizon
     )
-    after = [0] * len(dag.refs)
-    for images, reach in zip(dag.images, dag.reach):
-        for x, mask in zip(images, reach):
-            if x >= 0:
-                after[x] |= mask
     order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     pairs = {
         (rank[x], rank[y])
-        for x, mask in enumerate(after)
+        for x, mask in enumerate(dag.after)
         for y, bit in enumerate(reversed(bin(mask)[2:]))
         if bit == "1"
     }
     images = [ReadSet.of(*dag.refs[i]) for i in order]
     expected = oracle.pair_axiom_report(images, range(len(images)), pairs)
     assert classify(element, horizon).axiom_report == expected
+
+
+def _check_node_table(element: CircuitElement, horizon: int) -> None:
+    """The DAG's node ids, children and ``after`` sets, against brute force."""
+    alphabet = element.control_alphabet
+    dag = _ReadStateDag(element.read_init, element.read_step, alphabet.values, horizon)
+    nodes = range(len(dag.images))
+    assert [dag.history(n) for n in nodes] == oracle.dag_smallest_histories(element, horizon)
+    for n in nodes:
+        parent, symbol = dag.origins[n]
+        assert parent < n
+        if parent >= 0:
+            assert dag.children[parent][alphabet.values.index(symbol)] == n
+        assert all(k > n for k in dag.children[n])
+    relation = oracle.build_prefix_relation(enumerate_causal_signals(alphabet, horizon))
+    pairs = {
+        (ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
+        for x, mask in enumerate(dag.after)
+        for y in _members(mask)
+    }
+    assert pairs == oracle.derive_relation(element.reads, relation).pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(mealy_circuits(), st.integers(0, 4))
+def test_mealy_node_tables_match_brute_force(element, horizon):
+    _check_node_table(element, horizon)
+
+
+NODE_TABLE_CASES = [
+    (factory, h) for factory, _, top in BUILT_INS if factory is not sr_latch_element
+    for h in range(min(top, 4) + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "factory,horizon",
+    NODE_TABLE_CASES,
+    ids=[f"{factory.__name__}-{h}" for factory, h in NODE_TABLE_CASES],
+)
+def test_built_in_node_tables_match_brute_force(factory, horizon):
+    _check_node_table(factory(), horizon)
 
 
 def test_mux_at_horizon_200_is_time_preserving():
@@ -487,13 +526,13 @@ def _built_in_cases():
     yield (
         "holder-toggler",
         clocked_element("pair", [("C1", HOLDER, ("D1",)), ("C2", toggler_spec(), ("D2",))]),
-        oracle.multiclock_evaluator(HOLDER, toggler_spec()),
+        oracle.multiclock_evaluator([HOLDER, toggler_spec()]),
         BITS,
     )
     yield (
         "twoclock",
         toggler_pair_element(),
-        oracle.multiclock_evaluator(toggler_spec(), toggler_spec()),
+        oracle.multiclock_evaluator([toggler_spec(), toggler_spec()]),
         BITS,
     )
     yield "abmem", abmem_element(), oracle.abmem_evaluate, TOKENS
