@@ -29,7 +29,9 @@ The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after
 the mutation at tick m, and a read-soundness trial folds the ticks before the
 mutated one once and runs the baseline and the mutated run from that shared
-state to the compared tick.
+state to the compared tick.  Their random columns are drawn in one inline
+loop over ``rng.getrandbits`` that makes the same draws as ``rng.choice``,
+so a seed gives the same report as a per-sample ``choice`` would.
 
 Conventions shared by all built-ins:
 
@@ -587,9 +589,31 @@ def _stream_alphabets(element: CircuitElement) -> list[Alphabet]:
 def _random_streams(
     rng: random.Random, alphabets: Sequence[Alphabet], length: int
 ) -> list[list[str]]:
-    """One random column per alphabet: the control symbols, then the input columns."""
-    choice = rng.choice
-    return [[choice(values) for _ in range(length)] for values in [a.values for a in alphabets]]
+    """One random column per alphabet: the control symbols, then the input columns.
+
+    Each sample is drawn as ``rng.choice(values)`` draws it, without its two
+    method calls: for n values, ``k = n.bit_length()`` bits are drawn until
+    they read below n, which is ``Random._randbelow_with_getrandbits``
+    behind ``choice`` in CPython 3.10 to 3.13.  So the columns and the
+    generator state after them equal those of ``choice``, and every seeded
+    report with them.  An alphabet is never empty, so n >= 1 and k >= 1.
+    Columns are lists, which ``causality_check`` mutates in place.
+    """
+    getrandbits = rng.getrandbits
+    columns = []
+    for alphabet in alphabets:
+        values = alphabet.values
+        n = len(values)
+        k = n.bit_length()
+        column = []
+        append = column.append
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append(values[r])
+        columns.append(column)
+    return columns
 
 
 @dataclass(frozen=True)

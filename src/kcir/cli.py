@@ -400,6 +400,7 @@ def _cmd_check(args) -> int:
             f"({channels} channels, ticks 0..{args.horizon}), above the limit of "
             f"{MAX_SAMPLES:,}"
         )
+    started = time.perf_counter()
     causality = causality_check(element, args.horizon, args.trials, args.seed)
     if element.read_step is not None:
         soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
@@ -408,6 +409,7 @@ def _cmd_check(args) -> int:
     else:
         soundness_stats = {"skipped": "circuit has no restriction map"}
         failed = causality.violations > 0
+    elapsed = time.perf_counter() - started
     stats = {
         "horizon": args.horizon,
         "seed": args.seed,
@@ -438,6 +440,7 @@ def _cmd_check(args) -> int:
         "read-soundness: "
         + " ".join(f"{key}={value}" for key, value in soundness_stats.items())
     )
+    print(f"timing: {elapsed:.3f}s")
     return 0
 
 

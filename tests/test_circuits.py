@@ -367,7 +367,7 @@ class TestLinearTime:
         assert report.mutations == 1
         # The trial's mutated tick m, drawn right after the streams.
         rng = random.Random(seed)
-        _random_streams(rng, _stream_alphabets(element), horizon + 1)
+        oracle._random_streams(rng, _stream_alphabets(element), horizon + 1)
         m = rng.randint(1, horizon)
         ticks = [tick for tick, _ in steps]
         assert ticks == [*range(m), *range(m)]
@@ -515,6 +515,22 @@ class TestRandomizedProperties:
         report = causality_check(impure, horizon=4, trials=50, seed=13)
         assert report.violations > 0
         assert causality_check(element, horizon=4, trials=50, seed=13).violations == 0
+
+    @given(
+        sizes=st.lists(st.sampled_from((1, 2, 3, 4, 9, 16, 256, 257)), max_size=4),
+        length=st.integers(0, 40),
+        seed=st.integers(),
+    )
+    def test_streams_draw_like_choice(self, sizes, length, seed):
+        # 1 needs one bit per draw, 256 needs nine, and 3, 9 and 257 reject
+        # draws; the generator state after the columns must match too.
+        alphabets = [Alphabet(tuple(f"v{i}" for i in range(n))) for n in sizes]
+        rng, reference = random.Random(seed), random.Random(seed)
+        columns = _random_streams(rng, alphabets, length)
+        assert columns == [
+            [reference.choice(a.values) for _ in range(length)] for a in alphabets
+        ]
+        assert rng.getstate() == reference.getstate()
 
     def test_read_soundness_requires_a_read_map(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -69,6 +70,17 @@ class TestClassifyCommand:
         assert code == 0
         assert "verdict: time-preserving" in out
         assert "timing:" in out
+
+    def test_check_text_format_ends_with_timing(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--circuit", circuit("dff.kcir"),
+            "--horizon", "4", "--trials", "20",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["circuit: dff", "command: check", "verdict: pass"]
+        assert re.fullmatch(r"timing: \d+\.\d{3}s", lines[-1])
+        assert sum(line.startswith("timing:") for line in lines) == 1
 
     def test_reports_are_identical_across_reruns(self, capsys):
         argv = [
