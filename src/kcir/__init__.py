@@ -17,6 +17,12 @@ and the randomized checks are folds of those steps.  A stream is its
 samples: ``output_stream`` takes the control symbols and one sample sequence
 per input channel, and a :class:`CausalSignal` is an alphabet and the
 samples of ticks 0..t.
+
+A clocked register block has one form, a :class:`DomainAst` of boolean
+expressions that :mod:`kcir.dsl` compiles, whether it comes from a ``.kcir``
+file or is built in: ``counter_element`` (whose output is the count as a
+binary word, most significant bit first) and ``toggler_pair_element`` are
+defined in :mod:`kcir.dsl`, the other built-ins in :mod:`kcir.circuits`.
 """
 
 from .circuits import (
@@ -24,19 +30,13 @@ from .circuits import (
     CircuitElement,
     ReadSoundnessReport,
     SimulationError,
-    SyncSpec,
     abmem_element,
     causality_check,
-    clocked_element,
-    counter_element,
-    counter_spec,
     dff_element,
     mux_element,
     output_stream,
     read_soundness_check,
     sr_latch_element,
-    toggler_pair_element,
-    toggler_spec,
 )
 from .classifier import (
     AntisymmetryWitness,
@@ -59,10 +59,12 @@ from .dsl import (
     ParseError,
     SourceSpan,
     Var,
+    counter_element,
     elaborate,
     load_circuit,
     parse,
     pretty_print,
+    toggler_pair_element,
 )
 from .signals import (
     BINARY,
@@ -99,16 +101,13 @@ __all__ = [
     "RefPoint",
     "SimulationError",
     "SourceSpan",
-    "SyncSpec",
     "Tick",
     "Var",
     "Verdict",
     "abmem_element",
     "causality_check",
     "classify",
-    "clocked_element",
     "counter_element",
-    "counter_spec",
     "dff_element",
     "elaborate",
     "history_count",
@@ -122,5 +121,4 @@ __all__ = [
     "split_symbol",
     "sr_latch_element",
     "toggler_pair_element",
-    "toggler_spec",
 ]

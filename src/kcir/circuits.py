@@ -19,11 +19,16 @@ from it as a fold over the prefix, and the classifier steps it once per node
 of the read-state DAG.  These two pairs are the only definitions of a circuit:
 there are no per-circuit evaluators or read maps beside them.
 
-Clocked register blocks have one engine: :func:`clocked_element` puts one
-register block on each of k clocks, and a synchronous circuit is the case
-k = 1.  Its control symbol joins the k clock samples with '/', and one edge
-table, shared by ``step`` and ``read_step``, says which clocks rise between
-two symbols, so both refuse a clock sample that is not a bit.
+Clocked register blocks have one engine and one form.  A register block is
+a :class:`kcir.dsl.DomainAst`, whose expressions ``kcir.dsl`` compiles to an
+(initial register bits, ``next_state``, ``output_fn``) triple; the engine
+here puts one such block on each of k clocks, and a synchronous circuit is
+the case k = 1.  The built-in clocked circuits, ``counter_element`` (its
+output is the count as a binary word, most significant bit first) and
+``toggler_pair_element``, are such descriptions too and live in
+``kcir.dsl``.  The control symbol joins the k clock samples with '/', and one
+edge table, shared by ``step`` and ``read_step``, says which clocks rise
+between two symbols, so both refuse a clock sample that is not a bit.
 
 The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after
@@ -276,24 +281,11 @@ def mux_element(name: str = "mux") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Clocked register blocks: one block per clock domain
 
-@dataclass(frozen=True)
-class SyncSpec:
-    """A clocked register block: registers plus combinational next/output logic.
-
-    ``initial_state`` holds one value per register, so its length is the
-    register count.  ``next_state`` maps (state vector, input samples at the
-    edge) to the next state vector; ``output_fn`` maps (state vector, current
-    input samples) to the output value.  Both must be total over their finite
-    domains.
-    """
-
-    initial_state: tuple[str, ...]
-    next_state: Callable[[tuple[str, ...], tuple[str, ...]], tuple[str, ...]]
-    output_fn: Callable[[tuple[str, ...], tuple[str, ...]], str]
-
-    def __post_init__(self) -> None:
-        if not self.initial_state:
-            raise ValueError("a register block needs at least one register")
+#: A register block as (initial register bits, next_state, output_fn):
+#: ``next_state`` maps (register bits, the domain's input samples at an edge)
+#: to the next register bits, and ``output_fn`` maps (register bits, the
+#: current input samples) to the output.  ``kcir.dsl`` compiles one per domain.
+Block = tuple[tuple[str, ...], Callable, Callable]
 
 
 def _edge_table(clocks: int, mark: Callable[[tuple[int, ...]], Any]) -> dict:
@@ -370,20 +362,20 @@ def _clocked_reader(domain_channels: Sequence[Sequence[str]]) -> tuple[Any, Read
     return (None, ((),) * len(channels)), read_step
 
 
-def _clocked_machine(specs: Sequence[SyncSpec], widths: Sequence[int]) -> tuple[Any, StepFn]:
-    """(init, step) of register blocks ``specs``, one per clock of the control symbol.
+def _clocked_machine(blocks: Sequence[Block], widths: Sequence[int]) -> tuple[Any, StepFn]:
+    """(init, step) of register ``blocks``, one per clock of the control symbol.
 
     The state is (previous control symbol, per-domain registers).  The step's
     input samples list each domain's channels in domain order, ``widths`` of
     them per domain, and its output is the domain outputs joined with '/', so
     a one-domain block outputs its own.
     """
-    clocks = len(specs)
+    clocks = len(blocks)
     starts = list(itertools.accumulate(widths, initial=0))
     bounds = list(zip(starts, starts[1:]))
-    outs = [(spec.output_fn, lo, hi) for spec, (lo, hi) in zip(specs, bounds)]
+    outs = [(output_fn, lo, hi) for (_, _, output_fn), (lo, hi) in zip(blocks, bounds)]
     rises = _edge_table(
-        clocks, lambda rising: [(i, specs[i].next_state, *bounds[i]) for i in rising]
+        clocks, lambda rising: [(i, blocks[i][1], *bounds[i]) for i in rising]
     )
 
     def step(state, symbol: str, samples: tuple[str, ...]):
@@ -402,23 +394,23 @@ def _clocked_machine(specs: Sequence[SyncSpec], widths: Sequence[int]) -> tuple[
             outputs.append(output_fn(own, samples[lo:hi]))
         return (symbol, registers), "/".join(outputs)
 
-    return (None, tuple(spec.initial_state for spec in specs)), step
+    return (None, tuple(initial for initial, _, _ in blocks)), step
 
 
-def clocked_element(
-    name: str, domains: Sequence[tuple[str, SyncSpec, Sequence[str]]]
+def _clocked_element(
+    name: str, domains: Sequence[tuple[str, Block, Sequence[str]]]
 ) -> CircuitElement:
-    """Register blocks, one per clock domain given as (clock channel, spec, data channels).
+    """Register blocks, one per clock domain given as (clock channel, block, data channels).
 
     The control symbol joins the clock samples with '/' in domain order, and
     the output joins the domain outputs the same way, so a one-domain block is
     a synchronous circuit on one binary clock.  Data channels are binary.
+    ``kcir.dsl`` builds every clocked circuit through here from a parsed or
+    built-in description, which names no channel twice.
     """
-    if not domains:
-        raise ValueError("a clocked block needs at least one domain")
     clocks = tuple(clock for clock, _, _ in domains)
     data = [tuple(channels) for _, _, channels in domains]
-    init, step = _clocked_machine([spec for _, spec, _ in domains], [len(c) for c in data])
+    init, step = _clocked_machine([block for _, block, _ in domains], [len(c) for c in data])
     read_init, read_step = _clocked_reader(data)
     return CircuitElement(
         name=name,
@@ -429,47 +421,6 @@ def clocked_element(
         step=step,
         read_init=read_init,
         read_step=read_step,
-    )
-
-
-def _state_value(state: tuple[str, ...]) -> int:
-    return sum(1 << i for i, bit in enumerate(state) if bit == "1")
-
-
-def _state_bits(value: int, width: int) -> tuple[str, ...]:
-    return tuple("1" if value >> i & 1 else "0" for i in range(width))
-
-
-def counter_spec(bits: int = 2) -> SyncSpec:
-    """An edge counter modulo ``2 ** bits``; data inputs are ignored."""
-    size = 1 << bits
-
-    def step(state: tuple[str, ...], _inputs: tuple[str, ...]) -> tuple[str, ...]:
-        return _state_bits((_state_value(state) + 1) % size, bits)
-
-    def out(state: tuple[str, ...], _inputs: tuple[str, ...]) -> str:
-        return str(_state_value(state))
-
-    return SyncSpec(("0",) * bits, step, out)
-
-
-def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
-    return clocked_element(name, [("C", counter_spec(bits), ("D",))])
-
-
-def toggler_spec() -> SyncSpec:
-    """A single register that flips on every edge."""
-    return SyncSpec(
-        ("0",),
-        lambda state, _inputs: ("1" if state[0] == "0" else "0",),
-        lambda state, _inputs: state[0],
-    )
-
-
-def toggler_pair_element(name: str = "twoclock") -> CircuitElement:
-    """Two independent one-register togglers on separate clocks; the output is ``a/b``."""
-    return clocked_element(
-        name, [("C1", toggler_spec(), ("D1",)), ("C2", toggler_spec(), ("D2",))]
     )
 
 
@@ -643,6 +594,8 @@ def read_soundness_check(
         raise ValueError(f"circuit {element.name!r} has no read map")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     alphabets = _stream_alphabets(element)
     step, init = element.step, element.init
     rng = random.Random(seed)
@@ -694,18 +647,25 @@ def causality_check(
     Only the compared ticks 0..m-1 are folded, once before the mutation and
     once after, so a trial costs 2m steps.  A pure ``step`` cannot see the
     mutated tick there, so a violation shows a step whose output depends on
-    more than its arguments.
+    more than its arguments.  The mutated stream is drawn among those whose
+    alphabet has two or more values; with none, trials are counted but not
+    mutated.
     """
     if horizon < 1:
         raise ValueError("causality needs a horizon of at least 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     alphabets = _stream_alphabets(element)
+    mutable = [k for k, alphabet in enumerate(alphabets) if len(alphabet) > 1]
+    if not mutable:
+        return CausalityReport(trials, 0, 0)
     step, init = element.step, element.init
     rng = random.Random(seed)
     mutations = violations = 0
     for _ in range(trials):
         streams = _random_streams(rng, alphabets, horizon + 1)
         m = rng.randint(1, horizon)
-        pick = rng.randrange(len(streams))
+        pick = mutable[rng.randrange(len(mutable))]
         samples = streams[pick]
         new = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
         control, *columns = streams

@@ -7,7 +7,8 @@ simulation hit an undefined output without ``--allow-undef``.
 JSON reports carry the top-level keys circuit, command, verdict, axioms,
 witness, stats, and timing, serialized with sorted keys so identical inputs
 produce byte-identical output on every rerun.  The timing key is null in JSON
-for that reason; wall time is shown in text mode.
+for that reason; wall time is printed by text ``classify`` and ``check``, and
+the text ``chi-dump`` listing holds read sets only.
 
 ``classify`` states how many control histories a run would walk before it
 starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``

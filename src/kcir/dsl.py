@@ -27,13 +27,19 @@ a source span covering the offending token.
 
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to one
-named one per block, and :func:`elaborate` builds both kinds with
-:func:`kcir.circuits.clocked_element`, one register block per domain.  Each
-block's logic is compiled once per distinct domain to straight-line Python
-whose locals are named by slot number only.
+named one per block.  A :class:`DomainAst` is the only form of a clocked
+register block: :func:`elaborate` builds both kinds on the clocked engine of
+:mod:`kcir.circuits`, one register block per domain, and each block's logic
+is compiled once per distinct domain to straight-line Python whose locals are
+named by slot number only.
 
 The parser is the only validator: a hand-built :class:`CircuitAst` is
 elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
+The built-in clocked circuits, :func:`counter_element` (whose output is the
+count as a binary word, most significant bit first) and
+:func:`toggler_pair_element`, are the one exception: their descriptions are
+made here on the channels C and D (C1, D1, C2 and D2), which no identifier
+of the grammar can name, and built the same way without the round trip.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from types import CodeType
 from typing import Optional, Sequence, Union
 
 from . import circuits
-from .circuits import CircuitElement, SimulationError, SyncSpec
+from .circuits import Block, CircuitElement, SimulationError
 
 KINDS = ("dff", "srlatch", "mux", "sync", "multiclock", "abmem")
 
@@ -630,7 +636,7 @@ def _block_source(domain: DomainAst) -> str:
     ]) + "\n"
 
 
-def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
+def _block_spec(domain: DomainAst, where: str) -> Block:
     """The register block of a parsed domain; ``where`` names it in sample errors.
 
     ``next_state`` does not check its samples: ``output_fn`` runs on the same
@@ -646,7 +652,7 @@ def _block_spec(domain: DomainAst, where: str) -> SyncSpec:
 
     namespace = {"reject_sample": reject_sample}
     exec(_block_code(domain), namespace)
-    return SyncSpec(tuple(domain.init_bits), namespace["next_state"], namespace["output_fn"])
+    return tuple(domain.init_bits), namespace["next_state"], namespace["output_fn"]
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:
@@ -688,7 +694,7 @@ def _build(ast: CircuitAst) -> CircuitElement:
     if ast.kind == "abmem":
         return circuits.abmem_element(ast.name)
     # sync and multiclock; errors name a multiclock domain as circuit.domain.
-    return circuits.clocked_element(ast.name, [
+    return circuits._clocked_element(ast.name, [
         (
             domain.clock,
             _block_spec(domain, ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}"),
@@ -701,3 +707,33 @@ def _build(ast: CircuitAst) -> CircuitElement:
 def load_circuit(text: str) -> CircuitElement:
     """Parse and elaborate in one step, reading ``text`` once."""
     return _build(parse(text))
+
+
+# ---------------------------------------------------------------------------
+# Built-in clocked circuits
+
+def counter_element(name: str = "counter", bits: int = 2) -> CircuitElement:
+    """An edge counter modulo ``2 ** bits`` on clock ``C``; input ``D`` is unused.
+
+    Register q0 is the least significant bit and the output is the count as a
+    binary word, most significant bit first: three edges give "11".
+    """
+    if bits < 1:
+        raise ValueError("a counter needs at least one bit")
+    q = [Var(f"q{i}") for i in range(bits)]
+    nexts = [("q0", Call("not", (q[0],)))] + [
+        (f"q{i}", Call("xor", (q[i], Call("and", tuple(q[:i])) if i > 1 else q[0])))
+        for i in range(1, bits)
+    ]
+    outputs = tuple((f"y{i}", q[i]) for i in reversed(range(bits)))
+    body = DomainAst("", "C", "0" * bits, ("D",), tuple(nexts), outputs)
+    return _build(CircuitAst(name, "sync", (body,)))
+
+
+def toggler_pair_element(name: str = "twoclock") -> CircuitElement:
+    """Two independent one-register togglers on separate clocks; the output is ``a/b``."""
+    flip = (("q0", Call("not", (Var("q0"),))),)
+    return _build(CircuitAst(name, "multiclock", tuple(
+        DomainAst(f"toggler{k}", f"C{k}", "0", (f"D{k}",), flip, (("y", Var("q0")),))
+        for k in (1, 2)
+    )))

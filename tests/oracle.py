@@ -50,11 +50,11 @@ from kcir.classifier import (
     Verdict,
 )
 from kcir.circuits import (
+    Block,
     CausalityReport,
     CircuitElement,
     ReadSoundnessReport,
     SimulationError,
-    SyncSpec,
     _fold_outputs,
     _fold_refs,
     _stream_alphabets,
@@ -647,33 +647,34 @@ def sr_output(set_signal: CausalSignal, reset_signal: CausalSignal) -> Optional[
     return q
 
 
-def sync_output(
-    spec: SyncSpec, control: CausalSignal, inputs: Sequence[CausalSignal]
-) -> str:
-    """Run the register block over all edges of ``control`` and emit the output."""
+def sync_output(block: Block, control: CausalSignal, inputs: Sequence[CausalSignal]) -> str:
+    """Run the register block over all edges of ``control`` and emit the output.
+
+    ``block`` is (initial register bits, next_state, output_fn), as
+    :func:`reference_block_spec` returns it.
+    """
     _require_aligned(control, inputs)
-    state = spec.initial_state
+    state, next_state, output_fn = block
     for u in sorted(posedges(control)):
-        state = spec.next_state(state, tuple(sig.samples[u] for sig in inputs))
-    return spec.output_fn(state, tuple(sig.samples[control.t] for sig in inputs))
+        state = next_state(state, tuple(sig.samples[u] for sig in inputs))
+    return output_fn(state, tuple(sig.samples[control.t] for sig in inputs))
 
 
 def multiclock_output(
-    specs: Sequence[SyncSpec], control: CausalSignal, inputs: Sequence[Sequence[CausalSignal]]
+    blocks: Sequence[Block], control: CausalSignal, inputs: Sequence[Sequence[CausalSignal]]
 ) -> tuple[str, ...]:
     """Run one register block per clock of a product control signal, one output each.
 
-    ``specs`` and ``inputs`` give each domain's block and data signals, in the
+    ``blocks`` and ``inputs`` give each domain's block and data signals, in the
     order of the clock samples in a control symbol.
     """
     _require_aligned(control, [sig for domain in inputs for sig in domain])
     outputs = []
-    for k, (spec, signals) in enumerate(zip(specs, inputs)):
+    for k, ((state, next_state, output_fn), signals) in enumerate(zip(blocks, inputs)):
         clock = [split_symbol(s)[k] for s in control.samples]
-        state = spec.initial_state
         for u in sorted(_edge_ticks(clock)):
-            state = spec.next_state(state, tuple(sig.samples[u] for sig in signals))
-        outputs.append(spec.output_fn(state, tuple(sig.samples[control.t] for sig in signals)))
+            state = next_state(state, tuple(sig.samples[u] for sig in signals))
+        outputs.append(output_fn(state, tuple(sig.samples[control.t] for sig in signals)))
     return tuple(outputs)
 
 
@@ -740,21 +741,37 @@ def abmem_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) ->
     return abmem_output(control, inputs["D"])
 
 
-def sync_evaluator(spec: SyncSpec, data_channels: Sequence[str] = ("D",)) -> EvalFn:
+def sync_evaluator(block: Block, data_channels: Sequence[str]) -> EvalFn:
     def evaluate(control, inputs):
-        return sync_output(spec, control, tuple(inputs[c] for c in data_channels))
+        return sync_output(block, control, tuple(inputs[c] for c in data_channels))
 
     return evaluate
 
 
 def multiclock_evaluator(
-    specs: Sequence[SyncSpec], data_channels: Sequence[Sequence[str]] = (("D1",), ("D2",))
+    blocks: Sequence[Block], data_channels: Sequence[Sequence[str]]
 ) -> EvalFn:
     def evaluate(control, inputs):
         signals = [tuple(inputs[c] for c in domain) for domain in data_channels]
-        return "/".join(multiclock_output(specs, control, signals))
+        return "/".join(multiclock_output(blocks, control, signals))
 
     return evaluate
+
+
+def counter_evaluator(bits: int) -> EvalFn:
+    """The built-in counter: its clock's edges so far modulo ``2 ** bits``, in binary."""
+
+    def evaluate(control, inputs):
+        _require_aligned(control, (inputs["D"],))
+        return format(len(posedges(control)) % (1 << bits), f"0{bits}b")
+
+    return evaluate
+
+
+def toggler_pair_evaluate(control: CausalSignal, inputs: Mapping[str, CausalSignal]) -> str:
+    """The built-in toggler pair: the parity of each clock's edges so far."""
+    _require_aligned(control, (inputs["D1"], inputs["D2"]))
+    return "/".join(str(len(posedges(_component_signal(control, k))) % 2) for k in (0, 1))
 
 
 _FIXED_READS = {
@@ -790,7 +807,7 @@ def _compile_expr(expr: BoolExpr, slots: dict[str, int]):
     return lambda env: "1" if sum(f(env) == "1" for f in compiled) % 2 else "0"
 
 
-def reference_block_spec(domain: DomainAst, where: str) -> SyncSpec:
+def reference_block_spec(domain: DomainAst, where: str) -> Block:
     """The register block of a parsed domain, its logic as nested closures.
 
     ``where`` names the block in sample errors, which ``output_fn`` raises
@@ -815,7 +832,7 @@ def reference_block_spec(domain: DomainAst, where: str) -> SyncSpec:
         env = state + samples
         return "".join([fn(env) for fn in out_fns])
 
-    return SyncSpec(tuple(domain.init_bits), step, out)
+    return tuple(domain.init_bits), step, out
 
 
 def ast_evaluator(ast: CircuitAst) -> EvalFn:
@@ -825,8 +842,8 @@ def ast_evaluator(ast: CircuitAst) -> EvalFn:
     if ast.kind == "sync":
         (body,) = ast.domains
         return sync_evaluator(reference_block_spec(body, ast.name), body.inputs)
-    specs = [reference_block_spec(d, f"{ast.name}.{d.name}") for d in ast.domains]
-    return multiclock_evaluator(specs, [d.inputs for d in ast.domains])
+    blocks = [reference_block_spec(d, f"{ast.name}.{d.name}") for d in ast.domains]
+    return multiclock_evaluator(blocks, [d.inputs for d in ast.domains])
 
 
 # --- randomized checks: every trial folded in full ------------------------------
@@ -882,17 +899,23 @@ def read_soundness_check(
 def causality_check(
     element: CircuitElement, horizon: int, trials: int, seed: int
 ) -> CausalityReport:
-    """Causality with both runs of a trial folded over every tick 0..horizon."""
+    """Causality with both runs of a trial folded over every tick 0..horizon.
+
+    Only a stream whose alphabet has two or more values is mutated.
+    """
     if horizon < 1:
         raise ValueError("causality needs a horizon of at least 1")
     alphabets = _stream_alphabets(element)
+    mutable = [k for k, alphabet in enumerate(alphabets) if len(alphabet) > 1]
     rng = random.Random(seed)
     mutations = violations = 0
     for _ in range(trials):
         streams = _random_streams(rng, alphabets, horizon + 1)
         before = _fold_outputs(element, streams[0], streams[1:])
         m = rng.randint(1, horizon)
-        pick = rng.randrange(len(streams))
+        if not mutable:
+            continue
+        pick = mutable[rng.randrange(len(mutable))]
         samples = list(streams[pick])
         samples[m] = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
         streams[pick] = samples

@@ -237,5 +237,5 @@ def test_criterion_8_counter_semantics():
         for t in range(17):
             if t >= 1 and clock[t - 1 : t + 1] == ("0", "1"):
                 edges += 1
-            assert outputs[t] == str(edges % 4)
+            assert outputs[t] == format(edges % 4, "02b")
     report(8, "counter output equals edge count mod 4")

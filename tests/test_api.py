@@ -29,16 +29,13 @@ PUBLIC_NAMES = [
     "RefPoint",
     "SimulationError",
     "SourceSpan",
-    "SyncSpec",
     "Tick",
     "Var",
     "Verdict",
     "abmem_element",
     "causality_check",
     "classify",
-    "clocked_element",
     "counter_element",
-    "counter_spec",
     "dff_element",
     "elaborate",
     "history_count",
@@ -52,12 +49,11 @@ PUBLIC_NAMES = [
     "split_symbol",
     "sr_latch_element",
     "toggler_pair_element",
-    "toggler_spec",
 ]
 
 
 def test_exported_names_are_exactly_the_public_surface():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(kcir.__all__) == PUBLIC_NAMES
     for name in kcir.__all__:
         assert getattr(kcir, name) is not None, name
@@ -88,8 +84,3 @@ def test_a_circuit_description_is_its_clock_domains():
 def test_a_signal_is_its_alphabet_and_samples():
     fields = [field.name for field in dataclasses.fields(kcir.CausalSignal)]
     assert fields == ["alphabet", "samples"]
-
-
-def test_a_register_block_is_its_initial_state_and_logic():
-    fields = [field.name for field in dataclasses.fields(kcir.SyncSpec)]
-    assert fields == ["initial_state", "next_state", "output_fn"]

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from kcir import (
     Alphabet,
     CausalSignal,
+    CausalityReport,
     ReadSet,
     SimulationError,
     Verdict,
     abmem_element,
     causality_check,
     classify,
-    clocked_element,
     counter_element,
-    counter_spec,
     dff_element,
+    load_circuit,
     mux_element,
     output_stream,
     read_soundness_check,
@@ -46,7 +46,7 @@ def naive_edges(samples):
 
 def step_edges(clock: CausalSignal) -> set[int]:
     """Edge ticks as ``step`` sees them: where a 4-bit edge counter moves."""
-    counter = clocked_element("counter4", [("C", counter_spec(4), ("D",))])
+    counter = counter_element("counter4", bits=4)
     zeros = ("0",) * len(clock.samples)
     counts = output_stream(counter, clock.samples, {"D": zeros})
     return {t for t in range(1, len(counts)) if counts[t] != counts[t - 1]}
@@ -189,7 +189,12 @@ class TestSyncReads:
         assert reads(bits("010")) == ReadSet.of(("D", 1), ("D", 2))
 
     def test_multiple_channels(self):
-        element = clocked_element("two", [("C", counter_spec(2), ("d", "e"))])
+        element = load_circuit("""
+            circuit two {
+              kind sync; clock c; state 2 init 00; in d; in e;
+              next q0 = not(q0); next q1 = xor(q1, q0); out hi = q1; out lo = q0;
+            }
+        """)
         assert element.reads(bits("01")) == ReadSet.of(("d", 1), ("e", 1))
 
 
@@ -197,15 +202,15 @@ class TestSyncOutput:
     def test_counter_counts_edges(self):
         clock = bits("0101010")  # three edges
         data = bits("0000000")
-        assert last_output(counter_element(), clock, D=data) == "3"
+        assert last_output(counter_element(), clock, D=data) == "11"
 
     def test_no_edges_yields_initial_output(self):
-        assert last_output(counter_element(), bits("111"), D=bits("000")) == "0"
+        assert last_output(counter_element(), bits("111"), D=bits("000")) == "00"
 
     def test_wraps_modulo_4(self):
         clock = bits("0" + "10" * 5)  # five edges
         data = bits("0" * 11)
-        assert last_output(counter_element(), clock, D=data) == "1"
+        assert last_output(counter_element(), clock, D=data) == "01"
 
     def test_randomized_against_edge_count(self):
         element = counter_element()
@@ -218,7 +223,32 @@ class TestSyncOutput:
             for t in range(9):
                 if t >= 1 and clock[t - 1 : t + 1] == ("0", "1"):
                     running += 1
-                assert outputs[t] == str(running % 4)
+                assert outputs[t] == format(running % 4, "02b")
+
+    def test_a_counter_needs_a_bit(self):
+        with pytest.raises(ValueError):
+            counter_element(bits=0)
+
+    def test_non_bit_data_is_refused(self):
+        with pytest.raises(SimulationError, match="input 'D' sample 'x' is not a bit"):
+            output_stream(counter_element(), ("0", "1"), {"D": ("0", "x")})
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(*(st.sampled_from("01"),) * 4), min_size=1, max_size=40),
+)
+def test_built_in_blocks_count_rising_edges(width, ticks):
+    """The counter's binary word is its edge count and each toggler its edge parity."""
+    first, second, data1, data2 = zip(*ticks)
+    counts = output_stream(counter_element(bits=width), first, {"D": data1})
+    pairs = [f"{a}/{b}" for a, b in zip(first, second)]
+    toggles = output_stream(toggler_pair_element(), pairs, {"D1": data1, "D2": data2})
+    for t in range(len(ticks)):
+        edges1, edges2 = len(naive_edges(first[: t + 1])), len(naive_edges(second[: t + 1]))
+        assert len(counts[t]) == width
+        assert int(counts[t], 2) == edges1 % (1 << width)
+        assert toggles[t] == f"{edges1 % 2}/{edges2 % 2}"
 
 
 class TestMulticlock:
@@ -503,6 +533,21 @@ class TestRandomizedProperties:
         report = causality_check(element, horizon=4, trials=300, seed=13)
         assert report.violations == 0
         assert report.mutations == report.trials
+
+    def test_causality_mutates_only_streams_with_two_values(self):
+        element = dataclasses.replace(dff_element(), input_channels=(("D", Alphabet(("0",))),))
+        report = causality_check(element, horizon=4, trials=50, seed=13)
+        assert report == CausalityReport(50, 50, 0)
+        assert report == oracle.causality_check(element, horizon=4, trials=50, seed=13)
+        # With no stream to mutate, every trial is counted and none mutated.
+        frozen = dataclasses.replace(element, control_alphabet=Alphabet(("0",)))
+        for check in (causality_check, oracle.causality_check):
+            assert check(frozen, horizon=4, trials=50, seed=13) == CausalityReport(50, 0, 0)
+
+    @pytest.mark.parametrize("check", (causality_check, read_soundness_check))
+    def test_negative_trials_are_refused(self, check):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            check(dff_element(), 4, -3, 0)
 
     def test_causality_catches_an_impure_step(self):
         # The output reads how often the step was called, not its arguments,

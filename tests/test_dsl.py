@@ -429,22 +429,24 @@ class TestCompiledBlocksMatchTheReference:
     def test_compiled_block_equals_the_reference(self, domain, data):
         ast = CircuitAst("blk", "sync", (domain,))
         assert parse(pretty_print(ast)) == ast
-        compiled = _block_spec(domain, "blk")
-        reference = oracle.reference_block_spec(domain, "blk")
-        assert compiled.initial_state == reference.initial_state
+        initial, next_state, output_fn = _block_spec(domain, "blk")
+        reference_initial, reference_next, reference_output = oracle.reference_block_spec(
+            domain, "blk"
+        )
+        assert initial == reference_initial
         width = len(domain.init_bits)
         for env in itertools.product("01", repeat=width + len(domain.inputs)):
             state, samples = env[:width], env[width:]
-            assert compiled.next_state(state, samples) == reference.next_state(state, samples)
-            assert compiled.output_fn(state, samples) == reference.output_fn(state, samples)
+            assert next_state(state, samples) == reference_next(state, samples)
+            assert output_fn(state, samples) == reference_output(state, samples)
         if domain.inputs:
             state = tuple(data.draw(st.text("01", min_size=width, max_size=width)))
             samples = tuple(data.draw(st.lists(
                 st.sampled_from(("0", "1", "x", "", "2", " 1", "10")),
                 min_size=len(domain.inputs), max_size=len(domain.inputs),
             )))
-            assert _outcome(compiled.output_fn, state, samples) == _outcome(
-                reference.output_fn, state, samples
+            assert _outcome(output_fn, state, samples) == _outcome(
+                reference_output, state, samples
             )
 
     @settings(max_examples=80, deadline=None)

@@ -30,14 +30,11 @@ from kcir import (
     CircuitElement,
     ReadSet,
     SimulationError,
-    SyncSpec,
     Verdict,
     abmem_element,
     causality_check,
     classify,
-    clocked_element,
     counter_element,
-    counter_spec,
     dff_element,
     history_count,
     load_circuit,
@@ -47,7 +44,6 @@ from kcir import (
     read_soundness_check,
     sr_latch_element,
     toggler_pair_element,
-    toggler_spec,
 )
 from kcir import cli
 from kcir.classifier import _axiom_report, _members, _ReadStateDag
@@ -509,32 +505,28 @@ BITS = ("0", "1")
 TOKENS = ("a", "b", "c", "d")
 ROUTING_KINDS = ("dff", "mux", "abmem")
 # A register that only holds its initial value, beside a toggler on the other clock.
-HOLDER = SyncSpec(("0",), lambda state, _inputs: state, lambda state, _inputs: state[0])
+HOLDER_TOGGLER = """
+circuit pair {
+  kind multiclock;
+  domain hold { clock c1; state 1 init 0; in d1; next q0 = q0; out y = q0; }
+  domain flip { clock c2; state 1 init 0; in d2; next q0 = not(q0); out y = q0; }
+}
+"""
 
 
 def _built_in_cases():
     yield "dff", dff_element(), oracle.dff_evaluate, TOKENS
     yield "srlatch", sr_latch_element(), oracle.sr_evaluate, BITS
     yield "mux", mux_element(), oracle.mux_evaluate, TOKENS
-    yield "counter", counter_element(), oracle.sync_evaluator(counter_spec(2)), BITS
-    yield (
-        "counter3",
-        clocked_element("counter3", [("C", counter_spec(3), ("D",))]),
-        oracle.sync_evaluator(counter_spec(3)),
-        BITS,
-    )
+    yield "counter", counter_element(), oracle.counter_evaluator(2), BITS
+    yield "counter3", counter_element("counter3", bits=3), oracle.counter_evaluator(3), BITS
     yield (
         "holder-toggler",
-        clocked_element("pair", [("C1", HOLDER, ("D1",)), ("C2", toggler_spec(), ("D2",))]),
-        oracle.multiclock_evaluator([HOLDER, toggler_spec()]),
+        load_circuit(HOLDER_TOGGLER),
+        oracle.ast_evaluator(parse(HOLDER_TOGGLER)),
         BITS,
     )
-    yield (
-        "twoclock",
-        toggler_pair_element(),
-        oracle.multiclock_evaluator([toggler_spec(), toggler_spec()]),
-        BITS,
-    )
+    yield "twoclock", toggler_pair_element(), oracle.toggler_pair_evaluate, BITS
     yield "abmem", abmem_element(), oracle.abmem_evaluate, TOKENS
 
 
