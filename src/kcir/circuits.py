@@ -19,16 +19,17 @@ from it as a fold over the prefix, and the classifier steps it once per node
 of the read-state DAG.  These two pairs are the only definitions of a circuit:
 there are no per-circuit evaluators or read maps beside them.
 
-Clocked register blocks have one engine and one form.  A register block is
-a :class:`kcir.dsl.DomainAst`, whose expressions ``kcir.dsl`` compiles to an
-(initial register bits, ``next_state``, ``output_fn``) triple; the engine
-here puts one such block on each of k clocks, and a synchronous circuit is
-the case k = 1.  The built-in clocked circuits, ``counter_element`` (its
+Clocked circuits have one form and one step.  A register block is a
+:class:`kcir.dsl.DomainAst`, and ``kcir.dsl`` compiles a circuit of k such
+blocks, one per clock, to one straight-line ``step``; a synchronous circuit
+is the case k = 1.  The built-in clocked circuits, ``counter_element`` (its
 output is the count as a binary word, most significant bit first) and
 ``toggler_pair_element``, are such descriptions too and live in
-``kcir.dsl``.  The control symbol joins the k clock samples with '/', and one
-edge table, shared by ``step`` and ``read_step``, says which clocks rise
-between two symbols, so both refuse a clock sample that is not a bit.
+``kcir.dsl``.  The control symbol joins the k clock samples with '/'.
+``step`` and the read step here both look symbols up in a
+``_clock_words`` table, which maps each symbol to the mask of its clocks at
+1, so both find the rising clocks in two lookups and refuse a clock sample
+that is not a bit.
 
 The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after
@@ -281,31 +282,20 @@ def mux_element(name: str = "mux") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Clocked register blocks: one block per clock domain
 
-#: A register block as (initial register bits, next_state, output_fn):
-#: ``next_state`` maps (register bits, the domain's input samples at an edge)
-#: to the next register bits, and ``output_fn`` maps (register bits, the
-#: current input samples) to the output.  ``kcir.dsl`` compiles one per domain.
-Block = tuple[tuple[str, ...], Callable, Callable]
+def _clock_words(clocks: int) -> dict[Optional[str], int]:
+    """Each control symbol of ``clocks`` clocks mapped to the mask of its clocks at 1.
 
-
-def _edge_table(clocks: int, mark: Callable[[tuple[int, ...]], Any]) -> dict:
-    """``mark`` of the clocks that rise between two control symbols of a block.
-
-    Keyed by the previous symbol (``None`` before tick 0) and then the current
-    one; ``mark`` gets the indices of the clocks that go from 0 to 1.  Symbols
-    join one bit per clock with '/', so no symbol with a non-bit clock sample
-    is a key.
+    Clock i is bit i.  ``None``, the symbol before tick 0, maps to all ones,
+    so ``words[symbol] & ~words[previous]`` is the mask of the clocks that
+    rise and no clock rises at tick 0.  Symbols join one bit per clock with
+    '/', so no symbol with a non-bit clock sample is a key.
     """
-    words = list(itertools.product("01", repeat=clocks))
-    return {
-        None if before is None else "/".join(before): {
-            "/".join(now): mark(() if before is None else tuple(
-                i for i, (b, n) in enumerate(zip(before, now)) if b == "0" and n == "1"
-            ))
-            for now in words
-        }
-        for before in (None, *words)
+    words: dict[Optional[str], int] = {
+        "/".join(bits): sum(1 << i for i, bit in enumerate(bits) if bit == "1")
+        for bits in itertools.product("01", repeat=clocks)
     }
+    words[None] = (1 << clocks) - 1
+    return words
 
 
 def _reject_clocks(symbol: str, clocks: int) -> NoReturn:
@@ -342,75 +332,45 @@ def _clocked_reader(domain_channels: Sequence[Sequence[str]]) -> tuple[Any, Read
     """
     channels = tuple(sorted({c for own in domain_channels for c in own}))
     clocks = len(domain_channels)
-    # Per channel, whether it takes an edge ref; None when no clock rises.
-    grows = _edge_table(clocks, lambda rising: tuple(
-        any(c in domain_channels[i] for i in rising) for c in channels
-    ) if rising else None)
+    words = _clock_words(clocks)
+    # Per mask of rising clocks, whether each channel takes an edge ref.
+    grows = [
+        tuple(
+            any(rise >> i & 1 and c in own for i, own in enumerate(domain_channels))
+            for c in channels
+        )
+        for rise in range(1 << clocks)
+    ]
 
     def read_step(state, symbol: str, tick: Tick):
         previous, edges = state
         try:
-            grow = grows[previous][symbol]
+            rise = words[symbol] & ~words[previous]
         except KeyError:
             _reject_clocks(symbol, clocks)
-        if grow:
+        if rise:
             edges = tuple([
-                own + ((c, tick),) if g else own for c, own, g in zip(channels, edges, grow)
+                own + ((c, tick),) if g else own
+                for c, own, g in zip(channels, edges, grows[rise])
             ])
         return (symbol, edges), _with_current(channels, edges, tick)
 
     return (None, ((),) * len(channels)), read_step
 
 
-def _clocked_machine(blocks: Sequence[Block], widths: Sequence[int]) -> tuple[Any, StepFn]:
-    """(init, step) of register ``blocks``, one per clock of the control symbol.
-
-    The state is (previous control symbol, per-domain registers).  The step's
-    input samples list each domain's channels in domain order, ``widths`` of
-    them per domain, and its output is the domain outputs joined with '/', so
-    a one-domain block outputs its own.
-    """
-    clocks = len(blocks)
-    starts = list(itertools.accumulate(widths, initial=0))
-    bounds = list(zip(starts, starts[1:]))
-    outs = [(output_fn, lo, hi) for (_, _, output_fn), (lo, hi) in zip(blocks, bounds)]
-    rises = _edge_table(
-        clocks, lambda rising: [(i, blocks[i][1], *bounds[i]) for i in rising]
-    )
-
-    def step(state, symbol: str, samples: tuple[str, ...]):
-        previous, registers = state
-        try:
-            rising = rises[previous][symbol]
-        except KeyError:
-            _reject_clocks(symbol, clocks)
-        if rising:
-            registers = list(registers)
-            for i, next_state, lo, hi in rising:
-                registers[i] = next_state(registers[i], samples[lo:hi])
-            registers = tuple(registers)
-        outputs = []
-        for own, (output_fn, lo, hi) in zip(registers, outs):
-            outputs.append(output_fn(own, samples[lo:hi]))
-        return (symbol, registers), "/".join(outputs)
-
-    return (None, tuple(initial for initial, _, _ in blocks)), step
-
-
 def _clocked_element(
-    name: str, domains: Sequence[tuple[str, Block, Sequence[str]]]
+    name: str, domains: Sequence[tuple[str, Sequence[str]]], init: Any, step: StepFn
 ) -> CircuitElement:
-    """Register blocks, one per clock domain given as (clock channel, block, data channels).
+    """Register blocks, one per clock domain given as (clock channel, data channels).
 
-    The control symbol joins the clock samples with '/' in domain order, and
-    the output joins the domain outputs the same way, so a one-domain block is
-    a synchronous circuit on one binary clock.  Data channels are binary.
-    ``kcir.dsl`` builds every clocked circuit through here from a parsed or
-    built-in description, which names no channel twice.
+    ``init`` and ``step`` are the whole circuit's, which ``kcir.dsl`` compiles
+    from a parsed or built-in description that names no channel twice.  The
+    control symbol joins the clock samples with '/' in domain order, and the
+    input samples list each domain's data channels in domain order.  Data
+    channels are binary.
     """
-    clocks = tuple(clock for clock, _, _ in domains)
-    data = [tuple(channels) for _, _, channels in domains]
-    init, step = _clocked_machine([block for _, block, _ in domains], [len(c) for c in data])
+    clocks = tuple(clock for clock, _ in domains)
+    data = [tuple(channels) for _, channels in domains]
     read_init, read_step = _clocked_reader(data)
     return CircuitElement(
         name=name,

@@ -28,10 +28,10 @@ a source span covering the offending token.
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to one
 named one per block.  A :class:`DomainAst` is the only form of a clocked
-register block: :func:`elaborate` builds both kinds on the clocked engine of
-:mod:`kcir.circuits`, one register block per domain, and each block's logic
-is compiled once per distinct domain to straight-line Python whose locals are
-named by slot number only.
+register block: :func:`elaborate` compiles the logic of all domains of a
+circuit, of both kinds, into one straight-line Python ``step`` whose locals
+are named by slot number only, once per distinct list of domains, and
+builds the element with the read step of :mod:`kcir.circuits`.
 
 The parser is the only validator: a hand-built :class:`CircuitAst` is
 elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
@@ -51,7 +51,7 @@ from types import CodeType
 from typing import Optional, Sequence, Union
 
 from . import circuits
-from .circuits import Block, CircuitElement, SimulationError
+from .circuits import CircuitElement, SimulationError, StepFn
 
 KINDS = ("dff", "srlatch", "mux", "sync", "multiclock", "abmem")
 
@@ -67,8 +67,9 @@ _LEGAL_CLAUSES = {
 }
 _DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
 #: Deepest operator nesting an expression may have.  Parsing recurses at
-#: every level, so the bound keeps it well inside Python's recursion limit;
-#: compiling walks its own stack and the compiled logic is straight-line.
+#: every level, so the bound keeps it well inside Python's recursion limit.
+#: Compiling walks its own stack and writes flat statements per operator, so
+#: neither the depth nor the width of an expression nests in the generated code.
 MAX_EXPR_DEPTH = 200
 #: Most domain blocks a multiclock circuit may have.  Its control alphabet
 #: holds 2**k symbols, built in full when the circuit is elaborated, and the
@@ -544,115 +545,147 @@ def pretty_print(ast: CircuitAst) -> str:
 # Elaboration
 
 class _LogicWriter:
-    """Straight-line statements computing boolean expressions over bool locals.
+    """Flat statements computing boolean expressions over bool locals.
 
-    A variable is the local ``v<slot>``, and each operator node is one
-    statement assigning a fresh ``t<k>``.  The walk keeps its own stack, so
-    no nesting depth recurses.
+    A name is the local ``v<slot>``, set at the head of its block from its
+    slot's entry of ``loads``, and each operator node assigns a fresh
+    ``t<k>``: ``not`` and ``and``/``or`` in one statement each, ``xor`` one
+    statement per operand, so no generated expression nests however deep or
+    wide the description is.  The walk keeps its own stack, so no nesting
+    depth recurses.
     """
 
-    _JOIN = {"and": " and ", "or": " or ", "xor": " ^ "}
+    def __init__(self, loads: Sequence[str]):
+        self.loads = loads
+        self.temps = 0
 
-    def __init__(self, slots: dict[str, int]):
-        self.slots = slots
-        self.lines: list[str] = []
-        self.used: set[int] = set()
+    def block(
+        self, exprs: Sequence[BoolExpr], slots: dict[str, int]
+    ) -> tuple[list[str], list[str]]:
+        """(statements, operands): the statements compute ``exprs`` into the operands.
 
-    def operand(self, expr: BoolExpr) -> str:
-        """Append the statements for ``expr``; return the operand holding its value."""
-        operands: list[str] = []
-        stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if isinstance(node, Lit):
-                operands.append("True" if node.value == "1" else "False")
-            elif isinstance(node, Var):
-                slot = self.slots[node.name]
-                self.used.add(slot)
-                operands.append(f"v{slot}")
-            elif not expanded:
-                stack.append((node, True))
-                stack.extend((arg, False) for arg in reversed(node.args))
-            else:
-                cut = len(operands) - len(node.args)
-                args = operands[cut:]
-                del operands[cut:]
-                value = f"not {args[0]}" if node.op == "not" else self._JOIN[node.op].join(args)
-                name = f"t{len(self.lines)}"
-                self.lines.append(f"{name} = {value}")
-                operands.append(name)
-        return operands[0]
-
-
-def _logic_function(
-    exprs: Sequence[BoolExpr], slots: dict[str, int], width: int, output: bool
-) -> list[str]:
-    """Source lines of ``next_state(state, samples)``, or of ``output_fn`` for ``output``.
-
-    ``state`` holds slots ``0..width-1`` and ``samples`` the rest, all as
-    "0"/"1" strings.  Next-state logic returns the tuple of its expressions'
-    bits.  Output logic first hands samples holding a non-bit to
-    ``reject_sample`` and returns the bits concatenated.
-    """
-    writer = _LogicWriter(slots)
-    bits = [f'("1" if {writer.operand(expr)} else "0")' for expr in exprs]
-    head = [f"{''.join(f'v{i}, ' for i in range(width))}= state"]
-    if len(slots) > width:
-        head.append(f"{''.join(f'v{i}, ' for i in range(width, len(slots)))}= samples")
-    if output:
-        head += [
-            f'if v{i} != "0" and v{i} != "1": reject_sample(samples)'
-            for i in range(width, len(slots))
-        ]
-    head += [f'v{i} = v{i} == "1"' for i in sorted(writer.used)]
-    result = " + ".join(bits) if output else f"({', '.join(bits)},)"
-    name = "output_fn" if output else "next_state"
-    return [f"def {name}(state, samples):", *(
-        f"    {line}" for line in (*head, *writer.lines, f"return {result}")
-    )]
+        ``slots`` numbers the names of the expressions' domain.
+        """
+        lines: list[str] = []
+        used: set[int] = set()
+        results = []
+        for expr in exprs:
+            operands: list[str] = []
+            stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if isinstance(node, Lit):
+                    operands.append("True" if node.value == "1" else "False")
+                elif isinstance(node, Var):
+                    slot = slots[node.name]
+                    used.add(slot)
+                    operands.append(f"v{slot}")
+                elif not expanded:
+                    stack.append((node, True))
+                    stack.extend((arg, False) for arg in reversed(node.args))
+                else:
+                    cut = len(operands) - len(node.args)
+                    args = operands[cut:]
+                    del operands[cut:]
+                    name = f"t{self.temps}"
+                    self.temps += 1
+                    if node.op == "not":
+                        lines.append(f"{name} = not {args[0]}")
+                    elif node.op == "xor":
+                        lines.append(f"{name} = {args[0]} ^ {args[1]}")
+                        lines += [f"{name} ^= {arg}" for arg in args[2:]]
+                    else:
+                        lines.append(f"{name} = {f' {node.op} '.join(args)}")
+                    operands.append(name)
+            results.append(operands[0])
+        return [f"v{slot} = {self.loads[slot]}" for slot in sorted(used)] + lines, results
 
 
 @functools.lru_cache(maxsize=128)
-def _block_code(domain: DomainAst) -> CodeType:
-    """The compiled :func:`_block_source`, kept per distinct domain as ``re`` keeps patterns."""
-    return compile(_block_source(domain), "<kcir register block>", "exec")
+def _step_code(domains: tuple[DomainAst, ...]) -> CodeType:
+    """The compiled :func:`_step_source`, kept per distinct domains as ``re`` keeps patterns."""
+    return compile(_step_source(domains), "<kcir clocked step>", "exec")
 
 
-def _block_source(domain: DomainAst) -> str:
-    """Straight-line Python for a domain's ``next_state`` and ``output_fn``.
+def _step_source(domains: Sequence[DomainAst]) -> str:
+    """Straight-line Python for the ``step`` of a circuit with one domain per clock.
 
-    Locals are named by slot number only (``v<slot>`` for the state vector
-    followed by the input samples, ``t<k>`` for operator results), so no
-    identifier or other text of the description enters the source.
+    The state is the previous control symbol (``None`` before tick 0) and
+    then the register tuple ``r<k>`` of each domain k, whose bits are bools.
+    ``words`` maps a symbol to the mask of its clocks at 1, so ``rise`` holds
+    the clocks that rise, and ``reject_clocks`` refuses a symbol not in it.
+    Then ``reject_sample`` refuses the samples ``s<j>`` if one is not a bit,
+    each domain's tuple is rebuilt at its own edge only, and the output bits
+    of all domains are joined once, '/' between domains.  Locals are named by
+    slot number only (``v<slot>`` for a register or input bit, ``t<k>`` for
+    an operator result), so no identifier or other text of the description
+    enters the source.
     """
-    width = len(domain.init_bits)
-    slots = {f"q{i}": i for i in range(width)}
-    slots.update((name, width + k) for k, name in enumerate(domain.inputs))
-    nexts = [expr for _, expr in domain.next_exprs]
-    outs = [expr for _, expr in domain.outputs]
-    return "\n".join([
-        *_logic_function(nexts, slots, width, output=False),
-        *_logic_function(outs, slots, width, output=True),
-    ]) + "\n"
+    slots: list[dict[str, int]] = []  # per domain, each name's slot
+    loads: list[str] = []  # per slot, the expression that reads its bit
+    samples = 0
+    for k, domain in enumerate(domains):
+        own = {}
+        for i in range(len(domain.init_bits)):
+            own[f"q{i}"] = len(loads)
+            loads.append(f"r{k}[{i}]")
+        for name in domain.inputs:
+            own[name] = len(loads)
+            loads.append(f's{samples} == "1"')
+            samples += 1
+        slots.append(own)
+    registers = ", ".join(f"r{k}" for k in range(len(domains)))
+    body = [
+        f"previous, {registers} = state",
+        "try:",
+        "    rise = words[symbol] & ~words[previous]",
+        "except KeyError:",
+        "    reject_clocks(symbol)",
+    ]
+    if samples:
+        body.append(f"{''.join(f's{j}, ' for j in range(samples))}= samples")
+        body += [f'if s{j} not in {{"0", "1"}}: reject_sample(samples)' for j in range(samples)]
+    writer = _LogicWriter(loads)
+    for k, (domain, own) in enumerate(zip(domains, slots)):
+        lines, bits = writer.block([expr for _, expr in domain.next_exprs], own)
+        body.append(f"if rise & {1 << k}:")
+        body += [f"    {line}" for line in (*lines, f"r{k} = ({', '.join(bits)},)")]
+    parts = []
+    for domain, own in zip(domains, slots):
+        lines, bits = writer.block([expr for _, expr in domain.outputs], own)
+        body += lines
+        parts += ['"/"', *(f'("1" if {b} else "0")' for b in bits)]
+    body.append(f'return (symbol, {registers}), "".join(({", ".join(parts[1:])},))')
+    source = ["def step(state, symbol, samples):", *(f"    {line}" for line in body)]
+    return "\n".join(source) + "\n"
 
 
-def _block_spec(domain: DomainAst, where: str) -> Block:
-    """The register block of a parsed domain; ``where`` names it in sample errors.
+def _clocked_step(ast: CircuitAst) -> tuple[tuple, StepFn]:
+    """(init, step) of a sync or multiclock description.
 
-    ``next_state`` does not check its samples: ``output_fn`` runs on the same
-    samples at the same tick and rejects a non-bit one before any output of
-    that tick is produced.
+    A non-bit data sample is refused naming the circuit, or for multiclock
+    the domain as ``circuit.domain``, after the clock samples are checked.
     """
-    inputs = domain.inputs
+    names = [
+        (ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}", name)
+        for domain in ast.domains
+        for name in domain.inputs
+    ]
 
     def reject_sample(samples: tuple[str, ...]) -> None:
-        for name, value in zip(inputs, samples):
+        for (where, name), value in zip(names, samples):
             if value != "0" and value != "1":
                 raise SimulationError(f"{where}: input {name!r} sample {value!r} is not a bit")
 
-    namespace = {"reject_sample": reject_sample}
-    exec(_block_code(domain), namespace)
-    return tuple(domain.init_bits), namespace["next_state"], namespace["output_fn"]
+    clocks = len(ast.domains)
+    namespace = {
+        "words": circuits._clock_words(clocks),
+        "reject_clocks": functools.partial(circuits._reject_clocks, clocks=clocks),
+        "reject_sample": reject_sample,
+    }
+    exec(_step_code(ast.domains), namespace)
+    init = (None, *(tuple(bit == "1" for bit in d.init_bits) for d in ast.domains))
+    return init, namespace["step"]
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:
@@ -693,15 +726,10 @@ def _build(ast: CircuitAst) -> CircuitElement:
         return circuits.mux_element(ast.name)
     if ast.kind == "abmem":
         return circuits.abmem_element(ast.name)
-    # sync and multiclock; errors name a multiclock domain as circuit.domain.
-    return circuits._clocked_element(ast.name, [
-        (
-            domain.clock,
-            _block_spec(domain, ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}"),
-            domain.inputs,
-        )
-        for domain in ast.domains
-    ])
+    init, step = _clocked_step(ast)
+    return circuits._clocked_element(
+        ast.name, [(domain.clock, domain.inputs) for domain in ast.domains], init, step
+    )
 
 
 def load_circuit(text: str) -> CircuitElement:

@@ -50,7 +50,6 @@ from kcir.classifier import (
     Verdict,
 )
 from kcir.circuits import (
-    Block,
     CausalityReport,
     CircuitElement,
     ReadSoundnessReport,
@@ -129,12 +128,17 @@ def _edge_ticks(samples: Sequence[str]) -> frozenset[Tick]:
     )
 
 
-def posedges(clock: CausalSignal) -> frozenset[Tick]:
-    """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
-    for sample in clock.samples:
+def _clock_edges(samples: Sequence[str]) -> frozenset[Tick]:
+    """Ticks at which the clock ``samples`` rise, refusing a sample that is not a bit."""
+    for sample in samples:
         if sample != "0" and sample != "1":
             raise SimulationError(f"clock sample {sample!r} is not a bit")
-    return _edge_ticks(clock.samples)
+    return _edge_ticks(samples)
+
+
+def posedges(clock: CausalSignal) -> frozenset[Tick]:
+    """Ticks at which a binary clock rises; the tick-0 sample is never an edge."""
+    return _clock_edges(clock.samples)
 
 
 def dff_reads(control: CausalSignal, channel: str = "D") -> Optional[ReadSet]:
@@ -582,6 +586,11 @@ def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple
 # --- simulation ---------------------------------------------------------------
 
 EvalFn = Callable[[CausalSignal, Mapping[str, CausalSignal]], Optional[str]]
+#: A register block as (initial register bits, next_state, output_fn):
+#: ``next_state`` maps (register bits, the domain's input samples at an edge)
+#: to the next register bits, and ``output_fn`` maps (register bits, the
+#: current input samples) to the output, all as "0"/"1" strings.
+Block = tuple[tuple[str, ...], Callable, Callable]
 
 
 def output_stream(
@@ -592,9 +601,9 @@ def output_stream(
 ) -> list[Optional[str]]:
     """Per-tick outputs over whole columns; entry ``t`` is ``evaluate`` on the prefixes at ``t``.
 
-    ``element`` supplies only the control alphabet and the input channel
-    names.  An input signal's alphabet is its column's own samples, so
-    values outside the channel's alphabet reach ``evaluate`` unchecked.
+    ``element`` supplies only the input channel names.  A signal's alphabet
+    is its column's own samples, so control symbols and input values outside
+    the element's alphabets reach ``evaluate`` unchecked.
     """
     names = element.input_names
     if set(inputs) != set(names):
@@ -609,7 +618,7 @@ def output_stream(
         name: CausalSignal.from_samples(Alphabet(tuple(dict.fromkeys(column))), column)
         for name, column in inputs.items()
     }
-    whole = CausalSignal.from_samples(element.control_alphabet, control)
+    whole = CausalSignal.from_samples(Alphabet(tuple(dict.fromkeys(control))), control)
     outputs = []
     for t in range(len(control)):
         input_sigs = {name: prefix(signals[name], t) for name in names}
@@ -666,13 +675,16 @@ def multiclock_output(
     """Run one register block per clock of a product control signal, one output each.
 
     ``blocks`` and ``inputs`` give each domain's block and data signals, in the
-    order of the clock samples in a control symbol.
+    order of the clock samples in a control symbol.  Every clock is checked
+    before any domain runs.
     """
     _require_aligned(control, [sig for domain in inputs for sig in domain])
+    edges = [
+        _clock_edges([split_symbol(s)[k] for s in control.samples]) for k in range(len(blocks))
+    ]
     outputs = []
-    for k, ((state, next_state, output_fn), signals) in enumerate(zip(blocks, inputs)):
-        clock = [split_symbol(s)[k] for s in control.samples]
-        for u in sorted(_edge_ticks(clock)):
+    for (state, next_state, output_fn), signals, ticks in zip(blocks, inputs, edges):
+        for u in sorted(ticks):
             state = next_state(state, tuple(sig.samples[u] for sig in signals))
         outputs.append(output_fn(state, tuple(sig.samples[control.t] for sig in signals)))
     return tuple(outputs)

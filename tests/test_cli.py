@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -375,6 +377,30 @@ def seeded_stimulus(path, circuit_file: str, ticks: int = 120, seed: int = 5) ->
     return str(path)
 
 
+def _fill(head: str, clauses: Iterable[str], tail: str) -> str:
+    """``head``, then as many of ``clauses`` as fit in ``MAX_CIRCUIT_CHARS`` before ``tail``."""
+    parts, size = [head], len(head) + len(tail)
+    for clause in clauses:
+        if size + len(clause) > cli.MAX_CIRCUIT_CHARS:
+            return "".join(parts) + tail
+        parts.append(clause)
+        size += len(clause)
+    raise ValueError("the clauses ran out before the limit")
+
+
+WIDE_HEAD = (
+    "circuit wide {\n  kind sync;\n  clock c;\n  state 1 init 0;\n  in d;\n  in e;\n"
+    "  next q0 = xor(q0, d);\n"
+)
+#: The widest xor and the most out clauses that fit in one circuit file.
+WIDE_CIRCUITS = {
+    "widest-xor": _fill(WIDE_HEAD + "  out y = xor(d", itertools.cycle((", e", ", q0")), ");\n}\n"),
+    "most-outs": _fill(WIDE_HEAD, (
+        f"  out y{k} = {('d', 'q0', 'e')[k % 3]};\n" for k in itertools.count()
+    ), "}\n"),
+}
+
+
 class TestSimulateMatchesOracle:
     """``simulate`` is byte-identical to the prefix re-evaluating engine."""
 
@@ -405,6 +431,22 @@ class TestSimulateMatchesOracle:
         fast, slow = self.both(monkeypatch, capsys, *argv)
         assert fast == slow
         assert fast[0] == (0 if allow_undef else 3)
+
+    @pytest.mark.parametrize("text", WIDE_CIRCUITS.values(), ids=WIDE_CIRCUITS.keys())
+    def test_widest_circuit_files(self, monkeypatch, capsys, tmp_path, text):
+        path = tmp_path / "wide.kcir"
+        path.write_text(text, encoding="utf-8")
+        stimulus = tmp_path / "wide.csv"
+        stimulus.write_text("tick,c,d,e\n" + "".join(
+            f"{t},{t % 2},{t // 2 % 2},{t // 3 % 2}\n" for t in range(8)
+        ))
+        argv = ["simulate", "--circuit", str(path), "--stimulus", str(stimulus)]
+        fast, slow = self.both(monkeypatch, capsys, *argv)
+        assert fast == slow
+        assert fast[0] == 0
+        for argv in (["classify", "--horizon", "3"], ["check", "--horizon", "4", "--trials", "20"]):
+            code, out, _ = run(capsys, *argv, "--circuit", str(path))
+            assert code == 0 and out
 
     @pytest.mark.parametrize("circuit_file", sorted(SEEDED_COLUMNS))
     @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])

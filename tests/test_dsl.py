@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import io
-import itertools
 import random
 import re
+import time
 import tokenize
 from dataclasses import replace
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kcir import (
     BoolExpr,
+    CausalSignal,
     Call,
     CircuitAst,
     DomainAst,
@@ -29,7 +30,7 @@ from kcir import (
     pretty_print,
     read_soundness_check,
 )
-from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, _block_code, _block_source, _block_spec
+from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, _step_code, _step_source
 
 from . import oracle
 from .conftest import CIRCUITS_DIR
@@ -347,14 +348,16 @@ class TestCompiledLogic:
 AWKWARD_NAMES = (
     "env", "samples", "state", "v0", "v1", "t0", "t1", "lambda", "import", "not",
     "in", "return", "true", "reject_sample", "next_state", "output_fn", "q9",
+    "step", "previous", "symbol", "rise", "words", "reject_clocks", "r0", "s0",
 )
+#: Samples that are not bits, for clocks and data alike.
+NON_BITS = ("x", "", "2", " 1", "10")
 
 
 @st.composite
-def _domains(draw) -> DomainAst:
-    """A sync body of 1 to 4 registers and 0 to 3 inputs with n-ary logic."""
+def _domains(draw, name: str = "", clock: str = "clk", inputs: tuple[str, ...] = ()) -> DomainAst:
+    """A register block of 1 to 4 registers on ``inputs`` with n-ary logic."""
     width = draw(st.integers(1, 4))
-    inputs = tuple(draw(st.lists(st.sampled_from(AWKWARD_NAMES), max_size=3, unique=True)))
     names = (*(f"q{i}" for i in range(width)), *inputs)
     leaves = st.one_of(
         st.builds(Lit, st.sampled_from(("0", "1"))), st.builds(Var, st.sampled_from(names))
@@ -381,7 +384,23 @@ def _domains(draw) -> DomainAst:
         slots[k] = (slots[k][0], expr)
         nexts, outs = slots[:width], slots[width:]
     bits = draw(st.text("01", min_size=width, max_size=width))
-    return DomainAst("", "clk", bits, inputs, tuple(nexts), tuple(outs))
+    return DomainAst(name, clock, bits, inputs, tuple(nexts), tuple(outs))
+
+
+@st.composite
+def _circuits(draw) -> CircuitAst:
+    """A sync circuit, or a multiclock one of up to ``MAX_DOMAINS`` domains.
+
+    Each domain has its own clock and 0 to 3 inputs of its own.
+    """
+    count = draw(st.integers(1, MAX_DOMAINS))
+    names = list(draw(st.permutations(AWKWARD_NAMES)))
+    domains = []
+    for k in range(count):
+        inputs = tuple(names[:draw(st.integers(0, 3))])
+        del names[:len(inputs)]
+        domains.append(draw(_domains(f"d{k}" if count > 1 else "", f"clk{k}", inputs)))
+    return CircuitAst("blk", "sync" if count == 1 else "multiclock", tuple(domains))
 
 
 def _identifiers(domain: DomainAst) -> dict[str, str]:
@@ -407,10 +426,11 @@ def _renamed(domain: DomainAst) -> DomainAst:
     )
 
 
-#: Every name the generated source may use besides ``v<slot>`` and ``t<k>``.
+#: Every name the generated source may use besides ``[vtrs]<number>``.
 SOURCE_NAMES = {
-    "def", "next_state", "output_fn", "state", "samples", "if", "reject_sample",
-    "not", "and", "or", "True", "False", "else", "return",
+    "def", "step", "state", "symbol", "samples", "previous", "try", "rise", "words",
+    "except", "KeyError", "reject_clocks", "if", "in", "reject_sample", "not", "and",
+    "or", "True", "False", "else", "return", "join",
 }
 
 
@@ -421,50 +441,58 @@ def _outcome(fn, *args):
         return f"SimulationError: {exc}"
 
 
-class TestCompiledBlocksMatchTheReference:
-    """Straight-line block logic against the closure evaluator in ``tests/oracle.py``."""
+class TestCompiledStepMatchesTheReference:
+    """The compiled step of a whole circuit against the closure evaluator in ``tests/oracle.py``."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(_domains(), st.data())
-    def test_compiled_block_equals_the_reference(self, domain, data):
-        ast = CircuitAst("blk", "sync", (domain,))
+    @settings(max_examples=50, deadline=None)
+    @given(_circuits(), st.data())
+    def test_compiled_step_equals_the_reference(self, ast, data):
         assert parse(pretty_print(ast)) == ast
-        initial, next_state, output_fn = _block_spec(domain, "blk")
-        reference_initial, reference_next, reference_output = oracle.reference_block_spec(
-            domain, "blk"
-        )
-        assert initial == reference_initial
-        width = len(domain.init_bits)
-        for env in itertools.product("01", repeat=width + len(domain.inputs)):
-            state, samples = env[:width], env[width:]
-            assert next_state(state, samples) == reference_next(state, samples)
-            assert output_fn(state, samples) == reference_output(state, samples)
-        if domain.inputs:
-            state = tuple(data.draw(st.text("01", min_size=width, max_size=width)))
-            samples = tuple(data.draw(st.lists(
-                st.sampled_from(("0", "1", "x", "", "2", " 1", "10")),
-                min_size=len(domain.inputs), max_size=len(domain.inputs),
-            )))
-            assert _outcome(output_fn, state, samples) == _outcome(
-                reference_output, state, samples
+        element = elaborate(ast)
+        ticks = data.draw(st.integers(1, 10))
+        column = st.lists(st.sampled_from("01"), min_size=ticks, max_size=ticks)
+        clocks = [data.draw(column) for _ in ast.domains]
+        inputs = {name: data.draw(column) for name in element.input_names}
+        # Plant up to three non-bit samples at one tick, among the clock and data columns.
+        tick = data.draw(st.integers(0, ticks - 1))
+        columns = st.sampled_from([*clocks, *inputs.values()])
+        for planted in data.draw(st.lists(columns, max_size=3)):
+            planted[tick] = data.draw(st.sampled_from(NON_BITS))
+        control = ["/".join(samples) for samples in zip(*clocks)]
+        evaluate = oracle.ast_evaluator(ast)
+        for length in range(1, ticks + 1):
+            cut_inputs = {name: samples[:length] for name, samples in inputs.items()}
+            assert _outcome(output_stream, element, control[:length], cut_inputs) == _outcome(
+                oracle.output_stream, element, evaluate, control[:length], cut_inputs
             )
 
-    @settings(max_examples=80, deadline=None)
-    @given(_domains())
-    def test_generated_source_holds_no_text_of_the_description(self, domain):
-        source = _block_source(domain)
-        assert source == _block_source(_renamed(domain))
+    @settings(max_examples=30, deadline=None)
+    @given(_circuits(), st.data())
+    def test_read_step_equals_the_reference(self, ast, data):
+        element = elaborate(ast)
+        symbols = data.draw(st.lists(
+            st.sampled_from(element.control_alphabet.values), min_size=1, max_size=8
+        ))
+        reads = oracle.ast_reads(ast)
+        for length in range(1, len(symbols) + 1):
+            control = CausalSignal(element.control_alphabet, tuple(symbols[:length]))
+            assert element.reads(control) == reads(control)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_circuits())
+    def test_generated_source_holds_no_text_of_the_description(self, ast):
+        source = _step_source(ast.domains)
+        assert source == _step_source([_renamed(domain) for domain in ast.domains])
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
-                assert token.string in SOURCE_NAMES or re.fullmatch(r"[vt]\d+", token.string)
+                assert token.string in SOURCE_NAMES or re.fullmatch(r"[vtrs]\d+", token.string)
             elif token.type == tokenize.STRING:
-                assert token.string in ('"0"', '"1"')
+                assert token.string in ('"0"', '"1"', '"/"', '""')
 
-    def test_code_is_compiled_once_per_domain(self):
-        text = (CIRCUITS_DIR / "counter.kcir").read_text(encoding="utf-8")
-        (domain,) = parse(text).domains
-        assert _block_code(domain) is _block_code(parse(text).domains[0])
-        assert _block_code.cache_info().maxsize is not None
+    def test_code_is_compiled_once_per_circuit_body(self):
+        text = (CIRCUITS_DIR / "threeclock.kcir").read_text(encoding="utf-8")
+        assert _step_code(parse(text).domains) is _step_code(parse(text).domains)
+        assert _step_code.cache_info().maxsize is not None
 
 
 # Hand-built descriptions that ``parse`` never returns, each with the end of
@@ -621,6 +649,18 @@ class TestElaborate:
         elaborate(CircuitAst("good", "multiclock", tuple(
             replace(HOLD, name=f"h{i}", clock=f"c{i}", inputs=()) for i in range(MAX_DOMAINS)
         )))
+
+    def test_a_circuit_of_the_most_domains_loads_fast(self):
+        # At the most domains, an edge table keyed by pairs of control symbols
+        # took most of a second to build; one keyed by symbol takes milliseconds.
+        ast = CircuitAst("wide", "multiclock", tuple(
+            replace(FAST, name=f"f{i}", clock=f"c{i}", inputs=(f"d{i}",),
+                    next_exprs=(("q0", Call("xor", (Var("q0"), Var(f"d{i}")))),))
+            for i in range(MAX_DOMAINS)
+        ))
+        start = time.perf_counter()
+        elaborate(ast)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("ast,fault", UNREADABLE.values(), ids=UNREADABLE.keys())
     def test_only_descriptions_that_parse_back_elaborate(self, ast, fault):
