@@ -80,6 +80,22 @@ class ReadSet(tuple):
         return refs_text(self)
 
 
+#: The budgets of the walk (read steps plus the refs they return; abmem at
+#: horizon 60 takes 3.3·10^6), the sweep (nodes times read sets, the bits of
+#: its bit sets; 2**31 bits is 256 MB) and the axiom check (related pairs times
+#: read sets; mux at horizon 2,000 takes 3.2·10^10), see :class:`_ReadStateDag`.
+WALK_BUDGET = 4_000_000
+SWEEP_BUDGET = 2**31
+AXIOM_BUDGET = 5 * 10**10
+
+
+class BudgetError(ValueError):
+    """A classification refused for passing a budget; it names the level the walk reached."""
+
+    def __init__(self, level: int, horizon: int, reason: str) -> None:
+        super().__init__(f"classify stopped at level {level:,} of {horizon:,}: {reason}")
+
+
 #: A read map sends a control history to the read set it induces, or ``None``
 #: when the circuit's output is undefined for that history.
 ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
@@ -242,6 +258,11 @@ class _ReadStateDag:
     over the node ids builds it with ``reach``.  ``excluded`` counts the
     prefix pairs with an undefined endpoint, from exact per-node history
     counts.
+
+    Each stage's budget (``WALK_BUDGET``, ``SWEEP_BUDGET``, ``AXIOM_BUDGET``)
+    is checked where its count grows: read steps and refs after each
+    expanded node, nodes times read sets after each level, and related pairs
+    times read sets after the sweep.
     """
 
     def __init__(
@@ -251,7 +272,7 @@ class _ReadStateDag:
         images: list[int] = []
         origins: list[tuple[int, str]] = []
         children: list[Sequence[int]] = []
-        excluded = 0
+        excluded = work = 0
         # Per node of the last level: its id, read state, the histories
         # reaching it, and the sum over those histories of their undefined
         # ancestors-or-self.
@@ -260,6 +281,7 @@ class _ReadStateDag:
             index: dict[tuple[Any, Optional[Refs]], list] = {}
             for p, parent_state, count, undefined in parents:
                 row = []
+                work += len(symbols)
                 for symbol in symbols:
                     state, refs = read_step(parent_state, symbol, t)
                     if refs is None:
@@ -268,6 +290,7 @@ class _ReadStateDag:
                     else:
                         excluded += undefined
                         child_undefined = undefined
+                        work += len(refs)
                     key = (state, refs)
                     node = index.get(key)
                     if node is None:
@@ -280,6 +303,11 @@ class _ReadStateDag:
                     row.append(node[0])
                 if p >= 0:
                     children[p] = row
+                if work > WALK_BUDGET:
+                    raise BudgetError(t, horizon, f"over {WALK_BUDGET:,} read steps and refs")
+            if len(images) * len(ids) > SWEEP_BUDGET:
+                raise BudgetError(t, horizon, f"{len(images):,} nodes times {len(ids):,} "
+                                  f"read sets need over {SWEEP_BUDGET:,} bits")
             parents = index.values()
         del index, parents  # the last level's read states: the sweep needs none
         self.symbols, self.images, self.origins, self.children = symbols, images, origins, children
@@ -296,6 +324,10 @@ class _ReadStateDag:
             reach[n] = mask
             if y >= 0:
                 after[y] |= mask
+        pairs = sum(mask.bit_count() for mask in after)
+        if pairs * len(after) > AXIOM_BUDGET:
+            raise BudgetError(horizon, horizon, f"{pairs:,} related pairs times {len(after):,} "
+                              f"read sets pass the axiom check's {AXIOM_BUDGET:,}")
 
     def first(self, wanted: Callable[[int, int], Any]) -> int:
         """The first defined node for which ``wanted(image, reach)``, by smallest history."""
@@ -357,7 +389,8 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
-    computed but flagged degenerate in the stats.
+    computed but flagged degenerate in the stats.  A run that passes the
+    budget of its walk, sweep or axiom check raises :class:`BudgetError`.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

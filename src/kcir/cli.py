@@ -10,8 +10,9 @@ produce byte-identical output on every rerun.  The timing key is null in JSON
 for that reason; wall time is printed by text ``classify`` and ``check``, and
 the text ``chi-dump`` listing holds read sets only.
 
-``classify`` states how many control histories a run would walk before it
-starts, and refuses (exit 2) when that is above ``--max-signals``; ``check``
+``classify`` refuses (exit 2) a run whose walk passes one of the classifier's
+budgets, at the level it reached, and before it starts a run whose stats
+would pass 1,000 digits; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
 ``chi-dump`` folds the circuit's read step once over the control symbols,
@@ -39,18 +40,11 @@ from .circuits import (
     output_stream,
     read_soundness_check,
 )
-from .classifier import AntisymmetryWitness, AxiomReport, Refs, classify, refs_text
+from .classifier import AntisymmetryWitness, AxiomReport, BudgetError, Refs, classify, refs_text
 from .dsl import ParseError, load_circuit
-from .signals import CausalSignal, history_count
+from .signals import CausalSignal
 
 UNDEF = "UNDEF"
-
-#: Default ``classify --max-signals``, a bound on control histories.  The
-#: read-state DAG merges histories, so the largest runs it admits stay small:
-#: one ``classify`` process peaks at 42 MB max RSS for counter at horizon 17
-#: (524,286 histories) and 26 MB for twoclock at horizon 8 (349,524), of
-#: which the interpreter alone is about 17 MB.
-MAX_SIGNALS = 1_000_000
 
 #: Most samples one ``check`` trial may draw (ticks 0..horizon on every
 #: channel) or one ``simulate`` stimulus may hold (rows times channels), and
@@ -120,8 +114,11 @@ def _witness_json(witness: Optional[AntisymmetryWitness]) -> Optional[dict]:
     }
 
 
-def _write_json(report: dict) -> None:
-    """Write ``report`` to stdout in batches as it is encoded, never as one string."""
+def _write_report(element: CircuitElement, command: str, verdict: Optional[str], stats: dict,
+                  axioms: Optional[dict] = None, witness: Optional[dict] = None, **extra) -> None:
+    """Write a JSON report to stdout in batches as it is encoded, never as one string."""
+    report = dict(circuit=element.name, command=command, verdict=verdict, axioms=axioms,
+                  witness=witness, stats=stats, timing=None, **extra)
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     for batch in iter(lambda: "".join(itertools.islice(chunks, 65536)), ""):
         sys.stdout.write(batch)
@@ -250,36 +247,28 @@ def _cmd_classify(args) -> int:
     element = _load_element(args.circuit)
     if args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
-    if args.max_signals < 1:
-        raise UsageError("--max-signals must be >= 1")
-    if element.read_step is not None:
-        width = len(element.control_alphabet)
-        # Past a thousand digits the count is not worth computing exactly.
-        huge = (args.horizon + 2) * math.log10(width) > 1000
-        count = None if huge else history_count(width, args.horizon)
-        if count is None or count > args.max_signals:
-            estimate = "over 10^1000" if count is None else f"{count:,}"
-            raise UsageError(
-                f"--horizon {args.horizon} would walk {estimate} control histories "
-                f"({width} symbols, ticks 0..{args.horizon}), above --max-signals "
-                f"{args.max_signals:,}"
-            )
+    width = len(element.control_alphabet)
+    # The stats count histories and prefix pairs exactly; past a thousand
+    # digits they are not worth printing, and past 4,300 Python cannot.
+    if element.read_step is not None and (args.horizon + 2) * math.log10(width) > 1000:
+        raise UsageError(
+            f"--horizon {args.horizon} would walk over 10^1000 control histories "
+            f"({width} symbols, ticks 0..{args.horizon}), whose stats pass 1,000 "
+            f"digits from level {math.floor(1000 / math.log10(width)) - 1:,}"
+        )
     started = time.perf_counter()
-    result = classify(element, args.horizon)
+    try:
+        result = classify(element, args.horizon)
+    except BudgetError as exc:
+        raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
 
     stats = dataclasses.asdict(result.stats)
     if args.format == "json":
-        report = {
-            "circuit": element.name,
-            "command": "classify",
-            "verdict": result.verdict.value,
-            "axioms": _axioms_json(result.axiom_report),
-            "witness": _witness_json(result.witness),
-            "stats": stats,
-            "timing": None,
-        }
-        _write_json(report)
+        _write_report(
+            element, "classify", result.verdict.value, stats,
+            _axioms_json(result.axiom_report), _witness_json(result.witness),
+        )
         return 0
 
     print(f"circuit: {element.name}")
@@ -370,17 +359,10 @@ def _cmd_chi_dump(args) -> int:
         # One dict per distinct ref, shared by every prefix that holds it, so
         # the JSON costs little more memory than the refs themselves.
         ref_json = functools.cache(lambda ref: {"channel": ref[0], "tick": ref[1]})
-        report = {
-            "circuit": element.name,
-            "command": "chi-dump",
-            "verdict": None,
-            "axioms": None,
-            "witness": None,
-            "stats": {"ticks": len(tokens)},
-            "timing": None,
-            "images": [None if refs is None else [*map(ref_json, refs)] for refs in images],
-        }
-        _write_json(report)
+        _write_report(
+            element, "chi-dump", None, {"ticks": len(tokens)},
+            images=[None if refs is None else [*map(ref_json, refs)] for refs in images],
+        )
         return 0
     for tick, refs in enumerate(images):
         print(f"{tick}: {_refs_text(refs)}")
@@ -419,16 +401,7 @@ def _cmd_check(args) -> int:
     }
     verdict = "fail" if failed else "pass"
     if args.format == "json":
-        report = {
-            "circuit": element.name,
-            "command": "check",
-            "verdict": verdict,
-            "axioms": None,
-            "witness": None,
-            "stats": stats,
-            "timing": None,
-        }
-        _write_json(report)
+        _write_report(element, "check", verdict, stats)
         return 0
     print(f"circuit: {element.name}")
     print("command: check")
@@ -460,13 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a circuit as time-preserving or not")
     p.add_argument("--circuit", required=True, help="path to a .kcir file")
     p.add_argument("--horizon", type=int, default=4, help="highest tick enumerated")
-    p.add_argument(
-        "--max-signals",
-        type=int,
-        default=MAX_SIGNALS,
-        help="refuse a run that would walk more control histories than this "
-        f"(default {MAX_SIGNALS:,})",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_classify)
 

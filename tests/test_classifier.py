@@ -23,7 +23,8 @@ from kcir import (
     toggler_pair_element,
 )
 
-from kcir.classifier import refs_text
+from kcir import classifier
+from kcir.classifier import BudgetError, refs_text
 
 from . import oracle
 from .conftest import ranked_axiom_report
@@ -350,6 +351,21 @@ class TestClassify:
         # Set past ``__post_init__``, which would walk a given read map instead.
         object.__setattr__(element, "reads", forbidden)
         assert classify(element, horizon) == expected
+
+    def test_the_walk_budget_stops_partway_into_a_level(self, monkeypatch):
+        # The toggler pair takes 60 read steps and refs up to level 1, and
+        # level 2 expands 9 nodes at about 15 each, so 100 is passed early in it.
+        element = toggler_pair_element()
+        ticks = []
+
+        def counting(state, symbol, tick):
+            ticks.append(tick)
+            return element.read_step(state, symbol, tick)
+
+        monkeypatch.setattr(classifier, "WALK_BUDGET", 100)
+        with pytest.raises(BudgetError, match="^classify stopped at level 2 of 5: "):
+            classify(dataclasses.replace(element, read_step=counting), 5)
+        assert 0 < ticks.count(2) < 4 * 9 and 3 not in ticks
 
     def test_deterministic_across_reruns(self):
         for element in (abmem_element(), dff_element(), mux_element()):

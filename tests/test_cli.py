@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -14,9 +15,9 @@ from typing import Iterable
 
 import pytest
 
-from kcir import cli
+from kcir import classifier, cli
 from kcir.cli import main
-from kcir import CausalSignal, CausalityReport, ReadSoundnessReport
+from kcir import CausalSignal, CausalityReport, ReadSoundnessReport, classify
 from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, load_circuit, parse
 
 from . import oracle
@@ -93,25 +94,84 @@ class TestClassifyCommand:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_size_guard_refuses_before_walking(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "classify", _never_called)
+    @pytest.mark.parametrize(
+        "name,horizon",
+        [("dff.kcir", 18), ("dff.kcir", 200), ("abmem.kcir", 8), ("mux.kcir", 400),
+         ("counter.kcir", 18)],
+    )
+    def test_deep_horizons_report_like_the_library(self, capsys, name, horizon):
+        # Each of these covers over 10^6 control histories, but few read states.
         code, out, err = run(
-            capsys, "classify", "--circuit", circuit("abmem.kcir"), "--horizon", "8",
+            capsys, "classify", "--circuit", circuit(name),
+            "--horizon", str(horizon), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        result = classify(cli._load_element(circuit(name)), horizon)
+        report = json.loads(out)
+        assert report["verdict"] == result.verdict.value
+        assert report["stats"] == dataclasses.asdict(result.stats)
+        assert report["axioms"] == cli._axioms_json(result.axiom_report)
+        assert report["witness"] == cli._witness_json(result.witness)
+
+    @pytest.mark.parametrize("budget,count", [
+        ("WALK_BUDGET", 33), ("SWEEP_BUDGET", 51), ("AXIOM_BUDGET", 12),
+    ])
+    def test_each_budget_is_inclusive(self, monkeypatch, capsys, budget, count):
+        # dff at horizon 3 takes 33 read steps and refs, holds 17 nodes and 3
+        # read sets (51 bits), and relates 4 pairs of its 3 read sets (12).
+        argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
+        monkeypatch.setattr(classifier, budget, count)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(classifier, budget, count - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: classify stopped at level 3 of 3: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget,count,horizon,message", [
+        ("WALK_BUDGET", 32, 8, "level 3 of 8: over 32 read steps and refs"),
+        ("SWEEP_BUDGET", 50, 8, "level 3 of 8: 17 nodes times 3 read sets need over 50 bits"),
+        ("AXIOM_BUDGET", 11, 3,
+         "level 3 of 3: 4 related pairs times 3 read sets pass the axiom check's 11"),
+    ])
+    def test_a_budget_names_the_level_reached(
+        self, monkeypatch, capsys, budget, count, horizon, message
+    ):
+        monkeypatch.setattr(classifier, budget, count)
+        code, _, err = run(
+            capsys, "classify", "--circuit", circuit("dff.kcir"), "--horizon", str(horizon),
         )
         assert code == 2
-        assert out == ""
-        # Σ 9^(t+1) for t = 0..8, stated before anything is walked.
-        assert err.count("\n") == 1
-        assert "435,848,049 control histories" in err
-        assert "--max-signals 1,000,000" in err
+        assert err == f"error: classify stopped at {message}\n"
 
-    def test_size_guard_bound_is_inclusive(self, capsys):
-        # dff at horizon 3 walks 2 + 4 + 8 + 16 = 30 histories.
-        argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
-        assert run(capsys, *argv, "--max-signals", "30")[0] == 0
-        code, _, err = run(capsys, *argv, "--max-signals", "29")
-        assert code == 2
-        assert "30 control histories" in err
+    @pytest.mark.parametrize("name,horizon,message", [
+        ("counter.kcir", 1_000_000, "whose stats pass 1,000 digits from level 3,320"),
+        ("mux.kcir", 5000, "whose stats pass 1,000 digits from level 3,320"),
+        ("counter.kcir", 25, "classify stopped at level 20 of 25: "),
+        ("mux.kcir", 3000, "classify stopped at level 3,000 of 3,000: "),
+    ])
+    def test_deep_runs_are_refused_in_one_line(self, capsys, name, horizon, message):
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit(name), "--horizon", str(horizon),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_stats_too_long_to_print_are_refused(self, tmp_path, capsys):
+        # One read state per level, so the walk is cheap, but the history
+        # count at horizon 20,000 has over 6,000 digits.
+        path = tmp_path / "noin.kcir"
+        path.write_text(
+            "circuit noin { kind sync; clock clk; state 1 init 0; "
+            "next q0 = not(q0); out y = q0; }"
+        )
+        code, out, err = run(
+            capsys, "classify", "--circuit", str(path), "--horizon", "20000", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --horizon 20000 would walk over 10^1000 control histories")
+        assert err.count("\n") == 1
 
     def test_size_guard_states_astronomic_estimates(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "classify", _never_called)
@@ -123,18 +183,17 @@ class TestClassifyCommand:
 
     def test_size_guard_skips_circuits_without_a_read_map(self, capsys):
         code, out, _ = run(
-            capsys, "classify", "--circuit", circuit("srlatch.kcir"),
-            "--horizon", "40", "--max-signals", "1",
+            capsys, "classify", "--circuit", circuit("srlatch.kcir"), "--horizon", "10000000",
         )
         assert code == 0
         assert "verdict: not-fundamental-form" in out
 
-    def test_max_signals_must_be_positive(self, capsys):
-        code, _, err = run(
-            capsys, "classify", "--circuit", circuit("dff.kcir"), "--max-signals", "0",
+    def test_max_signals_is_no_option(self, capsys):
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit("dff.kcir"), "--max-signals", "5",
         )
-        assert code == 2
-        assert "--max-signals must be >= 1" in err
+        assert (code, out) == (2, "")
+        assert err == "error: unrecognized arguments: --max-signals 5\n"
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.kcir"
@@ -209,12 +268,10 @@ class TestParserReuse:
 
     def test_an_option_does_not_become_the_next_calls_default(self, capsys):
         argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
-        code, _, err = run(capsys, *argv, "--max-signals", "1")
-        assert code == 2 and "above --max-signals 1\n" in err
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "time-preserving"
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and "verdict: time-preserving" in out
-        code, _, err = run(capsys, "classify", "--circuit", circuit("abmem.kcir"), "--horizon", "8")
-        assert code == 2 and "--max-signals 1,000,000" in err
+        assert code == 0 and out.startswith("circuit: dff\n")
 
 
 class TestSimulateCommand:
