@@ -19,10 +19,11 @@ per input channel, and a :class:`CausalSignal` is an alphabet and the
 samples of ticks 0..t.
 
 A clocked register block has one form, a :class:`DomainAst` of boolean
-expressions that :mod:`kcir.dsl` compiles, whether it comes from a ``.kcir``
-file or is built in: ``counter_element`` (whose output is the count as a
-binary word, most significant bit first) and ``toggler_pair_element`` are
-defined in :mod:`kcir.dsl`, the other built-ins in :mod:`kcir.circuits`.
+expressions, whether it comes from a ``.kcir`` file or is built in, and
+:mod:`kcir.dsl` builds its element: the compiled step and the read step.
+``counter_element`` (whose output is the count as a binary word, most
+significant bit first) and ``toggler_pair_element`` are defined in
+:mod:`kcir.dsl`, the other built-ins in :mod:`kcir.circuits`.
 """
 
 from .circuits import (

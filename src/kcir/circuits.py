@@ -19,18 +19,6 @@ from it as a fold over the prefix, and the classifier steps it once per node
 of the read-state DAG.  These two pairs are the only definitions of a circuit:
 there are no per-circuit evaluators or read maps beside them.
 
-Clocked circuits have one form and one step.  A register block is a
-:class:`kcir.dsl.DomainAst`, and ``kcir.dsl`` compiles a circuit of k such
-blocks, one per clock, to one straight-line ``step``; a synchronous circuit
-is the case k = 1.  The built-in clocked circuits, ``counter_element`` (its
-output is the count as a binary word, most significant bit first) and
-``toggler_pair_element``, are such descriptions too and live in
-``kcir.dsl``.  The control symbol joins the k clock samples with '/'.
-``step`` and the read step here both look symbols up in a
-``_clock_words`` table, which maps each symbol to the mask of its clocks at
-1, so both find the rising clocks in two lookups and refuse a clock sample
-that is not a bit.
-
 The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after
 the mutation at tick m, and a read-soundness trial folds the ticks before the
@@ -39,14 +27,13 @@ state to the compared tick.  Their random columns are drawn in one inline
 loop over ``rng.getrandbits`` that makes the same draws as ``rng.choice``,
 so a seed gives the same report as a per-sample ``choice`` would.
 
-Conventions shared by all built-ins:
+Conventions shared by the built-ins here:
 
 - clock and bit values are the strings "0" and "1"; a positive edge is a
   0-to-1 transition, so tick 0 is never an edge;
-- product-shaped control values (latch set/reset, clock pairs, memory
-  write/read addresses) are single '/'-joined symbols;
-- an element's data inputs are routed, not interpreted, except where a
-  register block feeds them into compiled boolean logic.
+- product-shaped control values (latch set/reset, memory write/read
+  addresses) are single '/'-joined symbols;
+- an element's data inputs are routed, not interpreted.
 """
 
 from __future__ import annotations
@@ -54,10 +41,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NoReturn, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
-from .signals import BINARY, Alphabet, CausalSignal, Tick, split_symbol
+from .signals import BINARY, Alphabet, CausalSignal, Tick
 
 
 class SimulationError(ValueError):
@@ -276,111 +263,6 @@ def mux_element(name: str = "mux") -> CircuitElement:
         init=None,
         step=_mux_step,
         read_step=_mux_read_step,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Clocked register blocks: one block per clock domain
-
-def _clock_words(clocks: int) -> dict[Optional[str], int]:
-    """Each control symbol of ``clocks`` clocks mapped to the mask of its clocks at 1.
-
-    Clock i is bit i.  ``None``, the symbol before tick 0, maps to all ones,
-    so ``words[symbol] & ~words[previous]`` is the mask of the clocks that
-    rise and no clock rises at tick 0.  Symbols join one bit per clock with
-    '/', so no symbol with a non-bit clock sample is a key.
-    """
-    words: dict[Optional[str], int] = {
-        "/".join(bits): sum(1 << i for i, bit in enumerate(bits) if bit == "1")
-        for bits in itertools.product("01", repeat=clocks)
-    }
-    words[None] = (1 << clocks) - 1
-    return words
-
-
-def _reject_clocks(symbol: str, clocks: int) -> NoReturn:
-    """Raise for a control symbol that is not ``clocks`` '/'-joined bits."""
-    samples = split_symbol(symbol)
-    for sample in samples:
-        _require_bit_clock(sample)
-    raise SimulationError(
-        f"control symbol {symbol!r} has {len(samples)} clock samples, not {clocks}"
-    )
-
-
-def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) -> Refs:
-    """Each channel's edge refs and then its current tick, channel by channel.
-
-    ``channels`` is sorted and no edge lies after ``tick``, so the result is
-    sorted; a channel whose latest edge is at ``tick`` already holds it.
-    """
-    refs: Refs = ()
-    for channel, own in zip(channels, edges):
-        refs += own if own and own[-1][1] == tick else own + ((channel, tick),)
-    return refs
-
-
-def _clocked_reader(domain_channels: Sequence[Sequence[str]]) -> tuple[Any, ReadStepFn]:
-    """(read_init, read_step) of register blocks reading ``domain_channels``, one per clock.
-
-    Registers latch inputs at each positive edge of their clock and the output
-    logic sees the current input, so the refs are, on every data channel, the
-    edge ticks of its domain's clock and then the current tick; with no edges
-    they are the current tick.  The read state is (previous control symbol,
-    per-channel edge refs), with the channels of all domains sorted together;
-    an edge of a clock appends one ref to each channel of its domain.
-    """
-    channels = tuple(sorted({c for own in domain_channels for c in own}))
-    clocks = len(domain_channels)
-    words = _clock_words(clocks)
-    # Per mask of rising clocks, whether each channel takes an edge ref.
-    grows = [
-        tuple(
-            any(rise >> i & 1 and c in own for i, own in enumerate(domain_channels))
-            for c in channels
-        )
-        for rise in range(1 << clocks)
-    ]
-
-    def read_step(state, symbol: str, tick: Tick):
-        previous, edges = state
-        try:
-            rise = words[symbol] & ~words[previous]
-        except KeyError:
-            _reject_clocks(symbol, clocks)
-        if rise:
-            edges = tuple([
-                own + ((c, tick),) if g else own
-                for c, own, g in zip(channels, edges, grows[rise])
-            ])
-        return (symbol, edges), _with_current(channels, edges, tick)
-
-    return (None, ((),) * len(channels)), read_step
-
-
-def _clocked_element(
-    name: str, domains: Sequence[tuple[str, Sequence[str]]], init: Any, step: StepFn
-) -> CircuitElement:
-    """Register blocks, one per clock domain given as (clock channel, data channels).
-
-    ``init`` and ``step`` are the whole circuit's, which ``kcir.dsl`` compiles
-    from a parsed or built-in description that names no channel twice.  The
-    control symbol joins the clock samples with '/' in domain order, and the
-    input samples list each domain's data channels in domain order.  Data
-    channels are binary.
-    """
-    clocks = tuple(clock for clock, _ in domains)
-    data = [tuple(channels) for _, channels in domains]
-    read_init, read_step = _clocked_reader(data)
-    return CircuitElement(
-        name=name,
-        control_channels=clocks,
-        control_alphabet=Alphabet.product(*(("0", "1"),) * len(clocks)),
-        input_channels=tuple((c, BINARY) for channels in data for c in channels),
-        init=init,
-        step=step,
-        read_init=read_init,
-        read_step=read_step,
     )
 
 

@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .signals import CausalSignal, Tick, history_count, prefix_leq
+from .signals import CausalSignal, Tick, history_count, prefix_leq, prefix_pair_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitElement
@@ -420,7 +420,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     stats = ClassifyStats(
         horizon=horizon,
         signals=history_count(width, horizon),
-        relation_pairs=sum((t + 1) * width ** (t + 1) for t in range(horizon + 1)),
+        relation_pairs=prefix_pair_count(width, horizon),
         distinct_read_sets=len(dag.refs),
         excluded_undefined=dag.excluded,
         degenerate_horizon=degenerate,

@@ -471,11 +471,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     # argparse takes a value that opens with '-' (the abmem control "-/B,A/A")
-    # for an option, so such a --control value is glued to its flag.
+    # for an option, so such a value is glued to its flag: --control or any
+    # abbreviation argparse accepts for it (--co and longer; --c is ambiguous).
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 2, -1, -1):
-        if argv[i] == "--control" and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = [f"--control={argv[i + 1]}"]
+        flag = argv[i]
+        if len(flag) >= 4 and "--control".startswith(flag) and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         return args.func(args)

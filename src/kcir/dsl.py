@@ -28,10 +28,16 @@ a source span covering the offending token.
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to one
 named one per block.  A :class:`DomainAst` is the only form of a clocked
-register block: :func:`elaborate` compiles the logic of all domains of a
-circuit, of both kinds, into one straight-line Python ``step`` whose locals
-are named by slot number only, once per distinct list of domains, and
-builds the element with the read step of :mod:`kcir.circuits`.
+register block, and this module builds every clocked element, a
+synchronous circuit being the case of one domain.  :func:`elaborate`
+compiles the logic of all domains of a circuit into one straight-line
+Python ``step`` whose locals are named by slot number only, once per
+distinct list of domains.  Beside it goes a read step that tracks each data
+channel's edge ticks from the control symbols alone, never a sample value.
+The control symbol joins the clock samples with '/'.  The step and the read
+step look it up in one ``_clock_words`` table, which maps each symbol to
+the mask of its clocks at 1, so both find the rising clocks in two lookups
+and refuse a clock sample that is not a bit.
 
 The parser is the only validator: a hand-built :class:`CircuitAst` is
 elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
@@ -45,13 +51,16 @@ of the grammar can name, and built the same way without the round trip.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Optional, Sequence, Union
+from typing import Any, NoReturn, Optional, Sequence, Union
 
 from . import circuits
-from .circuits import CircuitElement, SimulationError, StepFn
+from .circuits import CircuitElement, SimulationError
+from .classifier import ReadStepFn, Refs
+from .signals import BINARY, Alphabet, Tick, split_symbol
 
 KINDS = ("dff", "srlatch", "mux", "sync", "multiclock", "abmem")
 
@@ -660,11 +669,87 @@ def _step_source(domains: Sequence[DomainAst]) -> str:
     return "\n".join(source) + "\n"
 
 
-def _clocked_step(ast: CircuitAst) -> tuple[tuple, StepFn]:
-    """(init, step) of a sync or multiclock description.
+def _clock_words(clocks: int) -> dict[Optional[str], int]:
+    """Each control symbol of ``clocks`` clocks mapped to the mask of its clocks at 1.
 
-    A non-bit data sample is refused naming the circuit, or for multiclock
-    the domain as ``circuit.domain``, after the clock samples are checked.
+    Clock i is bit i.  ``None``, the symbol before tick 0, maps to all ones,
+    so ``words[symbol] & ~words[previous]`` is the mask of the clocks that
+    rise and no clock rises at tick 0.  Symbols join one bit per clock with
+    '/', so no symbol with a non-bit clock sample is a key.
+    """
+    words: dict[Optional[str], int] = {
+        "/".join(bits): sum(1 << i for i, bit in enumerate(bits) if bit == "1")
+        for bits in itertools.product("01", repeat=clocks)
+    }
+    words[None] = (1 << clocks) - 1
+    return words
+
+
+def _reject_clocks(symbol: str, clocks: int) -> NoReturn:
+    """Raise for a control symbol that is not ``clocks`` '/'-joined bits."""
+    samples = split_symbol(symbol)
+    for sample in samples:
+        if sample != "0" and sample != "1":
+            raise SimulationError(f"clock sample {sample!r} is not a bit")
+    raise SimulationError(
+        f"control symbol {symbol!r} has {len(samples)} clock samples, not {clocks}"
+    )
+
+
+def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) -> Refs:
+    """Each channel's edge refs and then its current tick, channel by channel.
+
+    ``channels`` is sorted and no edge lies after ``tick``, so the result is
+    sorted; a channel whose latest edge is at ``tick`` already holds it.
+    """
+    refs: Refs = ()
+    for channel, own in zip(channels, edges):
+        refs += own if own and own[-1][1] == tick else own + ((channel, tick),)
+    return refs
+
+
+def _clocked_reader(
+    domains: Sequence[DomainAst], words: dict[Optional[str], int]
+) -> tuple[Any, ReadStepFn]:
+    """(read_init, read_step) of register blocks, one per clock, on the step's ``words``.
+
+    Registers latch inputs at each positive edge of their clock and the output
+    logic sees the current input, so the refs are, on every data channel, the
+    edge ticks of its domain's clock and then the current tick; with no edges
+    they are the current tick.  The read state is (previous control symbol,
+    per-channel edge refs), with the channels of all domains sorted together;
+    each channel keeps its domain's clock bit, and an edge of that clock
+    appends one ref to it.
+    """
+    clock_bit = {name: 1 << k for k, domain in enumerate(domains) for name in domain.inputs}
+    channels = tuple(sorted(clock_bit))
+    bits = [clock_bit[channel] for channel in channels]
+
+    def read_step(state, symbol: str, tick: Tick):
+        previous, edges = state
+        try:
+            rise = words[symbol] & ~words[previous]
+        except KeyError:
+            _reject_clocks(symbol, len(domains))
+        if rise:
+            edges = tuple([
+                own + ((c, tick),) if rise & bit else own
+                for c, own, bit in zip(channels, edges, bits)
+            ])
+        return (symbol, edges), _with_current(channels, edges, tick)
+
+    return (None, ((),) * len(channels)), read_step
+
+
+def _clocked_element(ast: CircuitAst) -> CircuitElement:
+    """The element of a sync or multiclock description: its compiled step and read step.
+
+    The control symbol joins the clock samples with '/' in domain order and
+    the input samples list each domain's inputs in domain order, all of them
+    bits.  The step and the read step look symbols up in one ``words`` table
+    and refuse the others with ``_reject_clocks``.  A non-bit data sample is
+    refused naming the circuit, or for multiclock the domain as
+    ``circuit.domain``, after the clock samples are checked.
     """
     names = [
         (ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}", name)
@@ -678,14 +763,24 @@ def _clocked_step(ast: CircuitAst) -> tuple[tuple, StepFn]:
                 raise SimulationError(f"{where}: input {name!r} sample {value!r} is not a bit")
 
     clocks = len(ast.domains)
+    words = _clock_words(clocks)
     namespace = {
-        "words": circuits._clock_words(clocks),
-        "reject_clocks": functools.partial(circuits._reject_clocks, clocks=clocks),
+        "words": words,
+        "reject_clocks": functools.partial(_reject_clocks, clocks=clocks),
         "reject_sample": reject_sample,
     }
     exec(_step_code(ast.domains), namespace)
-    init = (None, *(tuple(bit == "1" for bit in d.init_bits) for d in ast.domains))
-    return init, namespace["step"]
+    read_init, read_step = _clocked_reader(ast.domains, words)
+    return CircuitElement(
+        name=ast.name,
+        control_channels=tuple(domain.clock for domain in ast.domains),
+        control_alphabet=Alphabet.product(*(("0", "1"),) * clocks),
+        input_channels=tuple((name, BINARY) for _, name in names),
+        init=(None, *(tuple(bit == "1" for bit in d.init_bits) for d in ast.domains)),
+        step=namespace["step"],
+        read_init=read_init,
+        read_step=read_step,
+    )
 
 
 def elaborate(ast: CircuitAst) -> CircuitElement:
@@ -726,10 +821,7 @@ def _build(ast: CircuitAst) -> CircuitElement:
         return circuits.mux_element(ast.name)
     if ast.kind == "abmem":
         return circuits.abmem_element(ast.name)
-    init, step = _clocked_step(ast)
-    return circuits._clocked_element(
-        ast.name, [(domain.clock, domain.inputs) for domain in ast.domains], init, step
-    )
+    return _clocked_element(ast)
 
 
 def load_circuit(text: str) -> CircuitElement:

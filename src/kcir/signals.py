@@ -9,7 +9,8 @@ when the second extends the first without rewriting any past sample.
 Everything here is immutable and deterministic.  Signals are ordered by
 :meth:`CausalSignal.sort_key`: current tick first, then sample ranks in the
 declaration order of alphabet values.  :func:`history_count` counts the
-signals up to a horizon.
+signals up to a horizon and :func:`prefix_pair_count` the prefix pairs
+among them.
 """
 
 from __future__ import annotations
@@ -114,3 +115,16 @@ def history_count(width: int, horizon: Tick) -> int:
     if width == 1:
         return horizon + 1
     return (width ** (horizon + 2) - width) // (width - 1)
+
+
+def prefix_pair_count(width: int, horizon: Tick) -> int:
+    """Σ (t+1)·width^(t+1) over ticks 0..horizon: the prefix pairs among those signals.
+
+    A signal with current tick t has t + 1 prefixes, itself included.  The
+    closed form of Σ k·w^k for k = 1..n costs a few big-int products, where
+    the sum would cost O(n²) bits.
+    """
+    n = horizon + 1
+    if width == 1:
+        return n * (n + 1) // 2
+    return (n * width ** (n + 1) - (n + 1) * width ** n + 1) * width // (width - 1) ** 2

@@ -547,10 +547,11 @@ class TestChiDumpCommand:
             "2: {(D,1)}",
         ]
 
-    def test_control_may_open_with_a_dash(self, capsys):
+    @pytest.mark.parametrize("flag", ["--control", "--cont", "--co"])
+    def test_control_may_open_with_a_dash(self, capsys, flag):
         code, out, err = run(
             capsys,
-            "chi-dump", "--circuit", circuit("abmem.kcir"), "--control", "-/B,A/A",
+            "chi-dump", "--circuit", circuit("abmem.kcir"), flag, "-/B,A/A",
         )
         assert (code, err) == (0, "")
         assert out.splitlines() == ["0: undefined", "1: {(D,1)}"]

@@ -13,6 +13,7 @@ from kcir import (
     history_count,
     prefix_leq,
 )
+from kcir.signals import prefix_pair_count
 
 from .conftest import bits
 from .oracle import build_prefix_relation, enumerate_causal_signals, prefix, signal_at
@@ -110,6 +111,12 @@ class TestEnumeration:
             assert len(signals) == expected
             assert len(set(signals)) == expected
             assert history_count(size, horizon) == expected
+
+    def test_prefix_pair_count_is_the_power_sum(self):
+        # Each signal with current tick t has t + 1 prefixes.
+        for width, horizon in itertools.product(range(1, 10), range(60)):
+            expected = sum((t + 1) * width ** (t + 1) for t in range(horizon + 1))
+            assert prefix_pair_count(width, horizon) == expected
 
     def test_signal_at_rebuilds_each_entry(self):
         for size, horizon in itertools.product((1, 2, 3), (0, 1, 2, 3)):
