@@ -15,8 +15,14 @@ budgets, at the level it reached, and before it starts a run whose stats
 would pass 1,000 digits; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
+``simulate`` checks its stimulus a bounded batch of rows at a time, so at
+most one bounded batch is held beside the columns it returns.
 ``chi-dump`` folds the circuit's read step once over the control symbols,
 and refuses a dump that would hold more than ``MAX_SAMPLES`` refs.
+
+Run as the ``kcir`` program (:func:`entry`), a command whose write to stdout
+fails, such as into a closed pipe or onto a full disk, exits 2 with one
+``error:`` line; :func:`main` leaves such an error to its caller.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
@@ -52,13 +58,18 @@ UNDEF = "UNDEF"
 #: hold their sample columns and output streams in memory, at up to about 95
 #: bytes per sample (a ``check`` trial of counter at horizon 1,999,999: 362 MB
 #: max RSS), so a run stays under about 0.5 GB; a JSON ``chi-dump`` of counter
-#: just below the limit (3,980 ticks, 3,962,090 refs) peaks at 85 MB.
+#: just below the limit (3,980 ticks, 3,962,090 refs) peaks at 47 MB.
 MAX_SAMPLES = 4_000_000
 
 #: Most characters a ``.kcir`` file may hold.  The largest file in
 #: ``circuits/`` is under a kilobyte; the bound only keeps a file that never
 #: ends, such as ``/dev/zero``, from being read into memory whole.
 MAX_CIRCUIT_CHARS = 100_000
+
+#: Most rows one stimulus batch holds.  A batch also ends at the line that
+#: takes its characters past the stimulus line bound, so at most one bounded
+#: batch is held whatever the lines hold.
+STIMULUS_BATCH_ROWS = 256
 
 
 class UsageError(Exception):
@@ -114,14 +125,43 @@ def _witness_json(witness: Optional[AntisymmetryWitness]) -> Optional[dict]:
     }
 
 
+#: Stands for the images in the encoded report until they are written.
+_IMAGES = "\0images\0"
+
+
 def _write_report(element: CircuitElement, command: str, verdict: Optional[str], stats: dict,
-                  axioms: Optional[dict] = None, witness: Optional[dict] = None, **extra) -> None:
-    """Write a JSON report to stdout in batches as it is encoded, never as one string."""
+                  axioms: Optional[dict] = None, witness: Optional[dict] = None,
+                  images: Optional[Sequence[Optional[Refs]]] = None) -> None:
+    """Write a JSON report to stdout: sorted keys, indented by two spaces.
+
+    A ``chi-dump`` report's ``images``, the refs of every prefix, can hold
+    millions of refs.  They are written an image at a time, each ref as the
+    fixed lines the json module's indented encoder would give it, so the
+    output is the same bytes as encoding the whole report at once.
+    """
     report = dict(circuit=element.name, command=command, verdict=verdict, axioms=axioms,
-                  witness=witness, stats=stats, timing=None, **extra)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    for batch in iter(lambda: "".join(itertools.islice(chunks, 65536)), ""):
-        sys.stdout.write(batch)
+                  witness=witness, stats=stats, timing=None)
+    if images is not None:
+        report["images"] = _IMAGES
+    head, _, tail = json.dumps(report, indent=2, sort_keys=True).partition(json.dumps(_IMAGES))
+    sys.stdout.write(head)
+    if images is not None:
+        @functools.cache  # one text per distinct ref, shared by every prefix that holds it
+        def ref_json(ref: tuple[str, int]) -> str:
+            channel, tick = json.dumps(ref[0]), ref[1]
+            return f'{{\n        "channel": {channel},\n        "tick": {tick}\n      }}'
+
+        def image_json(refs: Optional[Refs]) -> str:
+            if refs is None:
+                return "null"
+            if not refs:
+                return "[]"
+            return "[\n      " + ",\n      ".join(map(ref_json, refs)) + "\n    ]"
+
+        texts = map(image_json, images)
+        sys.stdout.write("[\n    " + next(texts))
+        sys.stdout.writelines(",\n    " + text for text in texts)
+        sys.stdout.write("\n  ]" + tail)
     sys.stdout.write("\n")
 
 
@@ -155,36 +195,67 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
 
     Each line is read with a bound on its length that no row of the circuit's
     cells within the csv field limit reaches, even with every character
-    quoted, so a line that never ends is refused before it is held.
+    quoted, so a line that never ends is refused before it is held.  The rows
+    are checked in batches, each cut once it holds ``STIMULUS_BATCH_ROWS``
+    rows or its lines pass that bound, so at most one bounded batch is held.
+    A UTF-8 byte order mark at the start of the file is skipped.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
     bound = cells * (2 * csv.field_size_limit() + 3) + 1
+    read = 0  # characters read so far
 
     def lines(handle):
+        nonlocal read
         for number, line in enumerate(iter(functools.partial(handle.readline, bound + 1), ""), 1):
             if len(line) > bound:
                 raise UsageError(
                     f"stimulus line {number} is longer than the limit of {bound:,} characters"
                 )
+            read += len(line)
             yield line
 
+    def batches(rows):
+        """The rows in lists cut as above.
+
+        A read error cuts its batch short: the rows before it are yielded to
+        be checked, and the error is raised only once they pass, where the
+        rows read one by one would have met it.
+        """
+        while True:
+            batch, start = [], read
+            try:
+                for row in rows:
+                    batch.append(row)
+                    if len(batch) == STIMULUS_BATCH_ROWS or read - start > bound:
+                        break
+            except (UsageError, OSError, UnicodeDecodeError, csv.Error):
+                if batch:
+                    yield batch
+                raise
+            if not batch:
+                return
+            yield batch
+
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            return _stimulus_columns(filter(None, csv.reader(lines(handle))), element)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = filter(None, csv.reader(lines(handle)))
+            return _stimulus_columns(next(rows, []), batches(rows), element)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _stimulus_columns(
-    rows: Iterator[list[str]], element: CircuitElement
+    header: list[str], batches: Iterable[list[list[str]]], element: CircuitElement
 ) -> tuple[list[str], dict[str, list[str]]]:
-    """Validate the non-blank ``rows`` of a stimulus as they are read.
+    """Validate a stimulus's ``header`` and its other non-blank rows, a batch at a time.
 
-    Each cell is stripped once, and each tick's control symbol is joined and
-    checked against the control alphabet; no row is kept once it is read.
-    The row that takes the stimulus past ``MAX_SAMPLES`` samples is refused.
+    Each column of a batch is stripped once, its ticks are compared with
+    their range, and its control symbols are joined and checked against the
+    control alphabet together.  Only a batch that fails is scanned row by
+    row, to name its first bad row; the row that takes the stimulus past
+    ``MAX_SAMPLES`` samples is one.  At most one batch is held.
     """
-    header = [cell.strip() for cell in next(rows, ())]
+    header = [cell.strip() for cell in header]
     if not header:
         raise UsageError("stimulus file is empty")
     if header[0] != "tick":
@@ -201,40 +272,58 @@ def _stimulus_columns(
 
     at = {name: k for k, name in enumerate(header)}
     control_at = [at[channel] for channel in element.control_channels]
+    input_at = [at[name] for name in element.input_names]
     alphabet = element.control_alphabet
-    # A set lookup per row, not a call to Alphabet.__contains__, pays for the
-    # bounded line reads: without it simulate ran about 3% slower.
     known = frozenset(alphabet.values)
+    width = {len(header)}
+    max_rows = MAX_SAMPLES // len(columns)
+
+    def refuse(batch: list[list[str]], first: int) -> NoReturn:
+        """Name the first bad row of ``batch``, whose rows are numbered from ``first``."""
+        for i, row in enumerate(batch, first):
+            if i > max_rows:
+                raise UsageError(
+                    f"stimulus row {i} takes it past the limit of {MAX_SAMPLES:,} samples "
+                    f"({len(columns)} channels per tick)"
+                )
+            cells = list(map(str.strip, row))
+            if len(cells) != len(header):
+                raise UsageError(
+                    f"stimulus row {i} has {len(cells)} cells, expected {len(header)}"
+                )
+            try:
+                tick = int(cells[0])
+            except ValueError:
+                raise UsageError(f"stimulus row {i} has non-integer tick {cells[0]!r}") from None
+            if tick != i - 1:
+                raise UsageError(
+                    f"stimulus ticks must be contiguous from 0: row {i} has tick {tick}"
+                )
+            symbol = "/".join([cells[k] for k in control_at])
+            if symbol not in known:
+                raise UsageError(
+                    f"control value {symbol!r} is not in the circuit's control alphabet "
+                    f"{alphabet.values!r}"
+                )
+        raise AssertionError("a stimulus batch failed a check that none of its rows fails")
+
     control: list[str] = []
     inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
-    fills = [(inputs[name].append, at[name]) for name in element.input_names]
-    max_rows = MAX_SAMPLES // len(columns)
-    for i, row in enumerate(rows, 1):
-        if i > max_rows:
-            raise UsageError(
-                f"stimulus row {i} takes it past the limit of {MAX_SAMPLES:,} samples "
-                f"({len(columns)} channels per tick)"
-            )
-        cells = list(map(str.strip, row))
-        if len(cells) != len(header):
-            raise UsageError(f"stimulus row {i} has {len(cells)} cells, expected {len(header)}")
+    for batch in batches:
+        first = len(control)
+        if first + len(batch) > max_rows or set(map(len, batch)) != width:
+            refuse(batch, first + 1)
+        cells = [list(map(str.strip, column)) for column in zip(*batch)]
         try:
-            tick = int(cells[0])
+            ticks = list(map(int, cells[0]))
         except ValueError:
-            raise UsageError(f"stimulus row {i} has non-integer tick {cells[0]!r}") from None
-        if tick != i - 1:
-            raise UsageError(
-                f"stimulus ticks must be contiguous from 0: row {i} has tick {tick}"
-            )
-        symbol = "/".join([cells[k] for k in control_at])
-        if symbol not in known:
-            raise UsageError(
-                f"control value {symbol!r} is not in the circuit's control alphabet "
-                f"{alphabet.values!r}"
-            )
-        control.append(symbol)
-        for fill, k in fills:
-            fill(cells[k])
+            refuse(batch, first + 1)
+        symbols = list(map("/".join, zip(*[cells[k] for k in control_at])))
+        if ticks != list(range(first, first + len(batch))) or not known.issuperset(symbols):
+            refuse(batch, first + 1)
+        control += symbols
+        for name, k in zip(element.input_names, input_at):
+            inputs[name] += cells[k]
     if not control:
         raise UsageError("stimulus must contain at least one row")
     return control, inputs
@@ -356,13 +445,7 @@ def _cmd_chi_dump(args) -> int:
             )
         images.append(refs)
     if args.format == "json":
-        # One dict per distinct ref, shared by every prefix that holds it, so
-        # the JSON costs little more memory than the refs themselves.
-        ref_json = functools.cache(lambda ref: {"channel": ref[0], "tick": ref[1]})
-        _write_report(
-            element, "chi-dump", None, {"ticks": len(tokens)},
-            images=[None if refs is None else [*map(ref_json, refs)] for refs in images],
-        )
+        _write_report(element, "chi-dump", None, {"ticks": len(tokens)}, images=images)
         return 0
     for tick, refs in enumerate(images):
         print(f"{tick}: {_refs_text(refs)}")
@@ -489,7 +572,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The ``kcir`` program: ``main`` on the command line, with stdout flushed before exit.
+
+    A failed write to stdout, such as a closed pipe or a full disk, exits 2
+    with one error line.  Every file kcir opens by name turns its errors
+    into usage errors, so an ``OSError`` that reaches here came from stdout.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; send what is left to
+        # the null device so that flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

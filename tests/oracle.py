@@ -28,10 +28,16 @@ The check references, :func:`causality_check` and
 :func:`read_soundness_check`, fold every trial over all the ticks they draw
 or cut, from tick 0, for both runs; the library folds only the compared
 ticks and shares the prefix the runs agree on.
+
+The stimulus reference, :func:`read_stimulus`, reads and checks a stimulus
+CSV one row at a time, cell by cell, as ``kcir simulate`` did before it
+checked whole batches of rows a column at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -58,6 +64,8 @@ from kcir.circuits import (
     _fold_refs,
     _stream_alphabets,
 )
+from kcir import cli
+from kcir.cli import UsageError
 from kcir.dsl import BoolExpr, CircuitAst, DomainAst, Lit, Var
 from kcir.signals import (
     BINARY,
@@ -936,3 +944,92 @@ def causality_check(
         if before[:m] != after[:m]:
             violations += 1
     return CausalityReport(trials, mutations, violations)
+
+
+# --- the stimulus reader, row by row -------------------------------------------
+
+def read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[str, list[str]]]:
+    """The control symbols and the input columns of a stimulus CSV, read in one pass.
+
+    Each line is read with the same bound on its length as ``kcir simulate``
+    reads it, and ``cli.MAX_SAMPLES`` is looked up at each call, so a test
+    may lower it.
+    """
+    cells = 1 + len(set(element.control_channels) | set(element.input_names))
+    bound = cells * (2 * csv.field_size_limit() + 3) + 1
+
+    def lines(handle):
+        for number, line in enumerate(iter(functools.partial(handle.readline, bound + 1), ""), 1):
+            if len(line) > bound:
+                raise UsageError(
+                    f"stimulus line {number} is longer than the limit of {bound:,} characters"
+                )
+            yield line
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return stimulus_columns(filter(None, csv.reader(lines(handle))), element)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def stimulus_columns(
+    rows: Iterable[list[str]], element: CircuitElement
+) -> tuple[list[str], dict[str, list[str]]]:
+    """Validate the non-blank ``rows`` of a stimulus one at a time, as they are read.
+
+    Each cell is stripped once, and each tick's control symbol is joined and
+    checked against the control alphabet.  The row that takes the stimulus
+    past ``cli.MAX_SAMPLES`` samples is refused.
+    """
+    rows = iter(rows)
+    header = [cell.strip() for cell in next(rows, ())]
+    if not header:
+        raise UsageError("stimulus file is empty")
+    if header[0] != "tick":
+        raise UsageError("stimulus header must start with 'tick'")
+    columns = header[1:]
+    expected = set(element.control_channels) | set(element.input_names)
+    if set(columns) != expected:
+        raise UsageError(
+            f"stimulus columns {sorted(columns)} do not match circuit channels "
+            f"{sorted(expected)}"
+        )
+    if len(set(columns)) != len(columns):
+        raise UsageError("stimulus has a duplicate column")
+
+    at = {name: k for k, name in enumerate(header)}
+    control_at = [at[channel] for channel in element.control_channels]
+    alphabet = element.control_alphabet
+    control: list[str] = []
+    inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
+    max_rows = cli.MAX_SAMPLES // len(columns)
+    for i, row in enumerate(rows, 1):
+        if i > max_rows:
+            raise UsageError(
+                f"stimulus row {i} takes it past the limit of {cli.MAX_SAMPLES:,} samples "
+                f"({len(columns)} channels per tick)"
+            )
+        cells = [cell.strip() for cell in row]
+        if len(cells) != len(header):
+            raise UsageError(f"stimulus row {i} has {len(cells)} cells, expected {len(header)}")
+        try:
+            tick = int(cells[0])
+        except ValueError:
+            raise UsageError(f"stimulus row {i} has non-integer tick {cells[0]!r}") from None
+        if tick != i - 1:
+            raise UsageError(
+                f"stimulus ticks must be contiguous from 0: row {i} has tick {tick}"
+            )
+        symbol = "/".join(cells[k] for k in control_at)
+        if symbol not in alphabet.values:
+            raise UsageError(
+                f"control value {symbol!r} is not in the circuit's control alphabet "
+                f"{alphabet.values!r}"
+            )
+        control.append(symbol)
+        for name in element.input_names:
+            inputs[name].append(cells[at[name]])
+    if not control:
+        raise UsageError("stimulus must contain at least one row")
+    return control, inputs

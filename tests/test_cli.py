@@ -319,6 +319,16 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_bom_led_stimulus_simulates_like_the_original(self, tmp_path, capsys):
+        # Spreadsheet "CSV UTF-8" exports start the file with a byte order mark.
+        original = CIRCUITS_DIR / "dff_edge.csv"
+        bom_led = tmp_path / "bom.csv"
+        bom_led.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        argv = ["simulate", "--circuit", circuit("dff.kcir"), "--allow-undef", "--stimulus"]
+        expected = run(capsys, *argv, str(original))
+        assert expected[0] == 0
+        assert run(capsys, *argv, str(bom_led)) == expected
+
     def test_non_utf8_stimulus_exits_2(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"
         stim.write_bytes(b"tick,C,D\n0,0,\xff\n")
@@ -890,3 +900,44 @@ class TestBoundedReads:
         )
         assert code == 2
         assert err.startswith("error: stimulus row 1 has non-integer tick")
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+class TestStdoutWriteFailures:
+    """A write to stdout that fails exits 2 with one error line, not a traceback."""
+
+    def child(self, *argv: str, **streams) -> subprocess.Popen:
+        """``python -m kcir.cli`` with stdout buffered, as it is unless PYTHONUNBUFFERED is set."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "kcir.cli", *argv], stderr=subprocess.PIPE, text=True,
+            env=env, **streams,
+        )
+
+    def test_closed_pipe_exits_2(self):
+        # About 600 kB of text: more than a pipe buffers, so the child is
+        # still writing when the reader goes away.
+        control = ",".join("01"[t % 2] for t in range(40_000))
+        child = self.child("chi-dump", "--circuit", circuit("dff.kcir"), "--control", control,
+                           stdout=subprocess.PIPE)
+        assert child.stdout.readline() == "0: undefined\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 2
+        assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--circuit", circuit("dff.kcir"), "--format", "json"),
+        ("simulate", "--circuit", circuit("dff.kcir"), "--stimulus", circuit("dff_edge.csv"),
+         "--allow-undef"),
+    ], ids=["classify-json", "simulate"])
+    def test_full_device_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            child = self.child(*argv, stdout=full)
+            _, err = child.communicate(timeout=120)
+        assert child.returncode == 2
+        assert err == "error: cannot write to stdout: [Errno 28] No space left on device\n"
