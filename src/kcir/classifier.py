@@ -16,15 +16,14 @@ once per symbol with the circuit's ``read_step``, however many histories
 reach it.  The walk fills one node table, numbered in the order it meets
 the nodes, so every child has a larger id than its parents; it also counts
 the histories per node exactly, for the pairs with an undefined endpoint.
-One reverse sweep over the node ids then collects the images reachable
-below each node, and with them the derived relation.  Read sets are
-interned to ints in order of first sight, and the axioms are checked on bit
-sets over those ints: one "images after x" set per image.  The verdict does
-not depend on the numbering, so read sets are ranked in sorted order only
-when an axiom fails, and each failed axiom's witness is then its smallest
-counterexample by rank.  The antisymmetry witness is the lexicographic
-minimum under the signal order of :meth:`kcir.signals.CausalSignal.sort_key`,
-read off each node's smallest history and shortest smallest paths below it.
+Read sets are then numbered once, by rank in sorted order, and one reverse
+sweep over the node ids collects the images reachable below each node, and
+with them the derived relation as one bit set over those ranks per image:
+the images after x.  The axioms are checked once on those bit sets, so each
+failed axiom's witness is its smallest counterexample by rank.  The
+antisymmetry witness is the lexicographic minimum under the signal order of
+:meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
+history and shortest smallest paths below it.
 """
 
 from __future__ import annotations
@@ -133,12 +132,13 @@ def _axiom_report(images: Sequence[Refs], after: Sequence[int]) -> AxiomReport:
     Images are named by their index into ``images``, the refs of the read
     sets, and ``after[x]`` is the bit set of the images x is related to.
     Pairs are met in index order, so each witness is the smallest
-    counterexample by index: with ``images`` sorted it is the one a scan of
-    the read sets themselves meets first, and only the witnesses are built
-    as :class:`ReadSet` values.  Reflexivity fails at x if x is not in
-    ``after[x]``; for y in ``after[x]`` other than x, antisymmetry fails if x
-    is in ``after[y]`` and transitivity if ``after[y]`` holds an image
-    outside ``after[x]``.  All three axioms are checked outright, none is
+    counterexample by index: with ``images`` sorted, as ``classify`` passes
+    them, it is the one a scan of the read sets themselves meets first, and
+    only the witnesses are built as :class:`ReadSet` values.  The three
+    booleans do not depend on the numbering.  Reflexivity fails at x if x is
+    not in ``after[x]``; for y in ``after[x]`` other than x, antisymmetry
+    fails if x is in ``after[y]`` and transitivity if ``after[y]`` holds an
+    image outside ``after[x]``.  All three axioms are checked outright, none is
     assumed to hold by construction.
     """
     refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
@@ -246,8 +246,9 @@ class _ReadStateDag:
     them: level by level, parents in order, symbols in alphabet order.  So
     node ids follow the ``sort_key`` order of the nodes' smallest histories,
     each node's first parent lies on its smallest history, and every child
-    has a larger id than its parents.  Refs are interned to image ids in
-    order of first sight.
+    has a larger id than its parents.  Refs are interned to ids as the walk
+    meets them, and then renumbered by rank before the sweep: ``refs`` holds
+    the read sets' refs in sorted order, and an image id is its index there.
 
     Per node ``n``: ``images[n]`` is the image id (-1 where undefined),
     ``origins[n]`` the (first parent, symbol) it was met by, with parent -1
@@ -310,9 +311,16 @@ class _ReadStateDag:
                                   f"read sets need over {SWEEP_BUDGET:,} bits")
             parents = index.values()
         del index, parents  # the last level's read states: the sweep needs none
+        # Renumber the images by rank, so ids follow the sorted refs; -1 stays undefined.
+        seen = list(ids)
+        order = sorted(range(len(seen)), key=seen.__getitem__)
+        rank = [0] * len(order) + [-1]
+        for r, i in enumerate(order):
+            rank[i] = r
+        images = [rank[y] for y in images]
         self.symbols, self.images, self.origins, self.children = symbols, images, origins, children
         self.excluded = excluded
-        self.refs = list(ids)
+        self.refs = [seen[i] for i in order]
 
         self.reach = reach = [0] * len(images)
         self.after = after = [0] * len(ids)
@@ -378,14 +386,15 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     walked as the DAG of their read states (:class:`_ReadStateDag`): each
     distinct read state of a level is stepped once per symbol, whatever the
     number of histories reaching it, into one table of nodes numbered in
-    walk order.  The prefix order carries an image to exactly the images
-    reachable below a node holding it; one reverse sweep over the node ids
-    collects them as a bit set per image, and the partial-order axioms
-    checked on those bit sets decide the verdict.  Only when an axiom fails
-    are the read sets ranked, so that the axiom report names the smallest
-    counterexamples.  An antisymmetry failure always comes with a
-    re-checkable witness, the lexicographic minimum over all histories; a
-    failure of any other axiom is reported through the axiom report alone.
+    walk order, and the read sets are numbered by rank.  The prefix order
+    carries an image to exactly the images reachable below a node holding
+    it; one reverse sweep over the node ids collects them as a bit set per
+    image, and the partial-order axioms, checked once on those bit sets,
+    decide the verdict and name the smallest counterexamples by rank.  An
+    antisymmetry failure always comes with a re-checkable witness, the
+    lexicographic minimum over all histories, whose swapped pairs are read
+    off the same bit sets; a failure of any other axiom is reported through
+    the axiom report alone.
 
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
@@ -402,20 +411,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     alphabet = circuit.control_alphabet
     dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
-    after = dag.after
-    # The three axioms do not depend on how the images are numbered, so the
-    # first-seen ids decide them; only a failure's witnesses need the images
-    # ranked in read-set order.
-    report = _axiom_report(dag.refs, after)
-    if not report.is_partial_order:
-        order = sorted(range(len(dag.refs)), key=dag.refs.__getitem__)
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        ranked = [0] * len(order)
-        for x, mask in enumerate(after):
-            ranked[rank[x]] = sum(1 << rank[y] for y in _members(mask))
-        report = _axiom_report([dag.refs[i] for i in order], ranked)
+    report = _axiom_report(dag.refs, dag.after)
     width = len(alphabet)
     stats = ClassifyStats(
         horizon=horizon,
@@ -436,11 +432,11 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         # an image y which reaches x back; a1 its smallest extension to such
         # a y; then b0 is the smallest history holding y that reaches x, and
         # b1 its smallest extension to x.
-        before = [0] * len(after)
-        for y, mask in enumerate(after):
-            for x in _members(mask):
-                before[x] |= 1 << y
-        swapped = [a & b & ~(1 << x) for x, (a, b) in enumerate(zip(after, before))]
+        after = dag.after
+        swapped = [
+            sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)
+            for x, mask in enumerate(after)
+        ]
         n = dag.first(lambda x, mask: swapped[x] & mask)
         x = dag.images[n]
         a0 = dag.history(n)

@@ -16,7 +16,9 @@ would pass 1,000 digits; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
 ``simulate`` checks its stimulus a bounded batch of rows at a time, so at
-most one bounded batch is held beside the columns it returns.
+most one bounded batch is held beside the columns it returns; one line, and
+one row however many lines its quoted cells span, is bounded by the
+characters the circuit's cells can take.
 ``chi-dump`` folds the circuit's read step once over the control symbols,
 and refuses a dump that would hold more than ``MAX_SAMPLES`` refs.
 
@@ -178,7 +180,7 @@ def _refs_text(refs: Optional[Refs]) -> str:
 
 def _load_element(path: str) -> CircuitElement:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read(MAX_CIRCUIT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
@@ -195,14 +197,17 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
 
     Each line is read with a bound on its length that no row of the circuit's
     cells within the csv field limit reaches, even with every character
-    quoted, so a line that never ends is refused before it is held.  The rows
-    are checked in batches, each cut once it holds ``STIMULUS_BATCH_ROWS``
-    rows or its lines pass that bound, so at most one bounded batch is held.
+    quoted, so a line that never ends is refused before it is held.  A row
+    whose quoted cells span lines is held to the same bound: the line that
+    takes the characters read since the last row past it is refused.  The
+    rows are checked in batches, each cut once it holds
+    ``STIMULUS_BATCH_ROWS`` rows or its lines pass that bound, so at most one
+    bounded batch is held.
     A UTF-8 byte order mark at the start of the file is skipped.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
     bound = cells * (2 * csv.field_size_limit() + 3) + 1
-    read = 0  # characters read so far
+    read = row_start = 0  # characters read so far, and before the row being read
 
     def lines(handle):
         nonlocal read
@@ -212,7 +217,19 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
                     f"stimulus line {number} is longer than the limit of {bound:,} characters"
                 )
             read += len(line)
+            if read - row_start > bound:
+                raise UsageError(
+                    f"stimulus line {number} takes its row past the limit of {bound:,} characters"
+                )
             yield line
+
+    def non_blank(rows):
+        """The non-blank rows; each row read, blank or not, starts the next row's count."""
+        nonlocal row_start
+        for row in rows:
+            row_start = read
+            if row:
+                yield row
 
     def batches(rows):
         """The rows in lists cut as above.
@@ -238,7 +255,7 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = filter(None, csv.reader(lines(handle)))
+            rows = non_blank(csv.reader(lines(handle)))
             return _stimulus_columns(next(rows, []), batches(rows), element)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc

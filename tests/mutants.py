@@ -1,0 +1,173 @@
+"""Mutation check: each listed edit of ``src/kcir`` must fail the tests named for it.
+
+Run it from any directory as ``python tests/mutants.py``; it takes no
+options and needs pytest and hypothesis, like the tests.  For each mutant it
+copies the repository (without ``.git`` and caches) to a temporary
+directory, applies the mutant's exact text edit there and runs the mutant's
+tests in that copy, with hypothesis seeded so that a run repeats.  A mutant
+is reported *killed* when those tests fail, *survived* when they pass, and
+*stale* when its old text is not in the file exactly once.  A mutant that
+survives needs a new test that kills it, not its removal from the list.
+
+Each copy is tested with ``PYTHONPATH`` set to its own ``src``, and pytest
+there reads the copy's ``pyproject.toml``, so the tests import the copy's
+``kcir``.  Before the mutants, an unmutated copy runs every listed test and a
+probe test that checks where ``kcir`` was imported from; if that run fails,
+no mutant is tried.  The script exits 1 when the unmutated run fails or any
+mutant survives or is stale, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+ORACLE = "tests/test_oracle.py"
+CLI = "tests/test_cli.py"
+
+MUTANTS = (
+    Mutant(
+        "refs left in first-seen order",
+        "src/kcir/classifier.py",
+        "order = sorted(range(len(seen)), key=seen.__getitem__)",
+        "order = list(range(len(seen)))",
+        (f"{ORACLE}::test_mealy_read_steps_match_the_walk",
+         f"{ORACLE}::test_table_read_maps_match_the_oracle"),
+    ),
+    Mutant(
+        "the sweep skips a node's last child",
+        "src/kcir/classifier.py",
+        "for k in children[n]:",
+        "for k in children[n][:-1]:",
+        (f"{ORACLE}::test_built_in_node_tables_match_brute_force",
+         f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
+    ),
+    Mutant(
+        "the antisymmetry test in _axiom_report inverted",
+        "src/kcir/classifier.py",
+        "if anti is None and later & bit:",
+        "if anti is None and not later & bit:",
+        (f"{ORACLE}::test_bit_set_axioms_match_the_pair_scan",
+         f"{ORACLE}::test_axioms_on_ranks_match_the_read_set_scan"),
+    ),
+    Mutant(
+        "the transitivity witness takes the highest missing bit",
+        "src/kcir/classifier.py",
+        "trans = (x, y, (missing & -missing).bit_length() - 1)",
+        "trans = (x, y, missing.bit_length() - 1)",
+        (f"{ORACLE}::test_bit_set_axioms_match_the_pair_scan",
+         f"{ORACLE}::test_axioms_on_ranks_match_the_read_set_scan"),
+    ),
+    Mutant(
+        "swapped keeps x itself",
+        "src/kcir/classifier.py",
+        "sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)",
+        "sum(1 << y for y in _members(mask) if after[y] >> x & 1)",
+        (f"{ORACLE}::test_classify_never_reports_a_reflexivity_failure",
+         f"{ORACLE}::test_table_read_maps_match_the_oracle"),
+    ),
+    Mutant(
+        "a stimulus row may span twice the line bound",
+        "src/kcir/cli.py",
+        "if read - row_start > bound:",
+        "if read - row_start > 2 * bound:",
+        ("tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader",
+         f"{CLI}::TestBoundedReads::test_row_spanning_lines_exits_2_in_flat_memory"),
+    ),
+    Mutant(
+        "a circuit file's byte order mark is read as text",
+        "src/kcir/cli.py",
+        'with open(path, encoding="utf-8-sig") as handle:',
+        'with open(path, encoding="utf-8") as handle:',
+        (f"{CLI}::TestBomLedCircuitFiles",),
+    ),
+)
+
+#: Written into the unmutated copy: fails unless ``kcir`` comes from the copy.
+PROBE = '''\
+from pathlib import Path
+
+import kcir
+
+
+def test_kcir_is_imported_from_this_copy():
+    assert Path(kcir.__file__).resolve().is_relative_to(Path(__file__).resolve().parents[1])
+'''
+PROBE_PATH = "tests/test_mutants_probe.py"
+
+
+def copy_tree(target: Path) -> Path:
+    """The repository copied into ``target``, without version control or caches."""
+    tree = target / "repo"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
+    return tree
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
+    """Whether ``tests`` pass in ``tree``, run by pytest against the tree's own ``kcir``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    if done.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run them
+        raise RuntimeError(f"pytest exited {done.returncode} in {tree}:\n{done.stdout}")
+    return done.returncode == 0
+
+
+def try_mutant(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="kcir-mutant-") as scratch:
+        tree = copy_tree(Path(scratch))
+        path = tree / mutant.path
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "stale"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        return "survived" if run_tests(tree, mutant.tests) else "killed"
+
+
+def main() -> int:
+    if sys.argv[1:]:
+        print(f"usage: python {Path(__file__).name}  (it takes no options)", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    with tempfile.TemporaryDirectory(prefix="kcir-unmutated-") as scratch:
+        tree = copy_tree(Path(scratch))
+        (tree / PROBE_PATH).write_text(PROBE, encoding="utf-8")
+        if not run_tests(tree, (PROBE_PATH, *tests)):
+            print("unmutated copy: its tests fail, so no mutant is tried")
+            return 1
+    print(f"unmutated copy: {len(tests)} tests pass, kcir imported from the copy")
+    outcomes = []
+    for mutant in MUTANTS:
+        outcome = try_mutant(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:8}  {mutant.name}  ({mutant.path})")
+    bad = sum(outcome != "killed" for outcome in outcomes)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - started:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -951,24 +951,38 @@ def causality_check(
 def read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[str, list[str]]]:
     """The control symbols and the input columns of a stimulus CSV, read in one pass.
 
-    Each line is read with the same bound on its length as ``kcir simulate``
-    reads it, and ``cli.MAX_SAMPLES`` is looked up at each call, so a test
-    may lower it.
+    Each line, and the lines of each row, are read with the same bound on
+    their length as ``kcir simulate`` reads them, and ``cli.MAX_SAMPLES`` is
+    looked up at each call, so a test may lower it.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
     bound = cells * (2 * csv.field_size_limit() + 3) + 1
+    row_chars = 0  # characters read since the last row csv returned
 
     def lines(handle):
+        nonlocal row_chars
         for number, line in enumerate(iter(functools.partial(handle.readline, bound + 1), ""), 1):
             if len(line) > bound:
                 raise UsageError(
                     f"stimulus line {number} is longer than the limit of {bound:,} characters"
                 )
+            row_chars += len(line)
+            if row_chars > bound:
+                raise UsageError(
+                    f"stimulus line {number} takes its row past the limit of {bound:,} characters"
+                )
             yield line
+
+    def rows(reader):
+        nonlocal row_chars
+        for row in reader:
+            row_chars = 0
+            if row:
+                yield row
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return stimulus_columns(filter(None, csv.reader(lines(handle))), element)
+            return stimulus_columns(rows(csv.reader(lines(handle))), element)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 

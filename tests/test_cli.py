@@ -274,6 +274,31 @@ class TestParserReuse:
         assert code == 0 and out.startswith("circuit: dff\n")
 
 
+class TestBomLedCircuitFiles:
+    """A circuit file led by a UTF-8 byte order mark reads like the file without it."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CIRCUITS_DIR.glob("*.kcir")))
+    def test_bom_led_circuit_classifies_like_the_original(self, tmp_path, capsys, name):
+        bom_led = tmp_path / name
+        bom_led.write_bytes(b"\xef\xbb\xbf" + (CIRCUITS_DIR / name).read_bytes())
+        argv = ["classify", "--horizon", "3", "--format", "json", "--circuit"]
+        expected = run(capsys, *argv, circuit(name))
+        assert expected[0] == 0
+        assert run(capsys, *argv, str(bom_led)) == expected
+
+    def test_bom_led_parse_error_names_the_same_line_and_column(self, tmp_path, capsys):
+        text = b"circuit bad\n  bogus $\n"
+        plain, bom_led = tmp_path / "plain.kcir", tmp_path / "bom.kcir"
+        plain.write_bytes(text)
+        bom_led.write_bytes(b"\xef\xbb\xbf" + text)
+        code, out, err = run(capsys, "classify", "--circuit", str(plain))
+        assert (code, out) == (2, "")
+        assert err == f"error: {plain}:2:9: unexpected character '$'\n"
+        assert run(capsys, "classify", "--circuit", str(bom_led)) == (
+            2, "", err.replace(str(plain), str(bom_led)),
+        )
+
+
 class TestSimulateCommand:
     def test_dff_edge_stimulus(self, capsys):
         code, out, _ = run(
@@ -328,6 +353,17 @@ class TestSimulateCommand:
         expected = run(capsys, *argv, str(original))
         assert expected[0] == 0
         assert run(capsys, *argv, str(bom_led)) == expected
+
+    def test_cells_quoted_across_line_ends_simulate(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text('tick,C,D\n0,0,"0\n"\n1,1,"1\n"\n2,0,"0\r\n"\n3,1,"\n0"\n', newline="")
+        code, out, err = run(
+            capsys,
+            "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim),
+            "--allow-undef",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["tick,output", "0,UNDEF", "1,1", "2,1", "3,0"]
 
     def test_non_utf8_stimulus_exits_2(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"
@@ -848,6 +884,38 @@ def run_capped(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+#: Runs ``python -m kcir.cli`` with the arguments after the address space cap
+#: and prints [exit code, stdout, stderr, max RSS in kB] as JSON.  A child's
+#: max RSS counts the pages it was forked with, so the child is forked from
+#: this small, fresh process rather than from the test run.
+MEASURED_CHILD = """
+import json, os, resource, subprocess, sys, tempfile
+
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+
+with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+    child = subprocess.Popen([sys.executable, "-m", "kcir.cli", *sys.argv[2:]],
+                             stdout=out, stderr=err, text=True, preexec_fn=cap)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    out.seek(0)
+    err.seek(0)
+    print(json.dumps([child.returncode, out.read(), err.read(), usage.ru_maxrss]))
+"""
+
+
+def run_capped_rss(*argv: str) -> tuple[int, str, str, int]:
+    """(exit code, stdout, stderr, max RSS in kB) of ``run_capped``'s child process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURED_CHILD, str(CHILD_ADDRESS_SPACE), *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return tuple(json.loads(done.stdout))
+
+
 needs_dev_zero = pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 
 
@@ -873,6 +941,28 @@ class TestBoundedReads:
         assert done.stderr == (
             f"error: stimulus line 1 is longer than the limit of {bound:,} characters\n"
         )
+
+    def test_row_spanning_lines_exits_2_in_flat_memory(self, tmp_path):
+        # Row 1 is a tick and then cells quoted across line ends, so every
+        # line after the header is five characters: 2 MB and 10 MB files.
+        bound = 3 * (2 * csv.field_size_limit() + 3) + 1  # tick, C and D
+        line = bound // 5 + 2  # the first line past the bound: 5 * (line - 1) > bound
+        peaks = []
+        for cells in (400_000, 2_000_000):
+            stim = tmp_path / f"spanning{cells}.csv"
+            stim.write_text("tick,C,D\n0" + ',"1\n"' * cells + "\n", newline="")
+            code, out, err, peak = run_capped_rss(
+                "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim)
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: stimulus line {line} takes its row past the limit of {bound:,} "
+                "characters\n"
+            )
+            peaks.append(peak)
+        # Both stop at the same line, so they hold the same; unbounded, the
+        # larger file took over 120 MB more.
+        assert abs(peaks[1] - peaks[0]) < 8 * 1024
 
     def test_circuit_file_at_the_bound_is_accepted(self, tmp_path, capsys):
         text = (CIRCUITS_DIR / "dff.kcir").read_text(encoding="utf-8")

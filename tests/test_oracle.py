@@ -293,7 +293,8 @@ def test_bit_set_axioms_match_the_pair_scan(case):
     report = _axiom_report(images, after)
     assert report == oracle.pair_axiom_report(images, range(len(after)), _pairs(after))
 
-    # classify decides the verdict on first-seen ids and ranks only on failure.
+    # The verdict does not depend on how the images are numbered; only the
+    # witnesses do, which is why classify numbers them by rank.
     renumbered = [0] * len(after)
     for x, y in _pairs(after):
         renumbered[renumbering[x]] |= 1 << renumbering[y]

@@ -7,7 +7,8 @@ every drawn file both must return the same columns or refuse it with the
 same message.  The drawn files run with a small batch size, a lowered csv
 field limit (which lowers the line bound with it) and sometimes a lowered
 ``MAX_SAMPLES``, so batch boundaries, overlong lines, oversized cells and
-the sample limit all fall within a few rows.
+the sample limit all fall within a few rows, and so does the bound on the
+lines of one row that quoted cells carry across line ends.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def outcome(read, path: str, element):
 
 #: Ways to spoil one row of a drawn stimulus.
 FAULTS = ("tick x", "tick +1", "tick t_0", "short row", "long row", "unknown symbol",
-          "blank cell line", "oversized cell", "overlong line", "not utf-8")
+          "blank cell line", "oversized cell", "overlong line", "spanning row", "not utf-8")
 
 
 @st.composite
@@ -116,6 +117,10 @@ def stimulus_lines(draw, values: dict[str, tuple[str, ...]]) -> list[str]:
             row[-1] = "1" * (FIELD_LIMIT + 1)
         elif fault == "overlong line":
             row[-1] += " " * 200
+        elif fault == "spanning row":
+            # Extra cells quoted across line ends: short lines, but a row
+            # that may pass the line bound.
+            row += ['"' + draw(st.sampled_from(("0", ""))) + '\n"'] * draw(st.integers(1, 40))
         elif fault == "not utf-8":
             row[-1] += NOT_UTF8
         lines.append(",".join(row))
@@ -147,6 +152,12 @@ def stimulus_files(draw):
          batch_rows=5, limit_rows=None)
 @example(drawn=("dff", b"tick,C,D\n0,0,0\n1,1,0\n2,0,0\n" + b"," * 200 + b"\n"),
          batch_rows=5, limit_rows=None)
+# The row of tick 1 spans lines of five characters: 12 of them pass dff's
+# bound of 58, 11 and a closing quote do not (that row has too many cells).
+@example(drawn=("dff", b"tick,C,D\n0,0,0\n\n1" + b',"1\n"' * 12 + b"\n"), batch_rows=2,
+         limit_rows=None)
+@example(drawn=("dff", b"tick,C,D\n0,0,0\n\n1" + b',"1\n"' * 11 + b"\n"), batch_rows=2,
+         limit_rows=None)
 def test_batched_reader_matches_the_row_by_row_reader(tmp_path_factory, drawn, batch_rows,
                                                      limit_rows):
     name, data = drawn
