@@ -116,7 +116,11 @@ class CircuitElement:
     source, and ``read_step`` is rebuilt from it; a derived fold of another
     ``read_init``/``read_step`` is rebuilt from the current ones.  So
     ``replace(element, reads=r)`` walks ``r``, and an element built from
-    ``reads`` takes a new read step only with ``reads=None``.
+    ``reads`` takes a new read step only with ``reads=None``.  A multiclock
+    read step also carries its clock domains for :func:`kcir.classify`; a
+    replaced read step carries none, and ``classify`` uses them only with
+    the ``read_init`` they were made for, so no replacement is classified
+    through stale domains.
     """
 
     name: str

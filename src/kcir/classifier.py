@@ -24,6 +24,16 @@ failed axiom's witness is its smallest counterexample by rank.  The
 antisymmetry witness is the lexicographic minimum under the signal order of
 :meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
 history and shortest smallest paths below it.
+
+A multiclock circuit is classified as its clock domains first.  Its
+domains share no channel, so a joint read set is the union of one read set
+per domain at the same tick, and when every domain's own walk shows a
+partial order of defined read sets that each carry their tick, the joint
+relation is a partial order too: one small walk per domain, on its own
+clock, replaces the walk over the product of their clocks, whose nodes grow
+as the product of theirs.  Otherwise the joint histories are walked as
+above, so every report and witness of a circuit that is not time-preserving
+comes from the joint walk.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .signals import CausalSignal, Tick, history_count, prefix_leq, prefix_pair_count
+from .signals import BINARY, CausalSignal, Tick, history_count, prefix_leq, prefix_pair_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitElement
@@ -250,6 +260,7 @@ class _ReadStateDag:
     meets them, and then renumbered by rank before the sweep: ``refs`` holds
     the read sets' refs in sorted order, and an image id is its index there.
 
+    Level t holds the node ids below ``ends[t]`` and from ``ends[t - 1]`` on.
     Per node ``n``: ``images[n]`` is the image id (-1 where undefined),
     ``origins[n]`` the (first parent, symbol) it was met by, with parent -1
     at tick 0, ``children[n]`` its children in symbol order (none at the
@@ -273,6 +284,7 @@ class _ReadStateDag:
         images: list[int] = []
         origins: list[tuple[int, str]] = []
         children: list[Sequence[int]] = []
+        ends: list[int] = []
         excluded = work = 0
         # Per node of the last level: its id, read state, the histories
         # reaching it, and the sum over those histories of their undefined
@@ -306,6 +318,7 @@ class _ReadStateDag:
                     children[p] = row
                 if work > WALK_BUDGET:
                     raise BudgetError(t, horizon, f"over {WALK_BUDGET:,} read steps and refs")
+            ends.append(len(images))
             if len(images) * len(ids) > SWEEP_BUDGET:
                 raise BudgetError(t, horizon, f"{len(images):,} nodes times {len(ids):,} "
                                   f"read sets need over {SWEEP_BUDGET:,} bits")
@@ -319,7 +332,7 @@ class _ReadStateDag:
             rank[i] = r
         images = [rank[y] for y in images]
         self.symbols, self.images, self.origins, self.children = symbols, images, origins, children
-        self.excluded = excluded
+        self.ends, self.excluded = ends, excluded
         self.refs = [seen[i] for i in order]
 
         self.reach = reach = [0] * len(images)
@@ -377,6 +390,47 @@ class _ReadStateDag:
         raise LookupError("no target below the node")
 
 
+def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[list[int]]:
+    """The joint images per tick of a circuit classified as its clock domains, or ``None``.
+
+    A multiclock circuit's read step carries ``domains``: the ``read_init``
+    it starts from and one (read_init, read_step) per clock domain, each on
+    its own clock's symbols "0" and "1".  The domains share no channel, so a
+    joint read set is the union of one read set per domain at the same tick.
+    When each domain's walk shows three things, the joint relation is a
+    partial order and a joint read set names its tick and its parts: every
+    domain's relation is a partial order, no domain's output is undefined,
+    and every image of a domain that reads is at the tick of its level (its
+    latest ref is at that tick).  A domain whose only read set is the empty
+    one reads nothing and drops out.  Then the joint images at tick t number
+    Πᵢ nᵢ(t) over the domains that read, where nᵢ(t) counts domain i's
+    images at t, and there is one image in all when no domain reads.  If any
+    of the three fails, or the element carries no domains for its own
+    ``read_init`` and ``read_step``, this returns ``None`` and ``classify``
+    walks the joint histories.
+    """
+    init, domains = getattr(circuit.read_step, "domains", (None, None))
+    if domains is None or init != circuit.read_init:
+        return None
+    counts = [1] * (horizon + 1)
+    reading = False
+    for read_init, read_step in domains:
+        dag = _ReadStateDag(read_init, read_step, BINARY.values, horizon)
+        if dag.excluded or not _axiom_report(dag.refs, dag.after).is_partial_order:
+            return None
+        if dag.refs == [()]:
+            continue
+        start = 0
+        for t, end in enumerate(dag.ends):
+            level = set(dag.images[start:end])
+            if any(max((tick for _, tick in dag.refs[y]), default=-1) != t for y in level):
+                return None
+            counts[t] *= len(level)
+            start = end
+        reading = True
+    return counts if reading else [1]
+
+
 def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     """Exhaustively classify ``circuit`` over control histories up to ``horizon``.
 
@@ -396,6 +450,11 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     off the same bit sets; a failure of any other axiom is reported through
     the axiom report alone.
 
+    A multiclock circuit whose read step carries its domains is first walked
+    domain by domain, each on its own clock (:func:`_domain_image_counts`).
+    Only if that does not show it time-preserving are its joint histories
+    walked, so every failure is reported and witnessed from the joint walk.
+
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
     computed but flagged degenerate in the stats.  A run that passes the
@@ -410,17 +469,16 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         return Classification(Verdict.NOT_FUNDAMENTAL_FORM, None, None, stats)
 
     alphabet = circuit.control_alphabet
+    width = len(alphabet)
+    signals, pairs = history_count(width, horizon), prefix_pair_count(width, horizon)
+    counts = _domain_image_counts(circuit, horizon)
+    if counts is not None:
+        stats = ClassifyStats(horizon, signals, pairs, sum(counts), 0, degenerate)
+        return Classification(Verdict.TIME_PRESERVING, AxiomReport(True, True, True), None, stats)
+
     dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
     report = _axiom_report(dag.refs, dag.after)
-    width = len(alphabet)
-    stats = ClassifyStats(
-        horizon=horizon,
-        signals=history_count(width, horizon),
-        relation_pairs=prefix_pair_count(width, horizon),
-        distinct_read_sets=len(dag.refs),
-        excluded_undefined=dag.excluded,
-        degenerate_horizon=degenerate,
-    )
+    stats = ClassifyStats(horizon, signals, pairs, len(dag.refs), dag.excluded, degenerate)
 
     if report.is_partial_order:
         return Classification(Verdict.TIME_PRESERVING, report, None, stats)

@@ -37,7 +37,10 @@ channel's edge ticks from the control symbols alone, never a sample value.
 The control symbol joins the clock samples with '/'.  The step and the read
 step look it up in one ``_clock_words`` table, which maps each symbol to
 the mask of its clocks at 1, so both find the rising clocks in two lookups
-and refuse a clock sample that is not a bit.
+and refuse a clock sample that is not a bit.  A multiclock circuit's read
+step also carries ``domains``: its ``read_init`` and one (read_init,
+read_step) per domain on that domain's one-bit clock alone, made by the
+same reader, so :func:`kcir.classify` can walk each domain on its own.
 
 The parser is the only validator: a hand-built :class:`CircuitAst` is
 elaborated only if its canonical text, :func:`pretty_print`, parses back to it.
@@ -719,7 +722,8 @@ def _clocked_reader(
     they are the current tick.  The read state is (previous control symbol,
     per-channel edge refs), with the channels of all domains sorted together;
     each channel keeps its domain's clock bit, and an edge of that clock
-    appends one ref to it.
+    appends one ref to it.  One domain with the words of one clock gives
+    that domain's reader on its own clock: the symbols "0" and "1".
     """
     clock_bit = {name: 1 << k for k, domain in enumerate(domains) for name in domain.inputs}
     channels = tuple(sorted(clock_bit))
@@ -749,7 +753,9 @@ def _clocked_element(ast: CircuitAst) -> CircuitElement:
     bits.  The step and the read step look symbols up in one ``words`` table
     and refuse the others with ``_reject_clocks``.  A non-bit data sample is
     refused naming the circuit, or for multiclock the domain as
-    ``circuit.domain``, after the clock samples are checked.
+    ``circuit.domain``, after the clock samples are checked.  A multiclock
+    read step carries ``domains``, the per-domain readers that ``classify``
+    walks in place of the product of the clocks.
     """
     names = [
         (ast.name if ast.kind == "sync" else f"{ast.name}.{domain.name}", name)
@@ -771,6 +777,9 @@ def _clocked_element(ast: CircuitAst) -> CircuitElement:
     }
     exec(_step_code(ast.domains), namespace)
     read_init, read_step = _clocked_reader(ast.domains, words)
+    if clocks > 1:
+        one = _clock_words(1)
+        read_step.domains = (read_init, tuple(_clocked_reader((d,), one) for d in ast.domains))
     return CircuitElement(
         name=ast.name,
         control_channels=tuple(domain.clock for domain in ast.domains),

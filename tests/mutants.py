@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 ORACLE = "tests/test_oracle.py"
 CLI = "tests/test_cli.py"
+DOMAINS = "tests/test_classifier.py::TestClassifyByDomains"
 
 MUTANTS = (
     Mutant(
@@ -82,6 +83,41 @@ MUTANTS = (
         "sum(1 << y for y in _members(mask) if after[y] >> x & 1)",
         (f"{ORACLE}::test_classify_never_reports_a_reflexivity_failure",
          f"{ORACLE}::test_table_read_maps_match_the_oracle"),
+    ),
+    Mutant(
+        "the per-tick product summed over one tick too few",
+        "src/kcir/classifier.py",
+        "return counts if reading else [1]",
+        "return counts[:-1] if reading else [1]",
+        (f"{ORACLE}::test_circuit_files_match_the_oracle[twoclock.kcir]",
+         f"{DOMAINS}::test_drawn_multiclock_circuits_match_the_joint_walk"),
+    ),
+    Mutant(
+        "the route taken although a domain fails an axiom",
+        "src/kcir/classifier.py",
+        "if dag.excluded or not _axiom_report(dag.refs, dag.after).is_partial_order:",
+        "if dag.excluded:",
+        (f"{ORACLE}::test_each_fallback_matches_the_joint_walk[intransitive]",
+         f"{ORACLE}::test_mealy_products_match_the_walk"),
+    ),
+    Mutant(
+        "the level check on a domain's images dropped",
+        "src/kcir/classifier.py",
+        "            if any(max((tick for _, tick in dag.refs[y]), default=-1) != t"
+        " for y in level):\n"
+        "                return None\n",
+        "",
+        (f"{ORACLE}::test_each_fallback_matches_the_joint_walk[misses-the-tick]",
+         f"{ORACLE}::test_each_fallback_matches_the_joint_walk[both-miss-the-tick]"),
+    ),
+    Mutant(
+        "_clocked_reader appends an edge ref to every channel at any clock's edge",
+        "src/kcir/dsl.py",
+        "own + ((c, tick),) if rise & bit else own",
+        "own + ((c, tick),) if rise else own",
+        (f"{ORACLE}::test_read_steps_match_the_rescanning_read_maps[twoclock.kcir]",
+         "tests/test_dsl.py::TestCompiledStepMatchesTheReference"
+         "::test_read_step_equals_the_reference"),
     ),
     Mutant(
         "a stimulus row may span twice the line bound",

@@ -29,6 +29,11 @@ The check references, :func:`causality_check` and
 or cut, from tick 0, for both runs; the library folds only the compared
 ticks and shares the prefix the runs agree on.
 
+The domain product, :func:`domain_product`, builds an element out of
+hand-made clock domains, each a read step on its clock's symbols "0" and
+"1", the way a multiclock circuit is made of its domains, so a test can make
+one domain break a condition of ``classify``'s per-domain route.
+
 The stimulus reference, :func:`read_stimulus`, reads and checks a stimulus
 CSV one row at a time, cell by cell, as ``kcir simulate`` did before it
 checked whole batches of rows a column at a time.
@@ -589,6 +594,69 @@ def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple
                 state, refs = element.read_step(state, symbol, tick)
             smallest.setdefault((t, state, refs), history)
     return sorted(smallest.values(), key=lambda h: CausalSignal(alphabet, h).sort_key())
+
+
+# --- elements made of clock domains ---------------------------------------------
+
+#: A domain's read state and step, on its own clock's symbols "0" and "1".
+Part = tuple[object, ReadStepFn]
+
+
+def history_part(reads: Callable[[tuple[str, ...]], Optional[Refs]]) -> Part:
+    """A domain whose read state is its clock history and whose refs are ``reads`` of it."""
+
+    def read_step(history, symbol, tick):
+        history = (*history, symbol)
+        return history, reads(history)
+
+    return (), read_step
+
+
+def _own_channels(step: ReadStepFn, k: int) -> ReadStepFn:
+    """``step`` with ``k`` appended to the name of every channel it reads."""
+
+    def read_step(state, symbol, tick):
+        state, refs = step(state, symbol, tick)
+        return state, None if refs is None else tuple((f"{c}{k}", u) for c, u in refs)
+
+    return read_step
+
+
+def domain_product(parts: Sequence[Part]) -> CircuitElement:
+    """An element whose read step is the product of ``parts``, one per clock.
+
+    The control symbol joins one clock sample per part with '/', as a
+    multiclock circuit's does.  Part k's channels get the suffix k, so no
+    two parts share a channel, as the parser ensures for the domains of a
+    file.  The joint read state is the tuple of the parts' states, and the
+    joint refs are the union of the parts' refs, undefined where any part's
+    are.  The read step carries the parts as ``domains``, as a multiclock
+    circuit's does, so ``kcir.classify`` tries them before the joint walk.
+    """
+    parts = [(init, _own_channels(step, k)) for k, (init, step) in enumerate(parts)]
+    steps = [step for _, step in parts]
+
+    def read_step(state, symbol, tick):
+        states, refs = [], set()
+        for part_state, step, bit in zip(state, steps, split_symbol(symbol)):
+            part_state, part_refs = step(part_state, bit, tick)
+            states.append(part_state)
+            if refs is not None:
+                refs = None if part_refs is None else refs.union(part_refs)
+        return tuple(states), None if refs is None else tuple(sorted(refs))
+
+    read_init = tuple(init for init, _ in parts)
+    read_step.domains = (read_init, tuple(parts))
+    return CircuitElement(
+        name="product",
+        control_channels=tuple(f"c{k}" for k in range(len(parts))),
+        control_alphabet=Alphabet.product(*(("0", "1"),) * len(parts)),
+        input_channels=(),
+        init=None,
+        step=lambda state, symbol, samples: (state, None),
+        read_init=read_init,
+        read_step=read_step,
+    )
 
 
 # --- simulation ---------------------------------------------------------------

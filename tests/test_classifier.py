@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcir import (
@@ -18,16 +19,18 @@ from kcir import (
     classify,
     counter_element,
     dff_element,
+    elaborate,
+    load_circuit,
     mux_element,
     sr_latch_element,
     toggler_pair_element,
 )
 
 from kcir import classifier
-from kcir.classifier import BudgetError, refs_text
+from kcir.classifier import BudgetError, _domain_image_counts, refs_text
 
 from . import oracle
-from .conftest import ranked_axiom_report
+from .conftest import CIRCUITS_DIR, ranked_axiom_report
 from .oracle import (
     DerivedRelation,
     build_prefix_relation,
@@ -35,6 +38,7 @@ from .oracle import (
     enumerate_causal_signals,
     find_antisymmetry_witness,
 )
+from .test_dsl import _circuits
 
 
 DFF_READS = dff_element().reads
@@ -423,3 +427,94 @@ class TestWitnessMonotonicity:
             witness = results[horizon].witness
             assert witness == base
             assert witness.holds(element.reads)
+
+
+# --- classification by clock domains ------------------------------------------
+
+#: Read sets by tick parity on twoclock's channels: each reaches the other.
+SWAP = ((("D1", 0),), (("D2", 0),))
+
+NO_INPUTS = """
+circuit idle {
+  kind multiclock;
+  domain a { clock ca; state 1 init 0; next q0 = not(q0); out y = q0; }
+  domain b { clock cb; state 1 init 1; in x; next q0 = x; out z = q0; }
+  domain c { clock cc; state 1 init 1; next q0 = q0; out w = q0; }
+}
+"""
+
+
+def _joint(element: CircuitElement) -> CircuitElement:
+    """``element`` with a read step that carries no domains, so ``classify`` walks it jointly."""
+    step = element.read_step
+    return dataclasses.replace(element, read_step=lambda state, sym, tick: step(state, sym, tick))
+
+
+class TestClassifyByDomains:
+    def test_a_replaced_read_step_or_read_map_is_classified(self):
+        twoclock = toggler_pair_element()
+        assert classify(twoclock, 2).verdict is Verdict.TIME_PRESERVING
+        replaced = (
+            dataclasses.replace(twoclock, read_step=lambda state, symbol, tick: (
+                tick % 2, SWAP[tick % 2])),
+            dataclasses.replace(twoclock, reads=lambda control: ReadSet(SWAP[control.t % 2])),
+        )
+        for element in replaced:
+            result = classify(element, 2)
+            assert result.verdict is Verdict.NOT_TIME_PRESERVING
+            assert result.witness.holds(element.reads)
+            assert result == oracle.walk_classify(element, 2)
+
+    def test_a_replaced_read_init_is_walked_from(self):
+        # Both clocks low before tick 0, so a 1 at tick 0 is an edge.
+        twoclock = toggler_pair_element()
+        element = dataclasses.replace(twoclock, read_init=("0/0", ((), ())))
+        result = classify(element, 3)
+        assert result == oracle.walk_classify(element, 3)
+        assert result.stats != classify(twoclock, 3).stats
+
+    def test_the_route_never_steps_the_joint_read_step(self):
+        twoclock = toggler_pair_element()
+        ticks = []
+
+        def counting(state, symbol, tick):
+            ticks.append(tick)
+            return twoclock.read_step(state, symbol, tick)
+
+        counting.domains = twoclock.read_step.domains
+        result = classify(dataclasses.replace(twoclock, read_step=counting), 5)
+        assert ticks == []
+        assert result == classify(_joint(twoclock), 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_circuits(min_domains=2), st.data())
+    def test_drawn_multiclock_circuits_match_the_joint_walk(self, ast, data):
+        # The joint walk steps up to 2**(clocks * (horizon + 1)) histories' worth of nodes.
+        horizon = data.draw(st.integers(0, 14 // len(ast.domains) - 1))
+        element = elaborate(ast)
+        assert _domain_image_counts(element, horizon) is not None
+        assert classify(element, horizon) == classify(_joint(element), horizon)
+
+    def test_domains_without_inputs_drop_out(self):
+        # Domain b alone reads, so the joint read sets are its read sets.
+        element = load_circuit(NO_INPUTS)
+        alone = load_circuit("circuit b { kind sync; clock cb; state 1 init 1; in x; "
+                             "next q0 = x; out z = q0; }")
+        # No domain reads, so the one read set is the empty one.
+        idle = load_circuit(NO_INPUTS.replace("in x; next q0 = x;", "next q0 = q0;"))
+        for horizon in range(5):
+            result = classify(element, horizon)
+            assert result == classify(_joint(element), horizon)
+            expected = classify(alone, horizon).stats.distinct_read_sets
+            assert result.stats.distinct_read_sets == expected
+            result = classify(idle, horizon)
+            assert result == classify(_joint(idle), horizon)
+            assert result.stats.distinct_read_sets == 1
+
+    @pytest.mark.parametrize("name,horizon", [("twoclock", 10), ("threeclock", 7)])
+    def test_deep_multiclock_horizons_take_well_under_a_second(self, name, horizon):
+        element = load_circuit((CIRCUITS_DIR / f"{name}.kcir").read_text(encoding="utf-8"))
+        started = time.perf_counter()
+        result = classify(element, horizon)
+        assert time.perf_counter() - started < 1.0
+        assert result.verdict is Verdict.TIME_PRESERVING

@@ -34,6 +34,14 @@ def circuit(name: str) -> str:
     return str(CIRCUITS_DIR / name)
 
 
+def multiclock_text(domains: int) -> str:
+    """A multiclock circuit of ``domains`` one-register domains, each latching its own input."""
+    return "circuit big { kind multiclock; " + " ".join(
+        f"domain d{i} {{ clock c{i}; state 1 init 0; in x{i}; next q0 = x{i}; out y{i} = q0; }}"
+        for i in range(domains)
+    ) + " }"
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("classify must not start")
 
@@ -97,10 +105,11 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "name,horizon",
         [("dff.kcir", 18), ("dff.kcir", 200), ("abmem.kcir", 8), ("mux.kcir", 400),
-         ("counter.kcir", 18)],
+         ("counter.kcir", 18), ("twoclock.kcir", 10), ("threeclock.kcir", 7)],
     )
     def test_deep_horizons_report_like_the_library(self, capsys, name, horizon):
-        # Each of these covers over 10^6 control histories, but few read states.
+        # Each of these covers over 10^6 control histories, but few read states,
+        # or for twoclock and threeclock few per clock domain.
         code, out, err = run(
             capsys, "classify", "--circuit", circuit(name),
             "--horizon", str(horizon), "--format", "json",
@@ -112,6 +121,27 @@ class TestClassifyCommand:
         assert report["stats"] == dataclasses.asdict(result.stats)
         assert report["axioms"] == cli._axioms_json(result.axiom_report)
         assert report["witness"] == cli._witness_json(result.witness)
+
+    def test_the_most_domains_classify_at_horizon_12(self, tmp_path, capsys):
+        path = tmp_path / "big.kcir"
+        path.write_text(multiclock_text(MAX_DOMAINS))
+        code, out, err = run(
+            capsys, "classify", "--circuit", str(path), "--horizon", "12", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        result = classify(load_circuit(multiclock_text(MAX_DOMAINS)), 12)
+        report = json.loads(out)
+        assert report["verdict"] == "time-preserving"
+        assert report["stats"] == dataclasses.asdict(result.stats)
+
+    def test_a_budget_names_the_level_a_clock_domain_reached(self, monkeypatch, capsys):
+        # Each threeclock domain is walked on its own, and the budget holds for each walk.
+        monkeypatch.setattr(classifier, "WALK_BUDGET", 100)
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit("threeclock.kcir"), "--horizon", "7",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: classify stopped at level 5 of 7: over 100 read steps and refs\n"
 
     @pytest.mark.parametrize("budget,count", [
         ("WALK_BUDGET", 33), ("SWEEP_BUDGET", 51), ("AXIOM_BUDGET", 12),
@@ -845,10 +875,7 @@ class TestDescriptionSizeGuards:
     def test_domains_past_the_limit_are_refused_before_the_alphabet_is_built(self, tmp_path):
         # 40 domains would make a control alphabet of 2**40 symbols; the child
         # processes' capped address space makes building it fail fast.
-        text = "circuit big { kind multiclock; " + " ".join(
-            f"domain d{i} {{ clock c{i}; state 1 init 0; next q0 = not(q0); out y{i} = q0; }}"
-            for i in range(40)
-        ) + " }"
+        text = multiclock_text(40)
         path = tmp_path / "big.kcir"
         path.write_text(text)
         stimulus = tmp_path / "stimulus.csv"

@@ -388,12 +388,13 @@ def _domains(draw, name: str = "", clock: str = "clk", inputs: tuple[str, ...] =
 
 
 @st.composite
-def _circuits(draw) -> CircuitAst:
+def _circuits(draw, min_domains: int = 1) -> CircuitAst:
     """A sync circuit, or a multiclock one of up to ``MAX_DOMAINS`` domains.
 
-    Each domain has its own clock and 0 to 3 inputs of its own.
+    Each domain has its own clock and 0 to 3 inputs of its own; there are
+    ``min_domains`` domains at least.
     """
-    count = draw(st.integers(1, MAX_DOMAINS))
+    count = draw(st.integers(min_domains, MAX_DOMAINS))
     names = list(draw(st.permutations(AWKWARD_NAMES)))
     domains = []
     for k in range(count):

@@ -8,7 +8,9 @@ Drawn Mealy read steps make the DAG merge histories.  The DAG's node table
 numbers nodes in the order of their smallest histories, with children after
 parents, and its ``after`` sets are the oracle's derived image pairs.  The
 read steps agree with those read maps at every node of the prefix tree, and
-report canonical refs.  The step-function simulator agrees with the prefix
+report canonical refs.  Elements made of clock domains classify as their
+joint walk, whether ``classify`` walks their domains or falls back to the
+joint histories.  The step-function simulator agrees with the prefix
 evaluators on whole output streams, and on the error a malformed input
 raises and the tick at which it raises.  The randomized checks, which fold
 only the ticks a trial compares, give the same reports and the same
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stdout
+from typing import Optional
 
 import pytest
 from hypothesis import find, given, settings
@@ -46,7 +49,7 @@ from kcir import (
     toggler_pair_element,
 )
 from kcir import cli
-from kcir.classifier import _axiom_report, _members, _ReadStateDag
+from kcir.classifier import _axiom_report, _domain_image_counts, _members, _ReadStateDag
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
@@ -311,20 +314,23 @@ MEALY_READS = ("none", "current", "last", "both")
 
 
 @st.composite
-def mealy_circuits(draw):
+def mealy_circuits(draw, symbols: Optional[tuple[str, ...]] = None, reads=MEALY_READS):
     """A circuit whose read step is a drawn table over (table state, control symbol).
 
     The table gives the next table state, whether the tick is an event, and
-    what is read: nothing (undefined), the current tick, the last event's
-    tick (undefined before any event), or both.
+    what is read, one of ``reads``: nothing (undefined), the current tick,
+    the last event's tick (undefined before any event), or both.  The
+    control symbols are ``symbols``, or one to three drawn ones.
     """
     states = draw(st.integers(2, 4))
-    alphabet = Alphabet(tuple("abc"[: draw(st.integers(1, 3))]))
+    if symbols is None:
+        symbols = tuple("abc"[: draw(st.integers(1, 3))])
+    alphabet = Alphabet(symbols)
     table = {
         (q, symbol): (
             draw(st.integers(0, states - 1)),
             draw(st.booleans()),
-            draw(st.sampled_from(MEALY_READS)),
+            draw(st.sampled_from(reads)),
         )
         for q in range(states)
         for symbol in alphabet.values
@@ -381,6 +387,71 @@ def test_mealy_strategy_merges_histories():
         settings=settings(max_examples=500, deadline=None, database=None),
     )
     assert classify(element, horizon) == oracle.classify(element, horizon)
+
+
+# --- classification by clock domains ------------------------------------------
+
+def _current(history):
+    return (("s", len(history) - 1),)
+
+
+def _intransitive(history):
+    """The current tick, and tick 0 too at ticks 1 and 3 of a history that opens with 1.
+
+    So {(c,1)} (from 00) reaches {(c,2)}, which (from 100) reaches
+    {(c,0),(c,3)}, and {(c,1)} does not reach it: every read set holds its
+    tick, and transitivity fails from horizon 3 on.
+    """
+    t = len(history) - 1
+    return (("c", 0), ("c", t)) if history[0] == "1" and t in (1, 3) else (("c", t),)
+
+
+def _latest_one(history):
+    """The latest tick whose clock sample is 1, or tick 0: a reader that drops its tick."""
+    return (("l", max((u for u, bit in enumerate(history) if bit == "1"), default=0)),)
+
+
+#: Two-domain elements whose route falls back to the joint walk, for each
+#: reason: (parts, the lowest horizon at which it falls back).  Taking the
+#: route anyway would report other stats or another verdict for each.
+FALLBACKS = {
+    "undefined": (
+        [oracle.history_part(lambda h: (("u", len(h) - 1),) if "1" in h else None),
+         oracle.history_part(_current)], 0),
+    "misses-the-tick": (
+        [oracle.history_part(lambda h: (("m", 0),)), oracle.history_part(lambda h: ())], 1),
+    "both-miss-the-tick": ([oracle.history_part(_latest_one)] * 2, 1),
+    "intransitive": ([oracle.history_part(_intransitive), oracle.history_part(_current)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_each_fallback_matches_the_joint_walk(name):
+    parts, low = FALLBACKS[name]
+    element = oracle.domain_product(parts)
+    for horizon in range(5):
+        assert (_domain_image_counts(element, horizon) is None) == (horizon >= low)
+        assert classify(element, horizon) == oracle.walk_classify(element, horizon)
+
+
+@st.composite
+def mealy_products(draw):
+    """(element, horizon): two or three drawn Mealy read steps as the domains of one element.
+
+    Half the time every part reads its current tick, with or without its
+    last event's, so no part is undefined or misses its tick, and the route
+    is taken when every part is a partial order.
+    """
+    reads = draw(st.sampled_from([MEALY_READS, ("current", "both")]))
+    parts = draw(st.lists(mealy_circuits(("0", "1"), reads), min_size=2, max_size=3))
+    element = oracle.domain_product([(part.read_init, part.read_step) for part in parts])
+    return element, draw(st.integers(0, 6 - len(parts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mealy_products())
+def test_mealy_products_match_the_walk(case):
+    assert classify(*case) == oracle.walk_classify(*case)
 
 
 # Horizons past the brute-force oracle's reach, checked against the walk.
