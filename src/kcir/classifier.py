@@ -25,15 +25,15 @@ antisymmetry witness is the lexicographic minimum under the signal order of
 :meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
 history and shortest smallest paths below it.
 
-A multiclock circuit is classified as its clock domains first.  Its
-domains share no channel, so a joint read set is the union of one read set
-per domain at the same tick, and when every domain's own walk shows a
-partial order of defined read sets that each carry their tick, the joint
-relation is a partial order too: one small walk per domain, on its own
-clock, replaces the walk over the product of their clocks, whose nodes grow
-as the product of theirs.  Otherwise the joint histories are walked as
-above, so every report and witness of a circuit that is not time-preserving
-comes from the joint walk.
+A multiclock circuit is classified as its clock domains first.  When its
+domains read no channel in common, as the parser ensures for a file, a
+joint read set is the union of one read set per domain at the same tick,
+and when every domain's own walk shows a partial order of defined read sets
+that each carry their tick, the joint relation is a partial order too: one
+small walk per domain, on its own clock, replaces the walk over the product
+of their clocks, whose nodes grow as the product of theirs.  Otherwise the
+joint histories are walked as above, so every report and witness of a
+circuit that is not time-preserving comes from the joint walk.
 """
 
 from __future__ import annotations
@@ -395,17 +395,18 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
 
     A multiclock circuit's read step carries ``domains``: the ``read_init``
     it starts from and one (read_init, read_step) per clock domain, each on
-    its own clock's symbols "0" and "1".  The domains share no channel, so a
-    joint read set is the union of one read set per domain at the same tick.
-    When each domain's walk shows three things, the joint relation is a
-    partial order and a joint read set names its tick and its parts: every
-    domain's relation is a partial order, no domain's output is undefined,
-    and every image of a domain that reads is at the tick of its level (its
-    latest ref is at that tick).  A domain whose only read set is the empty
-    one reads nothing and drops out.  Then the joint images at tick t number
+    its own clock's symbols "0" and "1".  When the domains share no channel,
+    a joint read set is the union of one read set per domain at the same
+    tick.  When each domain's walk shows four things, the joint relation is
+    a partial order and a joint read set names its tick and its parts: its
+    read sets name no channel an earlier domain's do, every domain's
+    relation is a partial order, no domain's output is undefined, and every
+    image of a domain that reads is at the tick of its level (its latest ref
+    is at that tick).  A domain whose only read set is the empty one reads
+    nothing and drops out.  Then the joint images at tick t number
     Πᵢ nᵢ(t) over the domains that read, where nᵢ(t) counts domain i's
     images at t, and there is one image in all when no domain reads.  If any
-    of the three fails, or the element carries no domains for its own
+    of the four fails, or the element carries no domains for its own
     ``read_init`` and ``read_step``, this returns ``None`` and ``classify``
     walks the joint histories.
     """
@@ -414,10 +415,15 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
         return None
     counts = [1] * (horizon + 1)
     reading = False
+    channels: set[ChannelId] = set()  # the channels the domains walked so far read
     for read_init, read_step in domains:
         dag = _ReadStateDag(read_init, read_step, BINARY.values, horizon)
         if dag.excluded or not _axiom_report(dag.refs, dag.after).is_partial_order:
             return None
+        own = {channel for refs in dag.refs for channel, _ in refs}
+        if not channels.isdisjoint(own):
+            return None
+        channels |= own
         if dag.refs == [()]:
             continue
         start = 0

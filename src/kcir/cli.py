@@ -6,7 +6,8 @@ simulation hit an undefined output without ``--allow-undef``.
 
 JSON reports carry the top-level keys circuit, command, verdict, axioms,
 witness, stats, and timing, serialized with sorted keys so identical inputs
-produce byte-identical output on every rerun.  The timing key is null in JSON
+produce byte-identical output on every rerun.  One encoder, ``_json``, turns
+each result record into JSON data field by field.  The timing key is null in JSON
 for that reason; wall time is printed by text ``classify`` and ``check``, and
 the text ``chi-dump`` listing holds read sets only.
 
@@ -48,7 +49,7 @@ from .circuits import (
     output_stream,
     read_soundness_check,
 )
-from .classifier import AntisymmetryWitness, AxiomReport, BudgetError, Refs, classify, refs_text
+from .classifier import BudgetError, ReadSet, Refs, classify, refs_text
 from .dsl import ParseError, load_circuit
 from .signals import CausalSignal
 
@@ -88,43 +89,23 @@ class _ArgumentParser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Serialization helpers
 
-def _signal_json(signal: CausalSignal) -> dict:
-    return {"t": signal.t, "samples": list(signal.samples)}
+def _json(record):
+    """A result record as JSON data, field by field.
 
-
-def _refs_json(refs: Optional[Iterable[tuple[str, int]]]) -> Optional[list]:
-    """A read set, or a read step's refs, as a list of channel/tick objects."""
-    if refs is None:
-        return None
-    return [{"channel": channel, "tick": tick} for channel, tick in refs]
-
-
-def _axioms_json(report: Optional[AxiomReport]) -> Optional[dict]:
-    if report is None:
-        return None
-    anti = report.antisymmetry_witness
-    trans = report.transitivity_witness
-    return {
-        "reflexive": report.reflexive,
-        "antisymmetric": report.antisymmetric,
-        "transitive": report.transitive,
-        "reflexivity_witness": _refs_json(report.reflexivity_witness),
-        "antisymmetry_witness": None if anti is None else [_refs_json(x) for x in anti],
-        "transitivity_witness": None if trans is None else [_refs_json(x) for x in trans],
-    }
-
-
-def _witness_json(witness: Optional[AntisymmetryWitness]) -> Optional[dict]:
-    if witness is None:
-        return None
-    return {
-        "a0": _signal_json(witness.a0),
-        "a1": _signal_json(witness.a1),
-        "b0": _signal_json(witness.b0),
-        "b1": _signal_json(witness.b1),
-        "x_reads": _refs_json(witness.x_reads),
-        "y_reads": _refs_json(witness.y_reads),
-    }
+    A :class:`CausalSignal` becomes ``{"t", "samples"}``, a :class:`ReadSet`
+    a list of ``{"channel", "tick"}`` objects, any other tuple a list, and a
+    dataclass a dict of its fields; other values are kept.
+    """
+    if isinstance(record, CausalSignal):
+        return {"t": record.t, "samples": list(record.samples)}
+    if isinstance(record, ReadSet):
+        return [{"channel": channel, "tick": tick} for channel, tick in record]
+    if isinstance(record, tuple):
+        return [_json(item) for item in record]
+    if dataclasses.is_dataclass(record):
+        return {field.name: _json(getattr(record, field.name))
+                for field in dataclasses.fields(record)}
+    return record
 
 
 #: Stands for the images in the encoded report until they are written.
@@ -165,14 +146,6 @@ def _write_report(element: CircuitElement, command: str, verdict: Optional[str],
         sys.stdout.writelines(",\n    " + text for text in texts)
         sys.stdout.write("\n  ]" + tail)
     sys.stdout.write("\n")
-
-
-def _signal_text(signal: CausalSignal) -> str:
-    return f"t={signal.t} samples={','.join(signal.samples)}"
-
-
-def _refs_text(refs: Optional[Refs]) -> str:
-    return "undefined" if refs is None else refs_text(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +342,10 @@ def _cmd_classify(args) -> int:
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
 
-    stats = dataclasses.asdict(result.stats)
+    stats = _json(result.stats)
     if args.format == "json":
-        _write_report(
-            element, "classify", result.verdict.value, stats,
-            _axioms_json(result.axiom_report), _witness_json(result.witness),
-        )
+        _write_report(element, "classify", result.verdict.value, stats,
+                      _json(result.axiom_report), _json(result.witness))
         return 0
 
     print(f"circuit: {element.name}")
@@ -392,15 +363,12 @@ def _cmd_classify(args) -> int:
         )
         print(f"axioms: {flags}")
     if result.witness is not None:
-        witness = result.witness
         print("witness:")
-        for label, signal in (
-            ("a0", witness.a0), ("a1", witness.a1),
-            ("b0", witness.b0), ("b1", witness.b1),
-        ):
-            print(f"  {label}: {_signal_text(signal)}")
-        print(f"  x_reads: {witness.x_reads}")
-        print(f"  y_reads: {witness.y_reads}")
+        for label in ("a0", "a1", "b0", "b1"):
+            signal = getattr(result.witness, label)
+            print(f"  {label}: t={signal.t} samples={','.join(signal.samples)}")
+        print(f"  x_reads: {result.witness.x_reads}")
+        print(f"  y_reads: {result.witness.y_reads}")
     print(
         "stats: " + " ".join(f"{key}={value}" for key, value in stats.items())
     )
@@ -441,7 +409,7 @@ def _cmd_chi_dump(args) -> int:
     if element.read_step is None:
         raise UsageError(f"circuit {element.name!r} has no restriction map to dump")
     tokens = [token.strip() for token in args.control.split(",")]
-    if not tokens or any(not token for token in tokens):
+    if not all(tokens):
         raise UsageError("--control must be a comma-separated list of control symbols")
     for token in tokens:
         if token not in element.control_alphabet:
@@ -465,7 +433,7 @@ def _cmd_chi_dump(args) -> int:
         _write_report(element, "chi-dump", None, {"ticks": len(tokens)}, images=images)
         return 0
     for tick, refs in enumerate(images):
-        print(f"{tick}: {_refs_text(refs)}")
+        print(f"{tick}: {'undefined' if refs is None else refs_text(refs)}")
     return 0
 
 
@@ -487,7 +455,7 @@ def _cmd_check(args) -> int:
     causality = causality_check(element, args.horizon, args.trials, args.seed)
     if element.read_step is not None:
         soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
-        soundness_stats = dataclasses.asdict(soundness)
+        soundness_stats = _json(soundness)
         failed = causality.violations > 0 or soundness.violations > 0
     else:
         soundness_stats = {"skipped": "circuit has no restriction map"}
@@ -496,7 +464,7 @@ def _cmd_check(args) -> int:
     stats = {
         "horizon": args.horizon,
         "seed": args.seed,
-        "causality": dataclasses.asdict(causality),
+        "causality": _json(causality),
         "read_soundness": soundness_stats,
     }
     verdict = "fail" if failed else "pass"

@@ -23,7 +23,10 @@ both a clock and an input, or the clock or an input of two domains, since
 each names one stimulus column.  Clause order inside a block is free.
 
 Parsing is all-or-nothing: the first problem raises :class:`ParseError` with
-a source span covering the offending token.
+a source span covering the offending token, or the character before the end
+of input.  The parser checks every expected token with one ``expect`` and
+raises every refusal through one ``_fail``; it groups each block's clauses
+by keyword once, and the checks of a block read those groups.
 
 A :class:`CircuitAst` is a name, a kind and its clock domains: a ``sync`` body
 parses to one unnamed :class:`DomainAst` and a ``multiclock`` circuit to one
@@ -58,7 +61,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Any, NoReturn, Optional, Sequence, Union
+from typing import Any, NamedTuple, NoReturn, Optional, Sequence, Union
 
 from . import circuits
 from .circuits import CircuitElement, SimulationError
@@ -165,8 +168,7 @@ class CircuitAst:
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "number", "punct", "eof"
     text: str
     line: int
@@ -202,15 +204,41 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _fail(message: str, where: Union[_Token, Var]) -> NoReturn:
+    """Raise at a token or a variable of an expression, with its span and text.
+
+    The end of input is named as such, at the character before it.
+    """
+    if isinstance(where, Var):
+        raise ParseError(message, where.span, where.name)
+    if where.kind == "eof":
+        raise ParseError(message, SourceSpan(where.line, max(1, where.column - 1), 1),
+                         "end of input")
+    raise ParseError(message, where.span, where.text)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
-@dataclass
-class _Clause:
-    category: str
+class _Clause(NamedTuple):
+    """One clause as its keyword, a name and a value.
+
+    The name is the one the clause declares, or the width for ``state``.  The
+    value is the init bits of ``state``, the expression of ``next`` and
+    ``out``, the clauses of ``domain``, and ``None`` for the others.
+    """
+
     keyword: _Token
-    names: list[_Token]
-    extra: tuple = ()
+    name: _Token
+    value: Any = None
+
+
+#: A block's clauses by keyword, each list in source order; the keywords
+#: in the order of their first clause.
+_Clauses = dict[str, list[_Clause]]
+
+#: The clauses that hold one name and nothing else, with what the name is.
+_ONE_NAME = {"kind": "circuit kind", "clock": "clock name", "in": "input name"}
 
 
 class _Parser:
@@ -226,155 +254,123 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: _Token):
-        span = token.span if token.kind != "eof" else SourceSpan(token.line, max(1, token.column - 1), 1)
-        raise ParseError(message, span, token.text or "end of input")
+    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> _Token:
+        """The next token, which must be of ``kind`` and, if given, read ``text``.
 
-    def expect_punct(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind != "punct" or token.text != text:
-            self.fail(f"expected {text!r}", token)
-        return self.advance()
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        token = self.peek()
-        if token.kind != "ident":
-            self.fail(f"expected {what}", token)
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        token = self.peek()
-        if token.kind != "ident" or token.text != word:
-            self.fail(f"expected {word!r}", token)
-        return self.advance()
+        Otherwise it fails with "expected" and ``what``, or the quoted ``text``.
+        """
+        token = self.tokens[self.pos]
+        if token.kind != kind or (text is not None and token.text != text):
+            _fail(f"expected {what or repr(text)}", token)
+        self.pos += 1
+        return token
 
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> CircuitAst:
-        self.expect_keyword("circuit")
-        name = self.expect_ident("circuit name")
-        self.expect_punct("{")
+        self.expect("ident", "circuit")
+        name = self.expect("ident", what="circuit name")
+        self.expect("punct", "{")
         clauses = self.parse_clauses(in_domain=False)
-        self.expect_punct("}")
-        trailing = self.peek()
-        if trailing.kind != "eof":
-            self.fail("expected end of input", trailing)
+        self.expect("punct", "}")
+        self.expect("eof", what="end of input")
         return _assemble_circuit(name, clauses)
 
-    def parse_clauses(self, in_domain: bool) -> list[_Clause]:
-        clauses = []
+    def parse_clauses(self, in_domain: bool) -> _Clauses:
+        clauses: _Clauses = {}
         while True:
             token = self.peek()
             if token.kind == "punct" and token.text == "}":
                 return clauses
             if token.kind != "ident" or token.text not in _CLAUSE_KEYWORDS:
-                self.fail("expected a clause keyword", token)
-            clauses.append(self.parse_clause(self.advance(), in_domain))
+                _fail("expected a clause keyword", token)
+            clauses.setdefault(token.text, []).append(self.parse_clause(self.advance(), in_domain))
 
     def parse_clause(self, keyword: _Token, in_domain: bool) -> _Clause:
         word = keyword.text
-        if word == "kind":
-            value = self.expect_ident("circuit kind")
-            if value.text not in KINDS:
-                self.fail("unknown kind", value)
-            self.expect_punct(";")
-            return _Clause("kind", keyword, [value])
-        if word == "clock":
-            name = self.expect_ident("clock name")
-            self.expect_punct(";")
-            return _Clause("clock", keyword, [name])
+        if word in _ONE_NAME:
+            name = self.expect("ident", what=_ONE_NAME[word])
+            if word == "kind" and name.text not in KINDS:
+                _fail("unknown kind", name)
+            self.expect("punct", ";")
+            return _Clause(keyword, name)
         if word == "state":
-            width = self.peek()
-            if width.kind != "number":
-                self.fail("expected state width", width)
-            self.advance()
+            width = self.expect("number", what="state width")
             if not width.text.strip("0"):
-                self.fail("state width must be positive", width)
-            self.expect_keyword("init")
+                _fail("state width must be positive", width)
+            self.expect("ident", "init")
             bits = self.peek()
             if bits.kind != "number" or any(c not in "01" for c in bits.text):
-                self.fail("init vector must contain only bits", bits)
+                _fail("init vector must contain only bits", bits)
             # Compared as text, so a huge width is refused before anything is
             # built for it (and never reaches int()).
             if width.text.lstrip("0") != str(len(bits.text)):
-                self.fail(
+                _fail(
                     f"init vector width {len(bits.text)} does not match "
                     f"state width {width.text}",
                     bits,
                 )
             self.advance()
-            self.expect_punct(";")
-            return _Clause("state", keyword, [width, bits])
-        if word == "in":
-            name = self.expect_ident("input name")
-            self.expect_punct(";")
-            return _Clause("in", keyword, [name])
+            self.expect("punct", ";")
+            return _Clause(keyword, width, bits)
         if word in ("next", "out"):
-            name = self.expect_ident("target name")
-            self.expect_punct("=")
+            name = self.expect("ident", what="target name")
+            self.expect("punct", "=")
             expr = self.parse_expr()
-            self.expect_punct(";")
-            return _Clause(word, keyword, [name], (expr,))
+            self.expect("punct", ";")
+            return _Clause(keyword, name, expr)
         # domain
         if in_domain:
-            self.fail("clause 'domain' not allowed inside a domain", keyword)
-        name = self.expect_ident("domain name")
-        self.expect_punct("{")
+            _fail("clause 'domain' not allowed inside a domain", keyword)
+        name = self.expect("ident", what="domain name")
+        self.expect("punct", "{")
         body = self.parse_clauses(in_domain=True)
-        self.expect_punct("}")
-        return _Clause("domain", keyword, [name], (body,))
+        self.expect("punct", "}")
+        return _Clause(keyword, name, body)
 
     def parse_expr(self, depth: int = 0) -> BoolExpr:
         token = self.peek()
         if token.kind == "number":
             if token.text not in ("0", "1"):
-                self.fail("expected 0 or 1", token)
+                _fail("expected 0 or 1", token)
             self.advance()
             return Lit(token.text, token.span)
-        if token.kind != "ident":
-            self.fail("expected an expression", token)
-        self.advance()
+        token = self.expect("ident", what="an expression")
         follow = self.peek()
         if not (follow.kind == "punct" and follow.text == "("):
             return Var(token.text, token.span)
         if token.text not in _OPERATORS:
-            self.fail("unknown operator", token)
+            _fail("unknown operator", token)
         if depth == MAX_EXPR_DEPTH:
-            self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", token)
+            _fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", token)
         self.advance()
         args = [self.parse_expr(depth + 1)]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.advance()
             args.append(self.parse_expr(depth + 1))
-        self.expect_punct(")")
+        self.expect("punct", ")")
         low, high = _OPERATORS[token.text]
         if len(args) < low or (high is not None and len(args) > high):
-            self.fail("arity mismatch", token)
+            _fail("arity mismatch", token)
         return Call(token.text, tuple(args), token.span)
 
 
 # ---------------------------------------------------------------------------
 # Assembly and validation
 
-def _fail(message: str, token):
-    """Raise at a lexer token or an expression node; both carry a span."""
-    text = getattr(token, "text", None)
-    if text is None:
-        text = getattr(token, "name", "")
-    raise ParseError(message, token.span, text)
-
-
-def _single(clauses: list[_Clause], category: str) -> Optional[_Clause]:
-    found = [c for c in clauses if c.category == category]
+def _single(clauses: _Clauses, word: str) -> Optional[_Clause]:
+    found = clauses.get(word, ())
     if len(found) > 1:
-        _fail(f"duplicate {category} clause", found[1].keyword)
+        _fail(f"duplicate {word} clause", found[1].keyword)
     return found[0] if found else None
 
 
-def _check_legal(clauses: list[_Clause], legal: set[str], where: str):
-    for clause in clauses:
-        if clause.category not in legal:
-            _fail(f"clause {clause.category!r} not allowed {where}", clause.keyword)
+def _check_legal(clauses: _Clauses, legal: set[str], where: str):
+    # Keywords come in the order of their first clause, so the first illegal
+    # keyword's first clause is the first illegal clause in source order.
+    for word, found in clauses.items():
+        if word not in legal:
+            _fail(f"clause {word!r} not allowed {where}", found[0].keyword)
 
 
 def _expr_vars(expr: BoolExpr):
@@ -386,7 +382,7 @@ def _expr_vars(expr: BoolExpr):
 
 
 def _assemble_domain(
-    domain_name: str, clauses: list[_Clause], anchor: _Token, what: str
+    domain_name: str, clauses: _Clauses, anchor: _Token, what: str
 ) -> DomainAst:
     """Shared validation for a sync circuit body or a multiclock domain body."""
     clock = _single(clauses, "clock")
@@ -395,16 +391,13 @@ def _assemble_domain(
     state = _single(clauses, "state")
     if state is None:
         _fail(f"{what} requires a state clause", anchor)
-    bits = state.names[1].text
+    bits = state.value.text
     width = len(bits)
 
     registers = {f"q{i}" for i in range(width)}
-    clock_name = clock.names[0].text
+    clock_name = clock.name.text
     inputs: dict[str, None] = {}
-    for clause in clauses:
-        if clause.category != "in":
-            continue
-        name = clause.names[0]
+    for _, name, _ in clauses.get("in", ()):
         if name.text in inputs:
             _fail("duplicate input name", name)
         if name.text in registers:
@@ -416,27 +409,21 @@ def _assemble_domain(
     declared = registers | inputs.keys()
 
     nexts: dict[str, BoolExpr] = {}
-    for clause in clauses:
-        if clause.category != "next":
-            continue
-        target = clause.names[0]
+    for _, target, expr in clauses.get("next", ()):
         if target.text not in registers:
             _fail("undeclared variable", target)
         if target.text in nexts:
             _fail("duplicate next clause for register", target)
-        nexts[target.text] = clause.extra[0]
+        nexts[target.text] = expr
     if len(nexts) < width:
         missing = min(i for i in range(width) if f"q{i}" not in nexts)
-        _fail(f"missing next expression for register q{missing}", state.names[0])
+        _fail(f"missing next expression for register q{missing}", state.name)
 
     outputs: dict[str, BoolExpr] = {}
-    for clause in clauses:
-        if clause.category != "out":
-            continue
-        name = clause.names[0]
+    for _, name, expr in clauses.get("out", ()):
         if name.text in outputs:
             _fail("duplicate out clause", name)
-        outputs[name.text] = clause.extra[0]
+        outputs[name.text] = expr
     if not outputs:
         _fail(f"{what} requires at least one out clause", anchor)
 
@@ -456,12 +443,12 @@ def _assemble_domain(
     )
 
 
-def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
+def _assemble_circuit(name: _Token, clauses: _Clauses) -> CircuitAst:
     kind_clause = _single(clauses, "kind")
     if kind_clause is None:
         _fail("missing kind clause", name)
-    kind = kind_clause.names[0].text
-    anchor = kind_clause.names[0]
+    anchor = kind_clause.name
+    kind = anchor.text
     _check_legal(clauses, _LEGAL_CLAUSES[kind], f"for kind {kind}")
 
     if kind in ("dff", "srlatch", "mux", "abmem"):
@@ -472,21 +459,19 @@ def _assemble_circuit(name: _Token, clauses: list[_Clause]) -> CircuitAst:
         return CircuitAst(name.text, kind, (body,))
 
     # multiclock
-    domain_clauses = [c for c in clauses if c.category == "domain"]
+    domain_clauses = clauses.get("domain", ())
     if len(domain_clauses) < 2:
         _fail("multiclock circuit requires two or more domain blocks", anchor)
     if len(domain_clauses) > MAX_DOMAINS:
         _fail(f"multiclock circuit has more than {MAX_DOMAINS} domain blocks",
-              domain_clauses[MAX_DOMAINS].names[0])
+              domain_clauses[MAX_DOMAINS].name)
     domains = []
-    seen_names: dict[str, _Token] = {}
+    seen_names: set[str] = set()
     names: set[str] = set()  # clocks and inputs of the earlier domains
-    for clause in domain_clauses:
-        dom_name = clause.names[0]
+    for _, dom_name, body in domain_clauses:
         if dom_name.text in seen_names:
             _fail("duplicate domain name", dom_name)
-        seen_names[dom_name.text] = dom_name
-        body = clause.extra[0]
+        seen_names.add(dom_name.text)
         _check_legal(body, _DOMAIN_CLAUSES, "inside a domain")
         domain = _assemble_domain(dom_name.text, body, dom_name, f"domain {dom_name.text}")
         if domain.clock in names:

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 ORACLE = "tests/test_oracle.py"
 CLI = "tests/test_cli.py"
+DSL = "tests/test_dsl.py"
 DOMAINS = "tests/test_classifier.py::TestClassifyByDomains"
 
 MUTANTS = (
@@ -111,6 +112,36 @@ MUTANTS = (
          f"{ORACLE}::test_each_fallback_matches_the_joint_walk[both-miss-the-tick]"),
     ),
     Mutant(
+        "the route taken although two domains read one channel",
+        "src/kcir/classifier.py",
+        "if not channels.isdisjoint(own):",
+        "if False:",
+        (f"{ORACLE}::test_domains_that_share_a_channel_are_walked_jointly",),
+    ),
+    Mutant(
+        "_step_source updates each domain at any clock's edge",
+        "src/kcir/dsl.py",
+        'body.append(f"if rise & {1 << k}:")',
+        'body.append("if rise:")',
+        ("tests/test_circuits.py::TestMulticlock::test_togglers_track_edge_parity",
+         f"{ORACLE}::test_streams_and_prefix_values_match_the_oracle[twoclock.kcir]"),
+    ),
+    Mutant(
+        "expect takes any token of the kind",
+        "src/kcir/dsl.py",
+        "if token.kind != kind or (text is not None and token.text != text):",
+        "if token.kind != kind:",
+        (f"{DSL}::TestParseBasics::test_clock_clause_takes_one_name",
+         f"{DSL}::TestRefusals"),
+    ),
+    Mutant(
+        "_fail names the end of input at its own column",
+        "src/kcir/dsl.py",
+        "SourceSpan(where.line, max(1, where.column - 1), 1)",
+        "SourceSpan(where.line, where.column, 1)",
+        (f"{DSL}::TestRefusals",),
+    ),
+    Mutant(
         "_clocked_reader appends an edge ref to every channel at any clock's edge",
         "src/kcir/dsl.py",
         "own + ((c, tick),) if rise & bit else own",
@@ -128,11 +159,40 @@ MUTANTS = (
          f"{CLI}::TestBoundedReads::test_row_spanning_lines_exits_2_in_flat_memory"),
     ),
     Mutant(
+        "a batch past the sample limit is taken without a row scan",
+        "src/kcir/cli.py",
+        "if first + len(batch) > max_rows or set(map(len, batch)) != width:",
+        "if set(map(len, batch)) != width:",
+        ("tests/test_stimulus.py::test_sample_limit_at_a_batch_boundary",
+         "tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader"),
+    ),
+    Mutant(
+        "_json encodes a read set as a plain tuple",
+        "src/kcir/cli.py",
+        "    if isinstance(record, ReadSet):\n"
+        "        return [{\"channel\": channel, \"tick\": tick} for channel, tick in record]\n"
+        "    if isinstance(record, tuple):\n"
+        "        return [_json(item) for item in record]\n",
+        "    if isinstance(record, tuple):\n"
+        "        return [_json(item) for item in record]\n"
+        "    if isinstance(record, ReadSet):\n"
+        "        return [{\"channel\": channel, \"tick\": tick} for channel, tick in record]\n",
+        (f"{CLI}::TestClassifyCommand::test_abmem_json_report",),
+    ),
+    Mutant(
         "a circuit file's byte order mark is read as text",
         "src/kcir/cli.py",
         'with open(path, encoding="utf-8-sig") as handle:',
         'with open(path, encoding="utf-8") as handle:',
         (f"{CLI}::TestBomLedCircuitFiles",),
+    ),
+    Mutant(
+        "_random_streams redraws a rejected sample once only",
+        "src/kcir/circuits.py",
+        "            while r >= n:\n",
+        "            if r >= n:\n",
+        ("tests/test_circuits.py::TestRandomizedProperties::test_streams_draw_like_choice",
+         f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[4-abmem_element]"),
     ),
 )
 

@@ -622,18 +622,21 @@ def _own_channels(step: ReadStepFn, k: int) -> ReadStepFn:
     return read_step
 
 
-def domain_product(parts: Sequence[Part]) -> CircuitElement:
+def domain_product(parts: Sequence[Part], shared: bool = False) -> CircuitElement:
     """An element whose read step is the product of ``parts``, one per clock.
 
     The control symbol joins one clock sample per part with '/', as a
     multiclock circuit's does.  Part k's channels get the suffix k, so no
     two parts share a channel, as the parser ensures for the domains of a
-    file.  The joint read state is the tuple of the parts' states, and the
-    joint refs are the union of the parts' refs, undefined where any part's
-    are.  The read step carries the parts as ``domains``, as a multiclock
-    circuit's does, so ``kcir.classify`` tries them before the joint walk.
+    file; with ``shared`` they keep their names, so two parts may read one
+    channel, as no file can describe.  The joint read state is the tuple of
+    the parts' states, and the joint refs are the union of the parts' refs,
+    undefined where any part's are.  The read step carries the parts as
+    ``domains``, as a multiclock circuit's does, so ``kcir.classify`` tries
+    them before the joint walk.
     """
-    parts = [(init, _own_channels(step, k)) for k, (init, step) in enumerate(parts)]
+    if not shared:
+        parts = [(init, _own_channels(step, k)) for k, (init, step) in enumerate(parts)]
     steps = [step for _, step in parts]
 
     def read_step(state, symbol, tick):

@@ -549,6 +549,16 @@ class TestRandomizedProperties:
         with pytest.raises(ValueError, match="trials must be >= 0"):
             check(dff_element(), 4, -3, 0)
 
+    def test_read_soundness_refuses_a_negative_horizon(self):
+        with pytest.raises(ValueError) as info:
+            read_soundness_check(dff_element(), -1, 10, 0)
+        assert str(info.value) == "horizon must be >= 0"
+
+    def test_causality_refuses_a_horizon_below_1(self):
+        with pytest.raises(ValueError) as info:
+            causality_check(dff_element(), 0, 10, 0)
+        assert str(info.value) == "causality needs a horizon of at least 1"
+
     def test_causality_catches_an_impure_step(self):
         # The output reads how often the step was called, not its arguments,
         # so the run after the mutation differs before the mutated tick.

@@ -258,6 +258,24 @@ class TestFindAntisymmetryWitness:
         assert witness.y_reads == ReadSet.of(("D", 1))
         assert witness.holds(element.reads)
 
+    def test_abmem_witness_with_a1_not_extending_a0_does_not_hold(self):
+        element = abmem_element()
+        witness = classify(element, 2).witness
+        assert witness.holds(element.reads)
+        # a0 and a1 swapped: the new a1 is one tick shorter than the new a0.
+        # The read map agrees with every stored read set, so only the prefix
+        # check can refuse it.
+        swapped = dataclasses.replace(witness, a0=witness.a1, a1=witness.a0)
+        reads = {swapped.a0: swapped.x_reads, swapped.b1: swapped.x_reads,
+                 swapped.a1: swapped.y_reads, swapped.b0: swapped.y_reads}
+        assert not swapped.holds(reads.get)
+
+    def test_abmem_witness_whose_read_sets_agree_does_not_hold(self):
+        witness = classify(abmem_element(), 2).witness
+        same = dataclasses.replace(witness, y_reads=witness.x_reads)
+        # Every signal reads x, so only the check that x and y differ can refuse it.
+        assert not same.holds(lambda signal: witness.x_reads)
+
 
 # --- classify ---------------------------------------------------------------
 

@@ -66,6 +66,29 @@ class TestClassifyCommand:
             "circuit", "command", "verdict", "axioms", "witness", "stats", "timing",
         }
 
+    def test_abmem_text_report_prints_its_witness(self, capsys):
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit("abmem.kcir"), "--horizon", "2",
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert re.fullmatch(r"timing: \d+\.\d{3}s", lines.pop())
+        assert lines == [
+            "circuit: abmem",
+            "command: classify",
+            "verdict: not-time-preserving",
+            "axioms: reflexive=yes antisymmetric=no transitive=yes",
+            "witness:",
+            "  a0: t=0 samples=A/A",
+            "  a1: t=1 samples=A/A,A/A",
+            "  b0: t=1 samples=A/A,B/B",
+            "  b1: t=2 samples=A/A,B/B,B/A",
+            "  x_reads: {(D,0)}",
+            "  y_reads: {(D,1)}",
+            "stats: horizon=2 signals=819 relation_pairs=2358 distinct_read_sets=3"
+            " excluded_undefined=1748 degenerate_horizon=False",
+        ]
+
     def test_srlatch_is_not_fundamental_form(self, capsys):
         code, out, _ = run(
             capsys,
@@ -119,8 +142,8 @@ class TestClassifyCommand:
         report = json.loads(out)
         assert report["verdict"] == result.verdict.value
         assert report["stats"] == dataclasses.asdict(result.stats)
-        assert report["axioms"] == cli._axioms_json(result.axiom_report)
-        assert report["witness"] == cli._witness_json(result.witness)
+        assert report["axioms"] == cli._json(result.axiom_report)
+        assert report["witness"] == cli._json(result.witness)
 
     def test_the_most_domains_classify_at_horizon_12(self, tmp_path, capsys):
         path = tmp_path / "big.kcir"
@@ -643,6 +666,21 @@ class TestChiDumpCommand:
         assert report["command"] == "chi-dump"
         assert report["images"] == [None, [{"channel": "D", "tick": 1}]]
 
+    def test_json_of_a_circuit_that_reads_nothing(self, tmp_path, capsys):
+        # A sync circuit with no in clause reads the empty set at every tick.
+        path = tmp_path / "toggle.kcir"
+        path.write_text("circuit t { kind sync; clock c; state 1 init 0;"
+                        " next q0 = not(q0); out y = q0; }")
+        code, out, err = run(
+            capsys, "chi-dump", "--circuit", str(path), "--control", "0,1", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "axioms": null,\n  "circuit": "t",\n  "command": "chi-dump",\n'
+            '  "images": [\n    [],\n    []\n  ],\n  "stats": {\n    "ticks": 2\n  },\n'
+            '  "timing": null,\n  "verdict": null,\n  "witness": null\n}\n'
+        )
+
     def test_srlatch_has_nothing_to_dump(self, capsys):
         code, _, err = run(
             capsys,
@@ -805,6 +843,40 @@ class TestCheckCommand:
         argv = ["check", "--circuit", circuit("dff.kcir"), "--trials", "1", "--horizon"]
         assert run(capsys, *argv, str(top))[0] == 0
         assert run(capsys, *argv, str(top + 1))[0] == 2
+
+
+class TestRefusalMessages:
+    """Usage errors of the subcommands, each with its one exact line."""
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [("", "stimulus file is empty"),
+         ("\n\n", "stimulus file is empty"),
+         ("tick,C,D,D\n0,0,1,1\n", "stimulus has a duplicate column")],
+        ids=["empty", "blank-lines", "duplicate-column"],
+    )
+    def test_stimulus_refusals(self, tmp_path, capsys, rows, message):
+        stim = tmp_path / "stim.csv"
+        stim.write_text(rows)
+        code, out, err = run(
+            capsys, "simulate", "--circuit", circuit("dff.kcir"), "--stimulus", str(stim),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("control", ["0,,1", "0,1,", ",", " "])
+    def test_control_list_with_an_empty_item(self, capsys, control):
+        code, out, err = run(
+            capsys, "chi-dump", "--circuit", circuit("dff.kcir"), "--control", control,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --control must be a comma-separated list of control symbols\n"
+
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_check_needs_a_horizon_of_at_least_1(self, capsys, horizon):
+        code, out, err = run(
+            capsys, "check", "--circuit", circuit("dff.kcir"), "--horizon", horizon,
+        )
+        assert (code, out, err) == (2, "", "error: --horizon must be >= 1\n")
 
 
 class TestDescriptionSizeGuards:

@@ -223,6 +223,66 @@ class TestParseBasics:
         assert "missing next expression for register q1" in info.value.message
 
 
+#: Refusals with their (message, line, column, token text), each on its own
+#: path through the parser; a refusal at the end of input names the column
+#: before the end and the token "end of input".
+REFUSALS = {
+    "state-width-not-a-number": (
+        "circuit x {\n  kind sync;\n  clock ck;\n  state w init 0;\n}",
+        "expected state width", 4, 9, "w"),
+    "state-width-zero": (
+        "circuit x {\n  kind sync; clock ck;\n  state 000 init 0;\n}",
+        "state width must be positive", 3, 9, "000"),
+    "operand-missing": (
+        "circuit x {\n  kind sync; clock ck; state 1 init 0;\n  next q0 = and(q0, );\n}",
+        "expected an expression", 3, 21, ")"),
+    "sync-without-state": (
+        "circuit x {\n  kind sync;\n  clock ck; in d; next q0 = d; out y = d;\n}",
+        "sync circuit requires a state clause", 2, 8, "sync"),
+    "domain-without-state": (
+        "circuit x { kind multiclock;\n"
+        "  domain a { clock ca; in d; out y = d; }\n"
+        "  domain b { clock cb; state 1 init 0; in e; next q0 = e; out z = q0; }\n}",
+        "domain a requires a state clause", 2, 10, "a"),
+    "sync-without-out": (
+        "circuit x { kind sync; clock ck; state 1 init 0; in d; next q0 = d; }",
+        "sync circuit requires at least one out clause", 1, 18, "sync"),
+    "domain-without-out": (
+        "circuit x { kind multiclock;\n"
+        "  domain a { clock ca; state 1 init 0; in d; next q0 = d; out y = q0; }\n"
+        "  domain b { clock cb; state 1 init 0; in e; next q0 = e; }\n}",
+        "domain b requires at least one out clause", 3, 10, "b"),
+    "duplicate-domain-name": (
+        "circuit x {\n  kind multiclock;\n"
+        "  domain a { clock ca; state 1 init 0; in d; next q0 = d; out y = q0; }\n"
+        "  domain b { clock cb; state 1 init 0; in e; next q0 = e; out z = q0; }\n"
+        "  domain a { clock cc; state 1 init 0; in f; next q0 = f; out w = q0; }\n}",
+        "duplicate domain name", 5, 10, "a"),
+    "end-of-input-after-blanks": (
+        "circuit x { kind dff;   ", "expected a clause keyword", 1, 24, "end of input"),
+    "end-of-input-on-a-new-line": (
+        "circuit x {\n  kind dff;\n", "expected a clause keyword", 3, 1, "end of input"),
+    "end-of-input-in-an-operand-list": (
+        "circuit x { kind sync; clock ck; state 1 init 0; next q0 = not(q0",
+        "expected ')'", 1, 65, "end of input"),
+    "empty-text": ("", "expected 'circuit'", 1, 1, "end of input"),
+    "text-after-the-circuit": (
+        "circuit x {\n  kind dff;\n}\n}", "expected end of input", 4, 1, "}"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_names_its_message_position_and_token(self, name):
+        text, message, line, column, token = REFUSALS[name]
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        error = info.value
+        assert (error.message, error.span.line, error.span.column, error.token_text) == (
+            message, line, column, token)
+        assert str(error) == f"line {line}, column {column}: {message}"
+
+
 class TestCorpus:
     @pytest.mark.parametrize("text", VALID_CORPUS)
     def test_round_trip(self, text):

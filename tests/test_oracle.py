@@ -434,6 +434,24 @@ def test_each_fallback_matches_the_joint_walk(name):
         assert classify(element, horizon) == oracle.walk_classify(element, horizon)
 
 
+def _edges_and_current(history):
+    """Channel d at each rising edge of the clock history and at the current tick."""
+    t = len(history) - 1
+    edges = {u for u in range(1, t + 1) if history[u - 1:u + 1] == ("0", "1")}
+    return tuple(("d", u) for u in sorted(edges | {t}))
+
+
+def test_domains_that_share_a_channel_are_walked_jointly():
+    # Both domains read d, so a joint read set is not one read set per
+    # domain: the product of the domains' image counts overcounts it.
+    element = oracle.domain_product([oracle.history_part(_edges_and_current)] * 2, shared=True)
+    for horizon in range(5):
+        assert _domain_image_counts(element, horizon) is None
+        result = classify(element, horizon)
+        assert result == oracle.walk_classify(element, horizon)
+        assert result.stats.distinct_read_sets == 2 ** horizon
+
+
 @st.composite
 def mealy_products(draw):
     """(element, horizon): two or three drawn Mealy read steps as the domains of one element.

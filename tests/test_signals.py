@@ -31,6 +31,11 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("x", "x"))
 
+    def test_rank_refuses_a_value_outside_the_alphabet(self):
+        with pytest.raises(ValueError) as info:
+            Alphabet(("b", "a")).rank("c")
+        assert str(info.value) == "'c' is not in alphabet ('b', 'a')"
+
     def test_product_order(self):
         alpha = Alphabet.product(("A", "B"), ("A", "-"))
         assert alpha.values == ("A/A", "A/-", "B/A", "B/-")
