@@ -6,17 +6,19 @@ control symbol, input samples) to (state, output), so simulation is one pass
 over the stimulus.  Where a control signal (a clock, a select line, an
 address stream) determines which input samples matter, the circuit carries a
 read map, written as a read step from (read state, control symbol, tick) to
-(read state, refs read at that tick); pushing the prefix order of control
-histories through that map, one read step per distinct read state of each
-tick and symbol, and checking the partial-order axioms classifies the
-circuit as time-preserving or not, with concrete witnesses when it is not.
+(read state, refs read at that tick).  :func:`classify` decides whether the
+prefix order of control histories, pushed through that map, is a partial
+order on read sets, and so whether the circuit is time-preserving, with
+concrete witnesses when it is not; the :mod:`kcir.classifier` docstring
+describes how.
 
 A circuit is defined once, by ``init``/``step`` and, where it has a read
 map, ``read_init``/``read_step``; ``output_stream``, the read map ``reads``
-and the randomized checks are folds of those steps.  A stream is its
-samples: ``output_stream`` takes the control symbols and one sample sequence
-per input channel, and a :class:`CausalSignal` is an alphabet and the
-samples of ticks 0..t.
+and the randomized checks are folds of those steps.  The
+:class:`CircuitElement` docstring gives the one rule that keeps ``reads``
+and ``read_step`` in step.  A stream is its samples: ``output_stream`` takes
+the control symbols and one sample sequence per input channel, and a
+:class:`CausalSignal` is an alphabet and the samples of ticks 0..t.
 
 A clocked register block has one form, a :class:`DomainAst` of boolean
 expressions, whether it comes from a ``.kcir`` file or is built in, and

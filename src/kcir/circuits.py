@@ -63,7 +63,7 @@ def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) ->
 
 
 def _fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
-    """The read map of a read step, tagged with the (read_init, read_step) it folds."""
+    """The read map of a read step, marked as a fold by ``folds``: the pair it folds."""
 
     def reads(control: CausalSignal) -> Optional[ReadSet]:
         refs = _fold_refs(read_init, read_step, control.samples)
@@ -85,7 +85,6 @@ def _history_read_step(reads: ReadMap, alphabet: Alphabet) -> ReadStepFn:
         history = (*history, symbol)
         return history, reads(CausalSignal(alphabet, history))
 
-    read_step.reads = reads
     return read_step
 
 
@@ -106,21 +105,28 @@ class CircuitElement:
     and the refs read at that tick, sorted and duplicate-free, or ``None``
     when the output is undefined there; ``read_init`` is the read state before
     tick 0.  Read states must be hashable, since the classifier keys the
-    nodes of its read-state DAG on them.  ``reads``, the read map from a
-    control history to its read set, defaults to the fold of ``read_step``
-    over the history.  An element given only ``reads`` gets a ``read_step``
-    that carries the history and applies ``reads`` to it, so the classifier
-    walks every element the same way.  Both are ``None`` for circuits whose
-    inputs do not restrict one another.  The two never disagree, also under
-    ``dataclasses.replace``: a ``reads`` that is not the derived fold is the
-    source, and ``read_step`` is rebuilt from it; a derived fold of another
-    ``read_init``/``read_step`` is rebuilt from the current ones.  So
-    ``replace(element, reads=r)`` walks ``r``, and an element built from
-    ``reads`` takes a new read step only with ``reads=None``.  A multiclock
-    read step also carries its clock domains for :func:`kcir.classify`; a
-    replaced read step carries none, and ``classify`` uses them only with
-    the ``read_init`` they were made for, so no replacement is classified
-    through stale domains.
+    nodes of its read-state DAG on them.  A multiclock read step also
+    carries its clock domains for :func:`kcir.classify`, which uses them
+    only with the ``read_init`` they were made for.
+
+    ``reads`` is the read map from a control history to its read set.  One
+    rule keeps it and ``read_step`` in step, each time an element is built,
+    ``dataclasses.replace`` included:
+
+    - a ``reads`` that is not a fold made by this rule is the source: the
+      element walks it through a ``read_step`` whose state, from
+      ``read_init`` ``()``, is the history so far, and which applies
+      ``reads`` to it;
+    - otherwise ``reads`` is rebuilt as the fold of ``read_step`` over the
+      history from ``read_init``, or is ``None`` when ``read_step`` is.
+
+    So ``replace(element, read_step=s)`` re-derives ``reads``,
+    ``replace(element, read_step=None)`` drops it, ``replace(element,
+    reads=r)`` walks ``r``, and an element built from ``reads`` takes a new
+    read step only with ``reads=None``.  Any replacement rebuilds a derived
+    ``reads``: the new fold agrees with the old one on every history but is
+    another object.  Both are ``None`` for circuits whose inputs do not
+    restrict one another, and a replaced read step carries no domains.
     """
 
     name: str
@@ -134,17 +140,13 @@ class CircuitElement:
     read_step: Optional[ReadStepFn] = None
 
     def __post_init__(self) -> None:
-        reads = self.reads
+        reads, step = self.reads, self.read_step
         if reads is not None and not hasattr(reads, "folds"):
-            if getattr(self.read_step, "reads", None) is not reads:
-                object.__setattr__(self, "read_init", ())
-                object.__setattr__(
-                    self, "read_step", _history_read_step(reads, self.control_alphabet)
-                )
-        elif self.read_step is None:
-            object.__setattr__(self, "reads", None)
-        elif reads is None or reads.folds != (self.read_init, self.read_step):
-            object.__setattr__(self, "reads", _fold_reads(self.read_init, self.read_step))
+            object.__setattr__(self, "read_init", ())
+            object.__setattr__(self, "read_step", _history_read_step(reads, self.control_alphabet))
+        else:
+            folded = None if step is None else _fold_reads(self.read_init, step)
+            object.__setattr__(self, "reads", folded)
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -232,7 +234,6 @@ def sr_latch_element(name: str = "srlatch") -> CircuitElement:
         input_channels=(),
         init=None,
         step=_sr_step,
-        reads=None,
     )
 
 

@@ -9,31 +9,63 @@ fails there is a concrete four-signal witness proving no order-preserving
 arrangement of read sets can exist.
 
 The classifier is exhaustive up to a finite horizon and fully deterministic.
-It walks the control histories as a DAG of read states, level by level: two
-histories of one length that reach the same read state and refs have the
-same futures, so they are one node, and each node's read state is stepped
-once per symbol with the circuit's ``read_step``, however many histories
-reach it.  The walk fills one node table, numbered in the order it meets
-the nodes, so every child has a larger id than its parents; it also counts
-the histories per node exactly, for the pairs with an undefined endpoint.
-Read sets are then numbered once, by rank in sorted order, and one reverse
-sweep over the node ids collects the images reachable below each node, and
-with them the derived relation as one bit set over those ranks per image:
-the images after x.  The axioms are checked once on those bit sets, so each
-failed axiom's witness is its smallest counterexample by rank.  The
-antisymmetry witness is the lexicographic minimum under the signal order of
-:meth:`kcir.signals.CausalSignal.sort_key`, read off each node's smallest
-history and shortest smallest paths below it.
+This docstring is the one description of how :func:`classify` decides; the
+docstrings of the functions and classes below, the package docstring and
+the README state their own contracts and point here.
 
-A multiclock circuit is classified as its clock domains first.  When its
-domains read no channel in common, as the parser ensures for a file, a
-joint read set is the union of one read set per domain at the same tick,
-and when every domain's own walk shows a partial order of defined read sets
-that each carry their tick, the joint relation is a partial order too: one
-small walk per domain, on its own clock, replaces the walk over the product
-of their clocks, whose nodes grow as the product of theirs.  Otherwise the
-joint histories are walked as above, so every report and witness of a
-circuit that is not time-preserving comes from the joint walk.
+1. *The walk.*  The control histories up to the horizon are walked as a DAG
+   of read states, level by level.  Two histories of one length that reach
+   the same read state and refs have the same futures, since a read step
+   sees only the state, the symbol and the tick, so they are one node, and
+   each node's read state is stepped once per symbol with the circuit's
+   ``read_step``, however many histories reach it.  The nodes fill one
+   table, numbered in the order the walk meets them: level by level,
+   parents in order, symbols in alphabet order.  So node ids follow the
+   :meth:`~kcir.signals.CausalSignal.sort_key` order of the nodes' smallest
+   histories, each node's first parent lies on its smallest history, and
+   every child has a larger id than its parents.  The walk also counts the
+   histories per node exactly, for the prefix pairs with an undefined
+   endpoint.
+2. *The numbering.*  Read sets are interned to ids as the walk meets them
+   and then numbered once, by rank in sorted order.
+3. *The sweep.*  The prefix order carries an image to exactly the images
+   reachable below a node holding it.  One reverse sweep over the node ids
+   collects those images per node as a bit set over the ranks, its own
+   image and its children's sets, and joins each node's set into that of
+   its image: the derived relation, as the images after each image.
+4. *The axioms.*  Reflexivity, antisymmetry and transitivity are checked
+   once on those bit sets, outright, none assumed to hold by construction:
+   reflexivity fails at x if x is not after x, and for each y after x other
+   than x, antisymmetry fails if x is after y, and transitivity if some
+   image after y is not after x.  Pairs are met in rank order, so each
+   failed axiom's witness is its smallest counterexample by rank, the one a
+   scan of the sorted read sets meets first.  An antisymmetry failure also
+   gets a four-signal witness, the lexicographic minimum under the signal
+   order, read off each node's smallest history and the shortest, smallest
+   paths below it.
+5. *The budgets.*  Each stage's budget is checked where its count grows:
+   read steps and refs after each expanded node (``WALK_BUDGET``), nodes
+   times read sets after each level (``SWEEP_BUDGET``), and related pairs
+   times read sets after the sweep (``AXIOM_BUDGET``).  A run past one
+   raises :class:`BudgetError` naming the level the walk reached.
+6. *The per-domain route.*  A multiclock circuit whose read step carries
+   its clock domains, made for its own ``read_init``, is classified as
+   those domains first, each walked as above on its own clock's symbols
+   "0" and "1".  When the domains read no channel in common, as the parser
+   ensures for a file, a joint read set is the union of one read set per
+   domain at the same tick.  If every domain's walk shows four things, the
+   joint relation is a partial order and a joint read set names its tick
+   and its parts: its read sets name no channel an earlier domain's do,
+   its relation is a partial order, its output is never undefined, and
+   every image of a domain that reads has its latest ref at the tick of
+   its level.  A domain whose only read set is the empty one reads nothing
+   and drops out.  The circuit is then time-preserving with Σₜ Πᵢ nᵢ(t)
+   joint images, nᵢ(t) counting domain i's images at tick t over the
+   domains that read (one image in all when none does): one small walk per
+   domain replaces the walk over the product of their clocks, whose nodes
+   grow as the product of theirs.  If any of the four fails, the joint
+   histories are walked as above, so every report and witness of a circuit
+   that is not time-preserving comes from the joint walk.
 """
 
 from __future__ import annotations
@@ -92,7 +124,8 @@ class ReadSet(tuple):
 #: The budgets of the walk (read steps plus the refs they return; abmem at
 #: horizon 60 takes 3.3·10^6), the sweep (nodes times read sets, the bits of
 #: its bit sets; 2**31 bits is 256 MB) and the axiom check (related pairs times
-#: read sets; mux at horizon 2,000 takes 3.2·10^10), see :class:`_ReadStateDag`.
+#: read sets; mux at horizon 2,000 takes 3.2·10^10); see step 5 of the module
+#: docstring.
 WALK_BUDGET = 4_000_000
 SWEEP_BUDGET = 2**31
 AXIOM_BUDGET = 5 * 10**10
@@ -141,15 +174,9 @@ def _axiom_report(images: Sequence[Refs], after: Sequence[int]) -> AxiomReport:
 
     Images are named by their index into ``images``, the refs of the read
     sets, and ``after[x]`` is the bit set of the images x is related to.
-    Pairs are met in index order, so each witness is the smallest
-    counterexample by index: with ``images`` sorted, as ``classify`` passes
-    them, it is the one a scan of the read sets themselves meets first, and
-    only the witnesses are built as :class:`ReadSet` values.  The three
-    booleans do not depend on the numbering.  Reflexivity fails at x if x is
-    not in ``after[x]``; for y in ``after[x]`` other than x, antisymmetry
-    fails if x is in ``after[y]`` and transitivity if ``after[y]`` holds an
-    image outside ``after[x]``.  All three axioms are checked outright, none is
-    assumed to hold by construction.
+    Each witness is the smallest counterexample by index, built as
+    :class:`ReadSet` values; the three booleans do not depend on the
+    numbering.  This is step 4 of the module docstring.
     """
     refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
     anti = trans = None
@@ -249,32 +276,18 @@ def _members(mask: int) -> list[int]:
 class _ReadStateDag:
     """The control histories up to a horizon, merged by read state, as one node table.
 
-    Histories of one length that reach the same read state and refs are one
-    node: a read step sees only the state, the symbol and the tick, so such
-    histories have the same futures.  Each node is expanded once, by one
-    ``read_step`` per symbol.  Nodes are numbered in the order the walk meets
-    them: level by level, parents in order, symbols in alphabet order.  So
-    node ids follow the ``sort_key`` order of the nodes' smallest histories,
-    each node's first parent lies on its smallest history, and every child
-    has a larger id than its parents.  Refs are interned to ids as the walk
-    meets them, and then renumbered by rank before the sweep: ``refs`` holds
-    the read sets' refs in sorted order, and an image id is its index there.
+    Building it runs steps 1 to 3 of the module docstring, the walk, the
+    numbering and the sweep, under the budgets of step 5.
 
     Level t holds the node ids below ``ends[t]`` and from ``ends[t - 1]`` on.
-    Per node ``n``: ``images[n]`` is the image id (-1 where undefined),
-    ``origins[n]`` the (first parent, symbol) it was met by, with parent -1
-    at tick 0, ``children[n]`` its children in symbol order (none at the
-    horizon) and ``reach[n]`` the bit set of the image ids of it and its
-    descendants.  ``after[x]`` is the bit set of the images that some
-    history holding image x reaches, the derived relation; one reverse sweep
-    over the node ids builds it with ``reach``.  ``excluded`` counts the
-    prefix pairs with an undefined endpoint, from exact per-node history
-    counts.
-
-    Each stage's budget (``WALK_BUDGET``, ``SWEEP_BUDGET``, ``AXIOM_BUDGET``)
-    is checked where its count grows: read steps and refs after each
-    expanded node, nodes times read sets after each level, and related pairs
-    times read sets after the sweep.
+    ``refs`` holds the read sets' refs in sorted order, and an image id is
+    its index there.  Per node ``n``: ``images[n]`` is the image id (-1
+    where undefined), ``origins[n]`` the (first parent, symbol) it was met
+    by, with parent -1 at tick 0, ``children[n]`` its children in symbol
+    order (none at the horizon) and ``reach[n]`` the bit set of the image
+    ids of it and its descendants.  ``after[x]`` is the bit set of the
+    images that some history holding image x reaches, the derived relation.
+    ``excluded`` counts the prefix pairs with an undefined endpoint.
     """
 
     def __init__(
@@ -395,20 +408,10 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
 
     A multiclock circuit's read step carries ``domains``: the ``read_init``
     it starts from and one (read_init, read_step) per clock domain, each on
-    its own clock's symbols "0" and "1".  When the domains share no channel,
-    a joint read set is the union of one read set per domain at the same
-    tick.  When each domain's walk shows four things, the joint relation is
-    a partial order and a joint read set names its tick and its parts: its
-    read sets name no channel an earlier domain's do, every domain's
-    relation is a partial order, no domain's output is undefined, and every
-    image of a domain that reads is at the tick of its level (its latest ref
-    is at that tick).  A domain whose only read set is the empty one reads
-    nothing and drops out.  Then the joint images at tick t number
-    Πᵢ nᵢ(t) over the domains that read, where nᵢ(t) counts domain i's
-    images at t, and there is one image in all when no domain reads.  If any
-    of the four fails, or the element carries no domains for its own
-    ``read_init`` and ``read_step``, this returns ``None`` and ``classify``
-    walks the joint histories.
+    its own clock's symbols "0" and "1".  This is the route of step 6 of the
+    module docstring; it returns ``None``, and ``classify`` walks the joint
+    histories, when one of its conditions fails or the element carries no
+    domains for its own ``read_init`` and ``read_step``.
     """
     init, domains = getattr(circuit.read_step, "domains", (None, None))
     if domains is None or init != circuit.read_init:
@@ -442,24 +445,16 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
 
     A circuit without a read map cannot be split into a controlling and a
     restricted input part, so it is reported as not-fundamental-form without
-    enumeration.  Otherwise the control histories up to the horizon are
-    walked as the DAG of their read states (:class:`_ReadStateDag`): each
-    distinct read state of a level is stepped once per symbol, whatever the
-    number of histories reaching it, into one table of nodes numbered in
-    walk order, and the read sets are numbered by rank.  The prefix order
-    carries an image to exactly the images reachable below a node holding
-    it; one reverse sweep over the node ids collects them as a bit set per
-    image, and the partial-order axioms, checked once on those bit sets,
-    decide the verdict and name the smallest counterexamples by rank.  An
-    antisymmetry failure always comes with a re-checkable witness, the
-    lexicographic minimum over all histories, whose swapped pairs are read
-    off the same bit sets; a failure of any other axiom is reported through
-    the axiom report alone.
-
-    A multiclock circuit whose read step carries its domains is first walked
-    domain by domain, each on its own clock (:func:`_domain_image_counts`).
-    Only if that does not show it time-preserving are its joint histories
-    walked, so every failure is reported and witnessed from the joint walk.
+    a walk.  Otherwise it is time-preserving exactly when the prefix order of
+    its control histories up to the horizon, carried through its read map,
+    is a partial order on the read sets of the defined histories.  The axiom
+    report names each failed axiom's smallest counterexample by read set,
+    and an antisymmetry failure always comes with a re-checkable
+    :class:`AntisymmetryWitness`, the lexicographic minimum over all
+    histories; a failure of any other axiom is reported through the axiom
+    report alone.  The module docstring describes how the verdict is
+    reached: the walk, the numbering, the sweep, the axiom check and the
+    per-domain route of a multiclock circuit.
 
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still

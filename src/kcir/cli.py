@@ -2,7 +2,11 @@
 
 Exit codes: 0 means the command ran (whatever the verdict — classification
 results are data, not failures), 2 means a parse or usage error, and 3 means
-simulation hit an undefined output without ``--allow-undef``.
+simulation hit an undefined output without ``--allow-undef``.  A command
+refuses by raising :class:`UsageError`, or lets the library's
+:class:`~kcir.classifier.BudgetError` or
+:class:`~kcir.circuits.SimulationError` pass; :func:`main` alone turns each
+into one ``error:`` line on stderr and exit 2.
 
 JSON reports carry the top-level keys circuit, command, verdict, axioms,
 witness, stats, and timing, serialized with sorted keys so identical inputs
@@ -77,6 +81,12 @@ STIMULUS_BATCH_ROWS = 256
 
 class UsageError(Exception):
     pass
+
+
+def _unknown_control(symbol: str, element: CircuitElement) -> UsageError:
+    """The refusal of a control symbol outside the circuit's control alphabet."""
+    return UsageError(f"control value {symbol!r} is not in the circuit's control alphabet "
+                      f"{element.control_alphabet.values!r}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -263,8 +273,7 @@ def _stimulus_columns(
     at = {name: k for k, name in enumerate(header)}
     control_at = [at[channel] for channel in element.control_channels]
     input_at = [at[name] for name in element.input_names]
-    alphabet = element.control_alphabet
-    known = frozenset(alphabet.values)
+    known = frozenset(element.control_alphabet.values)
     width = {len(header)}
     max_rows = MAX_SAMPLES // len(columns)
 
@@ -291,10 +300,7 @@ def _stimulus_columns(
                 )
             symbol = "/".join([cells[k] for k in control_at])
             if symbol not in known:
-                raise UsageError(
-                    f"control value {symbol!r} is not in the circuit's control alphabet "
-                    f"{alphabet.values!r}"
-                )
+                raise _unknown_control(symbol, element)
         raise AssertionError("a stimulus batch failed a check that none of its rows fails")
 
     control: list[str] = []
@@ -336,10 +342,7 @@ def _cmd_classify(args) -> int:
             f"digits from level {math.floor(1000 / math.log10(width)) - 1:,}"
         )
     started = time.perf_counter()
-    try:
-        result = classify(element, args.horizon)
-    except BudgetError as exc:
-        raise UsageError(str(exc)) from exc
+    result = classify(element, args.horizon)
     elapsed = time.perf_counter() - started
 
     stats = _json(result.stats)
@@ -379,10 +382,7 @@ def _cmd_classify(args) -> int:
 def _cmd_simulate(args) -> int:
     element = _load_element(args.circuit)
     control, inputs = _read_stimulus(args.stimulus, element)
-    try:
-        outputs = output_stream(element, control, inputs)
-    except SimulationError as exc:
-        raise UsageError(str(exc)) from exc
+    outputs = output_stream(element, control, inputs)
     if any(value is None for value in outputs) and not args.allow_undef:
         first = outputs.index(None)
         print(
@@ -413,10 +413,7 @@ def _cmd_chi_dump(args) -> int:
         raise UsageError("--control must be a comma-separated list of control symbols")
     for token in tokens:
         if token not in element.control_alphabet:
-            raise UsageError(
-                f"control value {token!r} is not in the circuit's control alphabet "
-                f"{element.control_alphabet.values!r}"
-            )
+            raise _unknown_control(token, element)
     # Every prefix's refs are held for the report, and they grow with the
     # ticks, so their total is bounded like a stimulus's samples.
     state, images, held = element.read_init, [], 0
@@ -549,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BudgetError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help, once its text is printed

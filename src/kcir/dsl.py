@@ -23,8 +23,9 @@ both a clock and an input, or the clock or an input of two domains, since
 each names one stimulus column.  Clause order inside a block is free.
 
 Parsing is all-or-nothing: the first problem raises :class:`ParseError` with
-a source span covering the offending token, or the character before the end
-of input.  The parser checks every expected token with one ``expect`` and
+a source span covering the offending token; the end of input is named at
+the last character of the last token, or at line 1, column 1 of a text
+without one.  The parser checks every expected token with one ``expect`` and
 raises every refusal through one ``_fail``; it groups each block's clauses
 by keyword once, and the checks of a block read those groups.
 
@@ -200,21 +201,22 @@ def _tokenize(text: str) -> list[_Token]:
             )
         elif kind:
             tokens.append(_Token(kind, match[0], line, column))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    if tokens:  # the end of input is named at the last character of the last token
+        line, column = tokens[-1].line, tokens[-1].column + len(tokens[-1].text) - 1
+    else:
+        line, column = 1, 1
+    tokens.append(_Token("eof", "", line, column))
     return tokens
 
 
 def _fail(message: str, where: Union[_Token, Var]) -> NoReturn:
     """Raise at a token or a variable of an expression, with its span and text.
 
-    The end of input is named as such, at the character before it.
+    The end of input, the one token without text, is named as such.
     """
     if isinstance(where, Var):
         raise ParseError(message, where.span, where.name)
-    if where.kind == "eof":
-        raise ParseError(message, SourceSpan(where.line, max(1, where.column - 1), 1),
-                         "end of input")
-    raise ParseError(message, where.span, where.text)
+    raise ParseError(message, where.span, where.text or "end of input")
 
 
 # ---------------------------------------------------------------------------

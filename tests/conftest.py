@@ -4,6 +4,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import Phase, settings
 
 from kcir import (
     BINARY,
@@ -16,6 +17,12 @@ from kcir import (
 from kcir.classifier import AxiomReport, _axiom_report
 
 CIRCUITS_DIR = Path(__file__).resolve().parents[1] / "circuits"
+
+#: Hypothesis without its shrink phase, selected with ``--hypothesis-profile
+#: mutants``: a run stops at the first failing example it draws instead of
+#: spending minutes shrinking it.  ``tests/mutants.py`` uses it, since a
+#: mutant needs only to fail; a plain pytest run keeps the default profile.
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase != Phase.shrink])
 
 
 def bits(text: str) -> CausalSignal:

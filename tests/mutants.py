@@ -4,7 +4,9 @@ Run it from any directory as ``python tests/mutants.py``; it takes no
 options and needs pytest and hypothesis, like the tests.  For each mutant it
 copies the repository (without ``.git`` and caches) to a temporary
 directory, applies the mutant's exact text edit there and runs the mutant's
-tests in that copy, with hypothesis seeded so that a run repeats.  A mutant
+tests in that copy, with hypothesis seeded so that a run repeats and
+without its shrink phase (the ``mutants`` profile of ``tests/conftest.py``),
+so a mutant that a drawn example kills fails at once.  A mutant
 is reported *killed* when those tests fail, *survived* when they pass, and
 *stale* when its old text is not in the file exactly once.  A mutant that
 survives needs a new test that kills it, not its removal from the list.
@@ -135,10 +137,10 @@ MUTANTS = (
          f"{DSL}::TestRefusals"),
     ),
     Mutant(
-        "_fail names the end of input at its own column",
+        "the end of input named one column past the last token",
         "src/kcir/dsl.py",
-        "SourceSpan(where.line, max(1, where.column - 1), 1)",
-        "SourceSpan(where.line, where.column, 1)",
+        "tokens[-1].column + len(tokens[-1].text) - 1",
+        "tokens[-1].column + len(tokens[-1].text)",
         (f"{DSL}::TestRefusals",),
     ),
     Mutant(
@@ -180,11 +182,35 @@ MUTANTS = (
         (f"{CLI}::TestClassifyCommand::test_abmem_json_report",),
     ),
     Mutant(
+        "main no longer catches BudgetError",
+        "src/kcir/cli.py",
+        "except (UsageError, BudgetError, SimulationError) as exc:",
+        "except (UsageError, SimulationError) as exc:",
+        (f"{CLI}::TestClassifyCommand::test_a_budget_names_the_level_a_clock_domain_reached",
+         f"{CLI}::TestClassifyCommand::test_each_budget_is_inclusive"),
+    ),
+    Mutant(
+        "main no longer catches SimulationError",
+        "src/kcir/cli.py",
+        "except (UsageError, BudgetError, SimulationError) as exc:",
+        "except (UsageError, BudgetError) as exc:",
+        (f"{CLI}::TestSimulateCommand::test_non_bit_input_to_sync_circuit_exits_2",
+         f"{CLI}::TestSimulateCommand::test_non_bit_input_to_multiclock_circuit_exits_2"),
+    ),
+    Mutant(
         "a circuit file's byte order mark is read as text",
         "src/kcir/cli.py",
         'with open(path, encoding="utf-8-sig") as handle:',
         'with open(path, encoding="utf-8") as handle:',
         (f"{CLI}::TestBomLedCircuitFiles",),
+    ),
+    Mutant(
+        "the read-map rule ignores a reads given alone",
+        "src/kcir/circuits.py",
+        'if reads is not None and not hasattr(reads, "folds"):',
+        "if False:",
+        ("tests/test_circuits.py::TestReadStep::test_a_bare_read_map_gets_a_history_read_step",
+         "tests/test_circuits.py::TestReadStep::test_replacing_the_read_map_walks_the_new_one"),
     ),
     Mutant(
         "_random_streams redraws a rejected sample once only",
@@ -222,7 +248,7 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
+         "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     if done.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run them

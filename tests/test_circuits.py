@@ -30,7 +30,7 @@ from kcir import (
 from kcir.circuits import _random_streams, _stream_alphabets
 
 from . import oracle
-from .conftest import bits, last_output, latch_control, sig
+from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, sig
 from .oracle import enumerate_causal_signals, prefix
 
 
@@ -38,6 +38,10 @@ def _random_samples(rng: random.Random, alphabet: Alphabet, length: int) -> tupl
     return tuple(rng.choice(alphabet.values) for _ in range(length))
 
 PAIRS = Alphabet.product(("A", "B", "-"), ("A", "B", "-"))
+
+#: The circuit files whose circuit has a read map.
+READ_MAP_FILES = [path for path in sorted(CIRCUITS_DIR.glob("*.kcir"))
+                  if load_circuit(path.read_text()).reads is not None]
 
 
 def naive_edges(samples):
@@ -466,7 +470,24 @@ class TestReadStep:
         element = dff_element()
         renamed = dataclasses.replace(element, name="other")
         assert renamed.read_step is element.read_step
-        assert renamed.reads is element.reads
+        for signal in enumerate_causal_signals(element.control_alphabet, 3):
+            state, refs = renamed.read_init, None
+            for tick, symbol in enumerate(signal.samples):
+                state, refs = renamed.read_step(state, symbol, tick)
+            folded = None if refs is None else ReadSet(refs)
+            assert renamed.reads(signal) == element.reads(signal) == folded
+
+    @pytest.mark.parametrize("path", READ_MAP_FILES, ids=lambda path: path.name)
+    def test_a_wrapped_read_map_classifies_and_checks_alike(self, path):
+        # A wrapper of the derived ``reads``, as a tracer swaps in, is walked
+        # through the history read step and must give the same results.
+        element = load_circuit(path.read_text())
+        wrapped = dataclasses.replace(element, reads=lambda control: element.reads(control))
+        assert wrapped.read_step is not element.read_step
+        for horizon in range(4):
+            assert classify(wrapped, horizon) == classify(element, horizon)
+        assert (read_soundness_check(wrapped, horizon=6, trials=200, seed=3)
+                == read_soundness_check(element, horizon=6, trials=200, seed=3))
 
     def test_replacing_the_read_map_walks_the_new_one(self):
         element = dff_element()

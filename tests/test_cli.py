@@ -482,11 +482,21 @@ class TestSimulateCommand:
     def test_non_bit_input_to_sync_circuit_exits_2(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"
         stim.write_text("tick,clk,en\n0,0,x\n")
-        code, _, _ = run(
+        code, out, err = run(
             capsys,
             "simulate", "--circuit", circuit("counter.kcir"), "--stimulus", str(stim),
         )
-        assert code == 2
+        assert (code, out, err) == (2, "", "error: counter2: input 'en' sample 'x' is not a bit\n")
+
+    def test_non_bit_input_to_multiclock_circuit_exits_2(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,cf,cs,df,ds\n0,0,0,0,x\n")
+        code, out, err = run(
+            capsys,
+            "simulate", "--circuit", circuit("twoclock.kcir"), "--stimulus", str(stim),
+        )
+        assert (code, out, err) == (
+            2, "", "error: twoclock.slow: input 'ds' sample 'x' is not a bit\n")
 
     @pytest.mark.parametrize(
         "circuit_file,header", [("dff.kcir", "C,D"), ("twoclock.kcir", "cf,cs,df,ds")]

@@ -259,9 +259,9 @@ REFUSALS = {
         "  domain a { clock cc; state 1 init 0; in f; next q0 = f; out w = q0; }\n}",
         "duplicate domain name", 5, 10, "a"),
     "end-of-input-after-blanks": (
-        "circuit x { kind dff;   ", "expected a clause keyword", 1, 24, "end of input"),
+        "circuit x { kind dff;   ", "expected a clause keyword", 1, 21, "end of input"),
     "end-of-input-on-a-new-line": (
-        "circuit x {\n  kind dff;\n", "expected a clause keyword", 3, 1, "end of input"),
+        "circuit x {\n  kind dff;\n", "expected a clause keyword", 2, 11, "end of input"),
     "end-of-input-in-an-operand-list": (
         "circuit x { kind sync; clock ck; state 1 init 0; next q0 = not(q0",
         "expected ')'", 1, 65, "end of input"),
