@@ -355,22 +355,17 @@ def output_stream(
         raise SimulationError("control and input columns must have equal length")
     if len(control) == 0:
         raise SimulationError("columns must cover at least tick 0")
-    return _fold_outputs(element, control, [inputs[name] for name in names])
+    return fold(element.step, element.init, control, _rows([inputs[name] for name in names]))[1]
 
 
-def _fold_outputs(
-    element: CircuitElement, symbols: Sequence[str], columns: Sequence[Sequence[str]]
-) -> list[Optional[str]]:
-    """The output at every tick: ``step`` folded over aligned columns from ``init``."""
-    return _fold(element.step, element.init, symbols, _rows(columns))[1]
-
-
-def _fold(
+def fold(
     step: StepFn, state: Any, symbols: Iterable[str], rows: Iterable[tuple[str, ...]]
 ) -> tuple[Any, list[Optional[str]]]:
     """The state after ``step`` folded over ``symbols`` and ``rows``, and every output.
 
     The fold stops at the end of ``symbols``, so ``rows`` may run longer.
+    ``kcir simulate`` folds a stimulus one batch at a time, each batch from
+    the state the one before it left; ``fold`` is not in ``kcir.__all__``.
     """
     outputs = []
     for symbol, samples in zip(symbols, rows):
@@ -469,12 +464,12 @@ def read_soundness_check(
         new = rng.choice([v for v in alphabet.values if v != old])
         mutations += 1
         rows = list(itertools.islice(zip(*columns), t + 1))
-        shared = _fold(step, init, control[:u], rows)[0]
+        shared = fold(step, init, control[:u], rows)[0]
         tail = control[u : t + 1]
-        baseline = _fold(step, shared, tail, rows[u:])[1][-1]
+        baseline = fold(step, shared, tail, rows[u:])[1][-1]
         row = rows[u]
         rows[u] = (*row[:k], new, *row[k + 1:])
-        if _fold(step, shared, tail, rows[u:])[1][-1] != baseline:
+        if fold(step, shared, tail, rows[u:])[1][-1] != baseline:
             violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 
@@ -516,9 +511,9 @@ def causality_check(
         samples = streams[pick]
         new = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
         control, *columns = streams
-        before = _fold(step, init, control[:m], _rows(columns))[1]
+        before = fold(step, init, control[:m], _rows(columns))[1]
         samples[m] = new
-        after = _fold(step, init, control[:m], _rows(columns))[1]
+        after = fold(step, init, control[:m], _rows(columns))[1]
         mutations += 1
         if before != after:
             violations += 1

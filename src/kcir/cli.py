@@ -20,10 +20,10 @@ budgets, at the level it reached, and before it starts a run whose stats
 would pass 1,000 digits; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
-``simulate`` checks its stimulus a bounded batch of rows at a time, so at
-most one bounded batch is held beside the columns it returns; one line, and
-one row however many lines its quoted cells span, is bounded by the
-characters the circuit's cells can take.
+``simulate`` checks its stimulus a bounded batch of rows at a time and steps
+the circuit over each batch once it passes, so it holds one bounded batch and
+the output text; one line, and one row however many lines its quoted cells
+span, is bounded by the characters the circuit's cells can take.
 ``chi-dump`` folds the circuit's read step once over the control symbols,
 and refuses a dump that would hold more than ``MAX_SAMPLES`` refs.
 
@@ -43,14 +43,13 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
     SimulationError,
     causality_check,
-    output_stream,
+    fold,
     read_soundness_check,
 )
 from .classifier import BudgetError, ReadSet, Refs, classify, refs_text
@@ -61,11 +60,14 @@ UNDEF = "UNDEF"
 
 #: Most samples one ``check`` trial may draw (ticks 0..horizon on every
 #: channel) or one ``simulate`` stimulus may hold (rows times channels), and
-#: most refs one ``chi-dump`` may hold over all its prefixes.  The first two
-#: hold their sample columns and output streams in memory, at up to about 95
-#: bytes per sample (a ``check`` trial of counter at horizon 1,999,999: 362 MB
-#: max RSS), so a run stays under about 0.5 GB; a JSON ``chi-dump`` of counter
-#: just below the limit (3,980 ticks, 3,962,090 refs) peaks at 47 MB.
+#: most refs one ``chi-dump`` may hold over all its prefixes.  A ``check``
+#: trial holds its sample columns and output streams in memory, at up to about
+#: 95 bytes per sample (counter at horizon 1,999,999: 362 MB max RSS), so it
+#: stays under about 0.5 GB.  ``simulate`` holds only its output text, about
+#: 10 bytes per tick, so a stimulus of one channel is its largest: 4,000,000
+#: ticks of a one-register toggle take 55 MB max RSS, and 1,000,000 ticks of
+#: twoclock 27 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
+#: ticks, 3,962,090 refs) peaks at 47 MB.
 MAX_SAMPLES = 4_000_000
 
 #: Most characters a ``.kcir`` file may hold.  The largest file in
@@ -175,8 +177,15 @@ def _load_element(path: str) -> CircuitElement:
         raise UsageError(f"{path}:{exc.span.line}:{exc.span.column}: {exc.message}") from exc
 
 
-def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[str, list[str]]]:
-    """The control symbols and the input columns of a stimulus CSV, read in one pass.
+#: A checked stimulus batch: its first tick, its control symbols and its input
+#: rows, one tuple of samples per tick in the circuit's input channel order
+#: (empty tuples when it has none).  The rows are made lazily as they are
+#: stepped on: a list of row tuples made ``simulate`` about 3% slower.
+Batch = tuple[int, list[str], Iterable[tuple[str, ...]]]
+
+
+def _read_stimulus(path: str, element: CircuitElement) -> Iterator[Batch]:
+    """The batches of a stimulus CSV, each yielded once it is read and checked.
 
     Each line is read with a bound on its length that no row of the circuit's
     cells within the csv field limit reaches, even with every character
@@ -186,7 +195,8 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
     rows are checked in batches, each cut once it holds
     ``STIMULUS_BATCH_ROWS`` rows or its lines pass that bound, so at most one
     bounded batch is held.
-    A UTF-8 byte order mark at the start of the file is skipped.
+    A UTF-8 byte order mark at the start of the file is skipped.  The file is
+    opened at the first batch asked for and closed after the last.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
     bound = cells * (2 * csv.field_size_limit() + 3) + 1
@@ -239,21 +249,22 @@ def _read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = non_blank(csv.reader(lines(handle)))
-            return _stimulus_columns(next(rows, []), batches(rows), element)
+            yield from _stimulus_batches(next(rows, []), batches(rows), element)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _stimulus_columns(
+def _stimulus_batches(
     header: list[str], batches: Iterable[list[list[str]]], element: CircuitElement
-) -> tuple[list[str], dict[str, list[str]]]:
+) -> Iterator[Batch]:
     """Validate a stimulus's ``header`` and its other non-blank rows, a batch at a time.
 
     Each column of a batch is stripped once, its ticks are compared with
     their range, and its control symbols are joined and checked against the
     control alphabet together.  Only a batch that fails is scanned row by
     row, to name its first bad row; the row that takes the stimulus past
-    ``MAX_SAMPLES`` samples is one.  At most one batch is held.
+    ``MAX_SAMPLES`` samples is one.  Each batch is yielded once it passes, and
+    none is held after it.
     """
     header = [cell.strip() for cell in header]
     if not header:
@@ -303,10 +314,8 @@ def _stimulus_columns(
                 raise _unknown_control(symbol, element)
         raise AssertionError("a stimulus batch failed a check that none of its rows fails")
 
-    control: list[str] = []
-    inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
+    first = 0
     for batch in batches:
-        first = len(control)
         if first + len(batch) > max_rows or set(map(len, batch)) != width:
             refuse(batch, first + 1)
         cells = [list(map(str.strip, column)) for column in zip(*batch)]
@@ -317,12 +326,10 @@ def _stimulus_columns(
         symbols = list(map("/".join, zip(*[cells[k] for k in control_at])))
         if ticks != list(range(first, first + len(batch))) or not known.issuperset(symbols):
             refuse(batch, first + 1)
-        control += symbols
-        for name, k in zip(element.input_names, input_at):
-            inputs[name] += cells[k]
-    if not control:
+        yield first, symbols, zip(*[cells[k] for k in input_at]) if input_at else [()] * len(batch)
+        first += len(batch)
+    if not first:
         raise UsageError("stimulus must contain at least one row")
-    return control, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +387,43 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """Fold ``step`` over each stimulus batch as it is read, keeping one text per batch.
+
+    A refusal of the stimulus comes before a step error, and a step error
+    before an undefined output, wherever each falls: after a step error the
+    rest of the stimulus is read only to be checked, and the run writes
+    nothing until the stimulus has been read to its end.  ``--out`` is opened
+    only then, so it may name the stimulus itself.
+    """
     element = _load_element(args.circuit)
-    control, inputs = _read_stimulus(args.stimulus, element)
-    outputs = output_stream(element, control, inputs)
-    if any(value is None for value in outputs) and not args.allow_undef:
-        first = outputs.index(None)
+    state, undefined, chunks = element.init, None, ["tick,output\n"]
+    batches = _read_stimulus(args.stimulus, element)
+    for first, symbols, rows in batches:
+        try:
+            state, outputs = fold(element.step, state, symbols, rows)
+        except SimulationError:
+            for _ in batches:
+                pass
+            raise
+        if undefined is None and None in outputs:
+            undefined = first + outputs.index(None)
+        chunks.append("".join([f"{t},{UNDEF if value is None else value}\n"
+                               for t, value in enumerate(outputs, first)]))
+    if undefined is not None and not args.allow_undef:
         print(
-            f"error: output undefined at tick {first}; rerun with --allow-undef "
+            f"error: output undefined at tick {undefined}; rerun with --allow-undef "
             "to emit UNDEF entries",
             file=sys.stderr,
         )
         return 3
-    lines = ["tick,output"]
-    lines += [f"{t},{UNDEF if value is None else value}" for t, value in enumerate(outputs)]
-    text = "\n".join(lines) + "\n"
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

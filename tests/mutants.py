@@ -198,6 +198,45 @@ MUTANTS = (
          f"{CLI}::TestSimulateCommand::test_non_bit_input_to_multiclock_circuit_exits_2"),
     ),
     Mutant(
+        "simulate raises a step error before the rest of the stimulus is checked",
+        "src/kcir/cli.py",
+        "            for _ in batches:\n"
+        "                pass\n",
+        "",
+        (f"{CLI}::TestSimulateCommand"
+         "::test_a_read_fault_in_a_later_batch_comes_before_a_step_error",),
+    ),
+    Mutant(
+        "simulate names the first undefined tick without its batch's offset",
+        "src/kcir/cli.py",
+        "undefined = first + outputs.index(None)",
+        "undefined = outputs.index(None)",
+        (f"{CLI}::TestSimulateCommand::test_undefined_past_the_first_batch_exits_3",),
+    ),
+    Mutant(
+        "simulate numbers each batch's output lines from tick 0",
+        "src/kcir/cli.py",
+        "for t, value in enumerate(outputs, first)",
+        "for t, value in enumerate(outputs)",
+        (f"{CLI}::TestSimulateMatchesOracle::test_seeded_stimulus[allow-undef-twoclock.kcir]",),
+    ),
+    Mutant(
+        "simulate folds each batch from the initial state",
+        "src/kcir/cli.py",
+        "state, outputs = fold(element.step, state, symbols, rows)",
+        "state, outputs = fold(element.step, element.init, symbols, rows)",
+        (f"{CLI}::TestSimulateMatchesOracle::test_seeded_stimulus[allow-undef-counter.kcir]",),
+    ),
+    Mutant(
+        "simulate opens --out before the stimulus is read",
+        "src/kcir/cli.py",
+        "    batches = _read_stimulus(args.stimulus, element)\n",
+        "    if args.out:\n"
+        "        open(args.out, \"w\", encoding=\"utf-8\").close()\n"
+        "    batches = _read_stimulus(args.stimulus, element)\n",
+        (f"{CLI}::TestSimulateCommand::test_out_may_name_its_own_stimulus",),
+    ),
+    Mutant(
         "a circuit file's byte order mark is read as text",
         "src/kcir/cli.py",
         'with open(path, encoding="utf-8-sig") as handle:',

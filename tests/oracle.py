@@ -65,7 +65,6 @@ from kcir.circuits import (
     CircuitElement,
     ReadSoundnessReport,
     SimulationError,
-    _fold_outputs,
     _fold_refs,
     _stream_alphabets,
 )
@@ -939,6 +938,17 @@ def ast_evaluator(ast: CircuitAst) -> EvalFn:
 
 # --- randomized checks: every trial folded in full ------------------------------
 
+def _outputs(
+    element: CircuitElement, symbols: Sequence[str], columns: Sequence[Sequence[str]]
+) -> list[Optional[str]]:
+    """The output at every tick: ``step`` applied tick by tick from ``init``."""
+    state, outputs = element.init, []
+    for t, symbol in enumerate(symbols):
+        state, output = element.step(state, symbol, tuple(column[t] for column in columns))
+        outputs.append(output)
+    return outputs
+
+
 def _random_streams(
     rng: random.Random, alphabets: Sequence[Alphabet], length: int
 ) -> list[tuple[str, ...]]:
@@ -976,13 +986,13 @@ def read_soundness_check(
             unmutable += 1
             continue
         columns = [column[: t + 1] for column in columns]
-        baseline = _fold_outputs(element, symbols, columns)[-1]
+        baseline = _outputs(element, symbols, columns)[-1]
         k, u, alphabet = free[rng.randrange(len(free))]
         old = columns[k][u]
         new = rng.choice([v for v in alphabet.values if v != old])
         columns[k] = (*columns[k][:u], new, *columns[k][u + 1:])
         mutations += 1
-        if _fold_outputs(element, symbols, columns)[-1] != baseline:
+        if _outputs(element, symbols, columns)[-1] != baseline:
             violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 
@@ -1002,7 +1012,7 @@ def causality_check(
     mutations = violations = 0
     for _ in range(trials):
         streams = _random_streams(rng, alphabets, horizon + 1)
-        before = _fold_outputs(element, streams[0], streams[1:])
+        before = _outputs(element, streams[0], streams[1:])
         m = rng.randint(1, horizon)
         if not mutable:
             continue
@@ -1010,7 +1020,7 @@ def causality_check(
         samples = list(streams[pick])
         samples[m] = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
         streams[pick] = samples
-        after = _fold_outputs(element, streams[0], streams[1:])
+        after = _outputs(element, streams[0], streams[1:])
         mutations += 1
         if before[:m] != after[:m]:
             violations += 1
@@ -1118,3 +1128,23 @@ def stimulus_columns(
     if not control:
         raise UsageError("stimulus must contain at least one row")
     return control, inputs
+
+
+def simulate(
+    element: CircuitElement, evaluate: EvalFn, path: str, allow_undef: bool
+) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``kcir simulate`` over the stimulus at ``path``.
+
+    The stimulus is read whole by :func:`read_stimulus`, and the output at
+    each tick is ``evaluate`` on the prefixes at that tick.
+    """
+    try:
+        outputs = output_stream(element, evaluate, *read_stimulus(path, element))
+    except (UsageError, SimulationError) as exc:
+        return 2, "", f"error: {exc}\n"
+    if None in outputs and not allow_undef:
+        return 3, "", (f"error: output undefined at tick {outputs.index(None)}; "
+                       "rerun with --allow-undef to emit UNDEF entries\n")
+    text = "".join(f"{t},{cli.UNDEF if value is None else value}\n"
+                   for t, value in enumerate(outputs))
+    return 0, "tick,output\n" + text, ""

@@ -498,6 +498,64 @@ class TestSimulateCommand:
         assert (code, out, err) == (
             2, "", "error: twoclock.slow: input 'ds' sample 'x' is not a bit\n")
 
+    def test_a_read_fault_in_a_later_batch_comes_before_a_step_error(self, tmp_path, capsys):
+        # Tick 2 feeds the circuit a non-bit, and row 301, in the second
+        # batch, skips tick 300: the stimulus is refused as read.
+        ticks = [*range(300), 301]
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,clk,en\n" + "".join(
+            f"{t},{t % 2},{'x' if t == 2 else 1}\n" for t in ticks))
+        code, out, err = run(
+            capsys,
+            "simulate", "--circuit", circuit("counter.kcir"), "--stimulus", str(stim),
+        )
+        assert (code, out, err) == (
+            2, "", "error: stimulus ticks must be contiguous from 0: row 301 has tick 301\n")
+
+    def test_out_may_name_its_own_stimulus(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,clk,en\n" + "".join(f"{t},{t % 2},1\n" for t in range(600)))
+        argv = ["simulate", "--circuit", circuit("counter.kcir"), "--stimulus", str(stim),
+                "--allow-undef"]
+        code, expected, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and expected.count("\n") == 601
+        assert run(capsys, *argv, "--out", str(stim)) == (0, "", "")
+        assert stim.read_text() == expected
+
+    def test_undefined_past_the_first_batch_exits_3(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,W,R,D\n" + "".join(f"{t},A,A,a\n" for t in range(300))
+                        + "300,-,B,a\n")
+        code, out, err = run(
+            capsys, "simulate", "--circuit", circuit("abmem.kcir"), "--stimulus", str(stim),
+        )
+        assert (code, out, err) == (
+            3, "", "error: output undefined at tick 300; rerun with --allow-undef to emit "
+                   "UNDEF entries\n")
+
+    def test_memory_does_not_grow_with_the_stimulus_beyond_its_output(self, tmp_path, capsys):
+        ticks = 50_000
+        rng = random.Random(7)
+        stim = tmp_path / "stim.csv"
+        stim.write_text("tick,cf,cs,df,ds\n" + "".join(
+            f"{t},{rng.getrandbits(1)},{rng.getrandbits(1)},{rng.getrandbits(1)},"
+            f"{rng.getrandbits(1)}\n" for t in range(ticks)))
+        target = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--circuit", circuit("twoclock.kcir"),
+                         "--stimulus", str(stim), "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr()) == (0, ("", ""))
+        assert target.read_text().count("\n") == ticks + 1
+        # The output text takes about 10 bytes per tick, and loading the
+        # circuit and reading a batch about 0.4 MB in all; holding the
+        # stimulus's columns and a list of output lines took over 200 bytes
+        # per tick.
+        assert peak < 40 * ticks
+
     @pytest.mark.parametrize(
         "circuit_file,header", [("dff.kcir", "C,D"), ("twoclock.kcir", "cf,cs,df,ds")]
     )
@@ -568,46 +626,31 @@ WIDE_CIRCUITS = {
 
 
 class TestSimulateMatchesOracle:
-    """``simulate`` is byte-identical to the prefix re-evaluating engine."""
+    """``simulate`` is byte-identical to the row-by-row reader and the prefix evaluator."""
 
-    def both(self, monkeypatch, capsys, *argv):
-        fast = run(capsys, *argv)
-        evaluators = []
-
-        def load(text):
-            # The brute-force evaluator of the same description, for the stream below.
-            evaluators.append(oracle.ast_evaluator(parse(text)))
-            return load_circuit(text)
-
-        def stream(element, control, inputs):
-            return oracle.output_stream(element, evaluators[-1], control, inputs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "load_circuit", load)
-            patch.setattr(cli, "output_stream", stream)
-            slow = run(capsys, *argv)
+    def both(self, capsys, circuit_path: str, stimulus: str, allow_undef: bool = False):
+        argv = ["simulate", "--circuit", circuit_path, "--stimulus", stimulus]
+        fast = run(capsys, *argv, *["--allow-undef"] * allow_undef)
+        text = Path(circuit_path).read_text(encoding="utf-8")
+        slow = oracle.simulate(load_circuit(text), oracle.ast_evaluator(parse(text)), stimulus,
+                               allow_undef)
         return fast, slow
 
     @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])
-    def test_dff_edge(self, monkeypatch, capsys, allow_undef):
-        argv = ["simulate", "--circuit", circuit("dff.kcir"),
-                "--stimulus", circuit("dff_edge.csv")]
-        if allow_undef:
-            argv.append("--allow-undef")
-        fast, slow = self.both(monkeypatch, capsys, *argv)
+    def test_dff_edge(self, capsys, allow_undef):
+        fast, slow = self.both(capsys, circuit("dff.kcir"), circuit("dff_edge.csv"), allow_undef)
         assert fast == slow
         assert fast[0] == (0 if allow_undef else 3)
 
     @pytest.mark.parametrize("text", WIDE_CIRCUITS.values(), ids=WIDE_CIRCUITS.keys())
-    def test_widest_circuit_files(self, monkeypatch, capsys, tmp_path, text):
+    def test_widest_circuit_files(self, capsys, tmp_path, text):
         path = tmp_path / "wide.kcir"
         path.write_text(text, encoding="utf-8")
         stimulus = tmp_path / "wide.csv"
         stimulus.write_text("tick,c,d,e\n" + "".join(
             f"{t},{t % 2},{t // 2 % 2},{t // 3 % 2}\n" for t in range(8)
         ))
-        argv = ["simulate", "--circuit", str(path), "--stimulus", str(stimulus)]
-        fast, slow = self.both(monkeypatch, capsys, *argv)
+        fast, slow = self.both(capsys, str(path), str(stimulus))
         assert fast == slow
         assert fast[0] == 0
         for argv in (["classify", "--horizon", "3"], ["check", "--horizon", "4", "--trials", "20"]):
@@ -616,12 +659,10 @@ class TestSimulateMatchesOracle:
 
     @pytest.mark.parametrize("circuit_file", sorted(SEEDED_COLUMNS))
     @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])
-    def test_seeded_stimulus(self, monkeypatch, capsys, tmp_path, circuit_file, allow_undef):
-        stimulus = seeded_stimulus(tmp_path / "stim.csv", circuit_file)
-        argv = ["simulate", "--circuit", circuit(circuit_file), "--stimulus", stimulus]
-        if allow_undef:
-            argv.append("--allow-undef")
-        fast, slow = self.both(monkeypatch, capsys, *argv)
+    def test_seeded_stimulus(self, capsys, tmp_path, circuit_file, allow_undef):
+        # 300 ticks: the second batch of rows starts at tick 256.
+        stimulus = seeded_stimulus(tmp_path / "stim.csv", circuit_file, ticks=300)
+        fast, slow = self.both(capsys, circuit(circuit_file), stimulus, allow_undef)
         assert fast == slow
         # abmem reads unwritten cells and idle addresses; the others never do.
         undefined = circuit_file == "abmem.kcir" and not allow_undef

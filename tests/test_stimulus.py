@@ -1,14 +1,16 @@
 """The batched stimulus reader against the row-by-row reference.
 
 ``kcir.cli._read_stimulus`` checks a stimulus CSV a batch of rows at a time,
-one column at a time, and scans a batch row by row only to name its first
-bad row.  ``oracle.read_stimulus`` reads and checks one row at a time.  On
-every drawn file both must return the same columns or refuse it with the
-same message.  The drawn files run with a small batch size, a lowered csv
-field limit (which lowers the line bound with it) and sometimes a lowered
-``MAX_SAMPLES``, so batch boundaries, overlong lines, oversized cells and
-the sample limit all fall within a few rows, and so does the bound on the
-lines of one row that quoted cells carry across line ends.
+one column at a time, scans a batch row by row only to name its first bad
+row, and yields each batch once it passes.  ``oracle.read_stimulus`` reads
+and checks one row at a time.  On every drawn file the batches joined back
+into columns must equal the columns the oracle returns, or both readers
+must refuse the file with the same message.  The drawn files run with a
+small batch size, a lowered csv field limit (which lowers the line bound
+with it) and sometimes a lowered ``MAX_SAMPLES``, so batch boundaries,
+overlong lines, oversized cells and the sample limit all fall within a few
+rows, and so does the bound on the lines of one row that quoted cells carry
+across line ends.
 """
 
 from __future__ import annotations
@@ -52,6 +54,23 @@ def reading_under(batch_rows: int, max_samples: int = cli.MAX_SAMPLES,
             yield
     finally:
         csv.field_size_limit(old_limit)
+
+
+def read_batches(path: str, element) -> tuple[list[str], dict[str, list[str]]]:
+    """The batches ``cli._read_stimulus`` yields, joined back into columns.
+
+    Each batch must start at the tick after the one before it and hold one
+    input row per control symbol.
+    """
+    control: list[str] = []
+    inputs: dict[str, list[str]] = {name: [] for name in element.input_names}
+    for first, symbols, rows in cli._read_stimulus(path, element):
+        rows = list(rows)
+        assert first == len(control) and len(rows) == len(symbols) > 0
+        control += symbols
+        for name, column in zip(element.input_names, zip(*rows)):
+            inputs[name] += column
+    return control, inputs
 
 
 def outcome(read, path: str, element):
@@ -168,7 +187,7 @@ def test_batched_reader_matches_the_row_by_row_reader(tmp_path_factory, drawn, b
     max_samples = cli.MAX_SAMPLES if limit_rows is None else limit_rows * channels
     with reading_under(batch_rows, max_samples):
         expected = outcome(oracle.read_stimulus, str(path), element)
-        assert outcome(cli._read_stimulus, str(path), element) == expected
+        assert outcome(read_batches, str(path), element) == expected
 
 
 def dff_stimulus(rows: int) -> str:
@@ -183,7 +202,7 @@ def test_sample_limit_at_a_batch_boundary(tmp_path):
         # dff has two channels per tick, so the limit falls after whole batches.
         with mock.patch.object(cli, "MAX_SAMPLES", 2 * batches * batch):
             path.write_text(dff_stimulus(batches * batch))
-            control, inputs = cli._read_stimulus(str(path), element)
+            control, inputs = read_batches(str(path), element)
             assert len(control) == len(inputs["D"]) == batches * batch
             assert (control, inputs) == oracle.read_stimulus(str(path), element)
             path.write_text(dff_stimulus(batches * batch + 1))
@@ -191,7 +210,7 @@ def test_sample_limit_at_a_batch_boundary(tmp_path):
                 f"stimulus row {batches * batch + 1} takes it past the limit of "
                 f"{2 * batches * batch:,} samples (2 channels per tick)"
             )
-            assert outcome(cli._read_stimulus, str(path), element) == f"error: {message}"
+            assert outcome(read_batches, str(path), element) == f"error: {message}"
             assert outcome(oracle.read_stimulus, str(path), element) == f"error: {message}"
 
 
