@@ -13,10 +13,9 @@ concrete witnesses when it is not; the :mod:`kcir.classifier` docstring
 describes how.
 
 A circuit is defined once, by ``init``/``step`` and, where it has a read
-map, ``read_init``/``read_step``; ``output_stream``, the read map ``reads``
-and the randomized checks are folds of those steps.  The
-:class:`CircuitElement` docstring gives the one rule that keeps ``reads``
-and ``read_step`` in step.  A stream is its samples: ``output_stream`` takes
+map, ``read_init``/``read_step``; ``output_stream`` and the randomized
+checks are folds of those steps, and the read map ``reads`` is the fold of
+``read_step``.  A stream is its samples: ``output_stream`` takes
 the control symbols and one sample sequence per input channel, and a
 :class:`CausalSignal` is an alphabet and the samples of ticks 0..t.
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
@@ -73,21 +73,6 @@ def _fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
     return reads
 
 
-def _history_read_step(reads: ReadMap, alphabet: Alphabet) -> ReadStepFn:
-    """The read step of a bare read map: the state is the history so far.
-
-    Each step applies the read map to the whole history, so it costs what
-    the map costs; it lets the classifier walk elements given only ``reads``.
-    A read set is its refs, so the map's result is the step's refs as it is.
-    """
-
-    def read_step(history: tuple[str, ...], symbol: str, tick: Tick):
-        history = (*history, symbol)
-        return history, reads(CausalSignal(alphabet, history))
-
-    return read_step
-
-
 @dataclass(frozen=True)
 class CircuitElement:
     """An immutable circuit description usable by simulator and classifier.
@@ -109,24 +94,14 @@ class CircuitElement:
     carries its clock domains for :func:`kcir.classify`, which uses them
     only with the ``read_init`` they were made for.
 
-    ``reads`` is the read map from a control history to its read set.  One
-    rule keeps it and ``read_step`` in step, each time an element is built,
-    ``dataclasses.replace`` included:
-
-    - a ``reads`` that is not a fold made by this rule is the source: the
-      element walks it through a ``read_step`` whose state, from
-      ``read_init`` ``()``, is the history so far, and which applies
-      ``reads`` to it;
-    - otherwise ``reads`` is rebuilt as the fold of ``read_step`` over the
-      history from ``read_init``, or is ``None`` when ``read_step`` is.
-
-    So ``replace(element, read_step=s)`` re-derives ``reads``,
-    ``replace(element, read_step=None)`` drops it, ``replace(element,
-    reads=r)`` walks ``r``, and an element built from ``reads`` takes a new
-    read step only with ``reads=None``.  Any replacement rebuilds a derived
-    ``reads``: the new fold agrees with the old one on every history but is
-    another object.  Both are ``None`` for circuits whose inputs do not
-    restrict one another, and a replaced read step carries no domains.
+    ``reads`` is the fold of ``read_step`` over a control history from
+    ``read_init``: the history's read set, or ``None`` when there is no
+    ``read_step``.  It is an init-only argument rather than a field so that
+    ``dataclasses.replace(element, reads=...)``, which the benchmark's tracer
+    calls, keeps working: a ``reads`` given beside a ``read_step`` is replaced
+    by the fold, a derived fold given alone is dropped, and any other
+    ``reads`` given alone is refused with :class:`ValueError`.  A replaced
+    read step carries no domains.
     """
 
     name: str
@@ -135,18 +110,15 @@ class CircuitElement:
     input_channels: tuple[tuple[str, Alphabet], ...]
     init: Any
     step: StepFn
-    reads: Optional[ReadMap] = None
+    reads: InitVar[Optional[ReadMap]] = None
     read_init: Any = None
     read_step: Optional[ReadStepFn] = None
 
-    def __post_init__(self) -> None:
-        reads, step = self.reads, self.read_step
-        if reads is not None and not hasattr(reads, "folds"):
-            object.__setattr__(self, "read_init", ())
-            object.__setattr__(self, "read_step", _history_read_step(reads, self.control_alphabet))
-        else:
-            folded = None if step is None else _fold_reads(self.read_init, step)
-            object.__setattr__(self, "reads", folded)
+    def __post_init__(self, reads: Optional[ReadMap]) -> None:
+        step = self.read_step
+        if step is None and reads is not None and not hasattr(reads, "folds"):
+            raise ValueError(f"circuit {self.name!r}: give its read map as read_step, not reads")
+        object.__setattr__(self, "reads", None if step is None else _fold_reads(self.read_init, step))
 
     @property
     def input_names(self) -> tuple[str, ...]:

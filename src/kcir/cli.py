@@ -430,7 +430,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_chi_dump(args) -> int:
     element = _load_element(args.circuit)
     if element.read_step is None:
-        raise UsageError(f"circuit {element.name!r} has no restriction map to dump")
+        raise UsageError(f"circuit {element.name!r} has no read map to dump")
     tokens = [token.strip() for token in args.control.split(",")]
     if not all(tokens):
         raise UsageError("--control must be a comma-separated list of control symbols")
@@ -478,7 +478,7 @@ def _cmd_check(args) -> int:
         soundness_stats = _json(soundness)
         failed = causality.violations > 0 or soundness.violations > 0
     else:
-        soundness_stats = {"skipped": "circuit has no restriction map"}
+        soundness_stats = {"skipped": "circuit has no read map"}
         failed = causality.violations > 0
     elapsed = time.perf_counter() - started
     stats = {

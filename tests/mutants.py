@@ -244,12 +244,27 @@ MUTANTS = (
         (f"{CLI}::TestBomLedCircuitFiles",),
     ),
     Mutant(
-        "the read-map rule ignores a reads given alone",
+        "a reads given beside a read_step is kept",
         "src/kcir/circuits.py",
-        'if reads is not None and not hasattr(reads, "folds"):',
+        '"reads", None if step is None else _fold_reads(self.read_init, step))',
+        '"reads", None if step is None else reads or _fold_reads(self.read_init, step))',
+        ("tests/test_circuits.py::TestReadStep::"
+         "test_a_read_map_given_beside_a_read_step_gives_way_to_the_fold",
+         "tests/test_bench_hooks.py::test_the_tracers_read_map_wrapper_is_never_walked"),
+    ),
+    Mutant(
+        "a bare reads is accepted",
+        "src/kcir/circuits.py",
+        'if step is None and reads is not None and not hasattr(reads, "folds"):',
         "if False:",
-        ("tests/test_circuits.py::TestReadStep::test_a_bare_read_map_gets_a_history_read_step",
-         "tests/test_circuits.py::TestReadStep::test_replacing_the_read_map_walks_the_new_one"),
+        ("tests/test_circuits.py::TestReadStep::test_a_read_map_given_alone_is_refused",),
+    ),
+    Mutant(
+        "_dff_read_step also claims the current tick's data sample",
+        "src/kcir/circuits.py",
+        "    return (clock, refs), refs\n",
+        "    return (clock, refs), refs and tuple(sorted({*refs, (\"D\", tick)}))\n",
+        ("tests/test_circuits.py::test_read_sets_hold_the_essential_samples[dff.kcir]",),
     ),
     Mutant(
         "_random_streams redraws a rejected sample once only",

@@ -29,10 +29,17 @@ The check references, :func:`causality_check` and
 or cut, from tick 0, for both runs; the library folds only the compared
 ticks and shares the prefix the runs agree on.
 
-The domain product, :func:`domain_product`, builds an element out of
+A bare read map, a function from control history to read set, enters an
+element only through :func:`history_part`, a read step whose state is the
+history so far: :func:`with_read_map` gives an element such a step, and
+the domain product, :func:`domain_product`, builds an element out of
 hand-made clock domains, each a read step on its clock's symbols "0" and
 "1", the way a multiclock circuit is made of its domains, so a test can make
 one domain break a condition of ``classify``'s per-domain route.
+
+The exact read-set reference, :func:`essential_reads`, folds ``step`` over
+every input assignment of one control history and keeps the samples whose
+change alone moves the last output.
 
 The stimulus reference, :func:`read_stimulus`, reads and checks a stimulus
 CSV one row at a time, cell by cell, as ``kcir simulate`` did before it
@@ -45,7 +52,7 @@ import csv
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from kcir.classifier import (
@@ -595,14 +602,20 @@ def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple
     return sorted(smallest.values(), key=lambda h: CausalSignal(alphabet, h).sort_key())
 
 
-# --- elements made of clock domains ---------------------------------------------
+# --- bare read maps: the history so far as read state -------------------------
 
-#: A domain's read state and step, on its own clock's symbols "0" and "1".
+#: A read state and step: a clock domain's, on its clock's symbols "0" and "1",
+#: or a whole element's.
 Part = tuple[object, ReadStepFn]
 
 
 def history_part(reads: Callable[[tuple[str, ...]], Optional[Refs]]) -> Part:
-    """A domain whose read state is its clock history and whose refs are ``reads`` of it."""
+    """A read step whose state is the history so far and whose refs are ``reads`` of it.
+
+    Each step applies ``reads`` to the whole history, so it costs what
+    ``reads`` costs.  It is the one way a bare read map enters an element:
+    as a domain of :func:`domain_product`, or through :func:`with_read_map`.
+    """
 
     def read_step(history, symbol, tick):
         history = (*history, symbol)
@@ -610,6 +623,19 @@ def history_part(reads: Callable[[tuple[str, ...]], Optional[Refs]]) -> Part:
 
     return (), read_step
 
+
+def with_read_map(element: CircuitElement, reads: ReadMap) -> CircuitElement:
+    """``element`` with the read step that walks the read map ``reads``.
+
+    A read set is its refs, so what ``reads`` returns is the step's refs as
+    it is, and ``element.reads`` of the result agrees with ``reads``.
+    """
+    alphabet = element.control_alphabet
+    read_init, read_step = history_part(lambda history: reads(CausalSignal(alphabet, history)))
+    return replace(element, read_init=read_init, read_step=read_step)
+
+
+# --- elements made of clock domains ---------------------------------------------
 
 def _own_channels(step: ReadStepFn, k: int) -> ReadStepFn:
     """``step`` with ``k`` appended to the name of every channel it reads."""
@@ -1025,6 +1051,33 @@ def causality_check(
         if before[:m] != after[:m]:
             violations += 1
     return CausalityReport(trials, mutations, violations)
+
+
+# --- exact read sets -------------------------------------------------------------
+
+def essential_reads(element: CircuitElement, control: CausalSignal) -> ReadSet:
+    """The input samples whose change alone can move the output at ``control``'s last tick.
+
+    ``step`` is folded over ``control`` with every assignment of the input
+    samples at ticks 0..t, and a sample is essential when some assignment's
+    output changes with that sample alone.  The output is a function of the
+    samples, and this is the smallest set that determines it, so a sound
+    read set holds it and an exact one equals it.  The cost is exponential
+    in the inputs times the ticks.
+    """
+    symbols, ticks = control.samples, control.t + 1
+    positions = [(name, u, alphabet) for name, alphabet in element.input_channels
+                 for u in range(ticks)]
+    outputs = {}
+    for values in itertools.product(*(alphabet.values for _, _, alphabet in positions)):
+        columns = [values[k: k + ticks] for k in range(0, len(values), ticks)]
+        outputs[values] = _outputs(element, symbols, columns)[-1]
+    return ReadSet(tuple(
+        (name, u)
+        for p, (name, u, alphabet) in enumerate(positions)
+        if any(outputs[(*values[:p], v, *values[p + 1:])] != output
+               for values, output in outputs.items() for v in alphabet.values)
+    ))
 
 
 # --- the stimulus reader, row by row -------------------------------------------

@@ -73,10 +73,13 @@ def test_a_circuit_is_its_steps_and_read_steps():
         "input_channels",
         "init",
         "step",
-        "reads",
         "read_init",
         "read_step",
     ]
+    # The read map is no field but stays an attribute: the fold of read_step.
+    element = kcir.dff_element()
+    control = kcir.CausalSignal.from_samples(kcir.BINARY, ("0", "1", "1"))
+    assert element.reads(control) == kcir.ReadSet.of(("D", 1))
 
 
 def test_a_circuit_description_is_its_clock_domains():

@@ -313,15 +313,14 @@ class TestClassify:
         assert result.witness.holds(element.reads)
 
     def test_transitivity_only_failure_is_not_time_preserving(self):
-        element = CircuitElement(
+        element = oracle.with_read_map(CircuitElement(
             name="synthetic",
             control_channels=("C",),
             control_alphabet=BINARY,
             input_channels=(("D", BINARY),),
             init=None,
             step=lambda state, symbol, samples: (state, "0"),
-            reads=transitivity_breaker,
-        )
+        ), transitivity_breaker)
         result = classify(element, 1)
         assert result.verdict is Verdict.NOT_TIME_PRESERVING
         assert result.axiom_report.antisymmetric
@@ -475,7 +474,7 @@ class TestClassifyByDomains:
         replaced = (
             dataclasses.replace(twoclock, read_step=lambda state, symbol, tick: (
                 tick % 2, SWAP[tick % 2])),
-            dataclasses.replace(twoclock, reads=lambda control: ReadSet(SWAP[control.t % 2])),
+            oracle.with_read_map(twoclock, lambda control: ReadSet(SWAP[control.t % 2])),
         )
         for element in replaced:
             result = classify(element, 2)

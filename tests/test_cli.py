@@ -738,7 +738,7 @@ class TestChiDumpCommand:
             "chi-dump", "--circuit", circuit("srlatch.kcir"), "--control", "0/0",
         )
         assert code == 2
-        assert "no restriction map" in err
+        assert "no read map" in err
 
     def test_unknown_symbol_exits_2(self, capsys):
         code, _, _ = run(

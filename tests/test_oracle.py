@@ -212,15 +212,14 @@ def table_circuits(draw):
     images = draw(st.lists(st.sampled_from(PALETTE), min_size=len(signals),
                            max_size=len(signals)))
     table = {s.samples: image for s, image in zip(signals, images)}
-    element = CircuitElement(
+    element = oracle.with_read_map(CircuitElement(
         name="table",
         control_channels=("C",),
         control_alphabet=alphabet,
         input_channels=(("D", alphabet),),
         init=None,
         step=lambda state, symbol, samples: (state, None),
-        reads=lambda signal: table[signal.samples],
-    )
+    ), lambda signal: table[signal.samples])
     return element, horizon
 
 
