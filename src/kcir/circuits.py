@@ -15,9 +15,10 @@ symbol, tick) to (next read state, refs), starting from ``read_init``, where
 refs are the sorted ``(channel, tick)`` pairs read at that tick.  It sees the
 control history only and tracks edge and write ticks, never sample values,
 so it is a route independent of ``step``.  The read map ``reads`` is derived
-from it as a fold over the prefix, and the classifier steps it once per node
-of the read-state DAG.  These two pairs are the only definitions of a circuit:
-there are no per-circuit evaluators or read maps beside them.
+from it as a fold over the prefix, and the classifier steps it once per read
+state of each level of the read-state DAG.  These two pairs are the only
+definitions of a circuit: there are no per-circuit evaluators or read maps
+beside them.
 
 The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after

@@ -15,16 +15,18 @@ the README state their own contracts and point here.
 
 1. *The walk.*  The control histories up to the horizon are walked as a DAG
    of read states, level by level.  Two histories of one length that reach
-   the same read state and refs have the same futures, since a read step
-   sees only the state, the symbol and the tick, so they are one node, and
-   each node's read state is stepped once per symbol with the circuit's
-   ``read_step``, however many histories reach it.  The nodes fill one
+   the same read state and refs are one node.  A read step sees only the
+   state, the symbol and the tick, so histories that reach one read state
+   have the same futures even when their refs differ: the nodes that share
+   a read state share one expansion, which steps the state once per symbol
+   with the circuit's ``read_step``, however many histories and nodes reach
+   it, and gives each of those nodes the same children.  The nodes fill one
    table, numbered in the order the walk meets them: level by level,
    parents in order, symbols in alphabet order.  So node ids follow the
    :meth:`~kcir.signals.CausalSignal.sort_key` order of the nodes' smallest
    histories, each node's first parent lies on its smallest history, and
    every child has a larger id than its parents.  The walk also counts the
-   histories per node exactly, for the prefix pairs with an undefined
+   histories per read state exactly, for the prefix pairs with an undefined
    endpoint.
 2. *The numbering.*  Read sets are interned to ids as the walk meets them
    and then numbered once, by rank in sorted order.
@@ -44,9 +46,12 @@ the README state their own contracts and point here.
    order, read off each node's smallest history and the shortest, smallest
    paths below it.
 5. *The budgets.*  Each stage's budget is checked where its count grows:
-   read steps and refs after each expanded node (``WALK_BUDGET``), nodes
-   times read sets after each level (``SWEEP_BUDGET``), and related pairs
-   times read sets after the sweep (``AXIOM_BUDGET``).  A run past one
+   read steps and refs after each expanded read state (``WALK_BUDGET``),
+   nodes times read sets after each level (``SWEEP_BUDGET``), and related
+   pairs times read sets after the sweep (``AXIOM_BUDGET``).  The walk's
+   count still charges every node the read steps and refs of its state's
+   expansion, as if each node were stepped on its own, so sharing an
+   expansion moves no run past a budget or back under it.  A run past one
    raises :class:`BudgetError` naming the level the walk reached.
 6. *The per-domain route.*  A multiclock circuit whose read step carries
    its clock domains, made for its own ``read_init``, is classified as
@@ -121,11 +126,11 @@ class ReadSet(tuple):
         return refs_text(self)
 
 
-#: The budgets of the walk (read steps plus the refs they return; abmem at
-#: horizon 60 takes 3.3·10^6), the sweep (nodes times read sets, the bits of
-#: its bit sets; 2**31 bits is 256 MB) and the axiom check (related pairs times
-#: read sets; mux at horizon 2,000 takes 3.2·10^10); see step 5 of the module
-#: docstring.
+#: The budgets of the walk (read steps plus the refs they return, counted per
+#: node; abmem at horizon 60 takes 3.3·10^6), the sweep (nodes times read
+#: sets, the bits of its bit sets; 2**31 bits is 256 MB) and the axiom check
+#: (related pairs times read sets; mux at horizon 2,000 takes 3.2·10^10); see
+#: step 5 of the module docstring.
 WALK_BUDGET = 4_000_000
 SWEEP_BUDGET = 2**31
 AXIOM_BUDGET = 5 * 10**10
@@ -277,7 +282,11 @@ class _ReadStateDag:
     """The control histories up to a horizon, merged by read state, as one node table.
 
     Building it runs steps 1 to 3 of the module docstring, the walk, the
-    numbering and the sweep, under the budgets of step 5.
+    numbering and the sweep, under the budgets of step 5.  The walk keys
+    each level on read states: a state's nodes, one per refs, form a chain
+    in the order they were made, and one expansion of the state gives them
+    all one row of children.  Only the chain's first node makes children,
+    so it is every child's first parent.
 
     Level t holds the node ids below ``ends[t]`` and from ``ends[t - 1]`` on.
     ``refs`` holds the read sets' refs in sorted order, and an image id is
@@ -299,15 +308,17 @@ class _ReadStateDag:
         children: list[Sequence[int]] = []
         ends: list[int] = []
         excluded = work = 0
-        # Per node of the last level: its id, read state, the histories
-        # reaching it, and the sum over those histories of their undefined
-        # ancestors-or-self.
-        parents: Iterable[list] = [[-1, read_init, 1, 0]]
+        # The last level's index: a read state keys the chain of its nodes
+        # in the order they were made, each ``[id, refs, next]``.  The head
+        # of a chain also holds the state, the histories reaching its nodes,
+        # and the sum over those histories of their undefined
+        # ancestors-or-self.  The root above level 0 is no node.
+        parents: Iterable[list] = [[-1, None, None, read_init, 1, 0]]
         for t in range(horizon + 1):
-            index: dict[tuple[Any, Optional[Refs]], list] = {}
-            for p, parent_state, count, undefined in parents:
+            index: dict[Any, list] = {}
+            for first, _, more, parent_state, count, undefined in parents:
                 row = []
-                work += len(symbols)
+                cost = len(symbols)
                 for symbol in symbols:
                     state, refs = read_step(parent_state, symbol, t)
                     if refs is None:
@@ -316,19 +327,33 @@ class _ReadStateDag:
                     else:
                         excluded += undefined
                         child_undefined = undefined
-                        work += len(refs)
-                    key = (state, refs)
-                    node = index.get(key)
-                    if node is None:
-                        node = index[key] = [len(images), state, 0, 0]
+                        cost += len(refs)
+                    head = index.get(state)
+                    if head is None:
+                        node = len(images)
+                        index[state] = [node, refs, None, state, count, child_undefined]
+                    else:
+                        link = head
+                        while link[1] != refs:
+                            if link[2] is None:
+                                link[2] = [len(images), refs, None]
+                            link = link[2]
+                        node = link[0]
+                        head[4] += count
+                        head[5] += child_undefined
+                    if node == len(images):  # made just now
                         images.append(-1 if refs is None else ids.setdefault(refs, len(ids)))
-                        origins.append((p, symbol))
+                        origins.append((first, symbol))
                         children.append(())  # until the node is expanded
-                    node[2] += count
-                    node[3] += child_undefined
-                    row.append(node[0])
-                if p >= 0:
-                    children[p] = row
+                    row.append(node)
+                # Every node of the state has this row and costs its steps.
+                if t:
+                    children[first] = row
+                work += cost
+                while more is not None:
+                    children[more[0]] = row
+                    work += cost
+                    more = more[2]
                 if work > WALK_BUDGET:
                     raise BudgetError(t, horizon, f"over {WALK_BUDGET:,} read steps and refs")
             ends.append(len(images))

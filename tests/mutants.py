@@ -45,6 +45,7 @@ ORACLE = "tests/test_oracle.py"
 CLI = "tests/test_cli.py"
 DSL = "tests/test_dsl.py"
 DOMAINS = "tests/test_classifier.py::TestClassifyByDomains"
+CALLS = "tests/test_classifier.py::TestClassify"
 
 MUTANTS = (
     Mutant(
@@ -62,6 +63,48 @@ MUTANTS = (
         "for k in children[n][:-1]:",
         (f"{ORACLE}::test_built_in_node_tables_match_brute_force",
          f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
+    ),
+    Mutant(
+        "nodes that share a read state are stepped on their own",
+        "src/kcir/classifier.py",
+        "                    head = index.get(state)\n"
+        "                    if head is None:\n"
+        "                        node = len(images)\n"
+        "                        index[state] = [",
+        "                    head = index.get((state, refs))\n"
+        "                    if head is None:\n"
+        "                        node = len(images)\n"
+        "                        index[state, refs] = [",
+        (f"{CALLS}::test_read_step_runs_once_per_symbol_and_read_state",
+         f"{CALLS}::test_drawn_read_steps_run_once_per_symbol_and_read_state"),
+    ),
+    Mutant(
+        "the histories of a read state's later nodes left out of its counts",
+        "src/kcir/classifier.py",
+        "                        head[4] += count\n"
+        "                        head[5] += child_undefined\n",
+        "                        if link is head:\n"
+        "                            head[4] += count\n"
+        "                            head[5] += child_undefined\n",
+        (f"{ORACLE}::test_circuit_files_match_the_oracle[abmem.kcir]",
+         f"{ORACLE}::test_built_ins_match_the_oracle[abmem_element-2]"),
+    ),
+    Mutant(
+        "the last node of a read state's chain given no children",
+        "src/kcir/classifier.py",
+        "children[more[0]] = row",
+        "children[more[0]] = row if more[2] else ()",
+        (f"{ORACLE}::test_built_in_node_tables_match_brute_force[abmem_element-2]",
+         f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
+    ),
+    Mutant(
+        "the walk budget charges a read state's expansion to its first node only",
+        "src/kcir/classifier.py",
+        "                    children[more[0]] = row\n"
+        "                    work += cost\n",
+        "                    children[more[0]] = row\n",
+        (f"{CALLS}::test_the_walk_budget_charges_every_node[abmem_element-3]",
+         f"{CALLS}::test_the_walk_budget_charges_every_node[mux_element-10]"),
     ),
     Mutant(
         "the antisymmetry test in _axiom_report inverted",

@@ -565,10 +565,10 @@ def walk_classify(circuit: CircuitElement, horizon: int) -> Classification:
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
 
 
-def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[int]:
-    """The distinct (read state, refs) pairs at each tick 0..horizon.
+def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[tuple[int, int]]:
+    """(distinct (read state, refs) pairs, distinct read states) at each tick 0..horizon.
 
-    These are the nodes of the read-state DAG level by level, found by
+    The pairs are the nodes of the read-state DAG level by level, found by
     stepping every distinct read state of the level before once per symbol.
     """
     sizes = []
@@ -579,9 +579,36 @@ def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[int]:
             for state in states
             for symbol in element.control_alphabet.values
         }
-        sizes.append(len(nodes))
         states = {state for state, _ in nodes}
+        sizes.append((len(nodes), len(states)))
     return sizes
+
+
+def dag_walk_work(element: CircuitElement, horizon: Tick) -> int:
+    """The read steps and refs of the walk to ``horizon``, counted per node.
+
+    The root and every node of the levels above the horizon cost the number
+    of symbols plus the refs of the steps of their read state, as if each
+    node were stepped on its own.
+    """
+    symbols = element.control_alphabet.values
+    nodes = {(element.read_init, None)}  # the root
+    work = 0
+    for t in range(horizon + 1):
+        steps = {state: [element.read_step(state, symbol, t) for symbol in symbols]
+                 for state, _ in nodes}
+        for state, _ in nodes:
+            work += len(symbols) + sum(len(refs) for _, refs in steps[state] if refs is not None)
+        nodes = {step for row in steps.values() for step in row}
+    return work
+
+
+def read_fold(element: CircuitElement, history: Sequence[str]) -> tuple[object, Optional[Refs]]:
+    """(read state, refs) after folding ``read_step`` over a nonempty history from ``read_init``."""
+    state = element.read_init
+    for tick, symbol in enumerate(history):
+        state, refs = element.read_step(state, symbol, tick)
+    return state, refs
 
 
 def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple[str, ...]]:
@@ -595,10 +622,7 @@ def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple
     for t in range(horizon + 1):
         # product() meets the histories of one length in sample-rank order.
         for history in itertools.product(alphabet.values, repeat=t + 1):
-            state = element.read_init
-            for tick, symbol in enumerate(history):
-                state, refs = element.read_step(state, symbol, tick)
-            smallest.setdefault((t, state, refs), history)
+            smallest.setdefault((t, *read_fold(element, history)), history)
     return sorted(smallest.values(), key=lambda h: CausalSignal(alphabet, h).sort_key())
 
 

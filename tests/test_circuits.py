@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcir import (
@@ -20,6 +20,7 @@ from kcir import (
     classify,
     counter_element,
     dff_element,
+    elaborate,
     load_circuit,
     mux_element,
     output_stream,
@@ -32,6 +33,7 @@ from kcir.circuits import _random_streams, _stream_alphabets
 from . import oracle
 from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, sig
 from .oracle import enumerate_causal_signals, prefix
+from .test_dsl import _circuits
 
 
 def _random_samples(rng: random.Random, alphabet: Alphabet, length: int) -> tuple[str, ...]:
@@ -667,3 +669,15 @@ def test_read_sets_hold_the_essential_samples(path):
             assert set(essential) <= set(claimed), signal
             claims += claimed != essential
     assert claims == over_claims
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circuits(max_domains=2, max_inputs=2), st.integers(0, 2))
+def test_drawn_register_blocks_read_their_essential_samples(ast, horizon):
+    # The clocked reader on drawn logic: two input channels and three ticks
+    # keep the exact reference at 64 input assignments per history.
+    element = elaborate(ast)
+    for signal in enumerate_causal_signals(element.control_alphabet, horizon):
+        claimed = element.reads(signal)
+        if claimed is not None:
+            assert set(oracle.essential_reads(element, signal)) <= set(claimed), signal

@@ -39,6 +39,7 @@ from .oracle import (
     find_antisymmetry_witness,
 )
 from .test_dsl import _circuits
+from .test_oracle import mealy_circuits
 
 
 DFF_READS = dff_element().reads
@@ -290,6 +291,25 @@ def transitivity_breaker(signal: CausalSignal):
     return table.get(signal.samples)
 
 
+def _read_steps_taken(element: CircuitElement, horizon: int) -> int:
+    """The read steps ``classify`` takes on ``element``, checked against brute force.
+
+    There is one per symbol for the root and for each distinct read state of
+    each level above the horizon, and counting them leaves the result as it is.
+    """
+    calls = []
+
+    def counting(state, symbol, tick):
+        calls.append((symbol, tick))
+        return element.read_step(state, symbol, tick)
+
+    result = classify(dataclasses.replace(element, read_step=counting), horizon)
+    assert result == classify(element, horizon)
+    states = sum(s for _, s in oracle.dag_level_sizes(element, horizon)[:horizon])
+    assert len(calls) == len(element.control_alphabet) * (1 + states)
+    return len(calls)
+
+
 class TestClassify:
     def test_circuit_without_read_map_is_not_fundamental_form(self):
         result = classify(sr_latch_element(), 3)
@@ -341,22 +361,38 @@ class TestClassify:
         assert result.stats.excluded_undefined == 27
 
     @pytest.mark.parametrize(
-        "factory,horizon", [(abmem_element, 2), (dff_element, 6), (toggler_pair_element, 3)]
+        "factory,horizon",
+        [(abmem_element, 2), (abmem_element, 3), (mux_element, 10), (dff_element, 6),
+         (toggler_pair_element, 3)],
     )
-    def test_read_step_runs_once_per_symbol_and_dag_node(self, factory, horizon):
+    def test_read_step_runs_once_per_symbol_and_read_state(self, factory, horizon):
         element = factory()
-        calls = []
+        calls = _read_steps_taken(element, horizon)
+        # abmem and mux hold one read state at several nodes, which share its
+        # steps; the other circuits hold one node per read state.
+        nodes = sum(n for n, _ in oracle.dag_level_sizes(element, horizon)[:horizon])
+        shared = calls < len(element.control_alphabet) * (1 + nodes)
+        assert shared == (factory in (abmem_element, mux_element))
+        assert calls < classify(element, horizon).stats.signals
 
-        def counting(state, symbol, tick):
-            calls.append((symbol, tick))
-            return element.read_step(state, symbol, tick)
+    @settings(max_examples=100, deadline=None)
+    @given(mealy_circuits(), st.integers(0, 4))
+    def test_drawn_read_steps_run_once_per_symbol_and_read_state(self, element, horizon):
+        _read_steps_taken(element, horizon)
 
-        result = classify(dataclasses.replace(element, read_step=counting), horizon)
-        # The root and every node above the deepest level are expanded once.
-        expanded = 1 + sum(oracle.dag_level_sizes(element, horizon)[:horizon])
-        assert len(calls) == len(element.control_alphabet) * expanded
-        assert len(calls) < result.stats.signals
-        assert result == classify(element, horizon)
+    @pytest.mark.parametrize(
+        "factory,horizon", [(abmem_element, 3), (mux_element, 10), (dff_element, 6)]
+    )
+    def test_the_walk_budget_charges_every_node(self, monkeypatch, factory, horizon):
+        # abmem and mux step a read state once for several nodes, and the
+        # budget still charges each of them the steps and refs.
+        element = factory()
+        work = oracle.dag_walk_work(element, horizon)
+        monkeypatch.setattr(classifier, "WALK_BUDGET", work)
+        assert classify(element, horizon) == oracle.walk_classify(element, horizon)
+        monkeypatch.setattr(classifier, "WALK_BUDGET", work - 1)
+        with pytest.raises(BudgetError, match=f"^classify stopped at level {horizon} of "):
+            classify(element, horizon)
 
     @pytest.mark.parametrize(
         "factory,horizon",

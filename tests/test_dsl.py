@@ -448,17 +448,20 @@ def _domains(draw, name: str = "", clock: str = "clk", inputs: tuple[str, ...] =
 
 
 @st.composite
-def _circuits(draw, min_domains: int = 1) -> CircuitAst:
-    """A sync circuit, or a multiclock one of up to ``MAX_DOMAINS`` domains.
+def _circuits(
+    draw, min_domains: int = 1, max_domains: int = MAX_DOMAINS, max_inputs: int = 3 * MAX_DOMAINS
+) -> CircuitAst:
+    """A sync circuit, or a multiclock one of ``min_domains`` to ``max_domains`` domains.
 
-    Each domain has its own clock and 0 to 3 inputs of its own; there are
-    ``min_domains`` domains at least.
+    Each domain has its own clock and 0 to 3 inputs of its own, and all the
+    domains have ``max_inputs`` inputs at most.
     """
-    count = draw(st.integers(min_domains, MAX_DOMAINS))
+    count = draw(st.integers(min_domains, max_domains))
     names = list(draw(st.permutations(AWKWARD_NAMES)))
     domains = []
     for k in range(count):
-        inputs = tuple(names[:draw(st.integers(0, 3))])
+        inputs = tuple(names[:draw(st.integers(0, min(3, max_inputs)))])
+        max_inputs -= len(inputs)
         del names[:len(inputs)]
         domains.append(draw(_domains(f"d{k}" if count > 1 else "", f"clk{k}", inputs)))
     return CircuitAst("blk", "sync" if count == 1 else "multiclock", tuple(domains))

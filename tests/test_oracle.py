@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stdout
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import find, given, settings
@@ -378,7 +378,8 @@ def test_mealy_strategy_merges_histories():
     def merges(case):
         element, horizon = case
         width = len(element.control_alphabet)
-        return sum(oracle.dag_level_sizes(element, horizon)) < history_count(width, horizon)
+        nodes = sum(n for n, _ in oracle.dag_level_sizes(element, horizon))
+        return nodes < history_count(width, horizon)
 
     element, horizon = find(
         st.tuples(mealy_circuits(), st.integers(0, 3)),
@@ -522,17 +523,24 @@ def test_deeper_horizons_match_the_pair_scan_of_the_dag(factory, horizon):
 
 
 def _check_node_table(element: CircuitElement, horizon: int) -> None:
-    """The DAG's node ids, children and ``after`` sets, against brute force."""
+    """The DAG's node ids, children and ``after`` sets, against brute force.
+
+    Nodes that share a level and a read state, by folding their smallest
+    histories, have one row of children.
+    """
     alphabet = element.control_alphabet
     dag = _ReadStateDag(element.read_init, element.read_step, alphabet.values, horizon)
-    nodes = range(len(dag.images))
-    assert [dag.history(n) for n in nodes] == oracle.dag_smallest_histories(element, horizon)
-    for n in nodes:
+    histories = [dag.history(n) for n in range(len(dag.images))]
+    assert histories == oracle.dag_smallest_histories(element, horizon)
+    rows: dict[tuple, Sequence[int]] = {}
+    for n, history in enumerate(histories):
         parent, symbol = dag.origins[n]
         assert parent < n
         if parent >= 0:
             assert dag.children[parent][alphabet.values.index(symbol)] == n
         assert all(k > n for k in dag.children[n])
+        state, _ = oracle.read_fold(element, history)
+        assert rows.setdefault((len(history), state), dag.children[n]) == dag.children[n], n
     relation = oracle.build_prefix_relation(enumerate_causal_signals(alphabet, horizon))
     pairs = {
         (ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
