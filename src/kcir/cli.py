@@ -20,10 +20,12 @@ budgets, at the level it reached, and before it starts a run whose stats
 would pass 1,000 digits; ``check``
 refuses a horizon whose trials would each draw more than ``MAX_SAMPLES``
 samples, and ``simulate`` a stimulus of more than ``MAX_SAMPLES`` samples.
-``simulate`` checks its stimulus a bounded batch of rows at a time and steps
-the circuit over each batch once it passes, so it holds one bounded batch and
-the output text; one line, and one row however many lines its quoted cells
-span, is bounded by the characters the circuit's cells can take.
+``simulate`` decodes its stimulus 8 KB at a time and checks the rows of each
+chunk's complete lines as one batch, split on commas with ``str.split`` where
+the chunk holds no quote and read by csv where it does; it steps the circuit
+over each batch once it passes, so it holds one chunk's batch and the output
+text.  One line, and one row however many lines its quoted cells span, is
+bounded by the characters the circuit's cells can take.
 ``chi-dump`` folds the circuit's read step once over the control symbols,
 and refuses a dump that would hold more than ``MAX_SAMPLES`` refs.
 
@@ -35,15 +37,18 @@ fails, such as into a closed pipe or onto a full disk, exits 2 with one
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import functools
+import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .circuits import (
     CircuitElement,
@@ -65,8 +70,8 @@ UNDEF = "UNDEF"
 #: 95 bytes per sample (counter at horizon 1,999,999: 362 MB max RSS), so it
 #: stays under about 0.5 GB.  ``simulate`` holds only its output text, about
 #: 10 bytes per tick, so a stimulus of one channel is its largest: 4,000,000
-#: ticks of a one-register toggle take 55 MB max RSS, and 1,000,000 ticks of
-#: twoclock 27 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
+#: ticks of a one-register toggle take 54 MB max RSS, and 1,000,000 ticks of
+#: twoclock 28 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
 #: ticks, 3,962,090 refs) peaks at 47 MB.
 MAX_SAMPLES = 4_000_000
 
@@ -75,10 +80,10 @@ MAX_SAMPLES = 4_000_000
 #: ends, such as ``/dev/zero``, from being read into memory whole.
 MAX_CIRCUIT_CHARS = 100_000
 
-#: Most rows one stimulus batch holds.  A batch also ends at the line that
-#: takes its characters past the stimulus line bound, so at most one bounded
-#: batch is held whatever the lines hold.
-STIMULUS_BATCH_ROWS = 256
+#: Bytes of a stimulus file decoded at a time: as many as a file opened in
+#: text mode decodes at a time, so an undecodable byte is named at the same
+#: position.  A batch of rows is the complete lines of one chunk.
+STIMULUS_CHUNK_BYTES = 8192
 
 
 class UsageError(Exception):
@@ -180,95 +185,152 @@ def _load_element(path: str) -> CircuitElement:
 #: A checked stimulus batch: its first tick, its control symbols and its input
 #: rows, one tuple of samples per tick in the circuit's input channel order
 #: (empty tuples when it has none).  The rows are made lazily as they are
-#: stepped on: a list of row tuples made ``simulate`` about 3% slower.
+#: stepped on.
 Batch = tuple[int, list[str], Iterable[tuple[str, ...]]]
+
+#: The ASCII characters ``str.strip`` removes, but for the line ends.
+_ASCII_PADDING = " \t\v\f\x1c\x1d\x1e\x1f"
 
 
 def _read_stimulus(path: str, element: CircuitElement) -> Iterator[Batch]:
     """The batches of a stimulus CSV, each yielded once it is read and checked.
 
-    Each line is read with a bound on its length that no row of the circuit's
-    cells within the csv field limit reaches, even with every character
-    quoted, so a line that never ends is refused before it is held.  A row
+    The file is decoded ``STIMULUS_CHUNK_BYTES`` at a time, and a batch is the
+    rows of the complete lines of one chunk; a line the chunk's end cuts waits
+    for the next chunk.  A chunk with no quote (nor NUL, which csv refuses on
+    Python 3.10) is split into columns with ``str.split``.  If each of its
+    lines then has a cell per header column, and no cell passes the csv field
+    limit, the split reads it as csv would, and each of its lines is within
+    the bound below.  csv reads any other chunk a line at a time, and a plain
+    chunk that fails, so its errors are csv's; a row whose quoted cells carry
+    line ends past a chunk's end is read on into the next chunk.
+
+    Each line is held to a bound that no row of the circuit's cells within
+    the csv field limit reaches, even with every character quoted, so a line
+    that never ends is refused once a chunk takes it past the bound.  A row
     whose quoted cells span lines is held to the same bound: the line that
-    takes the characters read since the last row past it is refused.  The
-    rows are checked in batches, each cut once it holds
-    ``STIMULUS_BATCH_ROWS`` rows or its lines pass that bound, so at most one
-    bounded batch is held.
-    A UTF-8 byte order mark at the start of the file is skipped.  The file is
+    takes the characters read since the last row past it is refused.  A
+    UTF-8 byte order mark at the start of the file is skipped.  The file is
     opened at the first batch asked for and closed after the last.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
-    bound = cells * (2 * csv.field_size_limit() + 3) + 1
-    read = row_start = 0  # characters read so far, and before the row being read
+    limit = csv.field_size_limit()
+    bound = cells * (2 * limit + 3) + 1
+    number = read = row_start = 0  # lines read; characters read, and before the row being read
 
-    def lines(handle):
-        nonlocal read
-        for number, line in enumerate(iter(functools.partial(handle.readline, bound + 1), ""), 1):
-            if len(line) > bound:
-                raise UsageError(
-                    f"stimulus line {number} is longer than the limit of {bound:,} characters"
-                )
-            read += len(line)
-            if read - row_start > bound:
-                raise UsageError(
-                    f"stimulus line {number} takes its row past the limit of {bound:,} characters"
-                )
-            yield line
+    def texts(handle):
+        """The complete lines of each chunk as one text, and the rest of the file at its end.
 
-    def non_blank(rows):
-        """The non-blank rows; each row read, blank or not, starts the next row's count."""
-        nonlocal row_start
-        for row in rows:
-            row_start = read
-            if row:
-                yield row
-
-    def batches(rows):
-        """The rows in lists cut as above.
-
-        A read error cuts its batch short: the rows before it are yielded to
-        be checked, and the error is raised only once they pass, where the
-        rows read one by one would have met it.
+        A cut line already past the bound ends its text, to be refused.
         """
-        while True:
-            batch, start = [], read
-            try:
-                for row in rows:
-                    batch.append(row)
-                    if len(batch) == STIMULUS_BATCH_ROWS or read - start > bound:
-                        break
-            except (UsageError, OSError, UnicodeDecodeError, csv.Error):
-                if batch:
-                    yield batch
-                raise
-            if not batch:
+        # Decoded as in text mode, which holds back a last "\r" until it sees
+        # whether "\n" follows.
+        utf8 = codecs.getincrementaldecoder("utf-8-sig")()
+        decoder, carry = io.IncrementalNewlineDecoder(utf8, translate=False), ""
+        while data := handle.read1(STIMULUS_CHUNK_BYTES):
+            text = carry + decoder.decode(data)
+            cut = max(text.rfind("\n"), text.rfind("\r")) + 1
+            if len(text) - cut > bound:
+                cut = len(text)
+            text, carry = text[:cut], text[cut:]
+            yield text
+        yield carry + decoder.decode(b"", True)
+
+    def lines(text):
+        """The lines of ``text``, checked, and of the texts after it while csv reads a row."""
+        nonlocal number, read
+        for text in itertools.chain((text,), chunks):
+            for line in io.StringIO(text, newline=""):
+                number += 1
+                if len(line) > bound:
+                    raise UsageError(f"stimulus line {number} is longer than the limit of "
+                                     f"{bound:,} characters")
+                read += len(line)
+                if read - row_start > bound:
+                    raise UsageError(f"stimulus line {number} takes its row past the limit of "
+                                     f"{bound:,} characters")
+                yield line
+            if read == row_start:
                 return
-            yield batch
+
+    def parsed(text):
+        """The non-blank rows csv reads from ``text`` on, and the error that cut them short."""
+        nonlocal row_start
+        rows = []
+        try:
+            for row in csv.reader(lines(text)):
+                row_start = read
+                if row:
+                    rows.append(row)
+        except (UsageError, OSError, UnicodeDecodeError, csv.Error) as error:
+            return rows, error
+        return rows, None
+
+    def split(text, width):
+        """The columns of ``text``'s non-blank lines, or None where csv must read it.
+
+        That is where ``text`` holds a quote or NUL, or a line that has other
+        than ``width`` cells or a cell past the field limit.  Before the
+        header is read, ``width`` is None and the first line sets it.
+        """
+        nonlocal number
+        if '"' in text or "\0" in text:
+            return None
+        body = "\n" + text.replace("\r\n", "\n").replace("\r", "\n") + "\n"
+        ends = body.count("\n") - 2
+        while "\n\n" in body:
+            body = body.replace("\n\n", "\n")
+        rows = body.count("\n") - 1
+        width = width or body.count(",", 0, body.find("\n", 1)) + 1
+        # With a comma after each line end, a line end closes a cell, so each
+        # line has ``width`` cells exactly when every ``width``-th cell, and
+        # no other, closes with one.
+        flat = body.replace("\n", "\n,").split(",")[1:-1]
+        last = "".join(flat[width - 1::width]).split("\n")
+        if not rows or len(flat) != rows * width or len(last) != rows + 1:
+            return None
+        columns = [flat[j::width] for j in range(width - 1)] + [last[:-1]]
+        if len(body) > limit and max(map(len, itertools.chain(*columns))) > limit:
+            return None
+        if not body.isascii() or any(c in body for c in _ASCII_PADDING):
+            columns = [list(map(str.strip, column)) for column in columns]
+        number += ends
+        return columns
 
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = non_blank(csv.reader(lines(handle)))
-            yield from _stimulus_batches(next(rows, []), batches(rows), element)
+        with open(path, "rb") as handle:
+            chunks, check, first, width = texts(handle), None, 0, None
+            for text in chunks:
+                columns = split(text, width)
+                rows, error = ([], None) if columns else parsed(text)
+                if check is None and (columns or rows):
+                    header = [column.pop(0) for column in columns] if columns else rows.pop(0)
+                    check, width = _stimulus_check(header, element), len(header)
+                if columns and columns[0] or rows:
+                    yield (batch := check(columns, rows, first))
+                    first += len(batch[1])
+                if error:
+                    raise error
+            if check is None:
+                raise UsageError("stimulus file is empty")
+            if not first:
+                raise UsageError("stimulus must contain at least one row")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _stimulus_batches(
-    header: list[str], batches: Iterable[list[list[str]]], element: CircuitElement
-) -> Iterator[Batch]:
-    """Validate a stimulus's ``header`` and its other non-blank rows, a batch at a time.
+def _stimulus_check(header: list[str], element: CircuitElement) -> Callable[..., Batch]:
+    """Validate a stimulus's ``header`` row, and return the check of its other rows.
 
-    Each column of a batch is stripped once, its ticks are compared with
-    their range, and its control symbols are joined and checked against the
-    control alphabet together.  Only a batch that fails is scanned row by
-    row, to name its first bad row; the row that takes the stimulus past
-    ``MAX_SAMPLES`` samples is one.  Each batch is yielded once it passes, and
-    none is held after it.
+    The check takes a batch as the stripped cells of its columns, or else as
+    its non-blank rows, and the number of rows before it.  Each column of the
+    rows is stripped once, its ticks are compared with their range, and its
+    control symbols are joined and checked against the control alphabet
+    together.  Only a batch that fails is scanned row by row, to name its
+    first bad row; the row that takes the stimulus past ``MAX_SAMPLES``
+    samples is one.
     """
     header = [cell.strip() for cell in header]
-    if not header:
-        raise UsageError("stimulus file is empty")
     if header[0] != "tick":
         raise UsageError("stimulus header must start with 'tick'")
     columns = header[1:]
@@ -288,7 +350,7 @@ def _stimulus_batches(
     width = {len(header)}
     max_rows = MAX_SAMPLES // len(columns)
 
-    def refuse(batch: list[list[str]], first: int) -> NoReturn:
+    def refuse(batch: Iterable[Sequence[str]], first: int) -> NoReturn:
         """Name the first bad row of ``batch``, whose rows are numbered from ``first``."""
         for i, row in enumerate(batch, first):
             if i > max_rows:
@@ -314,22 +376,24 @@ def _stimulus_batches(
                 raise _unknown_control(symbol, element)
         raise AssertionError("a stimulus batch failed a check that none of its rows fails")
 
-    first = 0
-    for batch in batches:
-        if first + len(batch) > max_rows or set(map(len, batch)) != width:
-            refuse(batch, first + 1)
-        cells = [list(map(str.strip, column)) for column in zip(*batch)]
+    def check(columns: Optional[list[list[str]]], rows: list[list[str]], first: int) -> Batch:
+        """The batch of ``columns``, or else of ``rows``, after ``first`` rows, once it passes."""
+        if not columns:
+            if set(map(len, rows)) != width:
+                refuse(rows, first + 1)
+            columns = [list(map(str.strip, column)) for column in zip(*rows)]
+        count = len(columns[0])
         try:
-            ticks = list(map(int, cells[0]))
+            ticks = list(map(int, columns[0]))
         except ValueError:
-            refuse(batch, first + 1)
-        symbols = list(map("/".join, zip(*[cells[k] for k in control_at])))
-        if ticks != list(range(first, first + len(batch))) or not known.issuperset(symbols):
-            refuse(batch, first + 1)
-        yield first, symbols, zip(*[cells[k] for k in input_at]) if input_at else [()] * len(batch)
-        first += len(batch)
-    if not first:
-        raise UsageError("stimulus must contain at least one row")
+            ticks = None
+        symbols = list(map("/".join, zip(*[columns[k] for k in control_at])))
+        if (first + count > max_rows or ticks != list(range(first, first + count))
+                or not known.issuperset(symbols)):
+            refuse(rows or zip(*columns), first + 1)
+        return first, symbols, zip(*[columns[k] for k in input_at]) if input_at else [()] * count
+
+    return check
 
 
 # ---------------------------------------------------------------------------

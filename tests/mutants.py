@@ -46,6 +46,7 @@ CLI = "tests/test_cli.py"
 DSL = "tests/test_dsl.py"
 DOMAINS = "tests/test_classifier.py::TestClassifyByDomains"
 CALLS = "tests/test_classifier.py::TestClassify"
+STIMULUS = "tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader"
 
 MUTANTS = (
     Mutant(
@@ -200,16 +201,65 @@ MUTANTS = (
         "src/kcir/cli.py",
         "if read - row_start > bound:",
         "if read - row_start > 2 * bound:",
-        ("tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader",
-         f"{CLI}::TestBoundedReads::test_row_spanning_lines_exits_2_in_flat_memory"),
+        (STIMULUS, f"{CLI}::TestBoundedReads::test_row_spanning_lines_exits_2_in_flat_memory"),
     ),
     Mutant(
         "a batch past the sample limit is taken without a row scan",
         "src/kcir/cli.py",
-        "if first + len(batch) > max_rows or set(map(len, batch)) != width:",
-        "if set(map(len, batch)) != width:",
-        ("tests/test_stimulus.py::test_sample_limit_at_a_batch_boundary",
-         "tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader"),
+        "        if (first + count > max_rows or ticks != list(range(first, first + count))\n",
+        "        if (ticks != list(range(first, first + count))\n",
+        ("tests/test_stimulus.py::test_sample_limit_at_a_batch_boundary", STIMULUS),
+    ),
+    Mutant(
+        "the field limit is not checked on a plain chunk",
+        "src/kcir/cli.py",
+        "        if len(body) > limit and max(map(len, itertools.chain(*columns))) > limit:\n"
+        "            return None\n",
+        "",
+        (STIMULUS,),
+    ),
+    Mutant(
+        "a line's terminator is left out of its length",
+        "src/kcir/cli.py",
+        "if len(line) > bound:",
+        'if len(line.rstrip("\\r\\n")) > bound:',
+        (STIMULUS,),
+    ),
+    Mutant(
+        "the carried partial line is dropped at a chunk edge",
+        "src/kcir/cli.py",
+        "text, carry = text[:cut], text[cut:]",
+        'text, carry = text[:cut], ""',
+        (STIMULUS, "tests/test_stimulus.py::test_long_files_match_the_row_by_row_reader"),
+    ),
+    Mutant(
+        "a chunk's last \\r is taken for a line end before the next chunk is decoded",
+        "src/kcir/cli.py",
+        'decoder, carry = io.IncrementalNewlineDecoder(utf8, translate=False), ""',
+        'decoder, carry = utf8, ""',
+        (STIMULUS,),
+    ),
+    Mutant(
+        "a cut line past the bound is held until it ends",
+        "src/kcir/cli.py",
+        "            if len(text) - cut > bound:\n"
+        "                cut = len(text)\n",
+        "",
+        (STIMULUS,),
+    ),
+    Mutant(
+        "a chunk with a quote is split as plain",
+        "src/kcir/cli.py",
+        """if '"' in text or "\\0" in text:""",
+        """if "\\0" in text:""",
+        (STIMULUS,),
+    ),
+    Mutant(
+        "a padded plain chunk is split without stripping its cells",
+        "src/kcir/cli.py",
+        "if not body.isascii() or any(c in body for c in _ASCII_PADDING):",
+        "if False:",
+        (STIMULUS,),
     ),
     Mutant(
         "_json encodes a read set as a plain tuple",

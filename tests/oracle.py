@@ -1110,8 +1110,10 @@ def read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[s
     """The control symbols and the input columns of a stimulus CSV, read in one pass.
 
     Each line, and the lines of each row, are read with the same bound on
-    their length as ``kcir simulate`` reads them, and ``cli.MAX_SAMPLES`` is
-    looked up at each call, so a test may lower it.
+    their length as ``kcir simulate`` reads them.  The text-mode file decodes
+    ``cli.STIMULUS_CHUNK_BYTES`` bytes at a time, as ``kcir simulate`` does, so
+    both name an undecodable byte at the same position.  That constant and
+    ``cli.MAX_SAMPLES`` are looked up at each call, so a test may lower them.
     """
     cells = 1 + len(set(element.control_channels) | set(element.input_names))
     bound = cells * (2 * csv.field_size_limit() + 3) + 1
@@ -1140,6 +1142,7 @@ def read_stimulus(path: str, element: CircuitElement) -> tuple[list[str], dict[s
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
+            handle._CHUNK_SIZE = cli.STIMULUS_CHUNK_BYTES
             return stimulus_columns(rows(csv.reader(lines(handle))), element)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc

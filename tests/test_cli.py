@@ -499,9 +499,10 @@ class TestSimulateCommand:
             2, "", "error: twoclock.slow: input 'ds' sample 'x' is not a bit\n")
 
     def test_a_read_fault_in_a_later_batch_comes_before_a_step_error(self, tmp_path, capsys):
-        # Tick 2 feeds the circuit a non-bit, and row 301, in the second
-        # batch, skips tick 300: the stimulus is refused as read.
-        ticks = [*range(300), 301]
+        # Tick 2 feeds the circuit a non-bit, and row 3,001, some 26 kB and
+        # three decode chunks later, skips tick 3,000: the stimulus is
+        # refused as read.
+        ticks = [*range(3000), 3001]
         stim = tmp_path / "stim.csv"
         stim.write_text("tick,clk,en\n" + "".join(
             f"{t},{t % 2},{'x' if t == 2 else 1}\n" for t in ticks))
@@ -510,7 +511,7 @@ class TestSimulateCommand:
             "simulate", "--circuit", circuit("counter.kcir"), "--stimulus", str(stim),
         )
         assert (code, out, err) == (
-            2, "", "error: stimulus ticks must be contiguous from 0: row 301 has tick 301\n")
+            2, "", "error: stimulus ticks must be contiguous from 0: row 3001 has tick 3001\n")
 
     def test_out_may_name_its_own_stimulus(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"
@@ -523,14 +524,15 @@ class TestSimulateCommand:
         assert stim.read_text() == expected
 
     def test_undefined_past_the_first_batch_exits_3(self, tmp_path, capsys):
+        # Tick 2,000 is some 21 kB and two decode chunks into the file.
         stim = tmp_path / "stim.csv"
-        stim.write_text("tick,W,R,D\n" + "".join(f"{t},A,A,a\n" for t in range(300))
-                        + "300,-,B,a\n")
+        stim.write_text("tick,W,R,D\n" + "".join(f"{t},A,A,a\n" for t in range(2000))
+                        + "2000,-,B,a\n")
         code, out, err = run(
             capsys, "simulate", "--circuit", circuit("abmem.kcir"), "--stimulus", str(stim),
         )
         assert (code, out, err) == (
-            3, "", "error: output undefined at tick 300; rerun with --allow-undef to emit "
+            3, "", "error: output undefined at tick 2000; rerun with --allow-undef to emit "
                    "UNDEF entries\n")
 
     def test_memory_does_not_grow_with_the_stimulus_beyond_its_output(self, tmp_path, capsys):
@@ -659,8 +661,10 @@ class TestSimulateMatchesOracle:
 
     @pytest.mark.parametrize("circuit_file", sorted(SEEDED_COLUMNS))
     @pytest.mark.parametrize("allow_undef", [True, False], ids=["allow-undef", "strict"])
-    def test_seeded_stimulus(self, capsys, tmp_path, circuit_file, allow_undef):
-        # 300 ticks: the second batch of rows starts at tick 256.
+    def test_seeded_stimulus(self, monkeypatch, capsys, tmp_path, circuit_file, allow_undef):
+        # 300 ticks (2.3 to 3.5 kB) decoded 512 bytes at a time by both
+        # readers: five batches or more, each after a line a chunk edge cut.
+        monkeypatch.setattr(cli, "STIMULUS_CHUNK_BYTES", 512)
         stimulus = seeded_stimulus(tmp_path / "stim.csv", circuit_file, ticks=300)
         fast, slow = self.both(capsys, circuit(circuit_file), stimulus, allow_undef)
         assert fast == slow
