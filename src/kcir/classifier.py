@@ -36,23 +36,37 @@ the README state their own contracts and point here.
    image and its children's sets, and joins each node's set into that of
    its image: the derived relation, as the images after each image.
 4. *The axioms.*  Reflexivity, antisymmetry and transitivity are checked
-   once on those bit sets, outright, none assumed to hold by construction:
-   reflexivity fails at x if x is not after x, and for each y after x other
-   than x, antisymmetry fails if x is after y, and transitivity if some
-   image after y is not after x.  Pairs are met in rank order, so each
-   failed axiom's witness is its smallest counterexample by rank, the one a
-   scan of the sorted read sets meets first.  An antisymmetry failure also
-   gets a four-signal witness, the lexicographic minimum under the signal
-   order, read off each node's smallest history and the shortest, smallest
-   paths below it.
+   on those bit sets, outright, none assumed to hold by construction.
+   Reflexivity fails at x if x is not after x.  When the related pairs
+   outnumber the DAG's edges, transitivity is first decided on the edges,
+   in one reverse pass over the node ids: the relation is transitive
+   exactly when, at every defined node of image x, each child's set lies
+   inside the set after x, a defined child's set being the set after its
+   image and an undefined child's the union of its own children's sets.
+   Along any path the sets then only shrink, which is the condition on the
+   pairs.  A reflexive, transitive relation relates x and y both ways
+   exactly when their sets are equal, so antisymmetry is then read off the
+   images grouped by their sets, and no related pair is visited.
+   Otherwise, and for a relation the pass finds intransitive, every related
+   pair is scanned: for each y after x other than x, antisymmetry fails if
+   x is after y, and transitivity if some image after y is not after x.
+   Either way each failed axiom's witness is its smallest counterexample by
+   rank, the one a scan of the sorted read sets meets first: the first x
+   whose set another image shares, then the smallest such other y, or the
+   first pair the scan meets.  An antisymmetry failure also gets a
+   four-signal witness, the lexicographic minimum under the signal order,
+   read off each node's smallest history and the shortest, smallest paths
+   below it.
 5. *The budgets.*  Each stage's budget is checked where its count grows:
    read steps and refs after each expanded read state (``WALK_BUDGET``),
    nodes times read sets after each level (``SWEEP_BUDGET``), and related
-   pairs times read sets after the sweep (``AXIOM_BUDGET``).  The walk's
-   count still charges every node the read steps and refs of its state's
-   expansion, as if each node were stepped on its own, so sharing an
-   expansion moves no run past a budget or back under it.  A run past one
-   raises :class:`BudgetError` naming the level the walk reached.
+   pairs times read sets after the sweep (``AXIOM_BUDGET``), only when the
+   pairs are to be scanned; a relation found transitive on the edges is
+   not charged.  The walk's count still charges every node the read steps
+   and refs of its state's expansion, as if each node were stepped on its
+   own, so sharing an expansion moves no run past a budget or back under
+   it.  A run past one raises :class:`BudgetError` naming the level the
+   walk reached.
 6. *The per-domain route.*  A multiclock circuit whose read step carries
    its clock domains, made for its own ``read_init``, is classified as
    those domains first, each walked as above on its own clock's symbols
@@ -128,9 +142,10 @@ class ReadSet(tuple):
 
 #: The budgets of the walk (read steps plus the refs they return, counted per
 #: node; abmem at horizon 60 takes 3.3·10^6), the sweep (nodes times read
-#: sets, the bits of its bit sets; 2**31 bits is 256 MB) and the axiom check
-#: (related pairs times read sets; mux at horizon 2,000 takes 3.2·10^10); see
-#: step 5 of the module docstring.
+#: sets, the bits of its bit sets; 2**31 bits is 256 MB) and the axiom
+#: check's pair scan (related pairs times read sets, charged only where the
+#: pairs are scanned; dff at horizon 600 takes 1.1·10^8); see step 5 of the
+#: module docstring.
 WALK_BUDGET = 4_000_000
 SWEEP_BUDGET = 2**31
 AXIOM_BUDGET = 5 * 10**10
@@ -174,30 +189,46 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
-def _axiom_report(images: Sequence[Refs], after: Sequence[int]) -> AxiomReport:
+def _equal_sets(after: Sequence[int]) -> Iterable[list[int]]:
+    """The images grouped by equal ``after`` sets, ascending, in order of their first image."""
+    groups: dict[int, list[int]] = {}
+    for x, mask in enumerate(after):
+        groups.setdefault(mask, []).append(x)
+    return groups.values()
+
+
+def _axiom_report(
+    images: Sequence[Refs], after: Sequence[int], transitive: bool = False
+) -> AxiomReport:
     """The three axioms on the relation that holds ``(x, y)`` when ``y`` is in ``after[x]``.
 
     Images are named by their index into ``images``, the refs of the read
     sets, and ``after[x]`` is the bit set of the images x is related to.
     Each witness is the smallest counterexample by index, built as
     :class:`ReadSet` values; the three booleans do not depend on the
-    numbering.  This is step 4 of the module docstring.
+    numbering.  ``transitive`` tells that the relation is known to be
+    transitive: if it is also reflexive, x and y are related both ways
+    exactly when their sets are equal, and no related pair is visited.
+    This is step 4 of the module docstring.
     """
     refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
     anti = trans = None
-    for x, mask in enumerate(after):
-        bit = 1 << x
-        for y in _members(mask):
-            if y == x:
-                continue
-            later = after[y]
-            if anti is None and later & bit:
-                anti = (x, y)
-            if trans is None and later | mask != mask:
-                missing = later & ~mask
-                trans = (x, y, (missing & -missing).bit_length() - 1)
-        if anti is not None and trans is not None:
-            break
+    if transitive and refl is None:
+        anti = next(((group[0], group[1]) for group in _equal_sets(after) if len(group) > 1), None)
+    else:
+        for x, mask in enumerate(after):
+            bit = 1 << x
+            for y in _members(mask):
+                if y == x:
+                    continue
+                later = after[y]
+                if anti is None and later & bit:
+                    anti = (x, y)
+                if trans is None and later | mask != mask:
+                    missing = later & ~mask
+                    trans = (x, y, (missing & -missing).bit_length() - 1)
+            if anti is not None and trans is not None:
+                break
 
     return AxiomReport(
         reflexive=refl is None,
@@ -282,11 +313,12 @@ class _ReadStateDag:
     """The control histories up to a horizon, merged by read state, as one node table.
 
     Building it runs steps 1 to 3 of the module docstring, the walk, the
-    numbering and the sweep, under the budgets of step 5.  The walk keys
-    each level on read states: a state's nodes, one per refs, form a chain
-    in the order they were made, and one expansion of the state gives them
-    all one row of children.  Only the chain's first node makes children,
-    so it is every child's first parent.
+    numbering and the sweep, and the edge pass of step 4 where it applies,
+    under the budgets of step 5.  The walk keys each level on read states: a
+    state's nodes, one per refs, form a chain in the order they were made,
+    and one expansion of the state gives them all one row of children.  Only
+    the chain's first node makes children, so it is every child's first
+    parent.
 
     Level t holds the node ids below ``ends[t]`` and from ``ends[t - 1]`` on.
     ``refs`` holds the read sets' refs in sorted order, and an image id is
@@ -296,7 +328,9 @@ class _ReadStateDag:
     order (none at the horizon) and ``reach[n]`` the bit set of the image
     ids of it and its descendants.  ``after[x]`` is the bit set of the
     images that some history holding image x reaches, the derived relation.
-    ``excluded`` counts the prefix pairs with an undefined endpoint.
+    ``excluded`` counts the prefix pairs with an undefined endpoint, and
+    ``transitive`` is true when the edge pass found the relation transitive
+    (false when it was not run, the pairs being no more than the edges).
     """
 
     def __init__(
@@ -383,10 +417,35 @@ class _ReadStateDag:
             reach[n] = mask
             if y >= 0:
                 after[y] |= mask
+        # Decide transitivity on the edges when they are fewer than the related
+        # pairs; the pair scan, and its budget, is left for the other relations.
         pairs = sum(mask.bit_count() for mask in after)
-        if pairs * len(after) > AXIOM_BUDGET:
+        edges = len(symbols) * ends[-2] if horizon else 0
+        self.transitive = pairs > edges and self.edges_transitive()
+        if not self.transitive and pairs * len(after) > AXIOM_BUDGET:
             raise BudgetError(horizon, horizon, f"{pairs:,} related pairs times {len(after):,} "
                               f"read sets pass the axiom check's {AXIOM_BUDGET:,}")
+
+    def edges_transitive(self) -> bool:
+        """Whether the derived relation is transitive, decided on the edges (step 4).
+
+        A defined node's set is ``after`` of its image, an undefined node's
+        the union of its children's sets, and the relation is transitive
+        exactly when no child's set leaves the set of its defined parent.
+        """
+        images, children, after = self.images, self.children, self.after
+        below: dict[int, int] = {}  # per undefined node, the union of its children's sets
+        for n in range(len(images) - 1, -1, -1):
+            mask = 0
+            for k in children[n]:
+                y = images[k]
+                mask |= after[y] if y >= 0 else below[k]
+            y = images[n]
+            if y < 0:
+                below[n] = mask
+            elif mask | after[y] != after[y]:
+                return False
+        return True
 
     def first(self, wanted: Callable[[int, int], Any]) -> int:
         """The first defined node for which ``wanted(image, reach)``, by smallest history."""
@@ -446,7 +505,8 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
     channels: set[ChannelId] = set()  # the channels the domains walked so far read
     for read_init, read_step in domains:
         dag = _ReadStateDag(read_init, read_step, BINARY.values, horizon)
-        if dag.excluded or not _axiom_report(dag.refs, dag.after).is_partial_order:
+        report = _axiom_report(dag.refs, dag.after, dag.transitive)
+        if dag.excluded or not report.is_partial_order:
             return None
         own = {channel for refs in dag.refs for channel, _ in refs}
         if not channels.isdisjoint(own):
@@ -484,7 +544,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
     computed but flagged degenerate in the stats.  A run that passes the
-    budget of its walk, sweep or axiom check raises :class:`BudgetError`.
+    budget of its walk, sweep or pair scan raises :class:`BudgetError`.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -503,7 +563,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         return Classification(Verdict.TIME_PRESERVING, AxiomReport(True, True, True), None, stats)
 
     dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
-    report = _axiom_report(dag.refs, dag.after)
+    report = _axiom_report(dag.refs, dag.after, dag.transitive)
     stats = ClassifyStats(horizon, signals, pairs, len(dag.refs), dag.excluded, degenerate)
 
     if report.is_partial_order:
@@ -517,10 +577,17 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         # a y; then b0 is the smallest history holding y that reaches x, and
         # b1 its smallest extension to x.
         after = dag.after
-        swapped = [
-            sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)
-            for x, mask in enumerate(after)
-        ]
+        if dag.transitive:  # related both ways is an equal set
+            swapped = [0] * len(after)
+            for group in _equal_sets(after):
+                members = sum(1 << y for y in group)
+                for x in group:
+                    swapped[x] = members & ~(1 << x)
+        else:
+            swapped = [
+                sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)
+                for x, mask in enumerate(after)
+            ]
         n = dag.first(lambda x, mask: swapped[x] & mask)
         x = dag.images[n]
         a0 = dag.history(n)

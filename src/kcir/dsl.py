@@ -686,18 +686,6 @@ def _reject_clocks(symbol: str, clocks: int) -> NoReturn:
     )
 
 
-def _with_current(channels: Sequence[str], edges: Sequence[Refs], tick: Tick) -> Refs:
-    """Each channel's edge refs and then its current tick, channel by channel.
-
-    ``channels`` is sorted and no edge lies after ``tick``, so the result is
-    sorted; a channel whose latest edge is at ``tick`` already holds it.
-    """
-    refs: Refs = ()
-    for channel, own in zip(channels, edges):
-        refs += own if own and own[-1][1] == tick else own + ((channel, tick),)
-    return refs
-
-
 def _clocked_reader(
     domains: Sequence[DomainAst], words: dict[Optional[str], int]
 ) -> tuple[Any, ReadStepFn]:
@@ -709,8 +697,12 @@ def _clocked_reader(
     they are the current tick.  The read state is (previous control symbol,
     per-channel edge refs), with the channels of all domains sorted together;
     each channel keeps its domain's clock bit, and an edge of that clock
-    appends one ref to it.  One domain with the words of one clock gives
-    that domain's reader on its own clock: the symbols "0" and "1".
+    appends one ref to it.  A channel's latest edge is at the current tick
+    exactly when its clock rises there, so the step appends the current tick
+    to every other channel's edge refs to make the refs, which are sorted,
+    since the channels are and no edge lies after the tick.  One domain with
+    the words of one clock gives that domain's reader on its own clock: the
+    symbols "0" and "1".
     """
     clock_bit = {name: 1 << k for k, domain in enumerate(domains) for name in domain.inputs}
     channels = tuple(sorted(clock_bit))
@@ -722,12 +714,20 @@ def _clocked_reader(
             rise = words[symbol] & ~words[previous]
         except KeyError:
             _reject_clocks(symbol, len(domains))
-        if rise:
-            edges = tuple([
-                own + ((c, tick),) if rise & bit else own
-                for c, own, bit in zip(channels, edges, bits)
-            ])
-        return (symbol, edges), _with_current(channels, edges, tick)
+        refs: Refs = ()
+        if not rise:
+            for c, own in zip(channels, edges):
+                refs += own + ((c, tick),)
+            return (symbol, edges), refs
+        risen = []
+        for c, own, bit in zip(channels, edges, bits):
+            if rise & bit:  # the new edge is the current tick
+                own += ((c, tick),)
+                refs += own
+            else:
+                refs += own + ((c, tick),)
+            risen.append(own)
+        return (symbol, tuple(risen)), refs
 
     return (None, ((),) * len(channels)), read_step
 

@@ -60,8 +60,10 @@ MUTANTS = (
     Mutant(
         "the sweep skips a node's last child",
         "src/kcir/classifier.py",
-        "for k in children[n]:",
-        "for k in children[n][:-1]:",
+        "            for k in children[n]:\n"
+        "                mask |= reach[k]\n",
+        "            for k in children[n][:-1]:\n"
+        "                mask |= reach[k]\n",
         (f"{ORACLE}::test_built_in_node_tables_match_brute_force",
          f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
     ),
@@ -124,12 +126,43 @@ MUTANTS = (
          f"{ORACLE}::test_axioms_on_ranks_match_the_read_set_scan"),
     ),
     Mutant(
+        "the edge pass skips undefined children",
+        "src/kcir/classifier.py",
+        "mask |= after[y] if y >= 0 else below[k]",
+        "mask |= after[y] if y >= 0 else 0",
+        (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
+         f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
+    ),
+    Mutant(
+        "the edge pass compares child images instead of child after-sets",
+        "src/kcir/classifier.py",
+        "mask |= after[y] if y >= 0 else below[k]",
+        "mask |= 1 << y if y >= 0 else below[k]",
+        (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
+         f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
+    ),
+    Mutant(
+        "the equal-set witness keeps the last duplicate",
+        "src/kcir/classifier.py",
+        "(group[0], group[1]) for group in _equal_sets(after)",
+        "(group[0], group[-1]) for group in _equal_sets(after)",
+        (f"{ORACLE}::test_equal_set_antisymmetry_matches_the_pair_scan",),
+    ),
+    Mutant(
         "swapped keeps x itself",
         "src/kcir/classifier.py",
         "sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)",
         "sum(1 << y for y in _members(mask) if after[y] >> x & 1)",
         (f"{ORACLE}::test_classify_never_reports_a_reflexivity_failure",
          f"{ORACLE}::test_table_read_maps_match_the_oracle"),
+    ),
+    Mutant(
+        "swapped keeps x itself in a group of equal sets",
+        "src/kcir/classifier.py",
+        "swapped[x] = members & ~(1 << x)",
+        "swapped[x] = members",
+        (f"{ORACLE}::test_table_read_maps_match_the_oracle",
+         f"{ORACLE}::test_mealy_read_steps_match_the_oracle"),
     ),
     Mutant(
         "the per-tick product summed over one tick too few",
@@ -142,7 +175,7 @@ MUTANTS = (
     Mutant(
         "the route taken although a domain fails an axiom",
         "src/kcir/classifier.py",
-        "if dag.excluded or not _axiom_report(dag.refs, dag.after).is_partial_order:",
+        "if dag.excluded or not report.is_partial_order:",
         "if dag.excluded:",
         (f"{ORACLE}::test_each_fallback_matches_the_joint_walk[intransitive]",
          f"{ORACLE}::test_mealy_products_match_the_walk"),
@@ -190,8 +223,8 @@ MUTANTS = (
     Mutant(
         "_clocked_reader appends an edge ref to every channel at any clock's edge",
         "src/kcir/dsl.py",
-        "own + ((c, tick),) if rise & bit else own",
-        "own + ((c, tick),) if rise else own",
+        "if rise & bit:  # the new edge is the current tick",
+        "if rise:  # the new edge is the current tick",
         (f"{ORACLE}::test_read_steps_match_the_rescanning_read_maps[twoclock.kcir]",
          "tests/test_dsl.py::TestCompiledStepMatchesTheReference"
          "::test_read_step_equals_the_reference"),

@@ -291,6 +291,17 @@ def transitivity_breaker(signal: CausalSignal):
     return table.get(signal.samples)
 
 
+def _breaker_element() -> CircuitElement:
+    return oracle.with_read_map(CircuitElement(
+        name="synthetic",
+        control_channels=("C",),
+        control_alphabet=BINARY,
+        input_channels=(("D", BINARY),),
+        init=None,
+        step=lambda state, symbol, samples: (state, "0"),
+    ), transitivity_breaker)
+
+
 def _read_steps_taken(element: CircuitElement, horizon: int) -> int:
     """The read steps ``classify`` takes on ``element``, checked against brute force.
 
@@ -333,15 +344,7 @@ class TestClassify:
         assert result.witness.holds(element.reads)
 
     def test_transitivity_only_failure_is_not_time_preserving(self):
-        element = oracle.with_read_map(CircuitElement(
-            name="synthetic",
-            control_channels=("C",),
-            control_alphabet=BINARY,
-            input_channels=(("D", BINARY),),
-            init=None,
-            step=lambda state, symbol, samples: (state, "0"),
-        ), transitivity_breaker)
-        result = classify(element, 1)
+        result = classify(_breaker_element(), 1)
         assert result.verdict is Verdict.NOT_TIME_PRESERVING
         assert result.axiom_report.antisymmetric
         assert not result.axiom_report.transitive
@@ -393,6 +396,17 @@ class TestClassify:
         monkeypatch.setattr(classifier, "WALK_BUDGET", work - 1)
         with pytest.raises(BudgetError, match=f"^classify stopped at level {horizon} of "):
             classify(element, horizon)
+
+    def test_the_axiom_budget_charges_the_pair_scan_only(self, monkeypatch):
+        # mux relates more pairs than its DAG has edges, and its relation is
+        # found transitive on the edges, so no pair is scanned.  The breaker's
+        # relation fails the edge pass and dff relates fewer pairs than its
+        # DAG has edges, so both are scanned and charged.
+        monkeypatch.setattr(classifier, "AXIOM_BUDGET", 0)
+        assert classify(mux_element(), 10).verdict is Verdict.TIME_PRESERVING
+        for element, horizon in ((_breaker_element(), 1), (dff_element(), 3)):
+            with pytest.raises(BudgetError, match="pass the axiom check's 0$"):
+                classify(element, horizon)
 
     @pytest.mark.parametrize(
         "factory,horizon",

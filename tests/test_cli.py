@@ -201,7 +201,6 @@ class TestClassifyCommand:
         ("counter.kcir", 1_000_000, "whose stats pass 1,000 digits from level 3,320"),
         ("mux.kcir", 5000, "whose stats pass 1,000 digits from level 3,320"),
         ("counter.kcir", 25, "classify stopped at level 20 of 25: "),
-        ("mux.kcir", 3000, "classify stopped at level 3,000 of 3,000: "),
     ])
     def test_deep_runs_are_refused_in_one_line(self, capsys, name, horizon, message):
         code, out, err = run(
@@ -210,6 +209,17 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_a_transitive_relation_passes_no_axiom_budget(self, capsys):
+        # mux at 3,000 relates 18,012,002 pairs of its 6,002 read sets, past
+        # the pair scan's budget, but it is decided on its DAG's 12,000 edges.
+        code, out, err = run(
+            capsys, "classify", "--circuit", circuit("mux.kcir"), "--horizon", "3000",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "time-preserving"
+        assert 18_012_002 * 6_002 > classifier.AXIOM_BUDGET
 
     def test_stats_too_long_to_print_are_refused(self, tmp_path, capsys):
         # One read state per level, so the walk is cheap, but the history

@@ -6,7 +6,10 @@ antisymmetry witness, against the oracle engine run on the rescanning read
 maps, and against the prefix-tree walk at horizons the oracle cannot reach.
 Drawn Mealy read steps make the DAG merge histories.  The DAG's node table
 numbers nodes in the order of their smallest histories, with children after
-parents, and its ``after`` sets are the oracle's derived image pairs.  The
+parents, and its ``after`` sets are the oracle's derived image pairs.  Its
+edge pass finds a relation transitive exactly when the pair scan does, and
+on a reflexive, transitive relation the images with equal sets give the
+pair scan's antisymmetry verdict and witness.  The
 read steps agree with those read maps at every node of the prefix tree, and
 report canonical refs.  Elements made of clock domains classify as their
 joint walk, whether ``classify`` walks their domains or falls back to the
@@ -305,6 +308,44 @@ def test_bit_set_axioms_match_the_pair_scan(case):
     assert (again.reflexive, again.antisymmetric, again.transitive) == verdict
 
 
+@settings(max_examples=500, deadline=None)
+@given(bit_relations())
+def test_equal_set_antisymmetry_matches_the_pair_scan(case):
+    # Closed to a reflexive, transitive relation, whose antisymmetry and its
+    # witness are read off the images with equal sets.
+    after = [mask | 1 << x for x, mask in enumerate(case[0])]
+    for k in range(len(after)):
+        for x in range(len(after)):
+            if after[x] >> k & 1:
+                after[x] |= after[k]
+    images = [ReadSet.of(("D", t)) for t in range(len(after))]
+    expected = oracle.pair_axiom_report(images, range(len(after)), _pairs(after))
+    assert expected.reflexive and expected.transitive
+    assert _axiom_report(images, after, transitive=True) == expected
+
+
+def _check_edge_verdict(element: CircuitElement, horizon: int) -> None:
+    """The DAG's edge pass, run whatever its cost rule picks, against the pair scan.
+
+    ``transitive`` holds the pass's verdict exactly when the related pairs
+    outnumber the edges, and is false otherwise.
+    """
+    dag = _ReadStateDag(
+        element.read_init, element.read_step, element.control_alphabet.values, horizon
+    )
+    images = [ReadSet(refs) for refs in dag.refs]
+    pairs = {(x, y) for x, mask in enumerate(dag.after) for y in _members(mask)}
+    transitive = oracle.pair_axiom_report(images, range(len(images)), pairs).transitive
+    assert dag.edges_transitive() == transitive
+    assert dag.transitive == (transitive and len(pairs) > sum(map(len, dag.children)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_circuits())
+def test_table_edge_verdicts_match_the_pair_scan(case):
+    _check_edge_verdict(*case)
+
+
 # The read maps above carry their whole history as read state, so their DAG
 # is the prefix tree.  These read steps are small Mealy tables whose state,
 # like a built-in's, is a table state and the tick of its last event, so
@@ -372,6 +413,12 @@ def test_mealy_read_steps_match_the_oracle(element, horizon):
 @given(mealy_circuits(), st.integers(0, 6))
 def test_mealy_read_steps_match_the_walk(element, horizon):
     assert classify(element, horizon) == oracle.walk_classify(element, horizon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mealy_circuits(), st.integers(0, 6))
+def test_mealy_edge_verdicts_match_the_pair_scan(element, horizon):
+    _check_edge_verdict(element, horizon)
 
 
 def test_mealy_strategy_merges_histories():
@@ -520,6 +567,13 @@ def test_deeper_horizons_match_the_pair_scan_of_the_dag(factory, horizon):
     images = [ReadSet.of(*dag.refs[i]) for i in order]
     expected = oracle.pair_axiom_report(images, range(len(images)), pairs)
     assert classify(element, horizon).axiom_report == expected
+
+
+@pytest.mark.parametrize(
+    "factory,horizon", DEEPER, ids=[f"{factory.__name__}-{h}" for factory, h in DEEPER]
+)
+def test_deeper_edge_verdicts_match_the_pair_scan(factory, horizon):
+    _check_edge_verdict(factory(), horizon)
 
 
 def _check_node_table(element: CircuitElement, horizon: int) -> None:
