@@ -24,9 +24,11 @@ The randomized property checks fold ``step`` over the ticks a trial
 compares and no more: a causality trial folds ticks 0..m-1 before and after
 the mutation at tick m, and a read-soundness trial folds the ticks before the
 mutated one once and runs the baseline and the mutated run from that shared
-state to the compared tick.  Their random columns are drawn in one inline
-loop over ``rng.getrandbits`` that makes the same draws as ``rng.choice``,
-so a seed gives the same report as a per-sample ``choice`` would.
+state to the compared tick, keeping only the last output.  Every random
+choice of a trial (the columns, the tick, the stream or position and the new
+value) is drawn by the ``_randbelow`` rule through ``rng.getrandbits``, with
+no ``Random`` method call, so a seed gives the same report as the
+``choice``, ``randint`` and ``randrange`` calls it stands for.
 
 Conventions shared by the built-ins here:
 
@@ -158,10 +160,12 @@ def _dff_read_step(state, clock: str, tick: Tick):
 
 def _dff_step(state, clock: str, samples: tuple[str, ...]):
     """State: (previous clock sample, data latched at the latest edge or ``None``)."""
-    _require_bit_clock(clock)
     previous, held = state
-    if previous == "0" and clock == "1":
-        held = samples[0]
+    if clock == "1":
+        if previous == "0":
+            held = samples[0]
+    elif clock != "0":
+        _require_bit_clock(clock)
     return (clock, held), held
 
 
@@ -213,23 +217,28 @@ def sr_latch_element(name: str = "srlatch") -> CircuitElement:
 # ---------------------------------------------------------------------------
 # Multiplexer
 
-def _mux_channel(select: str) -> int:
-    """Index of the input channel a select value routes: 0 for 'a', 1 for 'b'."""
-    if select == "a":
-        return 0
-    if select == "b":
-        return 1
-    raise SimulationError(f"select value {select!r} is not 'a' or 'b'")
+#: Index of the input channel each select value routes.
+_MUX_CHANNELS = {"a": 0, "b": 1}
+
+
+def _select_error(select: str) -> SimulationError:
+    return SimulationError(f"select value {select!r} is not 'a' or 'b'")
 
 
 def _mux_read_step(state, select: str, tick: Tick):
     """The selected channel at the current tick; the other channel is never read."""
-    return state, ((("A", "B")[_mux_channel(select)], tick),)
+    try:
+        return state, ((("A", "B")[_MUX_CHANNELS[select]], tick),)
+    except KeyError:
+        raise _select_error(select) from None
 
 
 def _mux_step(state, select: str, samples: tuple[str, ...]):
     """Route one of two current inputs according to the select value."""
-    return state, samples[_mux_channel(select)]
+    try:
+        return state, samples[_MUX_CHANNELS[select]]
+    except KeyError:
+        raise _select_error(select) from None
 
 
 def mux_element(name: str = "mux") -> CircuitElement:
@@ -254,14 +263,10 @@ _EMPTY_CELLS: tuple[Optional[str], ...] = (None, None)
 _CELLS = {f"{w}/{r}": (_SLOTS[w], _SLOTS[r]) for w in _SLOTS for r in _SLOTS}
 
 
-def _cell_indices(symbol: str) -> tuple[Optional[int], Optional[int]]:
-    """(written cell, read cell) of a memory control symbol; ``None`` for no cell."""
-    try:
-        return _CELLS[symbol]
-    except KeyError:
-        raise SimulationError(
-            f"memory control symbol {symbol!r} is not a write/read pair of A, B or '-'"
-        ) from None
+def _memory_symbol_error(symbol: str) -> SimulationError:
+    return SimulationError(
+        f"memory control symbol {symbol!r} is not a write/read pair of A, B or '-'"
+    )
 
 
 def _abmem_read_step(written, symbol: str, tick: Tick):
@@ -273,7 +278,10 @@ def _abmem_read_step(written, symbol: str, tick: Tick):
     written.  The read state is, per address, the refs of its latest write
     (``None`` while unwritten), never a value.
     """
-    i, j = _cell_indices(symbol)
+    try:
+        i, j = _CELLS[symbol]
+    except KeyError:
+        raise _memory_symbol_error(symbol) from None
     if i is not None:
         written = (*written[:i], (("D", tick),), *written[i + 1:])
     return written, None if j is None else written[j]
@@ -285,7 +293,10 @@ def _abmem_step(cells: tuple[Optional[str], ...], symbol: str, samples: tuple[st
     Simulated over actual cell values, while the read step tracks only write
     ticks, so the randomized soundness check compares two independent routes.
     """
-    i, j = _cell_indices(symbol)
+    try:
+        i, j = _CELLS[symbol]
+    except KeyError:
+        raise _memory_symbol_error(symbol) from None
     if i is not None:
         cells = (*cells[:i], samples[0], *cells[i + 1:])
     return cells, None if j is None else cells[j]
@@ -352,18 +363,30 @@ def _stream_alphabets(element: CircuitElement) -> list[Alphabet]:
     return [element.control_alphabet, *(alphabet for _, alphabet in element.input_channels)]
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1: ``k = n.bit_length()`` bits until they read below n.
+
+    That is ``Random._randbelow_with_getrandbits``, behind ``randrange(n)``,
+    ``randint(a, b)`` as ``a + _randbelow(b - a + 1)`` and ``choice(s)`` as
+    ``s[_randbelow(len(s))]`` in CPython 3.10 to 3.13, so it draws as they do.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_streams(
     rng: random.Random, alphabets: Sequence[Alphabet], length: int
 ) -> list[list[str]]:
     """One random column per alphabet: the control symbols, then the input columns.
 
-    Each sample is drawn as ``rng.choice(values)`` draws it, without its two
-    method calls: for n values, ``k = n.bit_length()`` bits are drawn until
-    they read below n, which is ``Random._randbelow_with_getrandbits``
-    behind ``choice`` in CPython 3.10 to 3.13.  So the columns and the
-    generator state after them equal those of ``choice``, and every seeded
-    report with them.  An alphabet is never empty, so n >= 1 and k >= 1.
-    Columns are lists, which ``causality_check`` mutates in place.
+    Each sample is drawn as ``rng.choice(values)`` draws it, by the rule of
+    :func:`_below` written out inline, so the columns and the generator state
+    after them equal those of ``choice``, and every seeded report with them.
+    An alphabet is never empty, so n >= 1 and k >= 1.  Columns are lists,
+    which ``causality_check`` mutates in place.
     """
     getrandbits = rng.getrandbits
     columns = []
@@ -413,36 +436,50 @@ def read_soundness_check(
         raise ValueError("trials must be >= 0")
     alphabets = _stream_alphabets(element)
     step, init = element.step, element.init
+    read_step, read_init = element.read_step, element.read_init
+    mutable = [(k, name, alphabet) for k, (name, alphabet) in enumerate(element.input_channels)
+               if len(alphabet) > 1]
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     mutations = undefined = unmutable = violations = 0
     for _ in range(trials):
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
-        t = rng.randint(0, horizon)
-        refs = _fold_refs(element.read_init, element.read_step, control[: t + 1])
+        t = _below(getrandbits, horizon + 1)
+        state = read_init
+        for tick in range(t + 1):
+            state, refs = read_step(state, control[tick], tick)
         if refs is None:
             undefined += 1
             continue
         claimed = set(refs)
         free = [
             (k, u, alphabet)
-            for k, (name, alphabet) in enumerate(element.input_channels)
+            for k, name, alphabet in mutable
             for u in range(t + 1)
-            if (name, u) not in claimed and len(alphabet) > 1
+            if (name, u) not in claimed
         ]
         if not free:
             unmutable += 1
             continue
-        k, u, alphabet = free[rng.randrange(len(free))]
+        k, u, alphabet = free[_below(getrandbits, len(free))]
         old = columns[k][u]
-        new = rng.choice([v for v in alphabet.values if v != old])
+        others = [v for v in alphabet.values if v != old]
+        new = others[_below(getrandbits, len(others))]
         mutations += 1
         rows = list(itertools.islice(zip(*columns), t + 1))
-        shared = fold(step, init, control[:u], rows)[0]
+        shared = init
+        for symbol, row in zip(control[:u], rows):
+            shared = step(shared, symbol, row)[0]
         tail = control[u : t + 1]
-        baseline = fold(step, shared, tail, rows[u:])[1][-1]
+        state = shared
+        for symbol, row in zip(tail, rows[u:]):
+            state, baseline = step(state, symbol, row)
         row = rows[u]
         rows[u] = (*row[:k], new, *row[k + 1:])
-        if fold(step, shared, tail, rows[u:])[1][-1] != baseline:
+        state = shared
+        for symbol, row in zip(tail, rows[u:]):
+            state, output = step(state, symbol, row)
+        if output != baseline:
             violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 
@@ -476,13 +513,15 @@ def causality_check(
         return CausalityReport(trials, 0, 0)
     step, init = element.step, element.init
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     mutations = violations = 0
     for _ in range(trials):
         streams = _random_streams(rng, alphabets, horizon + 1)
-        m = rng.randint(1, horizon)
-        pick = mutable[rng.randrange(len(mutable))]
+        m = 1 + _below(getrandbits, horizon)
+        pick = mutable[_below(getrandbits, len(mutable))]
         samples = streams[pick]
-        new = rng.choice([v for v in alphabets[pick].values if v != samples[m]])
+        others = [v for v in alphabets[pick].values if v != samples[m]]
+        new = others[_below(getrandbits, len(others))]
         control, *columns = streams
         before = fold(step, init, control[:m], _rows(columns))[1]
         samples[m] = new

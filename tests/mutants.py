@@ -400,6 +400,53 @@ MUTANTS = (
         ("tests/test_circuits.py::TestRandomizedProperties::test_streams_draw_like_choice",
          f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[4-abmem_element]"),
     ),
+    Mutant(
+        "_below redraws a rejected draw once only",
+        "src/kcir/circuits.py",
+        "    while r >= n:\n"
+        "        r = getrandbits(k)\n"
+        "    return r\n",
+        "    if r >= n:\n"
+        "        r = getrandbits(k)\n"
+        "    return r\n",
+        ("tests/test_circuits.py::TestRandomizedProperties::test_below_draws_like_randrange",
+         f"{ORACLE}::test_check_reports_match_the_oracle_at_nine_bits_per_choice"),
+    ),
+    Mutant(
+        "causality draws m without the 1 +",
+        "src/kcir/circuits.py",
+        "m = 1 + _below(getrandbits, horizon)",
+        "m = _below(getrandbits, horizon)",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_causality_trial_steps_twice_per_compared_tick",),
+    ),
+    Mutant(
+        "the soundness baseline is the output at the mutated tick",
+        "src/kcir/circuits.py",
+        "        for symbol, row in zip(tail, rows[u:]):\n"
+        "            state, baseline = step(state, symbol, row)\n",
+        "        for symbol, row in zip(tail[:1], rows[u:]):\n"
+        "            state, baseline = step(state, symbol, row)\n",
+        (f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[16-counter_element]",
+         "tests/test_circuits.py::TestLinearTime::"
+         "test_read_soundness_trial_shares_the_prefix_before_the_mutation"),
+    ),
+    Mutant(
+        "_abmem_step swaps the written and read cells",
+        "src/kcir/circuits.py",
+        "        i, j = _CELLS[symbol]\n"
+        "    except KeyError:\n"
+        "        raise _memory_symbol_error(symbol) from None\n"
+        "    if i is not None:\n"
+        "        cells = ",
+        "        j, i = _CELLS[symbol]\n"
+        "    except KeyError:\n"
+        "        raise _memory_symbol_error(symbol) from None\n"
+        "    if i is not None:\n"
+        "        cells = ",
+        ("tests/test_circuits.py::TestAbmem::test_cell_state_route_agrees_with_read_map",
+         "tests/test_circuits.py::TestRandomizedProperties::test_read_soundness[abmem_element]"),
+    ),
 )
 
 #: Written into the unmutated copy: fails unless ``kcir`` comes from the copy.

@@ -28,7 +28,7 @@ from kcir import (
     sr_latch_element,
     toggler_pair_element,
 )
-from kcir.circuits import _random_streams, _stream_alphabets
+from kcir.circuits import _below, _random_streams, _stream_alphabets
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, sig
@@ -601,6 +601,24 @@ class TestRandomizedProperties:
         assert columns == [
             [reference.choice(a.values) for _ in range(length)] for a in alphabets
         ]
+        assert rng.getstate() == reference.getstate()
+
+    @given(
+        sizes=st.lists(
+            st.one_of(st.sampled_from((1, 2, 3, 9, 256, 257)), st.integers(1, 2**20)),
+            min_size=1, max_size=8,
+        ),
+        seed=st.integers(),
+    )
+    def test_below_draws_like_randrange(self, sizes, seed):
+        # 1 needs one bit per draw, 2 and 3 two, 9 four, 256 and 257 nine,
+        # and 3, 9 and 257 reject draws; randint and choice draw by the same
+        # rule, and the generator state after the draws must match too.
+        rng, reference = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert _below(rng.getrandbits, n) == reference.randrange(n)
+            assert 1 + _below(rng.getrandbits, n) == reference.randint(1, n)
+            assert _below(rng.getrandbits, n) == reference.choice(range(n))
         assert rng.getstate() == reference.getstate()
 
     def test_read_soundness_requires_a_read_map(self):

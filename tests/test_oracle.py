@@ -53,10 +53,12 @@ from kcir import (
 )
 from kcir import cli
 from kcir.classifier import _axiom_report, _domain_image_counts, _members, _ReadStateDag
+from kcir.dsl import MAX_DOMAINS
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, ranked_axiom_report
 from .oracle import DerivedRelation, enumerate_causal_signals
+from .test_cli import multiclock_text
 
 TWO_INPUT_SYNC = """
 circuit pair {
@@ -762,17 +764,37 @@ CHECK_ELEMENTS = [
 ]
 
 
+def _assert_checks_match_the_oracle(element, horizon, trials, seeds):
+    for seed in seeds:
+        assert causality_check(element, horizon, trials, seed) == oracle.causality_check(
+            element, horizon, trials, seed
+        )
+        if element.read_step is not None:
+            assert read_soundness_check(element, horizon, trials, seed) == (
+                oracle.read_soundness_check(element, horizon, trials, seed)
+            )
+
+
 @pytest.mark.parametrize("name,element", CHECK_ELEMENTS, ids=[c[0] for c in CHECK_ELEMENTS])
 @pytest.mark.parametrize("horizon", (1, 4, 16))
 def test_check_reports_match_the_full_fold_oracle(name, element, horizon):
-    for seed in range(5):
-        assert causality_check(element, horizon, 200, seed) == oracle.causality_check(
-            element, horizon, 200, seed
-        )
-        if element.read_step is not None:
-            assert read_soundness_check(element, horizon, 200, seed) == (
-                oracle.read_soundness_check(element, horizon, 200, seed)
-            )
+    _assert_checks_match_the_oracle(element, horizon, 200, range(5))
+
+
+@pytest.mark.parametrize("name", ("dff.kcir", "twoclock.kcir"))
+def test_check_reports_match_the_oracle_at_nine_bits_per_choice(name):
+    # At horizon 300 the tick, the mutated tick and, in the later trials, the
+    # free positions number more than 256, so each of their draws takes nine
+    # bits, not the two of a binary sample.
+    element = load_circuit((CIRCUITS_DIR / name).read_text(encoding="utf-8"))
+    _assert_checks_match_the_oracle(element, 300, 20, range(3))
+
+
+def test_check_reports_match_the_oracle_at_nine_bits_per_sample():
+    # The most domains give 256 control symbols, nine bits per drawn symbol.
+    element = load_circuit(multiclock_text(MAX_DOMAINS))
+    assert len(element.control_alphabet) == 256
+    _assert_checks_match_the_oracle(element, 4, 200, range(3))
 
 
 CHECK_FILES = sorted(CIRCUITS_DIR.glob("*.kcir"))
