@@ -46,8 +46,8 @@ import random
 from dataclasses import InitVar, dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .classifier import ReadMap, ReadSet, ReadStepFn, Refs
-from .signals import BINARY, Alphabet, CausalSignal, Tick
+from .classifier import ReadMap, ReadStepFn, fold_reads
+from .signals import BINARY, Alphabet, Tick
 
 
 class SimulationError(ValueError):
@@ -55,25 +55,6 @@ class SimulationError(ValueError):
 
 
 StepFn = Callable[[Any, str, tuple[str, ...]], tuple[Any, Optional[str]]]
-
-
-def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) -> Optional[Refs]:
-    """The refs at the last of ``symbols``: ``read_step`` folded over them from tick 0."""
-    state, refs = read_init, None
-    for tick, symbol in enumerate(symbols):
-        state, refs = read_step(state, symbol, tick)
-    return refs
-
-
-def _fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
-    """The read map of a read step, marked as a fold by ``folds``: the pair it folds."""
-
-    def reads(control: CausalSignal) -> Optional[ReadSet]:
-        refs = _fold_refs(read_init, read_step, control.samples)
-        return None if refs is None else ReadSet(refs)
-
-    reads.folds = (read_init, read_step)
-    return reads
 
 
 @dataclass(frozen=True)
@@ -121,7 +102,7 @@ class CircuitElement:
         step = self.read_step
         if step is None and reads is not None and not hasattr(reads, "folds"):
             raise ValueError(f"circuit {self.name!r}: give its read map as read_step, not reads")
-        object.__setattr__(self, "reads", None if step is None else _fold_reads(self.read_init, step))
+        object.__setattr__(self, "reads", None if step is None else fold_reads(self.read_init, step))
 
     @property
     def input_names(self) -> tuple[str, ...]:

@@ -45,18 +45,24 @@ the README state their own contracts and point here.
    image and an undefined child's the union of its own children's sets.
    Along any path the sets then only shrink, which is the condition on the
    pairs.  A reflexive, transitive relation relates x and y both ways
-   exactly when their sets are equal, so antisymmetry is then read off the
-   images grouped by their sets, and no related pair is visited.
-   Otherwise, and for a relation the pass finds intransitive, every related
-   pair is scanned: for each y after x other than x, antisymmetry fails if
-   x is after y, and transitivity if some image after y is not after x.
-   Either way each failed axiom's witness is its smallest counterexample by
-   rank, the one a scan of the sorted read sets meets first: the first x
-   whose set another image shares, then the smallest such other y, or the
-   first pair the scan meets.  An antisymmetry failure also gets a
-   four-signal witness, the lexicographic minimum under the signal order,
-   read off each node's smallest history and the shortest, smallest paths
-   below it.
+   exactly when their sets are equal, so the images related both ways are
+   then read off the images grouped by their sets, and no related pair is
+   visited.  Otherwise, and for a relation the pass finds intransitive,
+   every related pair is scanned: for each y after x other than x, x and y
+   are related both ways if x is after y, and transitivity fails if some
+   image after y is not after x.  Either way the check returns, with its
+   report, the images related both ways to each image, and antisymmetry
+   fails exactly when some image has one.  Each failed axiom's witness is
+   its smallest counterexample by rank, the one a scan of the sorted read
+   sets meets first: the first x related both ways to another image, then
+   the smallest such y, or the first intransitive pair the scan meets.  An
+   antisymmetry failure also gets a four-signal witness, the lexicographic
+   minimum under the signal order: its search starts from the images
+   related both ways and reads them off each node's smallest history and
+   the shortest, smallest paths below it.  The witness is re-checked on the
+   fold of the read step before it is returned; it fails when the read
+   step returns refs that are not sorted and duplicate-free, so that two
+   refs make one read set, and ``classify`` then raises ``ValueError``.
 5. *The budgets.*  Each stage's budget is checked where its count grows:
    read steps and refs after each expanded read state (``WALK_BUDGET``),
    nodes times read sets after each level (``SWEEP_BUDGET``), and related
@@ -169,6 +175,29 @@ ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
 ReadStepFn = Callable[[Any, str, Tick], tuple[Any, Optional[Refs]]]
 
 
+def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) -> Optional[Refs]:
+    """The refs at the last of ``symbols``: ``read_step`` folded over them from tick 0."""
+    state, refs = read_init, None
+    for tick, symbol in enumerate(symbols):
+        state, refs = read_step(state, symbol, tick)
+    return refs
+
+
+def fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
+    """The read map of a read step, marked as a fold by ``folds``: the pair it folds.
+
+    A :class:`~kcir.circuits.CircuitElement`'s ``reads`` is this fold, and
+    :func:`classify` re-checks an antisymmetry witness on it.
+    """
+
+    def reads(control: CausalSignal) -> Optional[ReadSet]:
+        refs = _fold_refs(read_init, read_step, control.samples)
+        return None if refs is None else ReadSet(refs)
+
+    reads.folds = (read_init, read_step)
+    return reads
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the three partial-order axioms, with witnesses on failure.
@@ -189,21 +218,17 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
-def _equal_sets(after: Sequence[int]) -> Iterable[list[int]]:
-    """The images grouped by equal ``after`` sets, ascending, in order of their first image."""
-    groups: dict[int, list[int]] = {}
-    for x, mask in enumerate(after):
-        groups.setdefault(mask, []).append(x)
-    return groups.values()
-
-
 def _axiom_report(
     images: Sequence[Refs], after: Sequence[int], transitive: bool = False
-) -> AxiomReport:
+) -> tuple[AxiomReport, list[int]]:
     """The three axioms on the relation that holds ``(x, y)`` when ``y`` is in ``after[x]``.
 
     Images are named by their index into ``images``, the refs of the read
     sets, and ``after[x]`` is the bit set of the images x is related to.
+    Returns the report and ``swapped``, where ``swapped[x]`` is the bit set
+    of the images other than x related to x both ways, the table that
+    ``classify``'s four-signal witness search starts from; the antisymmetry
+    witness is the first x with such an image and the smallest of them.
     Each witness is the smallest counterexample by index, built as
     :class:`ReadSet` values; the three booleans do not depend on the
     numbering.  ``transitive`` tells that the relation is known to be
@@ -212,25 +237,30 @@ def _axiom_report(
     This is step 4 of the module docstring.
     """
     refl = next((x for x, mask in enumerate(after) if not mask >> x & 1), None)
-    anti = trans = None
+    swapped = [0] * len(after)
+    trans = None
     if transitive and refl is None:
-        anti = next(((group[0], group[1]) for group in _equal_sets(after) if len(group) > 1), None)
+        groups: dict[int, list[int]] = {}
+        for x, mask in enumerate(after):
+            groups.setdefault(mask, []).append(x)
+        for group in groups.values():
+            if len(group) > 1:
+                members = sum(1 << y for y in group)
+                for x in group:
+                    swapped[x] = members & ~(1 << x)
     else:
         for x, mask in enumerate(after):
             bit = 1 << x
-            for y in _members(mask):
-                if y == x:
-                    continue
+            for y in _members(mask & ~bit):
                 later = after[y]
-                if anti is None and later & bit:
-                    anti = (x, y)
+                if later & bit:
+                    swapped[x] |= 1 << y
                 if trans is None and later | mask != mask:
                     missing = later & ~mask
                     trans = (x, y, (missing & -missing).bit_length() - 1)
-            if anti is not None and trans is not None:
-                break
+    anti = next(((x, (ys & -ys).bit_length() - 1) for x, ys in enumerate(swapped) if ys), None)
 
-    return AxiomReport(
+    report = AxiomReport(
         reflexive=refl is None,
         antisymmetric=anti is None,
         transitive=trans is None,
@@ -238,6 +268,7 @@ def _axiom_report(
         antisymmetry_witness=None if anti is None else tuple(ReadSet(images[i]) for i in anti),
         transitivity_witness=None if trans is None else tuple(ReadSet(images[i]) for i in trans),
     )
+    return report, swapped
 
 
 @dataclass(frozen=True)
@@ -505,7 +536,7 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
     channels: set[ChannelId] = set()  # the channels the domains walked so far read
     for read_init, read_step in domains:
         dag = _ReadStateDag(read_init, read_step, BINARY.values, horizon)
-        report = _axiom_report(dag.refs, dag.after, dag.transitive)
+        report = _axiom_report(dag.refs, dag.after, dag.transitive)[0]
         if dag.excluded or not report.is_partial_order:
             return None
         own = {channel for refs in dag.refs for channel, _ in refs}
@@ -544,7 +575,9 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     A circuit's read states must be hashable, since they key the DAG's
     nodes.  A horizon below 1 admits no clock edges; the verdict is still
     computed but flagged degenerate in the stats.  A run that passes the
-    budget of its walk, sweep or pair scan raises :class:`BudgetError`.
+    budget of its walk, sweep or pair scan raises :class:`BudgetError`, and
+    one whose read step breaks the refs contract so that its witness does
+    not hold raises :class:`ValueError`.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -563,7 +596,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         return Classification(Verdict.TIME_PRESERVING, AxiomReport(True, True, True), None, stats)
 
     dag = _ReadStateDag(circuit.read_init, circuit.read_step, alphabet.values, horizon)
-    report = _axiom_report(dag.refs, dag.after, dag.transitive)
+    report, swapped = _axiom_report(dag.refs, dag.after, dag.transitive)
     stats = ClassifyStats(horizon, signals, pairs, len(dag.refs), dag.excluded, degenerate)
 
     if report.is_partial_order:
@@ -576,18 +609,6 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         # an image y which reaches x back; a1 its smallest extension to such
         # a y; then b0 is the smallest history holding y that reaches x, and
         # b1 its smallest extension to x.
-        after = dag.after
-        if dag.transitive:  # related both ways is an equal set
-            swapped = [0] * len(after)
-            for group in _equal_sets(after):
-                members = sum(1 << y for y in group)
-                for x in group:
-                    swapped[x] = members & ~(1 << x)
-        else:
-            swapped = [
-                sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)
-                for x, mask in enumerate(after)
-            ]
         n = dag.first(lambda x, mask: swapped[x] & mask)
         x = dag.images[n]
         a0 = dag.history(n)
@@ -598,4 +619,7 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         b1 = b0 + dag.path(n, 1 << x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
         witness = AntisymmetryWitness(a0, a1, b0, b1, ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
+        if not witness.holds(fold_reads(circuit.read_init, circuit.read_step)):
+            raise ValueError(f"circuit {circuit.name!r}: its read step broke the refs contract: "
+                             "refs must be sorted and duplicate-free")
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)

@@ -59,7 +59,7 @@ def ranked_axiom_report(relation) -> AxiomReport:
     after = [0] * len(images)
     for x, y in relation.pairs:
         after[rank[x]] |= 1 << rank[y]
-    return _axiom_report(images, after)
+    return _axiom_report(images, after)[0]
 
 
 @pytest.fixture

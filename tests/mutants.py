@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "the antisymmetry test in _axiom_report inverted",
         "src/kcir/classifier.py",
-        "if anti is None and later & bit:",
-        "if anti is None and not later & bit:",
+        "if later & bit:",
+        "if not later & bit:",
         (f"{ORACLE}::test_bit_set_axioms_match_the_pair_scan",
          f"{ORACLE}::test_axioms_on_ranks_match_the_read_set_scan"),
     ),
@@ -142,17 +142,18 @@ MUTANTS = (
          f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
     ),
     Mutant(
-        "the equal-set witness keeps the last duplicate",
+        "the antisymmetry witness takes the highest image related both ways",
         "src/kcir/classifier.py",
-        "(group[0], group[1]) for group in _equal_sets(after)",
-        "(group[0], group[-1]) for group in _equal_sets(after)",
-        (f"{ORACLE}::test_equal_set_antisymmetry_matches_the_pair_scan",),
+        "(x, (ys & -ys).bit_length() - 1)",
+        "(x, ys.bit_length() - 1)",
+        (f"{ORACLE}::test_equal_set_antisymmetry_matches_the_pair_scan",
+         f"{ORACLE}::test_bit_set_axioms_match_the_pair_scan"),
     ),
     Mutant(
         "swapped keeps x itself",
         "src/kcir/classifier.py",
-        "sum(1 << y for y in _members(mask) if y != x and after[y] >> x & 1)",
-        "sum(1 << y for y in _members(mask) if after[y] >> x & 1)",
+        "for y in _members(mask & ~bit):",
+        "for y in _members(mask):",
         (f"{ORACLE}::test_classify_never_reports_a_reflexivity_failure",
          f"{ORACLE}::test_table_read_maps_match_the_oracle"),
     ),
@@ -163,6 +164,13 @@ MUTANTS = (
         "swapped[x] = members",
         (f"{ORACLE}::test_table_read_maps_match_the_oracle",
          f"{ORACLE}::test_mealy_read_steps_match_the_oracle"),
+    ),
+    Mutant(
+        "the witness self-check is skipped",
+        "src/kcir/classifier.py",
+        "if not witness.holds(fold_reads(circuit.read_init, circuit.read_step)):",
+        "if False:",
+        (f"{CALLS}::test_a_witness_broken_by_unnormalised_refs_is_refused",),
     ),
     Mutant(
         "the per-tick product summed over one tick too few",
@@ -372,8 +380,8 @@ MUTANTS = (
     Mutant(
         "a reads given beside a read_step is kept",
         "src/kcir/circuits.py",
-        '"reads", None if step is None else _fold_reads(self.read_init, step))',
-        '"reads", None if step is None else reads or _fold_reads(self.read_init, step))',
+        '"reads", None if step is None else fold_reads(self.read_init, step))',
+        '"reads", None if step is None else reads or fold_reads(self.read_init, step))',
         ("tests/test_circuits.py::TestReadStep::"
          "test_a_read_map_given_beside_a_read_step_gives_way_to_the_fold",
          "tests/test_bench_hooks.py::test_the_tracers_read_map_wrapper_is_never_walked"),

@@ -66,13 +66,13 @@ from kcir.classifier import (
     Refs,
     RefPoint,
     Verdict,
+    _fold_refs,
 )
 from kcir.circuits import (
     CausalityReport,
     CircuitElement,
     ReadSoundnessReport,
     SimulationError,
-    _fold_refs,
     _stream_alphabets,
 )
 from kcir import cli

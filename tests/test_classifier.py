@@ -303,10 +303,12 @@ def _breaker_element() -> CircuitElement:
 
 
 def _read_steps_taken(element: CircuitElement, horizon: int) -> int:
-    """The read steps ``classify`` takes on ``element``, checked against brute force.
+    """The read steps ``classify``'s walk takes on ``element``, checked against brute force.
 
     There is one per symbol for the root and for each distinct read state of
-    each level above the horizon, and counting them leaves the result as it is.
+    each level above the horizon, and counting them leaves the result as it
+    is.  An antisymmetry witness adds one step per sample of its four
+    signals, which ``classify`` folds to check it.
     """
     calls = []
 
@@ -316,9 +318,13 @@ def _read_steps_taken(element: CircuitElement, horizon: int) -> int:
 
     result = classify(dataclasses.replace(element, read_step=counting), horizon)
     assert result == classify(element, horizon)
+    witness = result.witness
+    checked = 0 if witness is None else sum(
+        len(signal.samples) for signal in (witness.a0, witness.a1, witness.b0, witness.b1))
+    walked = len(calls) - checked
     states = sum(s for _, s in oracle.dag_level_sizes(element, horizon)[:horizon])
-    assert len(calls) == len(element.control_alphabet) * (1 + states)
-    return len(calls)
+    assert walked == len(element.control_alphabet) * (1 + states)
+    return walked
 
 
 class TestClassify:
@@ -350,6 +356,30 @@ class TestClassify:
         assert not result.axiom_report.transitive
         assert result.axiom_report.transitivity_witness == (X, Y, Z)
         assert result.witness is None
+
+    @pytest.mark.parametrize(
+        "refs",
+        [{"0": (("D", 0), ("E", 0)), "1": (("E", 0), ("D", 0))},
+         {"0": (("D", 0),), "1": (("D", 0), ("D", 0))}],
+        ids=["unsorted", "duplicate"],
+    )
+    def test_a_witness_broken_by_unnormalised_refs_is_refused(self, refs):
+        # The two symbols read one read set through two different refs, which
+        # the walk takes for two images related both ways; their witness has
+        # x_reads == y_reads and does not hold, so classify refuses it.
+        element = CircuitElement(
+            name="unnormalised",
+            control_channels=("C",),
+            control_alphabet=BINARY,
+            input_channels=(("D", BINARY), ("E", BINARY)),
+            init=None,
+            step=lambda state, symbol, samples: (state, "0"),
+            read_step=lambda state, symbol, tick: (state, refs[symbol]),
+        )
+        assert classify(element, 0).verdict is Verdict.TIME_PRESERVING
+        with pytest.raises(ValueError, match="^circuit 'unnormalised': its read step broke the "
+                           "refs contract: refs must be sorted and duplicate-free$"):
+            classify(element, 1)
 
     def test_degenerate_horizon_is_flagged(self):
         result = classify(dff_element(), 0)

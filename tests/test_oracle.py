@@ -292,20 +292,31 @@ def _pairs(after):
     return {(x, y) for x in range(len(after)) for y in range(len(after)) if after[x] >> y & 1}
 
 
+def _both_ways(after):
+    """Per image x, the bit set of the other images related to x both ways."""
+    pairs = _pairs(after)
+    both = [0] * len(after)
+    for x, y in pairs:
+        if x != y and (y, x) in pairs:
+            both[x] |= 1 << y
+    return both
+
+
 @settings(max_examples=500, deadline=None)
 @given(bit_relations())
 def test_bit_set_axioms_match_the_pair_scan(case):
     after, renumbering = case
     images = [ReadSet.of(("D", t)) for t in range(len(after))]
-    report = _axiom_report(images, after)
+    report, swapped = _axiom_report(images, after)
     assert report == oracle.pair_axiom_report(images, range(len(after)), _pairs(after))
+    assert swapped == _both_ways(after)
 
     # The verdict does not depend on how the images are numbered; only the
     # witnesses do, which is why classify numbers them by rank.
     renumbered = [0] * len(after)
     for x, y in _pairs(after):
         renumbered[renumbering[x]] |= 1 << renumbering[y]
-    again = _axiom_report(images, renumbered)
+    again = _axiom_report(images, renumbered)[0]
     verdict = (report.reflexive, report.antisymmetric, report.transitive)
     assert (again.reflexive, again.antisymmetric, again.transitive) == verdict
 
@@ -323,7 +334,9 @@ def test_equal_set_antisymmetry_matches_the_pair_scan(case):
     images = [ReadSet.of(("D", t)) for t in range(len(after))]
     expected = oracle.pair_axiom_report(images, range(len(after)), _pairs(after))
     assert expected.reflexive and expected.transitive
-    assert _axiom_report(images, after, transitive=True) == expected
+    report, swapped = _axiom_report(images, after, transitive=True)
+    assert report == expected
+    assert swapped == _both_ways(after)
 
 
 def _check_edge_verdict(element: CircuitElement, horizon: int) -> None:
