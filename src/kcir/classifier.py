@@ -14,40 +14,43 @@ docstrings of the functions and classes below, the package docstring and
 the README state their own contracts and point here.
 
 1. *The walk.*  The control histories up to the horizon are walked as a DAG
-   of read states, level by level.  Two histories of one length that reach
-   the same read state and refs are one node.  A read step sees only the
-   state, the symbol and the tick, so histories that reach one read state
-   have the same futures even when their refs differ: the nodes that share
-   a read state share one expansion, which steps the state once per symbol
-   with the circuit's ``read_step``, however many histories and nodes reach
-   it, and gives each of those nodes the same children.  The nodes fill one
-   table, numbered in the order the walk meets them: level by level,
-   parents in order, symbols in alphabet order.  So node ids follow the
-   :meth:`~kcir.signals.CausalSignal.sort_key` order of the nodes' smallest
-   histories, each node's first parent lies on its smallest history, and
-   every child has a larger id than its parents.  The walk also counts the
-   histories per read state exactly, for the prefix pairs with an undefined
-   endpoint.
+   of read states, level by level.  A read step sees only the state, the
+   symbol and the tick, so the histories of one length that reach one read
+   state have the same futures, whatever refs they end with: they are one
+   node, and its expansion steps the state once per symbol with the
+   circuit's ``read_step``, however many histories reach it.  Each step is
+   an edge from the node to the node of the new state, and it holds the
+   step's image, the read set of its refs, or none where the output is
+   undefined.  A history is the path of edges it steps along from the root,
+   ``read_init`` above level 0, and its image is on its last edge.  Nodes
+   and edges are numbered in the order the walk meets them: level by level,
+   parents in order, symbols in alphabet order.  So both follow the
+   :meth:`~kcir.signals.CausalSignal.sort_key` order of their smallest
+   histories, the first edge into a node lies on its smallest history, and
+   every edge out of a node comes after every edge into it.  The walk also
+   counts the histories per read state exactly, for the prefix pairs with
+   an undefined endpoint.
 2. *The numbering.*  Read sets are interned to ids as the walk meets them
    and then numbered once, by rank in sorted order.
 3. *The sweep.*  The prefix order carries an image to exactly the images
-   reachable below a node holding it.  One reverse sweep over the node ids
-   collects those images per node as a bit set over the ranks, its own
-   image and its children's sets, and joins each node's set into that of
-   its image: the derived relation, as the images after each image.
+   on the edges below an edge holding it.  One reverse sweep over the edges
+   collects the images below each node as a bit set over the ranks, the
+   images and the sets of the nodes its edges reach, and joins a defined
+   edge's image and the set of the node it reaches into the set of that
+   image: the derived relation, as the images after each image.
 4. *The axioms.*  Reflexivity, antisymmetry and transitivity are checked
    on those bit sets, outright, none assumed to hold by construction.
    Reflexivity fails at x if x is not after x.  When the related pairs
    outnumber the DAG's edges, transitivity is first decided on the edges,
-   in one reverse pass over the node ids: the relation is transitive
-   exactly when, at every defined node of image x, each child's set lies
-   inside the set after x, a defined child's set being the set after its
-   image and an undefined child's the union of its own children's sets.
-   Along any path the sets then only shrink, which is the condition on the
-   pairs.  A reflexive, transitive relation relates x and y both ways
-   exactly when their sets are equal, so the images related both ways are
-   then read off the images grouped by their sets, and no related pair is
-   visited.  Otherwise, and for a relation the pass finds intransitive,
+   in one reverse pass over them: the relation is transitive exactly when
+   the set of the node each defined edge of image x reaches lies inside the
+   set after x, a node's set being the union over its edges of the set
+   after a defined edge's image and the set of the node an undefined edge
+   reaches.  Along any path the sets then only shrink, which is the
+   condition on the pairs.  A reflexive, transitive relation relates x and
+   y both ways exactly when their sets are equal, so the images related
+   both ways are then read off the images grouped by their sets, and no
+   related pair is visited.  Otherwise, and for a relation the pass finds intransitive,
    every related pair is scanned: for each y after x other than x, x and y
    are related both ways if x is after y, and transitivity fails if some
    image after y is not after x.  Either way the check returns, with its
@@ -58,21 +61,19 @@ the README state their own contracts and point here.
    the smallest such y, or the first intransitive pair the scan meets.  An
    antisymmetry failure also gets a four-signal witness, the lexicographic
    minimum under the signal order: its search starts from the images
-   related both ways and reads them off each node's smallest history and
+   related both ways and reads them off each edge's smallest history and
    the shortest, smallest paths below it.  The witness is re-checked on the
    fold of the read step before it is returned; it fails when the read
    step returns refs that are not sorted and duplicate-free, so that two
    refs make one read set, and ``classify`` then raises ``ValueError``.
 5. *The budgets.*  Each stage's budget is checked where its count grows:
    read steps and refs after each expanded read state (``WALK_BUDGET``),
-   nodes times read sets after each level (``SWEEP_BUDGET``), and related
-   pairs times read sets after the sweep (``AXIOM_BUDGET``), only when the
-   pairs are to be scanned; a relation found transitive on the edges is
-   not charged.  The walk's count still charges every node the read steps
-   and refs of its state's expansion, as if each node were stepped on its
-   own, so sharing an expansion moves no run past a budget or back under
-   it.  A run past one raises :class:`BudgetError` naming the level the
-   walk reached.
+   which charges each expansion once, its symbols plus the refs its steps
+   return; read states times read sets after each level
+   (``SWEEP_BUDGET``); and related pairs times read sets after the sweep
+   (``AXIOM_BUDGET``), only when the pairs are to be scanned; a relation
+   found transitive on the edges is not charged.  A run past one raises
+   :class:`BudgetError` naming the level the walk reached.
 6. *The per-domain route.*  A multiclock circuit whose read step carries
    its clock domains, made for its own ``read_init``, is classified as
    those domains first, each walked as above on its own clock's symbols
@@ -146,12 +147,12 @@ class ReadSet(tuple):
         return refs_text(self)
 
 
-#: The budgets of the walk (read steps plus the refs they return, counted per
-#: node; abmem at horizon 60 takes 3.3·10^6), the sweep (nodes times read
-#: sets, the bits of its bit sets; 2**31 bits is 256 MB) and the axiom
-#: check's pair scan (related pairs times read sets, charged only where the
-#: pairs are scanned; dff at horizon 600 takes 1.1·10^8); see step 5 of the
-#: module docstring.
+#: The budgets of the walk (read steps plus the refs they return, each
+#: expansion charged once; abmem at horizon 60 takes 1.1·10^6), the sweep
+#: (read states times read sets, the bits of its bit sets; 2**31 bits is
+#: 256 MB) and the axiom check's pair scan (related pairs times read sets,
+#: charged only where the pairs are scanned; dff at horizon 600 takes
+#: 1.1·10^8); see step 5 of the module docstring.
 WALK_BUDGET = 4_000_000
 SWEEP_BUDGET = 2**31
 AXIOM_BUDGET = 5 * 10**10
@@ -345,20 +346,20 @@ class _ReadStateDag:
 
     Building it runs steps 1 to 3 of the module docstring, the walk, the
     numbering and the sweep, and the edge pass of step 4 where it applies,
-    under the budgets of step 5.  The walk keys each level on read states: a
-    state's nodes, one per refs, form a chain in the order they were made,
-    and one expansion of the state gives them all one row of children.  Only
-    the chain's first node makes children, so it is every child's first
-    parent.
+    under the budgets of step 5.  A node is one read state at one level, and
+    a history is the path of edges from the root, node 0, that it steps
+    along; the image of a history is on its last edge.
 
-    Level t holds the node ids below ``ends[t]`` and from ``ends[t - 1]`` on.
+    Edge ``e = h·k + a`` is the step from node h by the a-th of the k
+    ``symbols``: ``child[e]`` is the node it reaches and ``image[e]`` the
+    image id of its refs, -1 where undefined.  The histories of length
+    t + 1 end on the edges below ``ends[t]`` and from ``ends[t - 1]`` on.
     ``refs`` holds the read sets' refs in sorted order, and an image id is
-    its index there.  Per node ``n``: ``images[n]`` is the image id (-1
-    where undefined), ``origins[n]`` the (first parent, symbol) it was met
-    by, with parent -1 at tick 0, ``children[n]`` its children in symbol
-    order (none at the horizon) and ``reach[n]`` the bit set of the image
-    ids of it and its descendants.  ``after[x]`` is the bit set of the
-    images that some history holding image x reaches, the derived relation.
+    its index there.  ``met[h]`` is the first edge that reached node h, the
+    last edge of its smallest history (-1 for the root), and ``reach[h]``
+    the bit set of the images on the edges below it.  ``after[x]`` is the
+    bit set of the images that some history holding image x reaches, the
+    derived relation.
     ``excluded`` counts the prefix pairs with an undefined endpoint, and
     ``transitive`` is true when the edge pass found the relation transitive
     (false when it was not run, the pairs being no more than the edges).
@@ -368,64 +369,44 @@ class _ReadStateDag:
         self, read_init: Any, read_step: ReadStepFn, symbols: Sequence[str], horizon: int
     ) -> None:
         ids: dict[Refs, int] = {}
-        images: list[int] = []
-        origins: list[tuple[int, str]] = []
-        children: list[Sequence[int]] = []
+        child: list[int] = []
+        image: list[int] = []
+        met = [-1]
         ends: list[int] = []
         excluded = work = 0
-        # The last level's index: a read state keys the chain of its nodes
-        # in the order they were made, each ``[id, refs, next]``.  The head
-        # of a chain also holds the state, the histories reaching its nodes,
-        # and the sum over those histories of their undefined
-        # ancestors-or-self.  The root above level 0 is no node.
-        parents: Iterable[list] = [[-1, None, None, read_init, 1, 0]]
+        # A level's index maps each read state to [the histories that reach
+        # it, the sum over them of their undefined ancestors-or-self, its
+        # node id], in the order of the ids.
+        parents = {read_init: [1, 0, 0]}
         for t in range(horizon + 1):
             index: dict[Any, list] = {}
-            for first, _, more, parent_state, count, undefined in parents:
-                row = []
-                cost = len(symbols)
+            for parent_state, (count, undefined, _) in parents.items():
+                work += len(symbols)
                 for symbol in symbols:
                     state, refs = read_step(parent_state, symbol, t)
                     if refs is None:
                         excluded += count * (t + 1)
                         child_undefined = undefined + count
+                        image.append(-1)
                     else:
                         excluded += undefined
                         child_undefined = undefined
-                        cost += len(refs)
-                    head = index.get(state)
-                    if head is None:
-                        node = len(images)
-                        index[state] = [node, refs, None, state, count, child_undefined]
-                    else:
-                        link = head
-                        while link[1] != refs:
-                            if link[2] is None:
-                                link[2] = [len(images), refs, None]
-                            link = link[2]
-                        node = link[0]
-                        head[4] += count
-                        head[5] += child_undefined
-                    if node == len(images):  # made just now
-                        images.append(-1 if refs is None else ids.setdefault(refs, len(ids)))
-                        origins.append((first, symbol))
-                        children.append(())  # until the node is expanded
-                    row.append(node)
-                # Every node of the state has this row and costs its steps.
-                if t:
-                    children[first] = row
-                work += cost
-                while more is not None:
-                    children[more[0]] = row
-                    work += cost
-                    more = more[2]
+                        work += len(refs)
+                        image.append(ids.setdefault(refs, len(ids)))
+                    entry = index.get(state)
+                    if entry is None:
+                        entry = index[state] = [0, 0, len(met)]
+                        met.append(len(child))
+                    entry[0] += count
+                    entry[1] += child_undefined
+                    child.append(entry[2])
                 if work > WALK_BUDGET:
                     raise BudgetError(t, horizon, f"over {WALK_BUDGET:,} read steps and refs")
-            ends.append(len(images))
-            if len(images) * len(ids) > SWEEP_BUDGET:
-                raise BudgetError(t, horizon, f"{len(images):,} nodes times {len(ids):,} "
+            ends.append(len(child))
+            if len(met) * len(ids) > SWEEP_BUDGET:
+                raise BudgetError(t, horizon, f"{len(met):,} read states times {len(ids):,} "
                                   f"read sets need over {SWEEP_BUDGET:,} bits")
-            parents = index.values()
+            parents = index
         del index, parents  # the last level's read states: the sweep needs none
         # Renumber the images by rank, so ids follow the sorted refs; -1 stays undefined.
         seen = list(ids)
@@ -433,26 +414,27 @@ class _ReadStateDag:
         rank = [0] * len(order) + [-1]
         for r, i in enumerate(order):
             rank[i] = r
-        images = [rank[y] for y in images]
-        self.symbols, self.images, self.origins, self.children = symbols, images, origins, children
+        image = [rank[y] for y in image]
+        self.symbols, self.child, self.image, self.met = symbols, child, image, met
         self.ends, self.excluded = ends, excluded
         self.refs = [seen[i] for i in order]
 
-        self.reach = reach = [0] * len(images)
+        # Every edge out of a node comes after every edge into it, so in
+        # reverse a node's set is complete before an edge into it is read.
+        k = len(symbols)
+        self.reach = reach = [0] * len(met)
         self.after = after = [0] * len(ids)
-        for n in range(len(images) - 1, -1, -1):
-            y = images[n]
-            mask = 0 if y < 0 else 1 << y
-            for k in children[n]:
-                mask |= reach[k]
-            reach[n] = mask
+        for e in range(len(child) - 1, -1, -1):
+            y = image[e]
+            mask = reach[child[e]]
             if y >= 0:
+                mask |= 1 << y
                 after[y] |= mask
+            reach[e // k] |= mask
         # Decide transitivity on the edges when they are fewer than the related
         # pairs; the pair scan, and its budget, is left for the other relations.
         pairs = sum(mask.bit_count() for mask in after)
-        edges = len(symbols) * ends[-2] if horizon else 0
-        self.transitive = pairs > edges and self.edges_transitive()
+        self.transitive = pairs > len(child) and self.edges_transitive()
         if not self.transitive and pairs * len(after) > AXIOM_BUDGET:
             raise BudgetError(horizon, horizon, f"{pairs:,} related pairs times {len(after):,} "
                               f"read sets pass the axiom check's {AXIOM_BUDGET:,}")
@@ -460,60 +442,67 @@ class _ReadStateDag:
     def edges_transitive(self) -> bool:
         """Whether the derived relation is transitive, decided on the edges (step 4).
 
-        A defined node's set is ``after`` of its image, an undefined node's
-        the union of its children's sets, and the relation is transitive
-        exactly when no child's set leaves the set of its defined parent.
+        A node's set is the union over its edges of ``after`` of a defined
+        edge's image and the set of an undefined edge's child, and the
+        relation is transitive exactly when no defined edge's child has a
+        set that leaves ``after`` of the edge's image.
         """
-        images, children, after = self.images, self.children, self.after
-        below: dict[int, int] = {}  # per undefined node, the union of its children's sets
-        for n in range(len(images) - 1, -1, -1):
-            mask = 0
-            for k in children[n]:
-                y = images[k]
-                mask |= after[y] if y >= 0 else below[k]
-            y = images[n]
+        child, image, after, met = self.child, self.image, self.after, self.met
+        k = len(self.symbols)
+        below = [0] * len(met)
+        for e in range(len(child) - 1, -1, -1):
+            y, c = image[e], child[e]
             if y < 0:
-                below[n] = mask
-            elif mask | after[y] != after[y]:
+                below[e // k] |= below[c]
+            elif below[c] | after[y] != after[y]:
                 return False
+            else:
+                below[e // k] |= after[y]
+            if met[c] == e:  # no edge the pass reads later reaches c
+                below[c] = 0
         return True
 
     def first(self, wanted: Callable[[int, int], Any]) -> int:
-        """The first defined node for which ``wanted(image, reach)``, by smallest history."""
+        """The first defined edge for which ``wanted(image, reach of its child)``.
+
+        Edge ids follow the order of their smallest histories.
+        """
+        reach = self.reach
         return next(
-            n
-            for n, (y, mask) in enumerate(zip(self.images, self.reach))
-            if y >= 0 and wanted(y, mask)
+            e
+            for e, (y, c) in enumerate(zip(self.image, self.child))
+            if y >= 0 and wanted(y, reach[c])
         )
 
-    def history(self, n: int) -> tuple[str, ...]:
-        """The smallest history that reaches node ``n``."""
+    def history(self, e: int) -> tuple[str, ...]:
+        """The smallest history whose last edge is ``e``."""
         samples = []
-        while n >= 0:
-            n, symbol = self.origins[n]
-            samples.append(symbol)
+        while e >= 0:
+            h, a = divmod(e, len(self.symbols))
+            samples.append(self.symbols[a])
+            e = self.met[h]
         return tuple(reversed(samples))
 
-    def path(self, n: int, targets: int) -> tuple[tuple[str, ...], int]:
-        """(path, image) of the shortest, then smallest, path from node ``n`` to a target.
+    def path(self, h: int, targets: int) -> tuple[tuple[str, ...], int]:
+        """(path, image) of the shortest, then smallest, path from node ``h`` to a target.
 
-        The path is the symbols leading from node ``n`` to the first node
-        below it whose image is in the bit set ``targets``.  Frontiers keep
-        their nodes in order of their smallest paths, as the levels do, and
-        drop nodes that reach no target.
+        The path is the symbols from node ``h`` along the edges below it to
+        the first edge whose image is in the bit set ``targets``.  Frontiers
+        keep their nodes in order of their smallest paths, as the levels do,
+        and drop nodes that reach no target.
         """
-        frontier = {n: ()}
+        k = len(self.symbols)
+        frontier = {h: ()}
         while frontier:
             reached: dict[int, tuple[str, ...]] = {}
             for j, path in frontier.items():
                 if not self.reach[j] & targets:
                     continue
-                for symbol, k in zip(self.symbols, self.children[j]):
-                    if k not in reached:
-                        reached[k] = (*path, symbol)
-                        y = self.images[k]
-                        if y >= 0 and targets >> y & 1:
-                            return reached[k], y
+                for e, symbol in enumerate(self.symbols, j * k):
+                    y = self.image[e]
+                    if y >= 0 and targets >> y & 1:
+                        return (*path, symbol), y
+                    reached.setdefault(self.child[e], (*path, symbol))
             frontier = reached
         raise LookupError("no target below the node")
 
@@ -547,7 +536,7 @@ def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[li
             continue
         start = 0
         for t, end in enumerate(dag.ends):
-            level = set(dag.images[start:end])
+            level = set(dag.image[start:end])
             if any(max((tick for _, tick in dag.refs[y]), default=-1) != t for y in level):
                 return None
             counts[t] *= len(level)
@@ -609,14 +598,14 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
         # an image y which reaches x back; a1 its smallest extension to such
         # a y; then b0 is the smallest history holding y that reaches x, and
         # b1 its smallest extension to x.
-        n = dag.first(lambda x, mask: swapped[x] & mask)
-        x = dag.images[n]
-        a0 = dag.history(n)
-        tail, y = dag.path(n, swapped[x])
+        e = dag.first(lambda x, mask: swapped[x] & mask)
+        x = dag.image[e]
+        a0 = dag.history(e)
+        tail, y = dag.path(dag.child[e], swapped[x])
         a1 = a0 + tail
-        n = dag.first(lambda image, mask: image == y and mask >> x & 1)
-        b0 = dag.history(n)
-        b1 = b0 + dag.path(n, 1 << x)[0]
+        e = dag.first(lambda image, mask: image == y and mask >> x & 1)
+        b0 = dag.history(e)
+        b1 = b0 + dag.path(dag.child[e], 1 << x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
         witness = AntisymmetryWitness(a0, a1, b0, b1, ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
         if not witness.holds(fold_reads(circuit.read_init, circuit.read_step)):

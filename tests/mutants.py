@@ -58,56 +58,56 @@ MUTANTS = (
          f"{ORACLE}::test_table_read_maps_match_the_oracle"),
     ),
     Mutant(
-        "the sweep skips a node's last child",
+        "an undefined edge drops its child's reach",
         "src/kcir/classifier.py",
-        "            for k in children[n]:\n"
-        "                mask |= reach[k]\n",
-        "            for k in children[n][:-1]:\n"
-        "                mask |= reach[k]\n",
-        (f"{ORACLE}::test_built_in_node_tables_match_brute_force",
-         f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
+        "                after[y] |= mask\n"
+        "            reach[e // k] |= mask\n",
+        "                after[y] |= mask\n"
+        "                reach[e // k] |= mask\n",
+        (f"{ORACLE}::test_mealy_node_tables_match_brute_force",
+         f"{ORACLE}::test_table_read_maps_match_the_oracle"),
     ),
     Mutant(
-        "nodes that share a read state are stepped on their own",
+        "states keyed on (state, refs)",
         "src/kcir/classifier.py",
-        "                    head = index.get(state)\n"
-        "                    if head is None:\n"
-        "                        node = len(images)\n"
-        "                        index[state] = [",
-        "                    head = index.get((state, refs))\n"
-        "                    if head is None:\n"
-        "                        node = len(images)\n"
-        "                        index[state, refs] = [",
+        "                    entry = index.get(state)\n"
+        "                    if entry is None:\n"
+        "                        entry = index[state] = ",
+        "                    entry = index.get((state, refs))\n"
+        "                    if entry is None:\n"
+        "                        entry = index[state, refs] = ",
         (f"{CALLS}::test_read_step_runs_once_per_symbol_and_read_state",
          f"{CALLS}::test_drawn_read_steps_run_once_per_symbol_and_read_state"),
     ),
     Mutant(
-        "the histories of a read state's later nodes left out of its counts",
+        "a merged state's histories left out of its counts",
         "src/kcir/classifier.py",
-        "                        head[4] += count\n"
-        "                        head[5] += child_undefined\n",
-        "                        if link is head:\n"
-        "                            head[4] += count\n"
-        "                            head[5] += child_undefined\n",
+        "                    entry[0] += count\n"
+        "                    entry[1] += child_undefined\n",
+        "                    if not entry[0]:\n"
+        "                        entry[0] += count\n"
+        "                        entry[1] += child_undefined\n",
         (f"{ORACLE}::test_circuit_files_match_the_oracle[abmem.kcir]",
          f"{ORACLE}::test_built_ins_match_the_oracle[abmem_element-2]"),
     ),
     Mutant(
-        "the last node of a read state's chain given no children",
+        "met records the last edge into a node",
         "src/kcir/classifier.py",
-        "children[more[0]] = row",
-        "children[more[0]] = row if more[2] else ()",
+        "                        met.append(len(child))\n"
+        "                    entry[0] += count\n",
+        "                        met.append(-1)\n"
+        "                    met[entry[2]] = len(child)\n"
+        "                    entry[0] += count\n",
         (f"{ORACLE}::test_built_in_node_tables_match_brute_force[abmem_element-2]",
          f"{ORACLE}::test_mealy_node_tables_match_brute_force"),
     ),
     Mutant(
-        "the walk budget charges a read state's expansion to its first node only",
+        "the walk budget leaves out the refs a step returns",
         "src/kcir/classifier.py",
-        "                    children[more[0]] = row\n"
-        "                    work += cost\n",
-        "                    children[more[0]] = row\n",
-        (f"{CALLS}::test_the_walk_budget_charges_every_node[abmem_element-3]",
-         f"{CALLS}::test_the_walk_budget_charges_every_node[mux_element-10]"),
+        "                        work += len(refs)\n",
+        "",
+        (f"{CALLS}::test_the_walk_budget_charges_each_expansion_once[abmem_element-3]",
+         f"{CALLS}::test_the_walk_budget_charges_each_expansion_once[mux_element-10]"),
     ),
     Mutant(
         "the antisymmetry test in _axiom_report inverted",
@@ -126,18 +126,26 @@ MUTANTS = (
          f"{ORACLE}::test_axioms_on_ranks_match_the_read_set_scan"),
     ),
     Mutant(
-        "the edge pass skips undefined children",
+        "the edge pass skips undefined edges",
         "src/kcir/classifier.py",
-        "mask |= after[y] if y >= 0 else below[k]",
-        "mask |= after[y] if y >= 0 else 0",
+        "below[e // k] |= below[c]",
+        "below[e // k] |= 0",
         (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
          f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
     ),
     Mutant(
-        "the edge pass compares child images instead of child after-sets",
+        "the edge pass drops a node's set after the first edge into it that it reads",
         "src/kcir/classifier.py",
-        "mask |= after[y] if y >= 0 else below[k]",
-        "mask |= 1 << y if y >= 0 else below[k]",
+        "if met[c] == e:",
+        "if True:",
+        (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
+         f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
+    ),
+    Mutant(
+        "the edge pass compares edge images instead of their after-sets",
+        "src/kcir/classifier.py",
+        "below[e // k] |= after[y]",
+        "below[e // k] |= 1 << y",
         (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
          f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
     ),

@@ -565,41 +565,38 @@ def walk_classify(circuit: CircuitElement, horizon: int) -> Classification:
     return Classification(Verdict.NOT_TIME_PRESERVING, report, witness, stats)
 
 
-def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[tuple[int, int]]:
-    """(distinct (read state, refs) pairs, distinct read states) at each tick 0..horizon.
+def dag_level_sizes(element: CircuitElement, horizon: Tick) -> list[int]:
+    """The distinct read states at each tick 0..horizon: the read-state DAG's levels.
 
-    The pairs are the nodes of the read-state DAG level by level, found by
-    stepping every distinct read state of the level before once per symbol.
+    Each level's states are found by stepping every distinct read state of
+    the level before once per symbol.
     """
     sizes = []
     states = {element.read_init}
     for t in range(horizon + 1):
-        nodes = {
-            element.read_step(state, symbol, t)
+        states = {
+            element.read_step(state, symbol, t)[0]
             for state in states
             for symbol in element.control_alphabet.values
         }
-        states = {state for state, _ in nodes}
-        sizes.append((len(nodes), len(states)))
+        sizes.append(len(states))
     return sizes
 
 
 def dag_walk_work(element: CircuitElement, horizon: Tick) -> int:
-    """The read steps and refs of the walk to ``horizon``, counted per node.
+    """The read steps and refs of the walk to ``horizon``, each expansion charged once.
 
-    The root and every node of the levels above the horizon cost the number
-    of symbols plus the refs of the steps of their read state, as if each
-    node were stepped on its own.
+    The root and every distinct read state of the levels above the horizon
+    cost the number of symbols plus the refs their steps return, however
+    many histories reach them.
     """
     symbols = element.control_alphabet.values
-    nodes = {(element.read_init, None)}  # the root
+    states = {element.read_init}
     work = 0
     for t in range(horizon + 1):
-        steps = {state: [element.read_step(state, symbol, t) for symbol in symbols]
-                 for state, _ in nodes}
-        for state, _ in nodes:
-            work += len(symbols) + sum(len(refs) for _, refs in steps[state] if refs is not None)
-        nodes = {step for row in steps.values() for step in row}
+        steps = [element.read_step(state, symbol, t) for state in states for symbol in symbols]
+        work += len(steps) + sum(len(refs) for _, refs in steps if refs is not None)
+        states = {state for state, _ in steps}
     return work
 
 
@@ -612,17 +609,18 @@ def read_fold(element: CircuitElement, history: Sequence[str]) -> tuple[object, 
 
 
 def dag_smallest_histories(element: CircuitElement, horizon: Tick) -> list[tuple[str, ...]]:
-    """Each (level, read state, refs) key's smallest history, in ``sort_key`` order.
+    """Each (level, read state) key's smallest history, in ``sort_key`` order.
 
     Every history up to the horizon is folded from ``read_init`` on its own,
-    so these are the nodes of the read-state DAG found without merging.
+    so these are the nodes of the read-state DAG below its root found
+    without merging.
     """
     alphabet = element.control_alphabet
     smallest: dict[tuple, tuple[str, ...]] = {}
     for t in range(horizon + 1):
         # product() meets the histories of one length in sample-rank order.
         for history in itertools.product(alphabet.values, repeat=t + 1):
-            smallest.setdefault((t, *read_fold(element, history)), history)
+            smallest.setdefault((t, read_fold(element, history)[0]), history)
     return sorted(smallest.values(), key=lambda h: CausalSignal(alphabet, h).sort_key())
 
 

@@ -322,7 +322,7 @@ def _read_steps_taken(element: CircuitElement, horizon: int) -> int:
     checked = 0 if witness is None else sum(
         len(signal.samples) for signal in (witness.a0, witness.a1, witness.b0, witness.b1))
     walked = len(calls) - checked
-    states = sum(s for _, s in oracle.dag_level_sizes(element, horizon)[:horizon])
+    states = sum(oracle.dag_level_sizes(element, horizon)[:horizon])
     assert walked == len(element.control_alphabet) * (1 + states)
     return walked
 
@@ -394,19 +394,14 @@ class TestClassify:
         assert result.stats.excluded_undefined == 27
 
     @pytest.mark.parametrize(
-        "factory,horizon",
-        [(abmem_element, 2), (abmem_element, 3), (mux_element, 10), (dff_element, 6),
-         (toggler_pair_element, 3)],
+        "factory,horizon,steps",
+        [(abmem_element, 2, 9 * 11), (abmem_element, 3, 9 * 24), (mux_element, 10, 2 * 11),
+         (dff_element, 6, 2 * 38), (toggler_pair_element, 3, 4 * 39)],
     )
-    def test_read_step_runs_once_per_symbol_and_read_state(self, factory, horizon):
-        element = factory()
-        calls = _read_steps_taken(element, horizon)
-        # abmem and mux hold one read state at several nodes, which share its
-        # steps; the other circuits hold one node per read state.
-        nodes = sum(n for n, _ in oracle.dag_level_sizes(element, horizon)[:horizon])
-        shared = calls < len(element.control_alphabet) * (1 + nodes)
-        assert shared == (factory in (abmem_element, mux_element))
-        assert calls < classify(element, horizon).stats.signals
+    def test_read_step_runs_once_per_symbol_and_read_state(self, factory, horizon, steps):
+        # k symbols times the root and the read states above the horizon:
+        # abmem and mux reach one read state with several refs, and step it once.
+        assert _read_steps_taken(factory(), horizon) == steps
 
     @settings(max_examples=100, deadline=None)
     @given(mealy_circuits(), st.integers(0, 4))
@@ -416,9 +411,9 @@ class TestClassify:
     @pytest.mark.parametrize(
         "factory,horizon", [(abmem_element, 3), (mux_element, 10), (dff_element, 6)]
     )
-    def test_the_walk_budget_charges_every_node(self, monkeypatch, factory, horizon):
-        # abmem and mux step a read state once for several nodes, and the
-        # budget still charges each of them the steps and refs.
+    def test_the_walk_budget_charges_each_expansion_once(self, monkeypatch, factory, horizon):
+        # abmem and mux reach one read state by several histories and refs,
+        # and the budget charges the steps and refs of its expansion once.
         element = factory()
         work = oracle.dag_walk_work(element, horizon)
         monkeypatch.setattr(classifier, "WALK_BUDGET", work)
@@ -455,7 +450,7 @@ class TestClassify:
 
     def test_the_walk_budget_stops_partway_into_a_level(self, monkeypatch):
         # The toggler pair takes 60 read steps and refs up to level 1, and
-        # level 2 expands 9 nodes at about 15 each, so 100 is passed early in it.
+        # level 2 expands 9 read states at about 15 each, so 100 is passed early in it.
         element = toggler_pair_element()
         ticks = []
 

@@ -167,11 +167,12 @@ class TestClassifyCommand:
         assert err == "error: classify stopped at level 5 of 7: over 100 read steps and refs\n"
 
     @pytest.mark.parametrize("budget,count", [
-        ("WALK_BUDGET", 33), ("SWEEP_BUDGET", 51), ("AXIOM_BUDGET", 12),
+        ("WALK_BUDGET", 33), ("SWEEP_BUDGET", 54), ("AXIOM_BUDGET", 12),
     ])
     def test_each_budget_is_inclusive(self, monkeypatch, capsys, budget, count):
-        # dff at horizon 3 takes 33 read steps and refs, holds 17 nodes and 3
-        # read sets (51 bits), and relates 4 pairs of its 3 read sets (12).
+        # dff at horizon 3 takes 33 read steps and refs, holds 18 read states,
+        # the root's among them, and 3 read sets (54 bits), and relates 4
+        # pairs of its 3 read sets (12).
         argv = ["classify", "--circuit", circuit("dff.kcir"), "--horizon", "3"]
         monkeypatch.setattr(classifier, budget, count)
         assert run(capsys, *argv)[0] == 0
@@ -183,7 +184,8 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("budget,count,horizon,message", [
         ("WALK_BUDGET", 32, 8, "level 3 of 8: over 32 read steps and refs"),
-        ("SWEEP_BUDGET", 50, 8, "level 3 of 8: 17 nodes times 3 read sets need over 50 bits"),
+        ("SWEEP_BUDGET", 53, 8,
+         "level 3 of 8: 18 read states times 3 read sets need over 53 bits"),
         ("AXIOM_BUDGET", 11, 3,
          "level 3 of 3: 4 related pairs times 3 read sets pass the axiom check's 11"),
     ])

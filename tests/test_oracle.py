@@ -5,8 +5,9 @@ objects: verdict, stats, the axiom report with its witnesses, and the
 antisymmetry witness, against the oracle engine run on the rescanning read
 maps, and against the prefix-tree walk at horizons the oracle cannot reach.
 Drawn Mealy read steps make the DAG merge histories.  The DAG's node table
-numbers nodes in the order of their smallest histories, with children after
-parents, and its ``after`` sets are the oracle's derived image pairs.  Its
+holds one node per level and read state, numbered in the order of their
+smallest histories, its edges hold the images of their steps, and its
+``after`` sets are the oracle's derived image pairs.  Its
 edge pass finds a relation transitive exactly when the pair scan does, and
 on a reflexive, transitive relation the images with equal sets give the
 pair scan's antisymmetry verdict and witness.  The
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stdout
-from typing import Optional, Sequence
+from typing import Optional
 
 import pytest
 from hypothesis import find, given, settings
@@ -352,7 +353,7 @@ def _check_edge_verdict(element: CircuitElement, horizon: int) -> None:
     pairs = {(x, y) for x, mask in enumerate(dag.after) for y in _members(mask)}
     transitive = oracle.pair_axiom_report(images, range(len(images)), pairs).transitive
     assert dag.edges_transitive() == transitive
-    assert dag.transitive == (transitive and len(pairs) > sum(map(len, dag.children)))
+    assert dag.transitive == (transitive and len(pairs) > len(dag.child))
 
 
 @settings(max_examples=300, deadline=None)
@@ -440,7 +441,7 @@ def test_mealy_strategy_merges_histories():
     def merges(case):
         element, horizon = case
         width = len(element.control_alphabet)
-        nodes = sum(n for n, _ in oracle.dag_level_sizes(element, horizon))
+        nodes = sum(oracle.dag_level_sizes(element, horizon))
         return nodes < history_count(width, horizon)
 
     element, horizon = find(
@@ -592,24 +593,27 @@ def test_deeper_edge_verdicts_match_the_pair_scan(factory, horizon):
 
 
 def _check_node_table(element: CircuitElement, horizon: int) -> None:
-    """The DAG's node ids, children and ``after`` sets, against brute force.
+    """The DAG's ``met``, ``child`` and ``image`` tables and ``after`` sets, against brute force.
 
-    Nodes that share a level and a read state, by folding their smallest
-    histories, have one row of children.
+    Below the root, the nodes are the (level, read state) keys in the order
+    of their smallest histories, and ``met`` leads back along each of them.
+    Every node above the horizon has one edge per symbol, which reaches the
+    node of the history one symbol longer and holds the rank of its refs.
     """
     alphabet = element.control_alphabet
+    k = len(alphabet)
     dag = _ReadStateDag(element.read_init, element.read_step, alphabet.values, horizon)
-    histories = [dag.history(n) for n in range(len(dag.images))]
-    assert histories == oracle.dag_smallest_histories(element, horizon)
-    rows: dict[tuple, Sequence[int]] = {}
-    for n, history in enumerate(histories):
-        parent, symbol = dag.origins[n]
-        assert parent < n
-        if parent >= 0:
-            assert dag.children[parent][alphabet.values.index(symbol)] == n
-        assert all(k > n for k in dag.children[n])
-        state, _ = oracle.read_fold(element, history)
-        assert rows.setdefault((len(history), state), dag.children[n]) == dag.children[n], n
+    histories = [()] + [dag.history(e) for e in dag.met[1:]]
+    assert histories[1:] == oracle.dag_smallest_histories(element, horizon)
+    assert dag.met[1:] == [dag.child.index(h) for h in range(1, len(histories))]
+    nodes = {(len(history), oracle.read_fold(element, history)[0]): h
+             for h, history in enumerate(histories) if history}
+    assert len(dag.child) == k * sum(len(history) <= horizon for history in histories)
+    for e, (c, y) in enumerate(zip(dag.child, dag.image)):
+        history = (*histories[e // k], alphabet.values[e % k])
+        state, refs = oracle.read_fold(element, history)
+        assert c == nodes[len(history), state], e
+        assert y == (-1 if refs is None else dag.refs.index(refs)), e
     relation = oracle.build_prefix_relation(enumerate_causal_signals(alphabet, horizon))
     pairs = {
         (ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
