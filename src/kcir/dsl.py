@@ -69,23 +69,27 @@ from .circuits import CircuitElement, SimulationError
 from .classifier import ReadStepFn, Refs
 from .signals import BINARY, Alphabet, Tick, split_symbol
 
-KINDS = ("dff", "srlatch", "mux", "sync", "multiclock", "abmem")
-
+#: The built-in kinds, each with its element's constructor in
+#: :mod:`kcir.circuits`; their descriptions hold a kind clause and nothing else.
+_BUILT_INS = {
+    "dff": circuits.dff_element,
+    "srlatch": circuits.sr_latch_element,
+    "mux": circuits.mux_element,
+    "abmem": circuits.abmem_element,
+}
 _OPERATORS = {"not": (1, 1), "and": (2, None), "or": (2, None), "xor": (2, None)}
-_CLAUSE_KEYWORDS = ("kind", "clock", "state", "in", "next", "out", "domain")
+_DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
+#: Every kind of the grammar, with the clauses its circuit block allows.
 _LEGAL_CLAUSES = {
-    "dff": {"kind"},
-    "srlatch": {"kind"},
-    "mux": {"kind"},
-    "abmem": {"kind"},
-    "sync": {"kind", "clock", "state", "in", "next", "out"},
+    **dict.fromkeys(_BUILT_INS, {"kind"}),
+    "sync": {"kind", *_DOMAIN_CLAUSES},
     "multiclock": {"kind", "domain"},
 }
-_DOMAIN_CLAUSES = {"clock", "state", "in", "next", "out"}
-#: Deepest operator nesting an expression may have.  Parsing recurses at
-#: every level, so the bound keeps it well inside Python's recursion limit.
-#: Compiling walks its own stack and writes flat statements per operator, so
-#: neither the depth nor the width of an expression nests in the generated code.
+_CLAUSE_KEYWORDS = set().union(*_LEGAL_CLAUSES.values())
+#: Deepest operator nesting an expression may have.  Parsing, and writing the
+#: step's source, recurse at every level, so the bound keeps both well inside
+#: Python's recursion limit.  The written code is flat, one statement per
+#: operator, so neither the depth nor the width of an expression nests in it.
 MAX_EXPR_DEPTH = 200
 #: Most domain blocks a multiclock circuit may have.  Its control alphabet
 #: holds 2**k symbols, built in full when the circuit is elaborated, and the
@@ -123,7 +127,6 @@ class ElaborationError(Exception):
 @dataclass(frozen=True)
 class Lit:
     value: str
-    span: SourceSpan = field(default=_NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,6 @@ class Var:
 class Call:
     op: str
     args: tuple["BoolExpr", ...]
-    span: SourceSpan = field(default=_NO_SPAN, compare=False, repr=False)
 
 
 BoolExpr = Union[Lit, Var, Call]
@@ -292,7 +294,7 @@ class _Parser:
         word = keyword.text
         if word in _ONE_NAME:
             name = self.expect("ident", what=_ONE_NAME[word])
-            if word == "kind" and name.text not in KINDS:
+            if word == "kind" and name.text not in _LEGAL_CLAUSES:
                 _fail("unknown kind", name)
             self.expect("punct", ";")
             return _Clause(keyword, name)
@@ -336,7 +338,7 @@ class _Parser:
             if token.text not in ("0", "1"):
                 _fail("expected 0 or 1", token)
             self.advance()
-            return Lit(token.text, token.span)
+            return Lit(token.text)
         token = self.expect("ident", what="an expression")
         follow = self.peek()
         if not (follow.kind == "punct" and follow.text == "("):
@@ -354,7 +356,7 @@ class _Parser:
         low, high = _OPERATORS[token.text]
         if len(args) < low or (high is not None and len(args) > high):
             _fail("arity mismatch", token)
-        return Call(token.text, tuple(args), token.span)
+        return Call(token.text, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ def _assemble_circuit(name: _Token, clauses: _Clauses) -> CircuitAst:
     kind = anchor.text
     _check_legal(clauses, _LEGAL_CLAUSES[kind], f"for kind {kind}")
 
-    if kind in ("dff", "srlatch", "mux", "abmem"):
+    if kind in _BUILT_INS:
         return CircuitAst(name.text, kind)
 
     if kind == "sync":
@@ -543,63 +545,6 @@ def pretty_print(ast: CircuitAst) -> str:
 # ---------------------------------------------------------------------------
 # Elaboration
 
-class _LogicWriter:
-    """Flat statements computing boolean expressions over bool locals.
-
-    A name is the local ``v<slot>``, set at the head of its block from its
-    slot's entry of ``loads``, and each operator node assigns a fresh
-    ``t<k>``: ``not`` and ``and``/``or`` in one statement each, ``xor`` one
-    statement per operand, so no generated expression nests however deep or
-    wide the description is.  The walk keeps its own stack, so no nesting
-    depth recurses.
-    """
-
-    def __init__(self, loads: Sequence[str]):
-        self.loads = loads
-        self.temps = 0
-
-    def block(
-        self, exprs: Sequence[BoolExpr], slots: dict[str, int]
-    ) -> tuple[list[str], list[str]]:
-        """(statements, operands): the statements compute ``exprs`` into the operands.
-
-        ``slots`` numbers the names of the expressions' domain.
-        """
-        lines: list[str] = []
-        used: set[int] = set()
-        results = []
-        for expr in exprs:
-            operands: list[str] = []
-            stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if isinstance(node, Lit):
-                    operands.append("True" if node.value == "1" else "False")
-                elif isinstance(node, Var):
-                    slot = slots[node.name]
-                    used.add(slot)
-                    operands.append(f"v{slot}")
-                elif not expanded:
-                    stack.append((node, True))
-                    stack.extend((arg, False) for arg in reversed(node.args))
-                else:
-                    cut = len(operands) - len(node.args)
-                    args = operands[cut:]
-                    del operands[cut:]
-                    name = f"t{self.temps}"
-                    self.temps += 1
-                    if node.op == "not":
-                        lines.append(f"{name} = not {args[0]}")
-                    elif node.op == "xor":
-                        lines.append(f"{name} = {args[0]} ^ {args[1]}")
-                        lines += [f"{name} ^= {arg}" for arg in args[2:]]
-                    else:
-                        lines.append(f"{name} = {f' {node.op} '.join(args)}")
-                    operands.append(name)
-            results.append(operands[0])
-        return [f"v{slot} = {self.loads[slot]}" for slot in sorted(used)] + lines, results
-
-
 @functools.lru_cache(maxsize=128)
 def _step_code(domains: tuple[DomainAst, ...]) -> CodeType:
     """The compiled :func:`_step_source`, kept per distinct domains as ``re`` keeps patterns."""
@@ -619,6 +564,13 @@ def _step_source(domains: Sequence[DomainAst]) -> str:
     slot number only (``v<slot>`` for a register or input bit, ``t<k>`` for
     an operator result), so no identifier or other text of the description
     enters the source.
+
+    ``operand`` writes an expression in post-order: its operands first, then
+    the operator, which assigns the next ``t<k>``, ``not`` and ``and``/``or``
+    in one statement each and ``xor`` in one statement per operand.  It
+    recurses once per level, as the parser does, so ``MAX_EXPR_DEPTH`` bounds
+    it too.  ``block`` writes a list of (name, expression) pairs; its head
+    sets, in slot order, the ``v<slot>`` of each name they read from ``loads``.
     """
     slots: list[dict[str, int]] = []  # per domain, each name's slot
     loads: list[str] = []  # per slot, the expression that reads its bit
@@ -644,14 +596,37 @@ def _step_source(domains: Sequence[DomainAst]) -> str:
     if samples:
         body.append(f"{''.join(f's{j}, ' for j in range(samples))}= samples")
         body += [f'if s{j} not in {{"0", "1"}}: reject_sample(samples)' for j in range(samples)]
-    writer = _LogicWriter(loads)
+    temps = itertools.count()
+
+    def operand(expr: BoolExpr, own: dict[str, int], lines: list[str]) -> str:
+        if isinstance(expr, Lit):
+            return "True" if expr.value == "1" else "False"
+        if isinstance(expr, Var):
+            return f"v{own[expr.name]}"
+        args = [operand(arg, own, lines) for arg in expr.args]
+        name = f"t{next(temps)}"
+        if expr.op == "not":
+            lines.append(f"{name} = not {args[0]}")
+        elif expr.op == "xor":
+            lines.append(f"{name} = {args[0]} ^ {args[1]}")
+            lines += [f"{name} ^= {arg}" for arg in args[2:]]
+        else:
+            lines.append(f"{name} = {f' {expr.op} '.join(args)}")
+        return name
+
+    def block(named: Sequence[tuple[str, BoolExpr]], own: dict[str, int]) -> tuple[list, list]:
+        read = {own[var.name] for _, expr in named for var in _expr_vars(expr)}
+        lines = [f"v{slot} = {loads[slot]}" for slot in sorted(read)]
+        bits = [operand(expr, own, lines) for _, expr in named]
+        return lines, bits
+
     for k, (domain, own) in enumerate(zip(domains, slots)):
-        lines, bits = writer.block([expr for _, expr in domain.next_exprs], own)
+        lines, bits = block(domain.next_exprs, own)
         body.append(f"if rise & {1 << k}:")
         body += [f"    {line}" for line in (*lines, f"r{k} = ({', '.join(bits)},)")]
     parts = []
     for domain, own in zip(domains, slots):
-        lines, bits = writer.block([expr for _, expr in domain.outputs], own)
+        lines, bits = block(domain.outputs, own)
         body += lines
         parts += ['"/"', *(f'("1" if {b} else "0")' for b in bits)]
     body.append(f'return (symbol, {registers}), "".join(({", ".join(parts[1:])},))')
@@ -809,14 +784,8 @@ def _changed_field(ast: CircuitAst, canonical: CircuitAst) -> str:
 
 
 def _build(ast: CircuitAst) -> CircuitElement:
-    if ast.kind == "dff":
-        return circuits.dff_element(ast.name)
-    if ast.kind == "srlatch":
-        return circuits.sr_latch_element(ast.name)
-    if ast.kind == "mux":
-        return circuits.mux_element(ast.name)
-    if ast.kind == "abmem":
-        return circuits.abmem_element(ast.name)
+    if ast.kind in _BUILT_INS:
+        return _BUILT_INS[ast.kind](ast.name)
     return _clocked_element(ast)
 
 

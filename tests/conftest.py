@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Optional
 
@@ -11,6 +12,7 @@ from kcir import (
     Alphabet,
     CausalSignal,
     CircuitElement,
+    dff_element,
     output_stream,
     sr_latch_element,
 )
@@ -46,6 +48,21 @@ def last_output(element: CircuitElement, control: CausalSignal, **inputs: Causal
     """The output at the current tick of the given signals: their ``output_stream``'s last entry."""
     columns = {name: signal.samples for name, signal in inputs.items()}
     return output_stream(element, control.samples, columns)[-1]
+
+
+def short_sighted_dff() -> CircuitElement:
+    """A flip-flop whose read step claims ``(D, tick)`` in place of its latest edge.
+
+    Its output is the sample latched at that edge, which the read step no
+    longer claims, so the read-soundness check finds violations.
+    """
+    dff = dff_element()
+
+    def read_step(state, clock, tick):
+        state, refs = dff.read_step(state, clock, tick)
+        return state, None if refs is None else (("D", tick),)
+
+    return dataclasses.replace(dff, read_step=read_step)
 
 
 def ranked_axiom_report(relation) -> AxiomReport:

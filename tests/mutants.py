@@ -138,8 +138,9 @@ MUTANTS = (
         "src/kcir/classifier.py",
         "if met[c] == e:",
         "if True:",
-        (f"{ORACLE}::test_table_edge_verdicts_match_the_pair_scan",
-         f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan"),
+        # A table circuit's DAG is its prefix tree, with one edge into each
+        # node, so no table circuit can tell this mutant apart.
+        (f"{ORACLE}::test_mealy_edge_verdicts_match_the_pair_scan",),
     ),
     Mutant(
         "the edge pass compares edge images instead of their after-sets",
@@ -220,6 +221,28 @@ MUTANTS = (
         'body.append("if rise:")',
         ("tests/test_circuits.py::TestMulticlock::test_togglers_track_edge_parity",
          f"{ORACLE}::test_streams_and_prefix_values_match_the_oracle[twoclock.kcir]"),
+    ),
+    Mutant(
+        "xor drops its operands past the second",
+        "src/kcir/dsl.py",
+        '            lines += [f"{name} ^= {arg}" for arg in args[2:]]\n',
+        "",
+        (f"{DSL}::TestCompiledStepMatchesTheReference::test_compiled_step_equals_the_reference",),
+    ),
+    Mutant(
+        "a built-in kind falls through to the clocked builder",
+        "src/kcir/dsl.py",
+        "    if ast.kind in _BUILT_INS:\n",
+        "    if False:\n",
+        (f"{DSL}::TestElaborate::test_dff_ast_gets_read_map_and_evaluator",
+         f"{CLI}::TestCheckCommand::test_dff_check_passes"),
+    ),
+    Mutant(
+        "a built-in kind takes the clauses of sync",
+        "src/kcir/dsl.py",
+        '**dict.fromkeys(_BUILT_INS, {"kind"}),',
+        '**dict.fromkeys(_BUILT_INS, {"kind", *_DOMAIN_CLAUSES}),',
+        (f"{DSL}::TestCorpus::test_invalid_files_report_spans_inside_the_offending_token",),
     ),
     Mutant(
         "expect takes any token of the kind",
@@ -400,6 +423,17 @@ MUTANTS = (
         'if step is None and reads is not None and not hasattr(reads, "folds"):',
         "if False:",
         ("tests/test_circuits.py::TestReadStep::test_a_read_map_given_alone_is_refused",),
+    ),
+    Mutant(
+        "the read-soundness check stops counting violations",
+        "src/kcir/circuits.py",
+        "        if output != baseline:\n"
+        "            violations += 1\n",
+        "        if output != baseline:\n"
+        "            pass\n",
+        ("tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_finds_a_read_step_that_claims_too_little",
+         f"{CLI}::TestCheckCommand::test_an_unsound_read_step_fails_the_check"),
     ),
     Mutant(
         "_dff_read_step also claims the current tick's data sample",

@@ -31,7 +31,7 @@ from kcir import (
 from kcir.circuits import _below, _random_streams, _stream_alphabets
 
 from . import oracle
-from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, sig
+from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, short_sighted_dff, sig
 from .oracle import enumerate_causal_signals, prefix
 from .test_dsl import _circuits
 
@@ -542,6 +542,12 @@ class TestRandomizedProperties:
         report = read_soundness_check(element, horizon=4, trials=300, seed=13)
         assert report.violations == 0
         assert report.mutations > 0
+
+    def test_read_soundness_finds_a_read_step_that_claims_too_little(self):
+        element = short_sighted_dff()
+        report = read_soundness_check(element, horizon=4, trials=300, seed=13)
+        assert report.violations > 0
+        assert report == oracle.read_soundness_check(element, horizon=4, trials=300, seed=13)
 
     @pytest.mark.parametrize("factory", ALL_ELEMENTS)
     def test_causality(self, factory):

@@ -21,7 +21,7 @@ from kcir import CausalSignal, CausalityReport, ReadSoundnessReport, classify
 from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, load_circuit, parse
 
 from . import oracle
-from .conftest import CIRCUITS_DIR
+from .conftest import CIRCUITS_DIR, short_sighted_dff
 
 
 def run(capsys, *argv: str):
@@ -861,6 +861,20 @@ class TestCheckCommand:
         assert report["stats"]["causality"]["violations"] == 0
         assert report["stats"]["read_soundness"]["violations"] == 0
 
+    def test_an_unsound_read_step_fails_the_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_circuit", lambda text: short_sighted_dff())
+        code, out, _ = run(
+            capsys,
+            "check", "--circuit", circuit("dff.kcir"),
+            "--horizon", "4", "--trials", "300", "--seed", "13",
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "fail"
+        assert report["stats"]["causality"]["violations"] == 0
+        assert report["stats"]["read_soundness"]["violations"] > 0
+
     def test_srlatch_check_skips_read_soundness(self, capsys):
         code, out, _ = run(
             capsys,
@@ -944,6 +958,25 @@ class TestRefusalMessages:
             capsys, "check", "--circuit", circuit("dff.kcir"), "--horizon", horizon,
         )
         assert (code, out, err) == (2, "", "error: --horizon must be >= 1\n")
+
+    def test_check_needs_at_least_one_trial(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--circuit", circuit("dff.kcir"), "--trials", "0",
+        )
+        assert (code, out, err) == (2, "", "error: --trials must be >= 1\n")
+
+    def test_a_domain_inside_a_domain(self, tmp_path, capsys):
+        path = tmp_path / "nested.kcir"
+        path.write_text(
+            "circuit x { kind multiclock;\n"
+            "  domain a { clock ca;\n"
+            "    domain b { clock cb; }\n"
+            "  }\n"
+            "}\n"
+        )
+        code, out, err = run(capsys, "classify", "--circuit", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:3:5: clause 'domain' not allowed inside a domain\n"
 
 
 class TestDescriptionSizeGuards:

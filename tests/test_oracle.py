@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stdout
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from kcir import (
@@ -208,15 +208,17 @@ PALETTE = (
 )
 
 
-@st.composite
-def table_circuits(draw):
-    """A circuit whose read map is an arbitrary table over every control history."""
-    size = draw(st.integers(1, 3))
-    horizon = draw(st.integers(0, 3))
+def table_circuit(
+    size: int, horizon: int, images: Sequence[Optional[ReadSet]]
+) -> tuple[CircuitElement, int]:
+    """The circuit on the first ``size`` of a, b, c whose k-th history reads ``images[k]``.
+
+    Histories up to ``horizon`` are numbered as ``enumerate_causal_signals``
+    lists them: by length, then in order of their samples.
+    """
     alphabet = Alphabet(tuple("abc"[:size]))
     signals = enumerate_causal_signals(alphabet, horizon)
-    images = draw(st.lists(st.sampled_from(PALETTE), min_size=len(signals),
-                           max_size=len(signals)))
+    assert len(images) == len(signals)
     table = {s.samples: image for s, image in zip(signals, images)}
     element = oracle.with_read_map(CircuitElement(
         name="table",
@@ -227,6 +229,17 @@ def table_circuits(draw):
         step=lambda state, symbol, samples: (state, None),
     ), lambda signal: table[signal.samples])
     return element, horizon
+
+
+@st.composite
+def table_circuits(draw):
+    """A circuit whose read map is an arbitrary table over every control history."""
+    size = draw(st.integers(1, 3))
+    horizon = draw(st.integers(0, 3))
+    count = history_count(size, horizon)
+    return table_circuit(
+        size, horizon, draw(st.lists(st.sampled_from(PALETTE), min_size=count, max_size=count))
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,8 +369,15 @@ def _check_edge_verdict(element: CircuitElement, horizon: int) -> None:
     assert dag.transitive == (transitive and len(pairs) > len(dag.child))
 
 
+#: bb reads D0 and bbbb reads D1, with bbb undefined between them, and a
+#: reads D1 and ab reads D2: D0 precedes D1 precedes D2, but D0 does not
+#: precede D2, which the edge pass sees only through the undefined edge.
+UNDEFINED_LINK = table_circuit(2, 3, [PALETTE[int(i)] for i in "200301000000000000000000000002"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(table_circuits())
+@example(UNDEFINED_LINK)
 def test_table_edge_verdicts_match_the_pair_scan(case):
     _check_edge_verdict(*case)
 
@@ -369,28 +389,17 @@ def test_table_edge_verdicts_match_the_pair_scan(case):
 MEALY_READS = ("none", "current", "last", "both")
 
 
-@st.composite
-def mealy_circuits(draw, symbols: Optional[tuple[str, ...]] = None, reads=MEALY_READS):
-    """A circuit whose read step is a drawn table over (table state, control symbol).
+def mealy_circuit(symbols: Sequence[str], rows: Sequence[tuple[int, bool, str]]) -> CircuitElement:
+    """A circuit whose read step is a table over (table state, control symbol).
 
-    The table gives the next table state, whether the tick is an event, and
-    what is read, one of ``reads``: nothing (undefined), the current tick,
-    the last event's tick (undefined before any event), or both.  The
-    control symbols are ``symbols``, or one to three drawn ones.
+    Row ``q * len(symbols) + i`` is for table state q and the i-th symbol.
+    It gives the next table state, whether the tick is an event, and what
+    is read, one of ``MEALY_READS``: nothing (undefined), the current tick,
+    the last event's tick (undefined before any event), or both.
     """
-    states = draw(st.integers(2, 4))
-    if symbols is None:
-        symbols = tuple("abc"[: draw(st.integers(1, 3))])
-    alphabet = Alphabet(symbols)
-    table = {
-        (q, symbol): (
-            draw(st.integers(0, states - 1)),
-            draw(st.booleans()),
-            draw(st.sampled_from(reads)),
-        )
-        for q in range(states)
-        for symbol in alphabet.values
-    }
+    alphabet = Alphabet(tuple(symbols))
+    width = len(symbols)
+    table = {(k // width, symbols[k % width]): row for k, row in enumerate(rows)}
 
     def read_step(state, symbol, tick):
         q, last = state
@@ -419,6 +428,22 @@ def mealy_circuits(draw, symbols: Optional[tuple[str, ...]] = None, reads=MEALY_
     )
 
 
+@st.composite
+def mealy_circuits(draw, symbols: Optional[tuple[str, ...]] = None, reads=MEALY_READS):
+    """A :func:`mealy_circuit` of two to four table states whose rows read one of ``reads``.
+
+    The control symbols are ``symbols``, or one to three drawn ones.
+    """
+    states = draw(st.integers(2, 4))
+    if symbols is None:
+        symbols = tuple("abc"[: draw(st.integers(1, 3))])
+    rows = [
+        (draw(st.integers(0, states - 1)), draw(st.booleans()), draw(st.sampled_from(reads)))
+        for _ in range(states * len(symbols))
+    ]
+    return mealy_circuit(symbols, rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(mealy_circuits(), st.integers(0, 3))
 def test_mealy_read_steps_match_the_oracle(element, horizon):
@@ -431,8 +456,19 @@ def test_mealy_read_steps_match_the_walk(element, horizon):
     assert classify(element, horizon) == oracle.walk_classify(element, horizon)
 
 
+#: The read state (table state 2, last event 0) is reached at tick 1 by ca,
+#: which reads D0 and D1, and by cc, which is undefined; the edge pass must
+#: keep its set until it has read both edges into it.
+MERGED_AFTER_TWO_EDGES = mealy_circuit("abc", [
+    (0, False, "none"), (0, False, "none"), (1, True, "current"),
+    (2, False, "both"), (0, False, "none"), (2, False, "none"),
+    (0, False, "none"), (0, False, "none"), (0, False, "last"),
+])
+
+
 @settings(max_examples=300, deadline=None)
 @given(mealy_circuits(), st.integers(0, 6))
+@example(MERGED_AFTER_TWO_EDGES, 2)
 def test_mealy_edge_verdicts_match_the_pair_scan(element, horizon):
     _check_edge_verdict(element, horizon)
 
