@@ -20,15 +20,17 @@ state of each level of the read-state DAG.  These two pairs are the only
 definitions of a circuit: there are no per-circuit evaluators or read maps
 beside them.
 
-The randomized property checks fold ``step`` over the ticks a trial
-compares and no more: a causality trial folds ticks 0..m-1 before and after
-the mutation at tick m, and a read-soundness trial folds the ticks before the
+The randomized property checks step ``step`` over the ticks a trial
+compares and no more.  A causality trial compares the ticks 0..m-1 before a
+mutated tick m, which no fold of them can see, so it draws m and then only
+those ticks of each column, and steps two runs over them side by side.  A
+read-soundness trial draws ticks 0..horizon, folds the ticks before the
 mutated one once and runs the baseline and the mutated run from that shared
 state to the compared tick, keeping only the last output.  Every random
-choice of a trial (the columns, the tick, the stream or position and the new
-value) is drawn by the ``_randbelow`` rule through ``rng.getrandbits``, with
-no ``Random`` method call, so a seed gives the same report as the
-``choice``, ``randint`` and ``randrange`` calls it stands for.
+choice of a trial (the tick, the columns, the position and the new value) is
+drawn by the ``_randbelow`` rule through ``rng.getrandbits``, with no
+``Random`` method call, so a seed gives the same draws as the ``choice``,
+``randint`` and ``randrange`` calls they stand for.
 
 Conventions shared by the built-ins here:
 
@@ -366,8 +368,7 @@ def _random_streams(
     Each sample is drawn as ``rng.choice(values)`` draws it, by the rule of
     :func:`_below` written out inline, so the columns and the generator state
     after them equal those of ``choice``, and every seeded report with them.
-    An alphabet is never empty, so n >= 1 and k >= 1.  Columns are lists,
-    which ``causality_check`` mutates in place.
+    An alphabet is never empty, so n >= 1 and k >= 1.
     """
     getrandbits = rng.getrandbits
     columns = []
@@ -467,6 +468,12 @@ def read_soundness_check(
 
 @dataclass(frozen=True)
 class CausalityReport:
+    """Counts of a causality check.
+
+    ``mutations`` counts the trials that compared two runs: every trial,
+    unless no stream has two or more values to mutate, and then none.
+    """
+
     trials: int
     mutations: int
     violations: int
@@ -477,11 +484,14 @@ def causality_check(
 ) -> CausalityReport:
     """Mutate a sample at some tick m; outputs strictly before m must not move.
 
-    Only the compared ticks 0..m-1 are folded, once before the mutation and
-    once after, so a trial costs 2m steps.  A pure ``step`` cannot see the
-    mutated tick there, so a violation shows a step whose output depends on
-    more than its arguments.  The mutated stream is drawn among those whose
-    alphabet has two or more values; with none, trials are counted but not
+    A folded tick 0..m-1 cannot see the mutated tick m, so a trial draws m
+    and then the columns of ticks 0..m-1 only, and steps two runs from
+    ``init`` over them side by side, 2m steps; it needs neither the mutated
+    stream nor its new value.  A violation is the first tick where the two
+    outputs differ, which shows a step whose output depends on more than its
+    arguments.  For a pure ``step`` the report equals that of folding both
+    runs over every tick from 0, though the draws differ.  With no stream
+    whose alphabet has two or more values, trials are counted but not
     mutated.
     """
     if horizon < 1:
@@ -489,25 +499,20 @@ def causality_check(
     if trials < 0:
         raise ValueError("trials must be >= 0")
     alphabets = _stream_alphabets(element)
-    mutable = [k for k, alphabet in enumerate(alphabets) if len(alphabet) > 1]
-    if not mutable:
+    if all(len(alphabet) < 2 for alphabet in alphabets):
         return CausalityReport(trials, 0, 0)
     step, init = element.step, element.init
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    mutations = violations = 0
+    violations = 0
     for _ in range(trials):
-        streams = _random_streams(rng, alphabets, horizon + 1)
         m = 1 + _below(getrandbits, horizon)
-        pick = mutable[_below(getrandbits, len(mutable))]
-        samples = streams[pick]
-        others = [v for v in alphabets[pick].values if v != samples[m]]
-        new = others[_below(getrandbits, len(others))]
-        control, *columns = streams
-        before = fold(step, init, control[:m], _rows(columns))[1]
-        samples[m] = new
-        after = fold(step, init, control[:m], _rows(columns))[1]
-        mutations += 1
-        if before != after:
-            violations += 1
-    return CausalityReport(trials, mutations, violations)
+        control, *columns = _random_streams(rng, alphabets, m)
+        first = second = init
+        for symbol, samples in zip(control, _rows(columns)):
+            first, output = step(first, symbol, samples)
+            second, again = step(second, symbol, samples)
+            if output != again:
+                violations += 1
+                break
+    return CausalityReport(trials, trials, violations)

@@ -64,14 +64,16 @@ from .signals import CausalSignal
 UNDEF = "UNDEF"
 
 #: Most samples one ``check`` trial may draw (ticks 0..horizon on every
-#: channel) or one ``simulate`` stimulus may hold (rows times channels), and
-#: most refs one ``chi-dump`` may hold over all its prefixes.  A ``check``
-#: trial holds its sample columns and output streams in memory, at up to about
-#: 95 bytes per sample (counter at horizon 1,999,999: 362 MB max RSS), so it
-#: stays under about 0.5 GB.  ``simulate`` holds only its output text, about
-#: 10 bytes per tick, so a stimulus of one channel is its largest: 4,000,000
-#: ticks of a one-register toggle take 54 MB max RSS, and 1,000,000 ticks of
-#: twoclock 28 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
+#: channel, which a read-soundness trial draws; a causality trial draws only
+#: the ticks before its mutated one) or one ``simulate`` stimulus may hold
+#: (rows times channels), and most refs one ``chi-dump`` may hold over all its
+#: prefixes.  A ``check`` trial holds its sample columns in memory, and a
+#: read-soundness trial their rows too, but no output stream, so it stays
+#: under about 0.5 GB: at the limit, mux (horizon 1,333,332) peaks at 260 MB
+#: max RSS and dff (1,999,999) at 155 MB.  ``simulate`` holds only its output
+#: text, about 10 bytes per tick, so a stimulus of one channel is its largest:
+#: 4,000,000 ticks of a one-register toggle take 54 MB max RSS, and 1,000,000
+#: ticks of twoclock 28 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
 #: ticks, 3,962,090 refs) peaks at 47 MB.
 MAX_SAMPLES = 4_000_000
 

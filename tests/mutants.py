@@ -6,10 +6,11 @@ copies the repository (without ``.git`` and caches) to a temporary
 directory, applies the mutant's exact text edit there and runs the mutant's
 tests in that copy, with hypothesis seeded so that a run repeats and
 without its shrink phase (the ``mutants`` profile of ``tests/conftest.py``),
-so a mutant that a drawn example kills fails at once.  A mutant
-is reported *killed* when those tests fail, *survived* when they pass, and
-*stale* when its old text is not in the file exactly once.  A mutant that
-survives needs a new test that kills it, not its removal from the list.
+so a mutant that a drawn example kills fails at once.  A mutant is
+reported *killed* when those tests fail or no longer collect, *survived*
+when they pass, and *stale* when its old text is not in the file exactly
+once.  A mutant that survives needs a new test that kills it, not its
+removal from the list.
 
 Each copy is tested with ``PYTHONPATH`` set to its own ``src``, and pytest
 there reads the copy's ``pyproject.toml``, so the tests import the copy's
@@ -471,6 +472,40 @@ MUTANTS = (
          "test_causality_trial_steps_twice_per_compared_tick",),
     ),
     Mutant(
+        "the second causality run steps on from the first run's state",
+        "src/kcir/circuits.py",
+        "            second, again = step(second, symbol, samples)\n",
+        "            second, again = step(first, symbol, samples)\n",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_causality_trial_steps_twice_per_compared_tick",
+         "tests/test_circuits.py::TestRandomizedProperties::"
+         "test_causality_passes_every_trial_of_a_pure_step"),
+    ),
+    Mutant(
+        "the two causality runs' outputs are never compared",
+        "src/kcir/circuits.py",
+        "            if output != again:\n",
+        "            if False:\n",
+        ("tests/test_circuits.py::TestRandomizedProperties::"
+         "test_causality_catches_an_impure_step",),
+    ),
+    Mutant(
+        "a causality trial steps only its first tick",
+        "src/kcir/circuits.py",
+        "        for symbol, samples in zip(control, _rows(columns)):\n",
+        "        for symbol, samples in zip(control[:1], _rows(columns)):\n",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_causality_trial_steps_twice_per_compared_tick",),
+    ),
+    Mutant(
+        "a causality trial draws its columns to m + 1 ticks",
+        "src/kcir/circuits.py",
+        "_random_streams(rng, alphabets, m)",
+        "_random_streams(rng, alphabets, m + 1)",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_causality_trial_steps_twice_per_compared_tick",),
+    ),
+    Mutant(
         "the soundness baseline is the output at the mutated tick",
         "src/kcir/circuits.py",
         "        for symbol, row in zip(tail, rows[u:]):\n"
@@ -528,7 +563,11 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
          "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
-    if done.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run them
+    # 1: tests failed.  2: a named test module failed to collect, and 4: a
+    # parametrized id in it could then not be found; the unmutated run has
+    # shown that every named test collects, so under a mutant these fail it
+    # too.  Anything else: pytest could not run the tests.
+    if done.returncode not in (0, 1, 2, 4):
         raise RuntimeError(f"pytest exited {done.returncode} in {tree}:\n{done.stdout}")
     return done.returncode == 0
 

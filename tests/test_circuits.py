@@ -29,10 +29,12 @@ from kcir import (
     toggler_pair_element,
 )
 from kcir.circuits import _below, _random_streams, _stream_alphabets
+from kcir.dsl import MAX_DOMAINS
 
 from . import oracle
 from .conftest import CIRCUITS_DIR, bits, last_output, latch_control, short_sighted_dff, sig
 from .oracle import enumerate_causal_signals, prefix
+from .test_cli import multiclock_text
 from .test_dsl import _circuits
 
 
@@ -400,14 +402,16 @@ class TestLinearTime:
     def test_causality_trial_steps_twice_per_compared_tick(self, horizon, seed):
         element, steps = _recording(counter_element())
         report = causality_check(element, horizon=horizon, trials=1, seed=seed)
-        assert report.mutations == 1
-        # The trial's mutated tick m, drawn right after the streams.
+        assert report == CausalityReport(1, 1, 0)
+        # The trial draws its tick m first, then ticks 0..m-1 of each column
+        # as choice draws them, and steps both runs over them side by side.
         rng = random.Random(seed)
-        oracle._random_streams(rng, _stream_alphabets(element), horizon + 1)
         m = rng.randint(1, horizon)
-        ticks = [tick for tick, _ in steps]
-        assert ticks == [*range(m), *range(m)]
-        assert steps[:m] == steps[m:]
+        _, *columns = [[rng.choice(alphabet.values) for _ in range(m)]
+                       for alphabet in _stream_alphabets(element)]
+        assert [tick for tick, _ in steps] == [tick for tick in range(m) for _ in range(2)]
+        assert steps[0::2] == steps[1::2]
+        assert [samples for _, samples in steps[0::2]] == list(zip(*columns))
 
     @pytest.mark.parametrize("factory", (dff_element, mux_element, counter_element,
                                          toggler_pair_element, abmem_element))
@@ -534,6 +538,17 @@ class TestReadStep:
 
 ALL_ELEMENTS = ELEMENTS_WITH_READS + (sr_latch_element,)
 
+#: Every circuit file's circuit, the multiclock circuit of the most domains,
+#: and a pure step that outputs its tick: unlike every circuit file's step, a
+#: second step from the state it left gives a new output.
+PURE_CIRCUITS = [
+    *((path.name, load_circuit(path.read_text(encoding="utf-8")))
+      for path in sorted(CIRCUITS_DIR.glob("*.kcir"))),
+    ("multiclock", load_circuit(multiclock_text(MAX_DOMAINS))),
+    ("tick", dataclasses.replace(
+        dff_element("tick"), init=0, step=lambda tick, symbol, samples: (tick + 1, str(tick)))),
+]
+
 
 class TestRandomizedProperties:
     @pytest.mark.parametrize("factory", ELEMENTS_WITH_READS)
@@ -555,6 +570,15 @@ class TestRandomizedProperties:
         report = causality_check(element, horizon=4, trials=300, seed=13)
         assert report.violations == 0
         assert report.mutations == report.trials
+
+    @pytest.mark.parametrize("name,element", PURE_CIRCUITS, ids=[c[0] for c in PURE_CIRCUITS])
+    @given(seed=st.integers(), horizon=st.integers(1, 40), trials=st.integers(0, 30))
+    def test_causality_passes_every_trial_of_a_pure_step(self, name, element, seed, horizon,
+                                                         trials):
+        # A pure step's report does not depend on what a trial draws, which
+        # is what lets the draws change with no seeded report moving.
+        report = causality_check(element, horizon, trials, seed)
+        assert report == CausalityReport(trials, trials, 0)
 
     def test_causality_mutates_only_streams_with_two_values(self):
         element = dataclasses.replace(dff_element(), input_channels=(("D", Alphabet(("0",))),))
