@@ -60,12 +60,14 @@ the README state their own contracts and point here.
    sets meets first: the first x related both ways to another image, then
    the smallest such y, or the first intransitive pair the scan meets.  An
    antisymmetry failure also gets a four-signal witness, the lexicographic
-   minimum under the signal order: its search starts from the images
-   related both ways and reads them off each edge's smallest history and
-   the shortest, smallest paths below it.  The witness is re-checked on the
-   fold of the read step before it is returned; it fails when the read
-   step returns refs that are not sorted and duplicate-free, so that two
-   refs make one read set, and ``classify`` then raises ``ValueError``.
+   minimum under the signal order.  One breadth-first search over the
+   DAG finds each of its four signals, starting from the images related
+   both ways: from the root it meets the edges in id order, along each
+   edge's smallest history, and below a node it meets the shortest, then
+   smallest, paths first.  The witness is re-checked on the fold of the
+   read step before it is returned; it fails when the read step returns
+   refs that are not sorted and duplicate-free, so that two refs make one
+   read set, and ``classify`` then raises ``ValueError``.
 5. *The budgets.*  Each stage's budget is checked where its count grows:
    read steps and refs after each expanded read state (``WALK_BUDGET``),
    which charges each expansion once, its symbols plus the refs its steps
@@ -356,10 +358,11 @@ class _ReadStateDag:
     t + 1 end on the edges below ``ends[t]`` and from ``ends[t - 1]`` on.
     ``refs`` holds the read sets' refs in sorted order, and an image id is
     its index there.  ``met[h]`` is the first edge that reached node h, the
-    last edge of its smallest history (-1 for the root), and ``reach[h]``
-    the bit set of the images on the edges below it.  ``after[x]`` is the
-    bit set of the images that some history holding image x reaches, the
-    derived relation.
+    last edge of its smallest history (-1 for the root), at which the edge
+    pass frees h's set, and ``reach[h]`` the bit set of the images on the
+    edges below it, which after the sweep only :meth:`path`, the witness
+    search, reads.  ``after[x]`` is the bit set of the images that some
+    history holding image x reaches, the derived relation.
     ``excluded`` counts the prefix pairs with an undefined endpoint, and
     ``transitive`` is true when the edge pass found the relation transitive
     (false when it was not run, the pairs being no more than the edges).
@@ -462,49 +465,34 @@ class _ReadStateDag:
                 below[c] = 0
         return True
 
-    def first(self, wanted: Callable[[int, int], Any]) -> int:
-        """The first defined edge for which ``wanted(image, reach of its child)``.
+    def path(
+        self, h: int, keep: int, wanted: Callable[[int, int], Any]
+    ) -> tuple[tuple[str, ...], int]:
+        """(symbols, edge): the first defined edge below node ``h`` that ``wanted`` accepts.
 
-        Edge ids follow the order of their smallest histories.
+        ``wanted(image, reach)`` sees the edge's image and the bit set of
+        its child, and the symbols lead from ``h`` to it.  The search runs
+        breadth-first from node ``h``, keeps the first path that reaches a
+        node, and drops the nodes whose reach misses the bit set ``keep``,
+        which must hold the image of every wanted edge.  So it meets the
+        edges below a node shortest path first, then in the order of the
+        paths, and from the root, node 0, in id order, along each edge's
+        smallest history.
         """
-        reach = self.reach
-        return next(
-            e
-            for e, (y, c) in enumerate(zip(self.image, self.child))
-            if y >= 0 and wanted(y, reach[c])
-        )
-
-    def history(self, e: int) -> tuple[str, ...]:
-        """The smallest history whose last edge is ``e``."""
-        samples = []
-        while e >= 0:
-            h, a = divmod(e, len(self.symbols))
-            samples.append(self.symbols[a])
-            e = self.met[h]
-        return tuple(reversed(samples))
-
-    def path(self, h: int, targets: int) -> tuple[tuple[str, ...], int]:
-        """(path, image) of the shortest, then smallest, path from node ``h`` to a target.
-
-        The path is the symbols from node ``h`` along the edges below it to
-        the first edge whose image is in the bit set ``targets``.  Frontiers
-        keep their nodes in order of their smallest paths, as the levels do,
-        and drop nodes that reach no target.
-        """
-        k = len(self.symbols)
+        k, reach = len(self.symbols), self.reach
         frontier = {h: ()}
         while frontier:
             reached: dict[int, tuple[str, ...]] = {}
             for j, path in frontier.items():
-                if not self.reach[j] & targets:
+                if not reach[j] & keep:
                     continue
                 for e, symbol in enumerate(self.symbols, j * k):
-                    y = self.image[e]
-                    if y >= 0 and targets >> y & 1:
-                        return (*path, symbol), y
-                    reached.setdefault(self.child[e], (*path, symbol))
+                    y, c = self.image[e], self.child[e]
+                    if y >= 0 and wanted(y, reach[c]):
+                        return (*path, symbol), e
+                    reached.setdefault(c, (*path, symbol))
             frontier = reached
-        raise LookupError("no target below the node")
+        raise LookupError("no wanted edge below the node")
 
 
 def _domain_image_counts(circuit: "CircuitElement", horizon: int) -> Optional[list[int]]:
@@ -594,18 +582,18 @@ def classify(circuit: "CircuitElement", horizon: int) -> Classification:
     witness = None
     if not report.antisymmetric:
         # The lexicographic minimum of (a0, a1, b0, b1) over swapped source
-        # pairs.  a0 is the smallest history holding an image x that reaches
-        # an image y which reaches x back; a1 its smallest extension to such
-        # a y; then b0 is the smallest history holding y that reaches x, and
-        # b1 its smallest extension to x.
-        e = dag.first(lambda x, mask: swapped[x] & mask)
+        # pairs, each signal the first its search meets.  a0 is the smallest
+        # history holding an image x that reaches an image y which reaches x
+        # back; a1 its smallest extension to such a y; then b0 is the
+        # smallest history holding y that reaches x, and b1 its smallest
+        # extension to x.
+        partnered = sum(1 << x for x, ys in enumerate(swapped) if ys)
+        a0, e = dag.path(0, partnered, lambda x, below: swapped[x] & below)
         x = dag.image[e]
-        a0 = dag.history(e)
-        tail, y = dag.path(dag.child[e], swapped[x])
-        a1 = a0 + tail
-        e = dag.first(lambda image, mask: image == y and mask >> x & 1)
-        b0 = dag.history(e)
-        b1 = b0 + dag.path(dag.child[e], 1 << x)[0]
+        tail, e = dag.path(dag.child[e], swapped[x], lambda z, _: swapped[x] >> z & 1)
+        a1, y = a0 + tail, dag.image[e]
+        b0, e = dag.path(0, 1 << y, lambda z, below: z == y and below >> x & 1)
+        b1 = b0 + dag.path(dag.child[e], 1 << x, lambda z, _: z == x)[0]
         a0, a1, b0, b1 = (CausalSignal(alphabet, s) for s in (a0, a1, b0, b1))
         witness = AntisymmetryWitness(a0, a1, b0, b1, ReadSet(dag.refs[x]), ReadSet(dag.refs[y]))
         if not witness.holds(fold_reads(circuit.read_init, circuit.read_step)):

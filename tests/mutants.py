@@ -47,6 +47,7 @@ CLI = "tests/test_cli.py"
 DSL = "tests/test_dsl.py"
 DOMAINS = "tests/test_classifier.py::TestClassifyByDomains"
 CALLS = "tests/test_classifier.py::TestClassify"
+WITNESS = "tests/test_classifier.py::TestWitnessMonotonicity"
 STIMULUS = "tests/test_stimulus.py::test_batched_reader_matches_the_row_by_row_reader"
 
 MUTANTS = (
@@ -181,6 +182,40 @@ MUTANTS = (
         "if not witness.holds(fold_reads(circuit.read_init, circuit.read_step)):",
         "if False:",
         (f"{CALLS}::test_a_witness_broken_by_unnormalised_refs_is_refused",),
+    ),
+    Mutant(
+        "the witness search keeps the last path that reaches a node",
+        "src/kcir/classifier.py",
+        "reached.setdefault(c, (*path, symbol))",
+        "reached[c] = (*path, symbol)",
+        # A table circuit's DAG is its prefix tree, one path to each node, so
+        # only merged read states tell this mutant apart.
+        (f"{ORACLE}::test_mealy_node_tables_match_brute_force",
+         f"{ORACLE}::test_built_ins_match_the_oracle[abmem_element-2]"),
+    ),
+    Mutant(
+        "a1's search starts at the root",
+        "src/kcir/classifier.py",
+        "tail, e = dag.path(dag.child[e], swapped[x],",
+        "tail, e = dag.path(0, swapped[x],",
+        (f"{WITNESS}::test_abmem_witness_is_stable_across_horizons",
+         f"{ORACLE}::test_built_ins_match_the_oracle[abmem_element-2]"),
+    ),
+    Mutant(
+        "b0's search wants x in place of y",
+        "src/kcir/classifier.py",
+        "lambda z, below: z == y and below >> x & 1",
+        "lambda z, below: z == x and below >> x & 1",
+        (f"{WITNESS}::test_abmem_witness_is_stable_across_horizons",
+         f"{ORACLE}::test_table_read_maps_match_the_oracle"),
+    ),
+    Mutant(
+        "the witness search's prune test inverted",
+        "src/kcir/classifier.py",
+        "if not reach[j] & keep:",
+        "if reach[j] & keep:",
+        (f"{ORACLE}::test_mealy_node_tables_match_brute_force",
+         f"{ORACLE}::test_circuit_files_match_the_oracle[abmem.kcir]"),
     ),
     Mutant(
         "the per-tick product summed over one tick too few",

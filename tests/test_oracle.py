@@ -635,13 +635,22 @@ def _check_node_table(element: CircuitElement, horizon: int) -> None:
     of their smallest histories, and ``met`` leads back along each of them.
     Every node above the horizon has one edge per symbol, which reaches the
     node of the history one symbol longer and holds the rank of its refs.
+    A search from the root for an image meets the first edge holding it,
+    along that edge's smallest history.
     """
     alphabet = element.control_alphabet
     k = len(alphabet)
     dag = _ReadStateDag(element.read_init, element.read_step, alphabet.values, horizon)
-    histories = [()] + [dag.history(e) for e in dag.met[1:]]
+    histories = [()]
+    for h, e in enumerate(dag.met[1:], 1):
+        assert e // k < h  # each node's parent comes before it
+        histories.append((*histories[e // k], alphabet.values[e % k]))
     assert histories[1:] == oracle.dag_smallest_histories(element, horizon)
     assert dag.met[1:] == [dag.child.index(h) for h in range(1, len(histories))]
+    for y in range(len(dag.refs)):
+        e = dag.image.index(y)
+        history = (*histories[e // k], alphabet.values[e % k])
+        assert dag.path(0, 1 << y, lambda z, _: z == y) == (history, e), y
     nodes = {(len(history), oracle.read_fold(element, history)[0]): h
              for h, history in enumerate(histories) if history}
     assert len(dag.child) == k * sum(len(history) <= horizon for history in histories)
