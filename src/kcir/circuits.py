@@ -25,12 +25,13 @@ compares and no more.  A causality trial compares the ticks 0..m-1 before a
 mutated tick m, which no fold of them can see, so it draws m and then only
 those ticks of each column, and steps two runs over them side by side.  A
 read-soundness trial draws ticks 0..horizon, folds the ticks before the
-mutated one once and runs the baseline and the mutated run from that shared
-state to the compared tick, keeping only the last output.  Every random
-choice of a trial (the tick, the columns, the position and the new value) is
-drawn by the ``_randbelow`` rule through ``rng.getrandbits``, with no
-``Random`` method call, so a seed gives the same draws as the ``choice``,
-``randint`` and ``randrange`` calls they stand for.
+mutated one once and steps the baseline and the mutated run side by side
+from that shared state to the compared tick, or until their states compare
+equal, from where they would step alike.  Every random choice of a trial
+(the tick, the columns, the position and the new value) is drawn by the
+``_randbelow`` rule through ``rng.getrandbits``, with no ``Random`` method
+call, so a seed gives the same draws as the ``choice``, ``randint`` and
+``randrange`` calls they stand for.
 
 Conventions shared by the built-ins here:
 
@@ -69,7 +70,10 @@ class CircuitElement:
     and the input samples at that tick (in ``input_channels`` order), it
     returns the next state and the output at that tick (``None`` when
     undefined).  ``init`` is the state before tick 0; states are never
-    mutated in place, so one ``init`` serves every run.
+    mutated in place, so one ``init`` serves every run.  States that compare
+    equal must step alike: :func:`read_soundness_check` stops a trial where
+    the states of its two runs meet, as the classifier's read-state DAG
+    merges the histories whose read states compare equal.
 
     ``read_step`` is the control-only read transition: given the read state,
     the control symbol at a tick and the tick, it returns the next read state
@@ -404,11 +408,17 @@ def read_soundness_check(
     Each trial draws random control and input columns, picks a tick, and flips
     one input sample at a position the read step does not claim at ``t``; the
     outputs at ``t`` before and after are ``step`` folded over ticks 0..t.
-    The two runs agree before the mutated tick ``u``, so ticks 0..u-1 are
-    folded once and both runs go on from that shared state, which no step
-    mutates in place: a trial costs u + 2(t+1-u) steps.  Trials whose read
-    set is undefined, or where every position up to ``t`` is claimed, are
-    counted but not mutated.
+    The position is drawn from the free positions in channel order, then
+    tick order, which are counted (ticks 0..t of every channel with two or
+    more values, less the distinct claimed refs among them) and never
+    listed.  The two runs agree before the mutated tick ``u``, so ticks
+    0..u-1 are folded once and both runs step on side by side from that
+    shared state, which no step mutates in place.  Once their states compare
+    equal after a tick before ``t`` they step alike (see
+    :class:`CircuitElement`), so the trial stops there with no violation: it
+    costs at most u + 2(t+1-u) steps, and on the circuit files most trials
+    stop after tick ``u``.  Trials whose read set is undefined, or where
+    every position up to ``t`` is claimed, are counted but not mutated.
     """
     if element.read_step is None:
         raise ValueError(f"circuit {element.name!r} has no read map")
@@ -421,48 +431,56 @@ def read_soundness_check(
     read_step, read_init = element.read_step, element.read_init
     mutable = [(k, name, alphabet) for k, (name, alphabet) in enumerate(element.input_channels)
                if len(alphabet) > 1]
+    position = {name: i for i, (_, name, _) in enumerate(mutable)}
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     mutations = undefined = unmutable = violations = 0
     for _ in range(trials):
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = _below(getrandbits, horizon + 1)
+        ticks = range(t + 1)
         state = read_init
-        for tick in range(t + 1):
-            state, refs = read_step(state, control[tick], tick)
+        for tick, symbol in zip(ticks, control):
+            state, refs = read_step(state, symbol, tick)
         if refs is None:
             undefined += 1
             continue
-        claimed = set(refs)
-        free = [
-            (k, u, alphabet)
-            for k, name, alphabet in mutable
-            for u in range(t + 1)
-            if (name, u) not in claimed
-        ]
+        # The positions are the cells of a grid with one row of ticks 0..t
+        # per mutable channel, so the index-th free cell is the index-th
+        # cell pushed on by each claimed cell at or below it.
+        width = t + 1
+        claimed = sorted({position[channel] * width + tick for channel, tick in refs
+                          if channel in position and tick in ticks})
+        free = len(mutable) * width - len(claimed)
         if not free:
             unmutable += 1
             continue
-        k, u, alphabet = free[_below(getrandbits, len(free))]
+        cell = _below(getrandbits, free)
+        for taken in claimed:
+            if taken > cell:
+                break
+            cell += 1
+        i, u = divmod(cell, width)
+        k, _, alphabet = mutable[i]
         old = columns[k][u]
         others = [v for v in alphabet.values if v != old]
         new = others[_below(getrandbits, len(others))]
         mutations += 1
-        rows = list(itertools.islice(zip(*columns), t + 1))
+        stimulus = zip(control, zip(*columns))
         shared = init
-        for symbol, row in zip(control[:u], rows):
+        for symbol, row in itertools.islice(stimulus, u):
             shared = step(shared, symbol, row)[0]
-        tail = control[u : t + 1]
-        state = shared
-        for symbol, row in zip(tail, rows[u:]):
-            state, baseline = step(state, symbol, row)
-        row = rows[u]
-        rows[u] = (*row[:k], new, *row[k + 1:])
-        state = shared
-        for symbol, row in zip(tail, rows[u:]):
-            state, output = step(state, symbol, row)
-        if output != baseline:
-            violations += 1
+        symbol, row = next(stimulus)
+        first, baseline = step(shared, symbol, row)
+        second, output = step(shared, symbol, (*row[:k], new, *row[k + 1:]))
+        for symbol, row in itertools.islice(stimulus, t - u):
+            if first == second:
+                break
+            first, baseline = step(first, symbol, row)
+            second, output = step(second, symbol, row)
+        else:
+            if output != baseline:
+                violations += 1
     return ReadSoundnessReport(trials, mutations, undefined, unmutable, violations)
 
 

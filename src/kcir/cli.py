@@ -67,11 +67,14 @@ UNDEF = "UNDEF"
 #: channel, which a read-soundness trial draws; a causality trial draws only
 #: the ticks before its mutated one) or one ``simulate`` stimulus may hold
 #: (rows times channels), and most refs one ``chi-dump`` may hold over all its
-#: prefixes.  A ``check`` trial holds its sample columns in memory, and a
-#: read-soundness trial their rows too, but no output stream, so it stays
-#: under about 0.5 GB: at the limit, mux (horizon 1,333,332) peaks at 260 MB
-#: max RSS and dff (1,999,999) at 155 MB.  ``simulate`` holds only its output
-#: text, about 10 bytes per tick, so a stimulus of one channel is its largest:
+#: prefixes.  A ``check`` trial holds its sample columns in memory, but no
+#: rows, no list of free positions and no output stream: at the limit, one
+#: read-soundness trial of mux (horizon 1,333,332) or of dff (1,999,999)
+#: peaks at 47 MB max RSS, and one of abmem at 1,333,332 at 37 MB.  A run of
+#: three trials peaks at 84 MB (mux) and 78 MB (dff), because a trial draws
+#: its columns while the last trial's are still held.  ``simulate`` holds
+#: only its output text, about 10 bytes per tick, so a stimulus of one
+#: channel is its largest:
 #: 4,000,000 ticks of a one-register toggle take 54 MB max RSS, and 1,000,000
 #: ticks of twoclock 28 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
 #: ticks, 3,962,090 refs) peaks at 47 MB.

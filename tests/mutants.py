@@ -463,10 +463,10 @@ MUTANTS = (
     Mutant(
         "the read-soundness check stops counting violations",
         "src/kcir/circuits.py",
-        "        if output != baseline:\n"
-        "            violations += 1\n",
-        "        if output != baseline:\n"
-        "            pass\n",
+        "            if output != baseline:\n"
+        "                violations += 1\n",
+        "            if output != baseline:\n"
+        "                pass\n",
         ("tests/test_circuits.py::TestRandomizedProperties::"
          "test_read_soundness_finds_a_read_step_that_claims_too_little",
          f"{CLI}::TestCheckCommand::test_an_unsound_read_step_fails_the_check"),
@@ -543,13 +543,49 @@ MUTANTS = (
     Mutant(
         "the soundness baseline is the output at the mutated tick",
         "src/kcir/circuits.py",
-        "        for symbol, row in zip(tail, rows[u:]):\n"
-        "            state, baseline = step(state, symbol, row)\n",
-        "        for symbol, row in zip(tail[:1], rows[u:]):\n"
-        "            state, baseline = step(state, symbol, row)\n",
-        (f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[16-counter_element]",
-         "tests/test_circuits.py::TestLinearTime::"
-         "test_read_soundness_trial_shares_the_prefix_before_the_mutation"),
+        "            first, baseline = step(first, symbol, row)\n",
+        "            first = step(first, symbol, row)[0]\n",
+        (f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[16-abmem_element]",
+         "tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[hoarding_mux]"),
+    ),
+    Mutant(
+        "the soundness runs stop at the mutated tick whatever their states",
+        "src/kcir/circuits.py",
+        "            if first == second:\n"
+        "                break\n",
+        "            break\n",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_read_soundness_trial_stops_where_its_two_runs_meet[abmem_element]",
+         "tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[short_sighted_dff]"),
+    ),
+    Mutant(
+        "the soundness runs stop where their outputs, not their states, are equal",
+        "src/kcir/circuits.py",
+        "            if first == second:\n",
+        "            if output == baseline:\n",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_read_soundness_trial_stops_where_its_two_runs_meet[abmem_element]",
+         "tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[other_cell_abmem]"),
+    ),
+    Mutant(
+        "the free count takes the claimed refs of another channel",
+        "src/kcir/circuits.py",
+        "position[channel] * width + tick for",
+        "tick for",
+        (f"{ORACLE}::test_check_reports_match_the_full_fold_oracle[4-mux_element]",
+         "tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[hoarding_mux]"),
+    ),
+    Mutant(
+        "the free count takes the claimed refs past t",
+        "src/kcir/circuits.py",
+        "if channel in position and tick in ticks})",
+        "if channel in position})",
+        ("tests/test_circuits.py::TestRandomizedProperties::"
+         "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[far_sighted_mux]",),
     ),
     Mutant(
         "_abmem_step swaps the written and read cells",

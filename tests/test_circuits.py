@@ -12,6 +12,7 @@ from kcir import (
     Alphabet,
     CausalSignal,
     CausalityReport,
+    CircuitElement,
     ReadSet,
     SimulationError,
     Verdict,
@@ -415,27 +416,59 @@ class TestLinearTime:
 
     @pytest.mark.parametrize("factory", (dff_element, mux_element, counter_element,
                                          toggler_pair_element, abmem_element))
-    def test_read_soundness_trial_shares_the_prefix_before_the_mutation(self, factory):
-        element, steps = _recording(factory())
-        mutated = 0
+    def test_read_soundness_trial_stops_where_its_two_runs_meet(self, factory):
+        plain = factory()
+        element, steps = _recording(plain)
+        horizon, mutated, met = 8, 0, 0
         for seed in range(12):
             steps.clear()
-            report = read_soundness_check(element, horizon=8, trials=1, seed=seed)
-            if not report.mutations:
+            report = read_soundness_check(element, horizon=horizon, trials=1, seed=seed)
+            # The trial's draws as choice, randint and randrange draw them:
+            # ticks 0..horizon, then t, then the position and the new value.
+            rng = random.Random(seed)
+            control, *columns = [_random_samples(rng, alphabet, horizon + 1)
+                                 for alphabet in _stream_alphabets(element)]
+            t = rng.randint(0, horizon)
+            read_state = element.read_init
+            for tick in range(t + 1):
+                read_state, refs = element.read_step(read_state, control[tick], tick)
+            free = [] if refs is None else [
+                (k, u) for k, (name, alphabet) in enumerate(element.input_channels)
+                for u in range(t + 1) if (name, u) not in refs and len(alphabet) > 1]
+            if not free:
+                assert report.mutations == 0
                 assert steps == []
                 continue
+            assert report.mutations == 1
             mutated += 1
-            # Ticks 0..u-1 once, then u..t for the baseline and again for
-            # the mutated run, whose first row differs in one sample.
-            t = max(tick for tick, _ in steps)
-            u = steps[t + 1][0]
-            assert [tick for tick, _ in steps] == [*range(t + 1), *range(u, t + 1)]
-            assert len(steps) == u + 2 * (t + 1 - u)
-            baseline, again = steps[u : t + 1], steps[t + 1:]
-            assert baseline[1:] == again[1:]
-            changed = [a != b for a, b in zip(baseline[0][1], again[0][1])]
-            assert changed.count(True) == 1
+            k, u = free[rng.randrange(len(free))]
+            alphabet = element.input_channels[k][1]
+            new = rng.choice([v for v in alphabet.values if v != columns[k][u]])
+            rows = list(zip(*columns))
+            changed = list(rows)
+            changed[u] = (*rows[u][:k], new, *rows[u][k + 1:])
+            # Both runs in full from init, to the first tick from u on after
+            # which their states are equal, or else to t.
+            first = second = plain.init
+            for tick in range(t + 1):
+                first = plain.step(first, control[tick], rows[tick])[0]
+                second = plain.step(second, control[tick], changed[tick])[0]
+                if tick >= u and (first == second or tick == t):
+                    end = tick
+                    break
+            met += end < t
+            # Ticks 0..u-1 once, then u, u, u+1, u+1, ... to that tick: the
+            # baseline's rows, and the mutated run's, whose first row
+            # differs from the baseline's in one sample.
+            assert [tick for tick, _ in steps] == [
+                *range(u), *(tick for tick in range(u, end + 1) for _ in range(2))]
+            assert [samples for _, samples in steps[:u]] == rows[:u]
+            baseline, again = steps[u::2], steps[u + 1::2]
+            assert [samples for _, samples in baseline] == rows[u : end + 1]
+            assert [samples for _, samples in again] == changed[u : end + 1]
+            assert [a != b for a, b in zip(baseline[0][1], again[0][1])].count(True) == 1
         assert mutated
+        assert met
 
 
 ELEMENTS_WITH_READS = (
@@ -538,6 +571,48 @@ class TestReadStep:
 
 ALL_ELEMENTS = ELEMENTS_WITH_READS + (sr_latch_element,)
 
+
+def other_cell_abmem() -> CircuitElement:
+    """An abmem whose read step names the latest write to the cell it does not read."""
+    abmem = abmem_element()
+
+    def read_step(state, symbol, tick):
+        state, _ = abmem.read_step(state, symbol, tick)
+        read = symbol.split("/")[1]
+        return state, None if read == "-" else state["BA".index(read)]
+
+    return dataclasses.replace(abmem, read_step=read_step)
+
+
+def far_sighted_mux() -> CircuitElement:
+    """A mux whose read step claims the selected sample of the next tick, past the current one."""
+    mux = mux_element()
+
+    def read_step(state, select, tick):
+        state, ((channel, _),) = mux.read_step(state, select, tick)
+        return state, ((channel, tick + 1),)
+
+    return dataclasses.replace(mux, read_step=read_step)
+
+
+def hoarding_mux() -> CircuitElement:
+    """A mux that keeps every sample in its state and outputs the current selected one.
+
+    Its read step is the mux's, and sound, but a mutated sample stays in the
+    state, so the two runs of a read-soundness trial never meet before t.
+    """
+    mux = mux_element()
+
+    def step(state, select, samples):
+        return (state, samples), mux.step(None, select, samples)[1]
+
+    return dataclasses.replace(mux, init=(), step=step)
+
+
+#: Read steps that leave out a sample the output reads.
+CLAIMING_TOO_LITTLE = (short_sighted_dff, other_cell_abmem, far_sighted_mux)
+
+
 #: Every circuit file's circuit, the multiclock circuit of the most domains,
 #: and a pure step that outputs its tick: unlike every circuit file's step, a
 #: second step from the state it left gives a new output.
@@ -558,11 +633,25 @@ class TestRandomizedProperties:
         assert report.violations == 0
         assert report.mutations > 0
 
-    def test_read_soundness_finds_a_read_step_that_claims_too_little(self):
-        element = short_sighted_dff()
+    @pytest.mark.parametrize("factory", CLAIMING_TOO_LITTLE)
+    def test_read_soundness_finds_a_read_step_that_claims_too_little(self, factory):
+        element = factory()
         report = read_soundness_check(element, horizon=4, trials=300, seed=13)
         assert report.violations > 0
         assert report == oracle.read_soundness_check(element, horizon=4, trials=300, seed=13)
+
+    @pytest.mark.parametrize("factory", (*CLAIMING_TOO_LITTLE, hoarding_mux))
+    @given(seed=st.integers(), horizon=st.integers(0, 40), trials=st.integers(0, 30))
+    def test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path(
+        self, factory, seed, horizon, trials
+    ):
+        # What the sound built-ins seldom or never reach: runs that go on to
+        # t without their states meeting, and violations.
+        element = factory()
+        report = read_soundness_check(element, horizon, trials, seed)
+        assert report == oracle.read_soundness_check(element, horizon, trials, seed)
+        if factory is hoarding_mux:
+            assert report.violations == 0
 
     @pytest.mark.parametrize("factory", ALL_ELEMENTS)
     def test_causality(self, factory):
