@@ -436,6 +436,7 @@ def read_soundness_check(
     getrandbits = rng.getrandbits
     mutations = undefined = unmutable = violations = 0
     for _ in range(trials):
+        control = columns = stimulus = None  # the last trial's samples, freed before a draw
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = _below(getrandbits, horizon + 1)
         ticks = range(t + 1)
@@ -525,6 +526,7 @@ def causality_check(
     violations = 0
     for _ in range(trials):
         m = 1 + _below(getrandbits, horizon)
+        control = columns = None  # the last trial's samples, freed before a draw
         control, *columns = _random_streams(rng, alphabets, m)
         first = second = init
         for symbol, samples in zip(control, _rows(columns)):

@@ -15,6 +15,13 @@ each result record into JSON data field by field.  The timing key is null in JSO
 for that reason; wall time is printed by text ``classify`` and ``check``, and
 the text ``chi-dump`` listing holds read sets only.
 
+``classify`` and ``check`` write their reports through one function,
+``_report``: JSON as above, or text as the ``circuit:``, ``command:`` and
+``verdict:`` lines, then the command's own lines, then one ``timing:`` line.
+Each command builds only its own lines, a record's among them as
+``key=value`` words (``_pairs``).  ``chi-dump`` and ``simulate`` have no such
+frame and write their own output.
+
 ``classify`` refuses (exit 2) a run whose walk passes one of the classifier's
 budgets, at the level it reached, and before it starts a run whose stats
 would pass 1,000 digits; ``check``
@@ -68,11 +75,15 @@ UNDEF = "UNDEF"
 #: the ticks before its mutated one) or one ``simulate`` stimulus may hold
 #: (rows times channels), and most refs one ``chi-dump`` may hold over all its
 #: prefixes.  A ``check`` trial holds its sample columns in memory, but no
-#: rows, no list of free positions and no output stream: at the limit, one
-#: read-soundness trial of mux (horizon 1,333,332) or of dff (1,999,999)
-#: peaks at 47 MB max RSS, and one of abmem at 1,333,332 at 37 MB.  A run of
-#: three trials peaks at 84 MB (mux) and 78 MB (dff), because a trial draws
-#: its columns while the last trial's are still held.  ``simulate`` holds
+#: rows, no list of free positions and no output stream, and it frees the
+#: last trial's columns before it draws its own: at the limit, a run of one
+#: or of three trials of mux (horizon 1,333,332) peaks at 47-54 MB max RSS,
+#: of dff (1,999,999) at 47-62 MB, and one of abmem at 1,333,332 at 37 MB.
+#: The limit caps a trial's memory, not its time: a clocked circuit's read
+#: step rebuilds every edge ref at each tick, so one soundness trial of
+#: counter takes time quadratic in the horizon (0.027 s, 0.079 s and
+#: 0.459 s at horizons 10,000, 20,000 and 40,000, on CPython 3.11 on a
+#: shared 2-core host).  ``simulate`` holds
 #: only its output text, about 10 bytes per tick, so a stimulus of one
 #: channel is its largest:
 #: 4,000,000 ticks of a one-register toggle take 54 MB max RSS, and 1,000,000
@@ -168,6 +179,28 @@ def _write_report(element: CircuitElement, command: str, verdict: Optional[str],
         sys.stdout.writelines(",\n    " + text for text in texts)
         sys.stdout.write("\n  ]" + tail)
     sys.stdout.write("\n")
+
+
+def _pairs(record: dict) -> str:
+    """A record's items as ``key=value`` words."""
+    return " ".join(f"{key}={value}" for key, value in record.items())
+
+
+def _report(args, element: CircuitElement, verdict: str, stats: dict, lines: Iterable[str],
+            elapsed: float, axioms: Optional[dict] = None, witness: Optional[dict] = None) -> int:
+    """Write ``args.command``'s report in ``args.format``, and return exit code 0.
+
+    JSON is :func:`_write_report`'s.  Text is the ``circuit:``, ``command:``
+    and ``verdict:`` lines, then the command's own ``lines``, then the
+    ``timing:`` line with ``elapsed`` seconds.  Only text reads ``lines``, so
+    a command passes them lazily and a JSON report never builds them.
+    """
+    if args.format == "json":
+        _write_report(element, args.command, verdict, stats, axioms, witness)
+    else:
+        print(f"circuit: {element.name}", f"command: {args.command}", f"verdict: {verdict}",
+              *lines, f"timing: {elapsed:.3f}s", sep="\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,38 +454,23 @@ def _cmd_classify(args) -> int:
     result = classify(element, args.horizon)
     elapsed = time.perf_counter() - started
 
-    stats = _json(result.stats)
-    if args.format == "json":
-        _write_report(element, "classify", result.verdict.value, stats,
-                      _json(result.axiom_report), _json(result.witness))
-        return 0
+    stats, axioms, witness = _json(result.stats), result.axiom_report, result.witness
 
-    print(f"circuit: {element.name}")
-    print("command: classify")
-    print(f"verdict: {result.verdict.value}")
-    if result.axiom_report is not None:
-        report = result.axiom_report
-        flags = " ".join(
-            f"{name}={'yes' if ok else 'no'}"
-            for name, ok in (
-                ("reflexive", report.reflexive),
-                ("antisymmetric", report.antisymmetric),
-                ("transitive", report.transitive),
-            )
-        )
-        print(f"axioms: {flags}")
-    if result.witness is not None:
-        print("witness:")
-        for label in ("a0", "a1", "b0", "b1"):
-            signal = getattr(result.witness, label)
-            print(f"  {label}: t={signal.t} samples={','.join(signal.samples)}")
-        print(f"  x_reads: {result.witness.x_reads}")
-        print(f"  y_reads: {result.witness.y_reads}")
-    print(
-        "stats: " + " ".join(f"{key}={value}" for key, value in stats.items())
-    )
-    print(f"timing: {elapsed:.3f}s")
-    return 0
+    def lines() -> Iterator[str]:
+        if axioms is not None:
+            yield "axioms: " + _pairs({name: "yes" if getattr(axioms, name) else "no"
+                                       for name in ("reflexive", "antisymmetric", "transitive")})
+        if witness is not None:
+            yield "witness:"
+            for label in ("a0", "a1", "b0", "b1"):
+                signal = getattr(witness, label)
+                yield f"  {label}: t={signal.t} samples={','.join(signal.samples)}"
+            yield f"  x_reads: {witness.x_reads}"
+            yield f"  y_reads: {witness.y_reads}"
+        yield "stats: " + _pairs(stats)
+
+    return _report(args, element, result.verdict.value, stats, lines(), elapsed,
+                   _json(axioms), _json(witness))
 
 
 def _cmd_simulate(args) -> int:
@@ -541,38 +559,16 @@ def _cmd_check(args) -> int:
             f"{MAX_SAMPLES:,}"
         )
     started = time.perf_counter()
-    causality = causality_check(element, args.horizon, args.trials, args.seed)
-    if element.read_step is not None:
-        soundness = read_soundness_check(element, args.horizon, args.trials, args.seed)
-        soundness_stats = _json(soundness)
-        failed = causality.violations > 0 or soundness.violations > 0
-    else:
-        soundness_stats = {"skipped": "circuit has no read map"}
-        failed = causality.violations > 0
+    causality = _json(causality_check(element, args.horizon, args.trials, args.seed))
+    soundness = ({"skipped": "circuit has no read map"} if element.read_step is None else
+                 _json(read_soundness_check(element, args.horizon, args.trials, args.seed)))
     elapsed = time.perf_counter() - started
-    stats = {
-        "horizon": args.horizon,
-        "seed": args.seed,
-        "causality": _json(causality),
-        "read_soundness": soundness_stats,
-    }
-    verdict = "fail" if failed else "pass"
-    if args.format == "json":
-        _write_report(element, "check", verdict, stats)
-        return 0
-    print(f"circuit: {element.name}")
-    print("command: check")
-    print(f"verdict: {verdict}")
-    print(
-        "causality: "
-        + " ".join(f"{key}={value}" for key, value in stats["causality"].items())
-    )
-    print(
-        "read-soundness: "
-        + " ".join(f"{key}={value}" for key, value in soundness_stats.items())
-    )
-    print(f"timing: {elapsed:.3f}s")
-    return 0
+    stats = {"horizon": args.horizon, "seed": args.seed,
+             "causality": causality, "read_soundness": soundness}
+    failed = causality["violations"] or soundness.get("violations")
+    lines = (f"{name}: {_pairs(record)}"
+             for name, record in (("causality", causality), ("read-soundness", soundness)))
+    return _report(args, element, "fail" if failed else "pass", stats, lines, elapsed)
 
 
 # ---------------------------------------------------------------------------

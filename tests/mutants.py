@@ -438,6 +438,20 @@ MUTANTS = (
         (f"{CLI}::TestSimulateCommand::test_out_may_name_its_own_stimulus",),
     ),
     Mutant(
+        "the text report drops its timing line",
+        "src/kcir/cli.py",
+        '*lines, f"timing: {elapsed:.3f}s", sep="\\n")',
+        '*lines, sep="\\n")',
+        (f"{CLI}::TestClassifyCommand::test_abmem_text_report_prints_its_witness",),
+    ),
+    Mutant(
+        "check's text prints the causality record as the read-soundness one",
+        "src/kcir/cli.py",
+        '("read-soundness", soundness)',
+        '("read-soundness", causality)',
+        (f"{CLI}::TestTextAgreesWithJson::test_check",),
+    ),
+    Mutant(
         "a circuit file's byte order mark is read as text",
         "src/kcir/cli.py",
         'with open(path, encoding="utf-8-sig") as handle:',
@@ -586,6 +600,22 @@ MUTANTS = (
         "if channel in position})",
         ("tests/test_circuits.py::TestRandomizedProperties::"
          "test_read_soundness_matches_the_full_fold_oracle_off_the_sound_path[far_sighted_mux]",),
+    ),
+    Mutant(
+        "a soundness trial keeps the last trial's stimulus while it draws",
+        "src/kcir/circuits.py",
+        "        control = columns = stimulus = None  #",
+        "        control = columns = None  #",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_a_check_holds_one_trial_at_a_time[mux.kcir-read_soundness_check]",),
+    ),
+    Mutant(
+        "a causality trial keeps the last trial's samples while it draws",
+        "src/kcir/circuits.py",
+        "        control = columns = None  # the last trial's samples, freed before a draw\n",
+        "",
+        ("tests/test_circuits.py::TestLinearTime::"
+         "test_a_check_holds_one_trial_at_a_time[dff.kcir-causality_check]",),
     ),
     Mutant(
         "_abmem_step swaps the written and read cells",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from kcir import (
     sr_latch_element,
     toggler_pair_element,
 )
+from kcir import circuits
 from kcir.circuits import _below, _random_streams, _stream_alphabets
 from kcir.dsl import MAX_DOMAINS
 
@@ -469,6 +471,29 @@ class TestLinearTime:
             assert [a != b for a, b in zip(baseline[0][1], again[0][1])].count(True) == 1
         assert mutated
         assert met
+
+    @pytest.mark.parametrize("check", (causality_check, read_soundness_check))
+    @pytest.mark.parametrize("path", ("mux.kcir", "dff.kcir"))
+    def test_a_check_holds_one_trial_at_a_time(self, monkeypatch, path, check):
+        # At seed 0 and horizon 20,000 the first causality trial draws
+        # 12,624 ticks; a soundness trial always draws 20,001.
+        draws = []
+
+        def recorded(rng, alphabets, length):
+            draws.append((length, tracemalloc.get_traced_memory()[0]))
+            return _random_streams(rng, alphabets, length)
+
+        monkeypatch.setattr(circuits, "_random_streams", recorded)
+        element = load_circuit((CIRCUITS_DIR / path).read_text())
+        tracemalloc.start()
+        try:
+            check(element, horizon=20_000, trials=3, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 3 and draws[0][0] > 3_000
+        # No draw may find the last trial's samples still held.
+        held = draws[0][1]
+        assert all(abs(memory - held) < 64 * 1024 for _, memory in draws[1:]), draws
 
 
 ELEMENTS_WITH_READS = (

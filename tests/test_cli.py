@@ -926,6 +926,75 @@ class TestCheckCommand:
         assert run(capsys, *argv, str(top + 1))[0] == 2
 
 
+def _parsed_pairs(text: str) -> dict:
+    """The ``key=value`` words of a text report line, each value as a string.
+
+    A value runs to the next `` key=`` or to the end of the line, so it may
+    hold spaces.
+    """
+    pairs = re.findall(r"(\w+)=(.*?)(?= \w+=|$)", text)
+    assert " ".join(f"{key}={value}" for key, value in pairs) == text
+    assert len(dict(pairs)) == len(pairs)
+    return dict(pairs)
+
+
+def _strings(record: dict) -> dict:
+    """A JSON report's record with each value as the text report prints it."""
+    return {key: str(value) for key, value in record.items()}
+
+
+def _reads_text(refs: list) -> str:
+    return "{" + ", ".join(f"({ref['channel']},{ref['tick']})" for ref in refs) + "}"
+
+
+@pytest.mark.parametrize("path", sorted(CIRCUITS_DIR.glob("*.kcir")), ids=lambda path: path.name)
+class TestTextAgreesWithJson:
+    """Every line of a text report but its timing is a field of the JSON report."""
+
+    def text_and_json(self, capsys, *argv: str) -> tuple[list[str], dict]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert re.fullmatch(r"timing: \d+\.\d{3}s", lines.pop())
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        return lines, json.loads(out)
+
+    def head(self, report: dict) -> list[str]:
+        return [f"circuit: {report['circuit']}", f"command: {report['command']}",
+                f"verdict: {report['verdict']}"]
+
+    def test_classify(self, capsys, path):
+        lines, report = self.text_and_json(
+            capsys, "classify", "--circuit", str(path), "--horizon", "3")
+        assert lines[:3] == self.head(report)
+        assert lines[-1].startswith("stats: ")
+        assert _parsed_pairs(lines.pop().removeprefix("stats: ")) == _strings(report["stats"])
+        expected = []
+        if (axioms := report["axioms"]) is not None:
+            expected.append("axioms: " + " ".join(
+                f"{name}={'yes' if axioms[name] else 'no'}"
+                for name in ("reflexive", "antisymmetric", "transitive")))
+        if (witness := report["witness"]) is not None:
+            expected.append("witness:")
+            expected += [f"  {label}: t={witness[label]['t']} "
+                         f"samples={','.join(witness[label]['samples'])}"
+                         for label in ("a0", "a1", "b0", "b1")]
+            expected += [f"  {key}: {_reads_text(witness[key])}" for key in ("x_reads", "y_reads")]
+        assert lines[3:] == expected
+
+    def test_check(self, capsys, path):
+        lines, report = self.text_and_json(
+            capsys, "check", "--circuit", str(path),
+            "--horizon", "4", "--trials", "30", "--seed", "1")
+        stats = report["stats"]
+        assert (stats["horizon"], stats["seed"]) == (4, 1)
+        assert lines[:3] == self.head(report)
+        assert [line.partition(": ")[0] for line in lines[3:]] == ["causality", "read-soundness"]
+        assert _parsed_pairs(lines[3].partition(": ")[2]) == _strings(stats["causality"])
+        assert _parsed_pairs(lines[4].partition(": ")[2]) == _strings(stats["read_soundness"])
+
+
 class TestRefusalMessages:
     """Usage errors of the subcommands, each with its one exact line."""
 
