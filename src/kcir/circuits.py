@@ -16,9 +16,11 @@ refs are the sorted ``(channel, tick)`` pairs read at that tick.  It sees the
 control history only and tracks edge and write ticks, never sample values,
 so it is a route independent of ``step``.  The read map ``reads`` is derived
 from it as a fold over the prefix, and the classifier steps it once per read
-state of each level of the read-state DAG.  These two pairs are the only
-definitions of a circuit: there are no per-circuit evaluators or read maps
-beside them.
+state of each level of the read-state DAG.  ``reads`` and a read-soundness
+trial fold it through ``fold``, a one-pass fold that a read step may carry
+(a ``.kcir`` register block's does; see :class:`CircuitElement`).  These two
+pairs are the only definitions of a circuit: there are no per-circuit
+evaluators or read maps beside them.
 
 The randomized property checks step ``step`` over the ticks a trial
 compares and no more.  A causality trial compares the ticks 0..m-1 before a
@@ -49,7 +51,7 @@ import random
 from dataclasses import InitVar, dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .classifier import ReadMap, ReadStepFn, fold_reads
+from .classifier import ReadMap, ReadStepFn, fold_reads, fold_refs
 from .signals import BINARY, Alphabet, Tick
 
 
@@ -80,9 +82,10 @@ class CircuitElement:
     and the refs read at that tick, sorted and duplicate-free, or ``None``
     when the output is undefined there; ``read_init`` is the read state before
     tick 0.  Read states must be hashable, since the classifier keys the
-    nodes of its read-state DAG on them.  A multiclock read step also
-    carries its clock domains for :func:`kcir.classify`, which uses them
-    only with the ``read_init`` they were made for.
+    nodes of its read-state DAG on them.  A read step may carry ``fold``, a
+    one-pass fold of itself, and a multiclock read step carries its clock
+    domains for :func:`kcir.classify`; each is used only with the
+    ``read_init`` it was made for.
 
     ``reads`` is the fold of ``read_step`` over a control history from
     ``read_init``: the history's read set, or ``None`` when there is no
@@ -91,7 +94,7 @@ class CircuitElement:
     calls, keeps working: a ``reads`` given beside a ``read_step`` is replaced
     by the fold, a derived fold given alone is dropped, and any other
     ``reads`` given alone is refused with :class:`ValueError`.  A replaced
-    read step carries no domains.
+    read step carries neither a fold nor domains.
     """
 
     name: str
@@ -408,6 +411,8 @@ def read_soundness_check(
     Each trial draws random control and input columns, picks a tick, and flips
     one input sample at a position the read step does not claim at ``t``; the
     outputs at ``t`` before and after are ``step`` folded over ticks 0..t.
+    The claimed refs are the read step folded over ticks 0..t, through the
+    one-pass fold it carries when it has one (see :class:`CircuitElement`).
     The position is drawn from the free positions in channel order, then
     tick order, which are counted (ticks 0..t of every channel with two or
     more values, less the distinct claimed refs among them) and never
@@ -440,9 +445,7 @@ def read_soundness_check(
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = _below(getrandbits, horizon + 1)
         ticks = range(t + 1)
-        state = read_init
-        for tick, symbol in zip(ticks, control):
-            state, refs = read_step(state, symbol, tick)
+        refs = fold_refs(read_init, read_step, itertools.islice(control, t + 1))
         if refs is None:
             undefined += 1
             continue

@@ -178,8 +178,16 @@ ReadMap = Callable[[CausalSignal], Optional[ReadSet]]
 ReadStepFn = Callable[[Any, str, Tick], tuple[Any, Optional[Refs]]]
 
 
-def _fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) -> Optional[Refs]:
-    """The refs at the last of ``symbols``: ``read_step`` folded over them from tick 0."""
+def fold_refs(read_init: Any, read_step: ReadStepFn, symbols: Iterable[str]) -> Optional[Refs]:
+    """The refs at the last of ``symbols``: ``read_step`` folded over them from tick 0.
+
+    A read step may carry ``fold = (init, fn)``, a one-pass ``fn(symbols)``
+    equal to this fold from ``init``; it is used only when ``init`` is
+    ``read_init``'s equal, and otherwise the read step is stepped.
+    """
+    init, fold = getattr(read_step, "fold", (None, None))
+    if fold is not None and init == read_init:
+        return fold(symbols)
     state, refs = read_init, None
     for tick, symbol in enumerate(symbols):
         state, refs = read_step(state, symbol, tick)
@@ -194,7 +202,7 @@ def fold_reads(read_init: Any, read_step: ReadStepFn) -> ReadMap:
     """
 
     def reads(control: CausalSignal) -> Optional[ReadSet]:
-        refs = _fold_refs(read_init, read_step, control.samples)
+        refs = fold_refs(read_init, read_step, control.samples)
         return None if refs is None else ReadSet(refs)
 
     reads.folds = (read_init, read_step)

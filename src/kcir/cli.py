@@ -79,13 +79,16 @@ UNDEF = "UNDEF"
 #: last trial's columns before it draws its own: at the limit, a run of one
 #: or of three trials of mux (horizon 1,333,332) peaks at 47-54 MB max RSS,
 #: of dff (1,999,999) at 47-62 MB, and one of abmem at 1,333,332 at 37 MB.
-#: The limit caps a trial's memory, not its time: a clocked circuit's read
-#: step rebuilds every edge ref at each tick, so one soundness trial of
-#: counter takes time quadratic in the horizon (0.027 s, 0.079 s and
-#: 0.459 s at horizons 10,000, 20,000 and 40,000, on CPython 3.11 on a
-#: shared 2-core host).  ``simulate`` holds
-#: only its output text, about 10 bytes per tick, so a stimulus of one
-#: channel is its largest:
+#: A register block's trial also holds the refs at its tick, one per edge:
+#: one trial of counter (1,999,999) peaks at 84 MB, three at 95 MB, and one
+#: of twoclock (999,999) at 80 MB.  A trial's time is linear in the horizon,
+#: since a register block's read step carries a one-pass fold: one
+#: soundness trial of counter takes 0.006 s, 0.015 s, 0.032 s and 0.061 s
+#: at horizons 10,000, 20,000, 40,000 and 100,000, and a whole one-trial
+#: ``check`` at the limit takes 3.1-3.6 s for counter, 1.9-2.6 s for
+#: twoclock and 1.7-2.5 s for dff (CPython 3.11 on a shared 2-core host).
+#: ``simulate`` holds only its output text, about 10 bytes per tick, so a
+#: stimulus of one channel is its largest:
 #: 4,000,000 ticks of a one-register toggle take 54 MB max RSS, and 1,000,000
 #: ticks of twoclock 28 MB.  A JSON ``chi-dump`` of counter just below the limit (3,980
 #: ticks, 3,962,090 refs) peaks at 47 MB.

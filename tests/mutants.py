@@ -305,6 +305,29 @@ MUTANTS = (
          "::test_read_step_equals_the_reference"),
     ),
     Mutant(
+        "the carried fold records a rise of one clock on every clock's channels",
+        "src/kcir/dsl.py",
+        "if rise >> k & 1]",
+        "if rise]",
+        (f"{DSL}::TestCarriedFold::test_the_fold_equals_the_stepped_fold[twoclock.kcir]",),
+    ),
+    Mutant(
+        "the carried fold adds the last tick even when it is an edge",
+        "src/kcir/dsl.py",
+        "            if not own or own[-1] != tick:\n"
+        "                refs.append((c, tick))\n",
+        "            refs.append((c, tick))\n",
+        (f"{DSL}::TestCarriedFold::test_the_fold_equals_the_stepped_fold[counter.kcir]",),
+    ),
+    Mutant(
+        "fold_refs uses a fold made for another read_init",
+        "src/kcir/classifier.py",
+        "    if fold is not None and init == read_init:\n",
+        "    if fold is not None:\n",
+        ("tests/test_circuits.py::TestReadStep::"
+         "test_a_carried_fold_is_used_only_from_its_own_read_init",),
+    ),
+    Mutant(
         "a stimulus row may span twice the line bound",
         "src/kcir/cli.py",
         "if read - row_start > bound:",

@@ -66,7 +66,6 @@ from kcir.classifier import (
     Refs,
     RefPoint,
     Verdict,
-    _fold_refs,
 )
 from kcir.circuits import (
     CausalityReport,
@@ -1019,7 +1018,7 @@ def read_soundness_check(
         control, *columns = _random_streams(rng, alphabets, horizon + 1)
         t = rng.randint(0, horizon)
         symbols = control[: t + 1]
-        refs = _fold_refs(element.read_init, element.read_step, symbols)
+        refs = read_fold(element, symbols)[1]
         if refs is None:
             undefined += 1
             continue

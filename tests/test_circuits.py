@@ -472,6 +472,36 @@ class TestLinearTime:
         assert mutated
         assert met
 
+    @pytest.mark.parametrize("path", ("counter.kcir", "twoclock.kcir"))
+    def test_read_soundness_folds_a_register_block_without_its_read_step(self, path):
+        element = load_circuit((CIRCUITS_DIR / path).read_text())
+        calls = []
+
+        def counting(state, symbol, tick):
+            calls.append(tick)
+            return element.read_step(state, symbol, tick)
+
+        counting.fold = element.read_step.fold
+        counted = dataclasses.replace(element, read_step=counting)
+        report = read_soundness_check(counted, horizon=100_000, trials=2, seed=0)
+        assert report.trials == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("text", (
+        *((CIRCUITS_DIR / name).read_text() for name in
+          ("counter.kcir", "twoclock.kcir", "threeclock.kcir")),
+        multiclock_text(MAX_DOMAINS),
+    ), ids=("counter", "twoclock", "threeclock", "most_domains"))
+    def test_the_carried_fold_leaves_soundness_reports_unchanged(self, text):
+        element = load_circuit(text)
+        read_step = element.read_step
+        plain = dataclasses.replace(
+            element, read_step=lambda state, symbol, tick: read_step(state, symbol, tick))
+        for horizon in (1, 4, 16, 300):
+            for seed in range(5):
+                assert (read_soundness_check(element, horizon, 20, seed)
+                        == read_soundness_check(plain, horizon, 20, seed))
+
     @pytest.mark.parametrize("check", (causality_check, read_soundness_check))
     @pytest.mark.parametrize("path", ("mux.kcir", "dff.kcir"))
     def test_a_check_holds_one_trial_at_a_time(self, monkeypatch, path, check):
@@ -572,6 +602,16 @@ class TestReadStep:
         assert calls
         with pytest.raises(AssertionError):
             dataclasses.replace(element, read_step=_forbidden).reads(bits("0"))
+
+    def test_a_carried_fold_is_used_only_from_its_own_read_init(self):
+        element = counter_element()
+        # With the clock at 0 before tick 0, a 1 at tick 0 is an edge.
+        moved = dataclasses.replace(element, read_init=("0", element.read_init[1]))
+        assert moved.read_step.fold[0] == element.read_init != moved.read_init
+        control = bits("10")
+        assert moved.reads(control) == ReadSet(oracle.read_fold(moved, control.samples)[1])
+        assert moved.reads(control) == ReadSet.of(("D", 0), ("D", 1))
+        assert element.reads(control) == ReadSet.of(("D", 1))
 
     def test_dropping_the_read_step_drops_the_read_map(self):
         element = dataclasses.replace(dff_element(), read_step=None)

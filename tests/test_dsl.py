@@ -25,6 +25,7 @@ from kcir import (
     Verdict,
     classify,
     elaborate,
+    load_circuit,
     output_stream,
     parse,
     pretty_print,
@@ -34,6 +35,7 @@ from kcir.dsl import MAX_DOMAINS, MAX_EXPR_DEPTH, _step_code, _step_source
 
 from . import oracle
 from .conftest import CIRCUITS_DIR
+from .test_cli import multiclock_text
 
 # ---------------------------------------------------------------------------
 # Corpora
@@ -557,6 +559,58 @@ class TestCompiledStepMatchesTheReference:
         text = (CIRCUITS_DIR / "threeclock.kcir").read_text(encoding="utf-8")
         assert _step_code(parse(text).domains) is _step_code(parse(text).domains)
         assert _step_code.cache_info().maxsize is not None
+
+
+#: Each circuit file's name and text, then a multiclock circuit of the most domains.
+FOLD_CIRCUITS = [
+    *((path.name, path.read_text(encoding="utf-8")) for path in sorted(CIRCUITS_DIR.glob("*.kcir"))),
+    ("most_domains", multiclock_text(MAX_DOMAINS)),
+]
+
+
+def _carried_fold(element):
+    """The one-pass fold an element's read step carries, made for its ``read_init``."""
+    init, fold = element.read_step.fold
+    assert init == element.read_init
+    return fold
+
+
+class TestCarriedFold:
+    """The fold a clocked read step carries is the read step stepped tick by tick."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_circuits(), st.data())
+    def test_the_fold_equals_the_stepped_fold_on_drawn_blocks(self, ast, data):
+        element = elaborate(ast)
+        rng = data.draw(st.randoms(use_true_random=False))
+        values = element.control_alphabet.values
+        history = [rng.choice(values) for _ in range(data.draw(st.integers(1, 200)))]
+        assert _carried_fold(element)(history) == oracle.read_fold(element, history)[1]
+
+    @pytest.mark.parametrize("text", [text for _, text in FOLD_CIRCUITS],
+                             ids=[name for name, _ in FOLD_CIRCUITS])
+    def test_the_fold_equals_the_stepped_fold(self, text):
+        element = load_circuit(text)
+        clocked = parse(text).kind in ("sync", "multiclock")
+        assert hasattr(element.read_step, "fold") == clocked
+        if not clocked:
+            return
+        fold = _carried_fold(element)
+        rng = random.Random(text)
+        for length in (1, 2, *(rng.randint(1, 200) for _ in range(40))):
+            history = [rng.choice(element.control_alphabet.values) for _ in range(length)]
+            assert fold(history) == oracle.read_fold(element, history)[1]
+
+    @pytest.mark.parametrize("name, bad", (
+        ("counter.kcir", "2"), ("counter.kcir", "1/0"), ("twoclock.kcir", "1"),
+        ("twoclock.kcir", "x/1"), ("threeclock.kcir", "0/1"),
+    ))
+    def test_the_fold_refuses_a_symbol_as_the_read_step_does(self, name, bad):
+        element = load_circuit((CIRCUITS_DIR / name).read_text(encoding="utf-8"))
+        history = [element.control_alphabet.values[-1], bad]
+        refused = _outcome(_carried_fold(element), history)
+        assert refused.startswith("SimulationError: ")
+        assert refused == _outcome(oracle.read_fold, element, history)
 
 
 # Hand-built descriptions that ``parse`` never returns, each with the end of
